@@ -3,24 +3,23 @@
 Subcommands: validate-ontology, metrics, score, profile, correlate, evaluate,
 fixture, pipeline. Exit status is 0 on success, 1 on validation failure and
 2 on I/O or configuration errors. Given identical inputs, seed and flags,
-every subcommand writes byte-identical artifacts (including under --jobs N).
+every subcommand writes byte-identical artifacts.
+
+Each user's records are scored once into a ScoreBlock; the score CSV rows,
+the full profile and every sweep point come from that block.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__
 from .config import RunConfig, build_config, env_overrides, parse_config_file, parse_sweep
 from .correlation import co_interest_matrix, pearson_matrix
-from .errors import (
-    ConfigError,
-    ExternalClassifierError,
-    NoPredictionError,
-    ValidationFailure,
-)
+from .errors import ConfigError, ExternalClassifierError, ValidationFailure
 from .evaluation import evaluate
 from .fixtures import generate_fixture
 from .ingest import (
@@ -32,15 +31,18 @@ from .ingest import (
     serialize_predictions,
 )
 from .ontometrics import semiotic_report, size_metrics, structural_metrics
-from .profiling import UserProfile, profile_user, sweep_profiles
+from .profiling import UserProfile, profile_prefixes
 from .reporting import (
+    open_score_tables,
     write_correlation,
     write_evaluation,
     write_metrics,
     write_profiles,
+    write_score_rows,
     write_scores,
     write_text,
 )
+from .scoring import score_block
 from .taxonomy import Taxonomy, load_taxonomy
 
 
@@ -61,6 +63,13 @@ def _load_tax(cfg: RunConfig) -> Taxonomy:
     tax = load_taxonomy(path)
     for w in tax.warnings:
         _note(f"warning: {w}")
+    return tax
+
+
+def _load_scoring_tax(cfg: RunConfig) -> Taxonomy:
+    """Taxonomy with its label index compiled, so a bad topic fails before any output."""
+    tax = _load_tax(cfg)
+    tax.label_index  # compiled on first access
     return tax
 
 
@@ -106,15 +115,35 @@ def _prepare_outdir(cfg: RunConfig) -> Path:
     return out
 
 
-def _safe_profiles(dataset: ProfileDataset, tax: Taxonomy, cfg: RunConfig) -> list[UserProfile]:
-    """Full-length profiles; users with no mappable mass are skipped with a warning."""
-    profiles = []
-    for user in dataset.users():
-        try:
-            profiles.append(profile_user(dataset.records[user], tax, cfg.topk, cfg.mechanism))
-        except NoPredictionError as exc:
-            _note(f"warning: skipping user '{user}': {exc}")
-    return profiles
+def _profile_dataset(
+    dataset: ProfileDataset,
+    tax: Taxonomy,
+    cfg: RunConfig,
+    sweep: tuple[int, ...] = (),
+    scores_dir: Path | None = None,
+) -> tuple[list[UserProfile], dict[int, list[UserProfile]]]:
+    """Full profiles and sweep profiles, scoring each user's records once.
+
+    With ``scores_dir`` the image score tables are written in the same pass.
+    Users with no mappable mass are skipped with a warning and left out of
+    the sweep as well.
+    """
+    profiles: list[UserProfile] = []
+    sweep_map: dict[int, list[UserProfile]] = {n: [] for n in sweep}
+    tables = open_score_tables(scores_dir, cfg.topk) if scores_dir else nullcontext()
+    with tables as score_tables:
+        for user in dataset.users():
+            block = score_block(dataset.records[user], tax, cfg.topk)
+            if score_tables is not None:
+                write_score_rows(score_tables, block)
+            full, *swept = profile_prefixes(block, (block.n_images(), *sweep), cfg.mechanism)
+            if full.predicted_topic is None:
+                _note(f"warning: skipping user '{user}': no prediction label maps to any topic")
+                continue
+            profiles.append(full)
+            for n, profile in zip(sweep, swept):
+                sweep_map[n].append(profile)
+    return profiles, sweep_map
 
 
 def cmd_validate(cfg: RunConfig) -> int:
@@ -140,7 +169,7 @@ def cmd_metrics(cfg: RunConfig) -> int:
 
 
 def cmd_score(cfg: RunConfig) -> int:
-    tax = _load_tax(cfg)
+    tax = _load_scoring_tax(cfg)
     dataset = _load_dataset(cfg)
     out = _prepare_outdir(cfg)
     write_scores(out, dataset, tax, cfg.topk)
@@ -149,31 +178,20 @@ def cmd_score(cfg: RunConfig) -> int:
 
 
 def cmd_profile(cfg: RunConfig) -> int:
-    tax = _load_tax(cfg)
+    tax = _load_scoring_tax(cfg)
     dataset = _load_dataset(cfg)
     out = _prepare_outdir(cfg)
-    profiles = _safe_profiles(dataset, tax, cfg)
-    sweep_map = sweep_profiles(
-        _drop_unmappable(dataset, profiles), tax, cfg.topk, cfg.sweep, cfg.mechanism, cfg.jobs
-    ) if profiles else {}
-    write_profiles(out, profiles, sweep_map)
+    profiles, sweep_map = _profile_dataset(dataset, tax, cfg, cfg.sweep)
+    write_profiles(out, profiles, sweep_map if profiles else {})
     print(f"profiled {len(profiles)} users into {out}")
     return 0
 
 
-def _drop_unmappable(dataset: ProfileDataset, profiles: list[UserProfile]) -> ProfileDataset:
-    kept = {p.user_id for p in profiles}
-    return ProfileDataset(
-        records={u: r for u, r in dataset.records.items() if u in kept},
-        labels={u: t for u, t in dataset.labels.items() if u in kept},
-    )
-
-
 def cmd_correlate(cfg: RunConfig) -> int:
-    tax = _load_tax(cfg)
+    tax = _load_scoring_tax(cfg)
     dataset = _load_dataset(cfg)
     out = _prepare_outdir(cfg)
-    profiles = _safe_profiles(dataset, tax, cfg)
+    profiles, _ = _profile_dataset(dataset, tax, cfg)
     corr = pearson_matrix(profiles, cfg.mechanism)
     co = co_interest_matrix(profiles, cfg.tau, cfg.mechanism)
     write_correlation(out, corr, co)
@@ -182,14 +200,11 @@ def cmd_correlate(cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    tax = _load_tax(cfg)
+    tax = _load_scoring_tax(cfg)
     _require(cfg.labels, "--labels")
     dataset = _load_dataset(cfg)
     out = _prepare_outdir(cfg)
-    profiles = _safe_profiles(dataset, tax, cfg)
-    sweep_map = sweep_profiles(
-        _drop_unmappable(dataset, profiles), tax, cfg.topk, cfg.sweep, cfg.mechanism, cfg.jobs
-    )
+    _, sweep_map = _profile_dataset(dataset, tax, cfg, cfg.sweep)
     report = evaluate(sweep_map, dataset.labels, cfg.mechanism)
     write_evaluation(out, report)
     print(f"evaluated {report.n_labeled} labeled users into {out}")
@@ -212,7 +227,7 @@ def cmd_fixture(cfg: RunConfig) -> int:
 
 
 def cmd_pipeline(cfg: RunConfig) -> int:
-    tax = _load_tax(cfg)
+    tax = _load_scoring_tax(cfg)
     dataset = _load_dataset(cfg)
     out = _prepare_outdir(cfg)
 
@@ -222,12 +237,9 @@ def cmd_pipeline(cfg: RunConfig) -> int:
         structural_metrics(tax),
         semiotic_report(tax, accuracy_attested=cfg.attest_accuracy),
     )
-    write_scores(out, dataset, tax, cfg.topk)
-
-    profiles = _safe_profiles(dataset, tax, cfg)
-    kept = _drop_unmappable(dataset, profiles)
-    sweep_map = sweep_profiles(kept, tax, cfg.topk, cfg.sweep, cfg.mechanism, cfg.jobs) \
-        if profiles else {}
+    profiles, sweep_map = _profile_dataset(dataset, tax, cfg, cfg.sweep, scores_dir=out)
+    if not profiles:
+        sweep_map = {}
     write_profiles(out, profiles, sweep_map)
 
     if len(profiles) >= 2:
@@ -275,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--force", action="store_true", help="allow writing into a non-empty output directory")
     common.add_argument("--topk", type=int, help="top-k predictions per image (default 5)")
     common.add_argument("--mechanism", choices=("prob", "occ"), help="scoring mechanism (default occ)")
-    common.add_argument("--jobs", type=int, help="parallel workers; output is identical to --jobs 1")
+    common.add_argument("--jobs", type=int,
+                        help="accepted for compatibility; has no effect (runs are single-threaded)")
     common.add_argument("--seed", type=int, help="seed for fixture generation")
 
     data = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)

@@ -9,6 +9,8 @@ the largest sweep point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import EmptyInputError
@@ -70,14 +72,20 @@ def roc_series(
     """One-vs-rest ROC points from a descending threshold sweep over the scores.
 
     Each point is (threshold, fpr, tpr) for the rule ``score >= threshold``.
-    Empty positive or negative sets contribute 0 rates.
+    Empty positive or negative sets contribute 0 rates. One sort, then
+    cumulative counts per distinct threshold: O(n log n).
     """
     n_pos = sum(positives)
     n_neg = len(positives) - n_pos
+    ranked = sorted(zip(scores, positives), key=itemgetter(0), reverse=True)
     points = []
-    for th in sorted(set(scores), reverse=True):
-        tp = sum(1 for s, pos in zip(scores, positives) if pos and s >= th)
-        fp = sum(1 for s, pos in zip(scores, positives) if not pos and s >= th)
+    tp = fp = 0
+    for th, group in groupby(ranked, key=itemgetter(0)):
+        for _, pos in group:
+            if pos:
+                tp += 1
+            else:
+                fp += 1
         points.append(
             (th, fp / n_neg if n_neg else 0.0, tp / n_pos if n_pos else 0.0)
         )

@@ -4,29 +4,27 @@ The probability mechanism column-sums the per-image probability rows and
 divides by the grand total, so the user vector is a distribution. The
 occurrence mechanism gives each image one unit of mass, split evenly across
 the topics where its occurrence row attains its maximum (fractional credit on
-ties, exact via Fraction); images with all-zero rows push their mass into
-``unmapped``. Both vectors therefore sum to 1 including unmapped mass.
+ties, exact through integer votes); images with all-zero rows push their mass
+into ``unmapped``. Both vectors therefore sum to 1 including unmapped mass.
+
+Every view is derived from one ScoreBlock per user: ``profile_prefixes``
+builds the full profile and each sweep point from prefixes of the block.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Sequence
 
 from .errors import EmptyInputError, NoPredictionError
 from .ingest import DEFAULT_TOP_K, PredictionRecord, ProfileDataset
-from .scoring import ImageLevelMatrices, TopicDistribution, build_matrices
+from .scoring import ImageLevelMatrices, ScoreBlock, TopicDistribution, score_block
 from .taxonomy import N_TOPICS, TOPICS, Taxonomy
 
 MECHANISMS = ("prob", "occ")
 
 DEFAULT_SWEEP = (5, 10, 50, 75, 100)
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -36,7 +34,7 @@ class UserProfile:
     v_prob: TopicDistribution
     v_occ: TopicDistribution
     mechanism: str
-    predicted_topic: str
+    predicted_topic: str | None  # None only for a sweep prefix with no mapped mass
     ties: tuple[str, ...] = ()  # tied argmax topics, empty when the argmax is unique
 
     def vector(self, mechanism: str | None = None) -> TopicDistribution:
@@ -44,6 +42,54 @@ class UserProfile:
         if m not in MECHANISMS:
             raise ValueError(f"unknown mechanism '{m}'")
         return self.v_prob if m == "prob" else self.v_occ
+
+
+def _prob_vector(rows: Sequence[Sequence[float]]) -> TopicDistribution:
+    """Column fsums of probability rows (topics, then unmapped), normalized to mass 1."""
+    columns = [math.fsum(col) for col in zip(*rows)]
+    grand = math.fsum(columns)
+    if grand == 0.0:
+        # No probability mass anywhere: the whole unit is unmapped.
+        return TopicDistribution(scores=(0.0,) * N_TOPICS, unmapped_mass=1.0)
+    return TopicDistribution(
+        scores=tuple(c / grand for c in columns[:N_TOPICS]),
+        unmapped_mass=columns[N_TOPICS] / grand,
+    )
+
+
+def _vote_scale(max_ties: int) -> int:
+    """Votes per image: divisible by every possible number of tied topics."""
+    return math.lcm(*range(1, min(max_ties, N_TOPICS) + 1))
+
+
+def _votes(scores: Sequence[float], scale: int) -> list[int]:
+    """One image's occurrence vote over topics then unmapped.
+
+    ``scale`` is split evenly over the topics where the first N_TOPICS scores
+    attain their maximum, or goes to unmapped when they are all zero.
+    """
+    topics = scores[:N_TOPICS]
+    votes = [0] * (N_TOPICS + 1)
+    peak = max(topics)
+    if peak == 0:
+        votes[N_TOPICS] = scale
+        return votes
+    tied = [i for i, s in enumerate(topics) if s == peak]
+    share = scale // len(tied)
+    for i in tied:
+        votes[i] = share
+    return votes
+
+
+def _occ_vector(votes: Sequence[Sequence[int]], scale: int) -> TopicDistribution:
+    """Vote totals over ``scale`` times the image count.
+
+    Integer true division is correctly rounded, so each cell equals the float
+    of the exact fraction of credit.
+    """
+    denom = scale * len(votes)
+    cells = [sum(col) / denom for col in zip(*votes)]
+    return TopicDistribution(scores=tuple(cells[:N_TOPICS]), unmapped_mass=cells[N_TOPICS])
 
 
 def aggregate_prob(m: ImageLevelMatrices) -> TopicDistribution:
@@ -54,38 +100,15 @@ def aggregate_prob(m: ImageLevelMatrices) -> TopicDistribution:
     """
     if m.n_images() == 0:
         raise EmptyInputError("cannot aggregate zero images")
-    totals = [math.fsum(col) for col in zip(*(row.scores for row in m.prob_rows))]
-    unmapped = math.fsum(row.unmapped_mass for row in m.prob_rows)
-    grand = math.fsum(totals + [unmapped])
-    if grand == 0.0:
-        # No probability mass anywhere: the whole unit is unmapped.
-        return TopicDistribution(scores=(0.0,) * N_TOPICS, unmapped_mass=1.0)
-    return TopicDistribution(
-        scores=tuple(t / grand for t in totals),
-        unmapped_mass=unmapped / grand,
-    )
+    return _prob_vector([row.scores + (row.unmapped_mass,) for row in m.prob_rows])
 
 
 def aggregate_occ(m: ImageLevelMatrices) -> TopicDistribution:
     """Per-image argmax voting over the occurrence rows, fractional on ties."""
-    n = m.n_images()
-    if n == 0:
+    if m.n_images() == 0:
         raise EmptyInputError("cannot aggregate zero images")
-    credits = [Fraction(0)] * N_TOPICS
-    unmapped = Fraction(0)
-    for row in m.occ_rows:
-        peak = max(row.scores)
-        if peak == 0.0:
-            unmapped += 1
-            continue
-        tied = [i for i, s in enumerate(row.scores) if s == peak]
-        share = Fraction(1, len(tied))
-        for i in tied:
-            credits[i] += share
-    return TopicDistribution(
-        scores=tuple(float(c / n) for c in credits),
-        unmapped_mass=float(unmapped / n),
-    )
+    scale = _vote_scale(N_TOPICS)
+    return _occ_vector([_votes(row.scores, scale) for row in m.occ_rows], scale)
 
 
 def argmax_topics(v: TopicDistribution) -> tuple[str, ...]:
@@ -104,6 +127,39 @@ def predict_topic(v: TopicDistribution) -> str:
     return best[0]
 
 
+def profile_prefixes(
+    block: ScoreBlock, sizes: Sequence[int], mechanism: str = "occ"
+) -> list[UserProfile]:
+    """Profiles of one user over the first n images of a score block, per n in sizes.
+
+    An n beyond the block's length means all its images. A prefix with no
+    positive score under the mechanism gets ``predicted_topic`` None.
+    """
+    if mechanism not in MECHANISMS:
+        raise ValueError(f"unknown mechanism '{mechanism}'")
+    if not block.n_images():
+        raise EmptyInputError("cannot profile a user with zero records")
+    scale = _vote_scale(block.k)
+    votes = [_votes(row, scale) for row in block.counts]
+    by_size: dict[int, UserProfile] = {}
+    for n in sizes:
+        n = min(n, block.n_images())
+        if n not in by_size:
+            v_prob = _prob_vector(block.prob[:n])
+            v_occ = _occ_vector(votes[:n], scale)
+            best = argmax_topics(v_prob if mechanism == "prob" else v_occ)
+            by_size[n] = UserProfile(
+                user_id=block.user_id,
+                n_images=n,
+                v_prob=v_prob,
+                v_occ=v_occ,
+                mechanism=mechanism,
+                predicted_topic=best[0] if best else None,
+                ties=best if len(best) > 1 else (),
+            )
+    return [by_size[min(n, block.n_images())] for n in sizes]
+
+
 def profile_user(
     records: Sequence[PredictionRecord],
     tax: Taxonomy,
@@ -111,40 +167,12 @@ def profile_user(
     mechanism: str = "occ",
 ) -> UserProfile:
     """Score, aggregate and predict for one user's records (order preserved)."""
-    if mechanism not in MECHANISMS:
-        raise ValueError(f"unknown mechanism '{mechanism}'")
-    if not records:
-        raise EmptyInputError("cannot profile a user with zero records")
-    m = build_matrices(list(records), tax, k)
-    v_prob = aggregate_prob(m)
-    v_occ = aggregate_occ(m)
-    selected = v_prob if mechanism == "prob" else v_occ
-    best = argmax_topics(selected)
-    if not best:
+    (profile,) = profile_prefixes(score_block(records, tax, k), (len(records),), mechanism)
+    if profile.predicted_topic is None:
         raise NoPredictionError(
-            f"user '{records[0].user_id}': no prediction label maps to any topic"
+            f"user '{profile.user_id}': no prediction label maps to any topic"
         )
-    return UserProfile(
-        user_id=records[0].user_id,
-        n_images=m.n_images(),
-        v_prob=v_prob,
-        v_occ=v_occ,
-        mechanism=mechanism,
-        predicted_topic=best[0],
-        ties=best if len(best) > 1 else (),
-    )
-
-
-def ordered_map(fn: Callable[[T], R], items: Iterable[T], jobs: int = 1) -> list[R]:
-    """map() preserving input order; thread-parallel when jobs > 1.
-
-    Workers are pure, so the result is identical for any jobs value.
-    """
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    return profile
 
 
 def profile_users(
@@ -152,13 +180,9 @@ def profile_users(
     tax: Taxonomy,
     k: int = DEFAULT_TOP_K,
     mechanism: str = "occ",
-    jobs: int = 1,
 ) -> list[UserProfile]:
     """Profile every user over their full record list, dataset order."""
-    users = dataset.users()
-    return ordered_map(
-        lambda u: profile_user(dataset.records[u], tax, k, mechanism), users, jobs
-    )
+    return [profile_user(dataset.records[u], tax, k, mechanism) for u in dataset.users()]
 
 
 def sweep_profiles(
@@ -167,23 +191,17 @@ def sweep_profiles(
     k: int = DEFAULT_TOP_K,
     sweep: Sequence[int] = DEFAULT_SWEEP,
     mechanism: str = "occ",
-    jobs: int = 1,
 ) -> dict[int, list[UserProfile]]:
     """Profiles per sweep value, using each user's first n records.
 
     Users with fewer than n records contribute all their records at that
-    sweep point. Sweep values must be positive and strictly increasing.
+    sweep point; a prefix with no mapped mass gets ``predicted_topic`` None.
+    Sweep values must be positive and strictly increasing.
     """
     if not sweep or any(s <= 0 for s in sweep) or list(sweep) != sorted(set(sweep)):
         raise ValueError(f"sweep values must be positive and strictly increasing: {sweep}")
-    users = dataset.users()
-
-    def per_user(u: str) -> list[UserProfile]:
-        recs = dataset.records[u]
-        return [profile_user(recs[:n], tax, k, mechanism) for n in sweep]
-
-    per_user_rows = ordered_map(per_user, users, jobs)
-    return {
-        n: [row[j] for row in per_user_rows]
-        for j, n in enumerate(sweep)
-    }
+    per_user = [
+        profile_prefixes(score_block(dataset.records[u], tax, k), sweep, mechanism)
+        for u in dataset.users()
+    ]
+    return {n: [row[j] for row in per_user] for j, n in enumerate(sweep)}

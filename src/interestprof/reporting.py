@@ -2,22 +2,27 @@
 
 Floats are emitted with at most 9 significant digits (shortest representation
 that round-trips the rounded value), which keeps repeated runs byte-identical.
+The image score tables are written through the csv module, so a user or
+image id holding a comma or a quote is quoted instead of shifting columns.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
+from contextlib import contextmanager
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from .correlation import CorrelationMatrix
 from .evaluation import EvalReport
 from .ingest import ProfileDataset
 from .ontometrics import SemioticReport, SizeMetrics, StructuralMetrics
 from .profiling import UserProfile
-from .scoring import TopicDistribution, build_matrices
+from .scoring import ScoreBlock, TopicDistribution, score_block
 from .svgchart import heatmap, line_chart
 from .taxonomy import TOPICS, Taxonomy
 
@@ -126,24 +131,43 @@ def metrics_table(payload: Mapping) -> str:
     return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class ScoreTables:
+    """CSV writers for image_scores_prob.csv and image_scores_occ.csv."""
+
+    prob: Any
+    occ: Any
+    occ_cells: tuple[str, ...]  # formatted count / k for every count 0..k
+
+
+@contextmanager
+def open_score_tables(outdir: Path, k: int) -> Iterator[ScoreTables]:
+    """Open both image score tables and write their header rows."""
+    header = ("user_id", "image_id", *TOPICS, "unmapped")
+    with open(outdir / "image_scores_prob.csv", "w", encoding="utf-8", newline="") as prob_fh, \
+            open(outdir / "image_scores_occ.csv", "w", encoding="utf-8", newline="") as occ_fh:
+        tables = ScoreTables(
+            prob=csv.writer(prob_fh, lineterminator="\n"),
+            occ=csv.writer(occ_fh, lineterminator="\n"),
+            occ_cells=tuple(fmt_float(c / k) for c in range(k + 1)),
+        )
+        tables.prob.writerow(header)
+        tables.occ.writerow(header)
+        yield tables
+
+
+def write_score_rows(tables: ScoreTables, block: ScoreBlock) -> None:
+    """Append one user's image rows to both score tables."""
+    user, occ_cells = block.user_id, tables.occ_cells
+    for image_id, prob, counts in zip(block.image_ids, block.prob, block.counts):
+        tables.prob.writerow((user, image_id, *[fmt_float(x) if x else "0" for x in prob]))
+        tables.occ.writerow((user, image_id, *[occ_cells[c] for c in counts]))
+
+
 def write_scores(outdir: Path, dataset: ProfileDataset, tax: Taxonomy, k: int) -> None:
-    header = "user_id,image_id," + ",".join(TOPICS) + ",unmapped\n"
-    prob_lines = [header]
-    occ_lines = [header]
-    for user in dataset.users():
-        m = build_matrices(dataset.records[user], tax, k)
-        for image_id, prob_row, occ_row in zip(m.image_ids, m.prob_rows, m.occ_rows):
-            prefix = f"{user},{image_id},"
-            prob_lines.append(
-                prefix + ",".join(fmt_float(s) for s in prob_row.scores)
-                + f",{fmt_float(prob_row.unmapped_mass)}\n"
-            )
-            occ_lines.append(
-                prefix + ",".join(fmt_float(s) for s in occ_row.scores)
-                + f",{fmt_float(occ_row.unmapped_mass)}\n"
-            )
-    write_text(outdir / "image_scores_prob.csv", "".join(prob_lines))
-    write_text(outdir / "image_scores_occ.csv", "".join(occ_lines))
+    with open_score_tables(outdir, k) as tables:
+        for user in dataset.users():
+            write_score_rows(tables, score_block(dataset.records[user], tax, k))
 
 
 def _matrix_csv(col_labels: Sequence[str], row_labels: Sequence[str],

@@ -6,15 +6,20 @@ top-k labels map to each topic and divides by k (the configured top-k, not the
 record length, so short records lose mass to ``unmapped``). Mass belonging to
 labels with no topic ancestor is tracked in ``unmapped_mass`` instead of being
 renormalized away, so coverage gaps of the taxonomy stay visible downstream.
+
+``score_block`` scores one user's records once into exact per-image rows
+(a ScoreBlock); every other view of the image scores (the row objects below,
+the score CSVs, user profiles at every sweep point) is derived from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .ingest import DEFAULT_TOP_K, PredictionRecord
-from .taxonomy import N_TOPICS, TOPICS, Taxonomy, topic_of_instance
+from .taxonomy import N_TOPICS, TOPICS, Taxonomy
 
 
 @dataclass(frozen=True)
@@ -61,54 +66,103 @@ class ImageLevelMatrices:
         return len(self.image_ids)
 
 
-def score_image_prob(record: PredictionRecord, tax: Taxonomy) -> TopicDistribution:
-    """Probability scoring: per-topic sum of prediction probabilities.
+@dataclass(frozen=True)
+class ScoreBlock:
+    """Exact image-level scores of one user's records, in record order.
 
-    Sums use math.fsum, so the result is exactly invariant to prediction order.
+    Row j describes image j in N_TOPICS + 1 cells, the last one for unmapped
+    mass. ``prob[j]`` holds the math.fsum of the image's label probabilities
+    per topic; ``counts[j]`` its integer label counts, where the labels a
+    short record lacks (k minus its length) count as unmapped.
     """
+
+    user_id: str
+    image_ids: tuple[str, ...]
+    k: int
+    prob: tuple[tuple[float, ...], ...]
+    counts: tuple[tuple[int, ...], ...]
+
+    def n_images(self) -> int:
+        return len(self.image_ids)
+
+    def matrices(self) -> ImageLevelMatrices:
+        """The block as TopicDistribution rows; occurrence cells are counts / k."""
+        k = self.k
+        return ImageLevelMatrices(
+            image_ids=self.image_ids,
+            prob_rows=tuple(
+                TopicDistribution(scores=row[:N_TOPICS], unmapped_mass=row[N_TOPICS])
+                for row in self.prob
+            ),
+            occ_rows=tuple(
+                TopicDistribution(
+                    scores=tuple(c / k for c in row[:N_TOPICS]),
+                    unmapped_mass=row[N_TOPICS] / k,
+                )
+                for row in self.counts
+            ),
+        )
+
+
+def _score_record(
+    predictions: tuple[tuple[str, float], ...], position: Callable[[str], int], k: int
+) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """(prob row, count row) of one image; see ScoreBlock."""
+    if k < len(predictions):
+        raise ValueError(
+            f"divisor k={k} is smaller than the record's {len(predictions)} predictions"
+        )
+    counts = [0] * (N_TOPICS + 1)
+    counts[N_TOPICS] = k - len(predictions)
     per_topic: dict[int, list[float]] = {}
-    unmapped: list[float] = []
-    for label, prob in record.predictions:
-        topic = topic_of_instance(tax, label)
-        if topic is None:
-            unmapped.append(prob)
+    for label, prob in predictions:
+        pos = position(label)
+        counts[pos] += 1
+        bucket = per_topic.get(pos)
+        if bucket is None:
+            per_topic[pos] = [prob]
         else:
-            per_topic.setdefault(TOPICS.index(topic), []).append(prob)
-    scores = [0.0] * N_TOPICS
-    for i, values in per_topic.items():
-        scores[i] = math.fsum(values)
-    return TopicDistribution(scores=tuple(scores), unmapped_mass=math.fsum(unmapped))
+            bucket.append(prob)
+    row = [0.0] * (N_TOPICS + 1)
+    for pos, bucket in per_topic.items():
+        row[pos] = math.fsum(bucket)
+    return tuple(row), tuple(counts)
+
+
+def score_block(
+    records: Sequence[PredictionRecord], tax: Taxonomy, k: int = DEFAULT_TOP_K
+) -> ScoreBlock:
+    """Score every record of one user once, preserving record order.
+
+    Sums use math.fsum, so each cell is exactly invariant to prediction order.
+    """
+    users = {rec.user_id for rec in records}
+    if len(users) > 1:
+        raise ValueError(f"records span multiple users: {sorted(users)}")
+    position = tax.label_index.position
+    rows = [_score_record(rec.predictions, position, k) for rec in records]
+    return ScoreBlock(
+        user_id=records[0].user_id if records else "",
+        image_ids=tuple(rec.image_id for rec in records),
+        k=k,
+        prob=tuple(prob for prob, _ in rows),
+        counts=tuple(counts for _, counts in rows),
+    )
+
+
+def score_image_prob(record: PredictionRecord, tax: Taxonomy) -> TopicDistribution:
+    """Probability scoring: per-topic sum of prediction probabilities."""
+    row, _ = _score_record(record.predictions, tax.label_index.position, len(record.predictions))
+    return TopicDistribution(scores=row[:N_TOPICS], unmapped_mass=row[N_TOPICS])
 
 
 def score_image_occ(record: PredictionRecord, tax: Taxonomy, k: int = DEFAULT_TOP_K) -> TopicDistribution:
     """Occurrence scoring: per-topic label counts over a fixed divisor k."""
-    if k < len(record.predictions):
-        raise ValueError(
-            f"divisor k={k} is smaller than the record's {len(record.predictions)} predictions"
-        )
-    counts = [0] * N_TOPICS
-    unmapped_count = k - len(record.predictions)
-    for label, _ in record.predictions:
-        topic = topic_of_instance(tax, label)
-        if topic is None:
-            unmapped_count += 1
-        else:
-            counts[TOPICS.index(topic)] += 1
-    return TopicDistribution(
-        scores=tuple(c / k for c in counts),
-        unmapped_mass=unmapped_count / k,
-    )
+    return score_block([record], tax, k).matrices().occ_rows[0]
 
 
 def build_matrices(
     records: list[PredictionRecord], tax: Taxonomy, k: int = DEFAULT_TOP_K
 ) -> ImageLevelMatrices:
     """Score every record of one user, preserving record order."""
-    users = {rec.user_id for rec in records}
-    if len(users) > 1:
-        raise ValueError(f"records span multiple users: {sorted(users)}")
-    return ImageLevelMatrices(
-        image_ids=tuple(rec.image_id for rec in records),
-        prob_rows=tuple(score_image_prob(rec, tax) for rec in records),
-        occ_rows=tuple(score_image_occ(rec, tax, k) for rec in records),
-    )
+    return score_block(records, tax, k).matrices()

@@ -16,6 +16,7 @@ because classifier vocabularies are inconsistent about both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -115,7 +116,8 @@ class Taxonomy:
 
     ``parent`` maps every concept to its is-a parent; the root maps to None.
     Insertion order is declaration order (root first), which serialization
-    preserves. All query helpers are pure reads, safe to call concurrently.
+    preserves. All query helpers are pure reads; ``label_index`` is built on
+    first use and afterwards only memoizes lookups.
     """
 
     root: str
@@ -143,6 +145,47 @@ class Taxonomy:
         while node is not None:
             yield node
             node = self.parent[node]
+
+    @cached_property
+    def label_index(self) -> LabelIndex:
+        """Compiled label lookup for scoring, built on first use.
+
+        Raises UnknownTopicError when an instance's nearest topic is not one
+        of the canonical topics.
+        """
+        return LabelIndex(self)
+
+
+class LabelIndex:
+    """Classifier label -> canonical topic position, compiled from a taxonomy.
+
+    Every instance term is resolved to the position of its nearest topic once,
+    when the index is built. Each raw label is normalized on its first lookup
+    and remembered, so repeated labels cost one dict probe. Labels with no
+    topic map to N_TOPICS, the unmapped position.
+    """
+
+    def __init__(self, tax: Taxonomy):
+        by_term: dict[str, int] = {}
+        for term in tax.instances:
+            topic = topic_of_instance(tax, term)
+            if topic is None:
+                continue
+            if topic not in _TOPIC_POS:
+                raise UnknownTopicError(
+                    f"topic concept '{topic}' (nearest topic of instance '{term}') "
+                    f"is not one of the {N_TOPICS} canonical topics"
+                )
+            by_term[term] = _TOPIC_POS[topic]
+        self._by_term = by_term
+        self._by_label: dict[str, int] = {}
+
+    def position(self, label: str) -> int:
+        """Topic position of a label, N_TOPICS when it maps to no topic."""
+        pos = self._by_label.get(label)
+        if pos is None:
+            pos = self._by_label[label] = self._by_term.get(normalize_term(label), N_TOPICS)
+        return pos
 
 
 def find_cycle(parent: dict[str, str | None]) -> list[str] | None:

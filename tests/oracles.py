@@ -5,6 +5,7 @@ two-pass loops) and share no code with the implementations they verify.
 """
 
 import math
+from fractions import Fraction
 
 
 def _children(parent):
@@ -90,3 +91,86 @@ def bf_pearson(x):
             cov = sum((x[r][i] - means[i]) * (x[r][j] - means[j]) for r in range(n))
             rho[i][j] = cov / (spread[i] * spread[j])
     return rho
+
+
+def bf_normalize(label):
+    """Instance-term matching rule, restated: casefold, '_' is a space, runs collapse."""
+    return " ".join(label.replace("_", " ").casefold().split())
+
+
+def bf_topic_position(tax, topic_names, label):
+    """Canonical position of the nearest topic above a label's concept, else None."""
+    concept = tax.instances.get(bf_normalize(label))
+    while concept is not None:
+        if concept in tax.topics:
+            return topic_names.index(concept)
+        concept = tax.parent[concept]
+    return None
+
+
+def bf_image_rows(tax, topic_names, predictions, k):
+    """(prob scores, prob unmapped, occ scores, occ unmapped) of one image.
+
+    Probability cells are fsums of the label probabilities per topic;
+    occurrence cells are label counts over k, and labels missing from a short
+    record count as unmapped.
+    """
+    n_topics = len(topic_names)
+    probs = [[] for _ in range(n_topics)]
+    counts = [0] * n_topics
+    unmapped_probs = []
+    unmapped_count = k - len(predictions)
+    for label, prob in predictions:
+        pos = bf_topic_position(tax, topic_names, label)
+        if pos is None:
+            unmapped_probs.append(prob)
+            unmapped_count += 1
+        else:
+            probs[pos].append(prob)
+            counts[pos] += 1
+    return (
+        tuple(math.fsum(p) for p in probs),
+        math.fsum(unmapped_probs),
+        tuple(c / k for c in counts),
+        unmapped_count / k,
+    )
+
+
+def bf_profile(rows, topic_names, mechanism):
+    """Vectors and prediction of one user over image rows from bf_image_rows.
+
+    Returns (prob scores, prob unmapped, occ scores, occ unmapped, predicted
+    topic or None, tied topics). Probability columns take a second fsum over
+    the per-image fsums; occurrence voting hands each image one unit of
+    Fraction credit, split evenly over its tied argmax topics.
+    """
+    n_topics = len(topic_names)
+    n = len(rows)
+    columns = [math.fsum(r[0][i] for r in rows) for i in range(n_topics)]
+    unmapped = math.fsum(r[1] for r in rows)
+    grand = math.fsum(columns + [unmapped])
+    if grand == 0.0:
+        v_prob, u_prob = (0.0,) * n_topics, 1.0
+    else:
+        v_prob, u_prob = tuple(c / grand for c in columns), unmapped / grand
+    credit = [Fraction(0)] * n_topics
+    no_vote = Fraction(0)
+    for r in rows:
+        occ = r[2]
+        best = max(occ)
+        if best == 0.0:
+            no_vote += 1
+            continue
+        winners = [i for i in range(n_topics) if occ[i] == best]
+        for i in winners:
+            credit[i] += Fraction(1, len(winners))
+    v_occ = tuple(float(c / n) for c in credit)
+    u_occ = float(no_vote / n)
+    chosen = v_prob if mechanism == "prob" else v_occ
+    top = max(chosen)
+    tied = tuple(topic_names[i] for i in range(n_topics) if top > 0.0 and chosen[i] == top)
+    return (
+        v_prob, u_prob, v_occ, u_occ,
+        tied[0] if tied else None,
+        tied if len(tied) > 1 else (),
+    )

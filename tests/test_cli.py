@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, config precedence, artifacts."""
 
+import csv
 import json
 
 import pytest
@@ -207,3 +208,70 @@ def test_unmappable_user_skipped_with_warning(tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
     profiles = json.loads((out / "profiles.json").read_text())
     assert [p["user_id"] for p in profiles] == ["u1"]
+
+
+def test_prefix_without_mapped_mass_is_kept_with_null_prediction(tmp_path):
+    lines = [
+        json.dumps({"user_id": "late", "image_id": f"x{n}",
+                    "predictions": [{"label": "zzz_unknown", "prob": 0.9}]})
+        for n in range(5)
+    ]
+    lines.append(json.dumps({"user_id": "late", "image_id": "x5",
+                             "predictions": [{"label": "espresso", "prob": 0.8}]}))
+    predictions = tmp_path / "p.jsonl"
+    predictions.write_text("\n".join(lines) + "\n" + WORKED_EXAMPLE_PATH.read_text())
+    labels = tmp_path / "labels.csv"
+    labels.write_text("user_id,topic\nlate,Drink\nu1,Drink\n")
+    out = tmp_path / "out"
+    assert run("pipeline", "--taxonomy", STARTER_PATH, "--predictions", predictions,
+               "--labels", labels, "--out", out, "--sweep", "5,6") == 0
+    profiles = json.loads((out / "profiles.json").read_text())
+    assert [(p["user_id"], p["predicted_topic"]) for p in profiles] == [
+        ("late", "Drink"), ("u1", "Drink"),
+    ]
+    sweep = json.loads((out / "profiles_sweep.json").read_text())
+    assert [(p["user_id"], p["predicted_topic"]) for p in sweep["5"]] == [
+        ("late", None), ("u1", "Drink"),
+    ]
+    assert sweep["5"][0]["v_occ"]["unmapped"] == 1.0
+    report = json.loads((out / "report.json").read_text())
+    assert report["overall_accuracy"] == {"5": 0.5, "6": 1.0}
+
+
+def test_non_canonical_topic_exits_1_naming_the_concept(tmp_path, capsys):
+    taxonomy = tmp_path / "gadgets.taxonomy"
+    taxonomy.write_text(
+        "root Thing\nconcept Gadgets parent Thing topic\ninstance widget concept Gadgets\n"
+    )
+    assert run("validate-ontology", "--taxonomy", taxonomy) == 0
+    predictions = tmp_path / "p.jsonl"
+    predictions.write_text(json.dumps({
+        "user_id": "u", "image_id": "i", "predictions": [{"label": "widget", "prob": 0.9}],
+    }) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run("pipeline", "--taxonomy", taxonomy, "--predictions", predictions,
+               "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "Gadgets" in err and "canonical" in err
+    assert not out.exists()
+
+
+def test_score_tables_quote_ids_with_commas_and_quotes(tmp_path):
+    predictions = tmp_path / "p.jsonl"
+    predictions.write_text(json.dumps({
+        "user_id": "a,b", "image_id": 'say "cheese"',
+        "predictions": [{"label": "espresso", "prob": 0.5}, {"label": "dough", "prob": 0.25}],
+    }) + "\n")
+    out = tmp_path / "out"
+    assert run("score", "--taxonomy", STARTER_PATH, "--predictions", predictions,
+               "--out", out) == 0
+    for name in ("image_scores_prob.csv", "image_scores_occ.csv"):
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            header, row = list(csv.reader(fh))
+        assert len(row) == len(header) == 2 + 24 + 1
+        assert row[:2] == ["a,b", 'say "cheese"']
+        cells = dict(zip(header, row))
+        expected = ("0.5", "0.25") if name.endswith("prob.csv") else ("0.2", "0.2")
+        assert (cells["Drink"], cells["Food"]) == expected
+        assert cells["unmapped"] == ("0" if name.endswith("prob.csv") else "0.6")

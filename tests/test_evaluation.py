@@ -114,6 +114,10 @@ def test_roc_series_endpoints():
     for _, f, t in points:
         assert 0.0 <= f <= 1.0 and 0.0 <= t <= 1.0
 
+    # Tied scores form one threshold that admits every user holding that score.
+    tied = roc_series([0.5, 0.9, 0.5, 0.2, 0.5], [True, False, False, True, True])
+    assert tied == ((0.9, 0.5, 0.0), (0.5, 1.0, 2 / 3), (0.2, 1.0, 1.0))
+
 
 def test_roc_handles_empty_classes():
     points = roc_series([0.5, 0.1], [False, False])

@@ -1,7 +1,6 @@
 """User-level aggregation, prediction and sweeps."""
 
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +14,8 @@ from interestprof.profiling import (
     aggregate_occ,
     aggregate_prob,
     argmax_topics,
-    ordered_map,
     predict_topic,
     profile_user,
-    profile_users,
     sweep_profiles,
 )
 from interestprof.scoring import ImageLevelMatrices, TopicDistribution, build_matrices
@@ -186,26 +183,6 @@ def test_sweep_validates_values():
     for bad in ((), (0, 5), (5, 5), (10, 5)):
         with pytest.raises(ValueError):
             sweep_profiles(ds, starter_taxonomy(), sweep=bad)
-
-
-def test_profile_users_parallel_matches_serial():
-    rng = random.Random(5)
-    records = {}
-    for u in range(12):
-        uid = f"user{u}"
-        records[uid] = [
-            make_record(uid, f"i{n}", [("espresso", rng.random() / 2), ("dough", rng.random() / 2)])
-            for n in range(rng.randint(1, 6))
-        ]
-    ds = ProfileDataset(records=records)
-    tax = starter_taxonomy()
-    serial = profile_users(ds, tax, jobs=1)
-    parallel = profile_users(ds, tax, jobs=8)
-    assert serial == parallel
-
-
-def test_ordered_map_keeps_order():
-    assert ordered_map(lambda x: x * x, range(10), jobs=4) == [x * x for x in range(10)]
 
 
 @settings(max_examples=60)
