@@ -18,7 +18,6 @@ from pathlib import Path
 
 from . import __version__
 from .config import RunConfig, build_config, env_overrides, parse_config_file, parse_sweep
-from .correlation import co_interest_matrix, pearson_matrix
 from .errors import ConfigError, ExternalClassifierError, ValidationFailure
 from .evaluation import evaluate
 from .fixtures import generate_fixture
@@ -26,8 +25,10 @@ from .ingest import (
     ProfileDataset,
     attach_labels,
     load_labels,
+    load_manifest,
     load_predictions,
     run_external_classifier,
+    serialize_labels,
     serialize_predictions,
 )
 from .ontometrics import semiotic_report, size_metrics, structural_metrics
@@ -74,25 +75,18 @@ def _load_scoring_tax(cfg: RunConfig) -> Taxonomy:
 
 
 def _load_dataset(cfg: RunConfig) -> ProfileDataset:
+    """Predictions (or classifier output) with labels attached; input files may start with a BOM."""
     if cfg.predictions is not None:
         if not Path(cfg.predictions).exists():
             raise ConfigError(f"predictions file not found: {cfg.predictions}")
-        with open(cfg.predictions, "r", encoding="utf-8") as fh:
+        with open(cfg.predictions, "r", encoding="utf-8-sig") as fh:
             dataset = load_predictions(fh, k_max=cfg.topk, skip_bad=cfg.skip_bad)
     elif cfg.classifier_cmd is not None:
         manifest_path = _require(cfg.manifest, "--manifest")
         if not Path(manifest_path).exists():
             raise ConfigError(f"manifest file not found: {manifest_path}")
-        rows = []
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            for no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or (no == 1 and line.startswith("user_id,")):
-                    continue
-                parts = line.split(",")
-                if len(parts) != 3:
-                    raise ConfigError(f"{manifest_path}:{no}: expected user_id,image_id,image_path")
-                rows.append((parts[0], parts[1], parts[2]))
+        with open(manifest_path, "r", encoding="utf-8-sig", newline="") as fh:
+            rows = load_manifest(fh, path=manifest_path)
         dataset = run_external_classifier(rows, cfg.classifier_cmd, k=cfg.topk)
     else:
         raise ConfigError("missing required setting: --predictions (or --classifier-cmd)")
@@ -100,7 +94,7 @@ def _load_dataset(cfg: RunConfig) -> ProfileDataset:
     if cfg.labels is not None:
         if not Path(cfg.labels).exists():
             raise ConfigError(f"labels file not found: {cfg.labels}")
-        with open(cfg.labels, "r", encoding="utf-8") as fh:
+        with open(cfg.labels, "r", encoding="utf-8-sig", newline="") as fh:
             dataset = attach_labels(dataset, load_labels(fh))
     for w in dataset.warnings:
         _note(f"warning: {w}")
@@ -188,6 +182,8 @@ def cmd_profile(cfg: RunConfig) -> int:
 
 
 def cmd_correlate(cfg: RunConfig) -> int:
+    from .correlation import co_interest_matrix, pearson_matrix  # numpy, only when correlating
+
     tax = _load_scoring_tax(cfg)
     dataset = _load_dataset(cfg)
     out = _prepare_outdir(cfg)
@@ -218,15 +214,14 @@ def cmd_fixture(cfg: RunConfig) -> int:
         cfg.users_per_topic, cfg.images, cfg.purity, cfg.seed, tax, cfg.topk
     )
     write_text(out / "predictions.jsonl", serialize_predictions(dataset))
-    write_text(
-        out / "labels.csv",
-        "user_id,topic\n" + "".join(f"{u},{t}\n" for u, t in dataset.labels.items()),
-    )
+    write_text(out / "labels.csv", serialize_labels(dataset.labels))
     print(f"wrote fixture ({len(dataset.users())} users) into {out}")
     return 0
 
 
 def cmd_pipeline(cfg: RunConfig) -> int:
+    from .correlation import co_interest_matrix, pearson_matrix  # numpy, only when correlating
+
     tax = _load_scoring_tax(cfg)
     dataset = _load_dataset(cfg)
     out = _prepare_outdir(cfg)

@@ -34,12 +34,12 @@ class UnknownTopicError(ValidationFailure):
 
 
 class DataFormatError(ValidationFailure):
-    """A prediction line or labels row is malformed."""
+    """A prediction line, labels row or manifest row is malformed."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path: str | None = None):
         self.line = line
         if line is not None:
-            message = f"line {line}: {message}"
+            message = f"{path}:{line}: {message}" if path else f"line {line}: {message}"
         super().__init__(message)
 
 

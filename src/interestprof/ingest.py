@@ -6,13 +6,15 @@ Prediction wire format is one JSON object per line:
      "predictions": [{"label": "espresso", "prob": 0.08}, ...]}
 
 Labels are CSV with header ``user_id,topic``. The external-classifier adapter
-invokes a user-supplied command once per batch with ``{input}`` and
-``{output}`` placeholders and ingests whatever it wrote.
+reads a ``user_id,image_id,image_path`` CSV manifest, invokes a user-supplied
+command once per batch with ``{input}`` and ``{output}`` placeholders and
+ingests whatever it wrote.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import shlex
 import subprocess
@@ -188,6 +190,44 @@ def load_labels(source: str | Iterable[str]) -> dict[str, str]:
     return labels
 
 
+def serialize_labels(labels: dict[str, str]) -> str:
+    """Inverse of load_labels: the ``user_id,topic`` CSV, table order."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("user_id", "topic"))
+    writer.writerows(labels.items())
+    return buf.getvalue()
+
+
+MANIFEST_HEADER = ("user_id", "image_id", "image_path")
+
+
+def load_manifest(
+    source: str | Iterable[str], path: str | None = None
+) -> list[tuple[str, str, str]]:
+    """Read a ``user_id,image_id,image_path`` CSV (header optional) into rows.
+
+    Errors name ``path:line`` when ``path`` is given.
+    """
+    rows: list[tuple[str, str, str]] = []
+    reader = csv.reader(_lines(source))
+    for row in reader:
+        no = reader.line_num
+        cells = tuple(cell.strip() for cell in row)
+        if not any(cells) or (no == 1 and cells == MANIFEST_HEADER):
+            continue
+        if len(cells) != 3:
+            raise DataFormatError(
+                f"expected user_id,image_id,image_path, got {len(cells)} columns",
+                line=no, path=path,
+            )
+        for name, cell in zip(MANIFEST_HEADER, cells):
+            if not cell:
+                raise DataFormatError(f"empty {name}", line=no, path=path)
+        rows.append(cells)
+    return rows
+
+
 def attach_labels(dataset: ProfileDataset, labels: dict[str, str]) -> ProfileDataset:
     """Dataset with labels attached; labels for absent users become warnings."""
     warnings = list(dataset.warnings)
@@ -218,7 +258,7 @@ def run_external_classifier(
         out_path = Path(tmp) / "predictions.jsonl"
         with open(in_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["user_id", "image_id", "image_path"])
+            writer.writerow(MANIFEST_HEADER)
             writer.writerows(manifest)
 
         argv = [

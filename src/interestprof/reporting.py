@@ -4,20 +4,25 @@ Floats are emitted with at most 9 significant digits (shortest representation
 that round-trips the rounded value), which keeps repeated runs byte-identical.
 The image score tables are written through the csv module, so a user or
 image id holding a comma or a quote is quoted instead of shifting columns.
+
+Every JSON artifact goes through one writer, ``to_json``: in a single pass it
+rounds floats and lays the text out exactly as ``json.dumps(..., indent=2)``
+does. ``write_profiles`` encodes each distinct profile object once, memoized
+by identity for the call, because the sweep repeats the full profile at every
+point at or past a user's image count; the encoded text is re-indented to
+where it sits in ``profiles.json`` or ``profiles_sweep.json``.
 """
 
 from __future__ import annotations
 
 import csv
-import json
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
-from .correlation import CorrelationMatrix
 from .evaluation import EvalReport
 from .ingest import ProfileDataset
 from .ontometrics import SemioticReport, SizeMetrics, StructuralMetrics
@@ -26,30 +31,79 @@ from .scoring import ScoreBlock, TopicDistribution, score_block
 from .svgchart import heatmap, line_chart
 from .taxonomy import TOPICS, Taxonomy
 
+if TYPE_CHECKING:
+    from .correlation import CorrelationMatrix
+
 
 def fmt_float(x: float) -> str:
     return f"{x:.9g}"
 
 
-def round9(x: float) -> float:
-    return float(f"{x:.9g}")
+_FLOAT_SPECIALS = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def json_ready(obj):
-    """Recursively convert a payload to JSON-serializable values with 9-digit floats."""
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
+def _encode(obj, indent: str) -> str:
+    """JSON text of ``obj`` as it sits at ``indent`` inside an indent-2 document."""
     if isinstance(obj, float):
-        return None if math.isnan(obj) else round9(obj)
+        # repr of the float the 9-digit text reads back as. In fixed notation
+        # the text already has repr's digits (nine digits round-trip a double)
+        # and lacks only the ".0" of whole numbers. Exponent notation starts at
+        # 1e9 here but at 1e16 in repr, and subnormals lose digits: ask repr.
+        text = f"{obj:.9g}"
+        if "e" in text:
+            return repr(float(text))
+        if "." in text:
+            return text
+        return _FLOAT_SPECIALS.get(text) or text + ".0"
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, _Encoded):  # encoded strings hold no raw newline
+        return obj.text.replace("\n", "\n" + indent)
     if isinstance(obj, Fraction):
-        return str(obj)
+        return _quote(str(obj))
     if isinstance(obj, Mapping):
-        return {str(k): json_ready(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        # str() first, as json.dumps would see the keys: colliding keys keep one entry.
+        items = {str(k): v for k, v in obj.items()}.items()
+        return "{\n" + inner + (",\n" + inner).join(
+            [_quote(k) + ": " + _encode(v, inner) for k, v in items]
+        ) + "\n" + indent + "}"
     if isinstance(obj, (list, tuple)):
-        return [json_ready(v) for v in obj]
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        return "[\n" + inner + (",\n" + inner).join(
+            [_encode(v, inner) for v in obj]
+        ) + "\n" + indent + "]"
     if hasattr(obj, "tolist"):  # numpy arrays and scalars
-        return json_ready(obj.tolist())
+        return _encode(obj.tolist(), indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+@dataclass(frozen=True)
+class _Encoded:
+    """A value already encoded by ``to_json``; the writer only re-indents it."""
+
+    text: str
+
+
+def to_json(obj) -> str:
+    """``json.dumps(obj, indent=2)`` with floats rounded to 9 significant digits.
+
+    NaN becomes null, a Fraction its string, a mapping key its str(), and
+    anything with ``tolist`` (numpy arrays and scalars) that list or value.
+    """
+    return _encode(obj, "")
 
 
 def write_text(path: Path, content: str) -> None:
@@ -57,7 +111,7 @@ def write_text(path: Path, content: str) -> None:
 
 
 def write_json(path: Path, payload) -> None:
-    write_text(path, json.dumps(json_ready(payload), indent=2) + "\n")
+    write_text(path, to_json(payload) + "\n")
 
 
 def distribution_payload(v: TopicDistribution) -> dict[str, float]:
@@ -78,11 +132,24 @@ def profile_payload(p: UserProfile) -> dict:
 
 def write_profiles(outdir: Path, profiles: Sequence[UserProfile],
                    sweep_map: Mapping[int, Sequence[UserProfile]] | None = None) -> None:
-    write_json(outdir / "profiles.json", [profile_payload(p) for p in profiles])
+    """profiles.json and, given a sweep map, profiles_sweep.json.
+
+    The sweep repeats one profile object at every point at or past a user's
+    image count, so each distinct object is encoded once and placed as text.
+    """
+    encoded: dict[int, _Encoded] = {}
+
+    def placed(p: UserProfile) -> _Encoded:
+        text = encoded.get(id(p))
+        if text is None:
+            text = encoded[id(p)] = _Encoded(to_json(profile_payload(p)))
+        return text
+
+    write_json(outdir / "profiles.json", [placed(p) for p in profiles])
     if sweep_map is not None:
         write_json(
             outdir / "profiles_sweep.json",
-            {str(k): [profile_payload(p) for p in ps] for k, ps in sweep_map.items()},
+            {str(k): [placed(p) for p in ps] for k, ps in sweep_map.items()},
         )
 
 

@@ -5,6 +5,7 @@ two-pass loops) and share no code with the implementations they verify.
 """
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 
 
@@ -174,3 +175,24 @@ def bf_profile(rows, topic_names, mechanism):
         tied[0] if tied else None,
         tied if len(tied) > 1 else (),
     )
+
+
+def json_ready(obj):
+    """Recursively convert a payload to JSON-serializable values with 9-digit floats.
+
+    ``json.dumps(json_ready(obj), indent=2)`` is the reference for the JSON
+    artifacts' layout: rounding first and encoding second, with the stdlib.
+    """
+    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+        return obj
+    if isinstance(obj, float):
+        return None if math.isnan(obj) else float(f"{obj:.9g}")
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, Mapping):
+        return {str(k): json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_ready(v) for v in obj]
+    if hasattr(obj, "tolist"):  # numpy arrays and scalars
+        return json_ready(obj.tolist())
+    raise TypeError(f"cannot serialize {type(obj).__name__}")

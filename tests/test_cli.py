@@ -2,12 +2,22 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import STARTER_PATH, WORKED_EXAMPLE_PATH
+import interestprof
+from conftest import STARTER_PATH, WORKED_EXAMPLE_PATH, make_record
+from interestprof import cli
 from interestprof.cli import main
 from interestprof.config import ENV_PREFIX
+from interestprof.ingest import ProfileDataset, load_labels
+from test_ingest import STUB_OK, _stub
+
+BOM = "\ufeff"
 
 
 @pytest.fixture(autouse=True)
@@ -275,3 +285,86 @@ def test_score_tables_quote_ids_with_commas_and_quotes(tmp_path):
         expected = ("0.5", "0.25") if name.endswith("prob.csv") else ("0.2", "0.2")
         assert (cells["Drink"], cells["Food"]) == expected
         assert cells["unmapped"] == ("0" if name.endswith("prob.csv") else "0.6")
+
+
+def test_validate_ontology_leaves_numpy_unimported():
+    code = (
+        "import sys\n"
+        "from interestprof.cli import main\n"
+        f"rc = main(['validate-ontology', '--taxonomy', {str(STARTER_PATH)!r}])\n"
+        "print(rc, 'numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(interestprof.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
+def _artifacts(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def _with_bom(path, dest):
+    dest.write_text(BOM + path.read_text(encoding="utf-8"), encoding="utf-8")
+    return dest
+
+
+@pytest.fixture
+def small_fixture(tmp_path):
+    fix = tmp_path / "fix"
+    assert run("fixture", "--taxonomy", STARTER_PATH, "--out", fix,
+               "--users-per-topic", 1, "--images", 3, "--purity", 0.7, "--seed", 5) == 0
+    return fix / "predictions.jsonl", fix / "labels.csv"
+
+
+def _pipeline(out, predictions, labels):
+    assert run("pipeline", "--taxonomy", STARTER_PATH, "--predictions", predictions,
+               "--labels", labels, "--out", out, "--sweep", "1,3") == 0
+    return _artifacts(out)
+
+
+@pytest.mark.parametrize("bom_file", ["predictions", "labels"])
+def test_bom_prefixed_input_gives_same_artifacts(tmp_path, small_fixture, bom_file):
+    inputs = dict(zip(("predictions", "labels"), small_fixture))
+    plain = _pipeline(tmp_path / "plain", **inputs)
+    inputs[bom_file] = _with_bom(inputs[bom_file], tmp_path / f"bom-{bom_file}")
+    assert _pipeline(tmp_path / "bom", **inputs) == plain
+
+
+MANIFEST = 'user_id,image_id,image_path\nu1,i1,"/img/a,b.jpg"\nu1,i2,/img/c.jpg\nu2,i1,/img/d.jpg\n'
+
+
+def test_bom_prefixed_manifest_gives_same_artifacts(tmp_path):
+    template = _stub(tmp_path, STUB_OK)
+    outputs = []
+    for name, prefix in (("plain", ""), ("bom", BOM)):
+        manifest = tmp_path / f"{name}.csv"
+        manifest.write_text(prefix + MANIFEST, encoding="utf-8")
+        out = tmp_path / name
+        assert run("score", "--taxonomy", STARTER_PATH, "--classifier-cmd", template,
+                   "--manifest", manifest, "--out", out) == 0
+        outputs.append(_artifacts(out))
+    assert outputs[0] == outputs[1]
+    rows = outputs[0]["image_scores_prob.csv"].decode().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["u1", "i1"], ["u1", "i2"], ["u2", "i1"]]
+
+
+def test_bad_manifest_row_exits_1_naming_path_and_line(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("user_id,image_id,image_path\nu1,i1,/img/a.jpg\nu1,i2\n")
+    assert run("score", "--taxonomy", STARTER_PATH, "--manifest", manifest,
+               "--classifier-cmd", _stub(tmp_path, STUB_OK), "--out", tmp_path / "out") == 1
+    assert f"{manifest}:3: expected user_id,image_id,image_path" in capsys.readouterr().err
+
+
+def test_fixture_labels_quote_ids_with_commas_and_quotes(tmp_path, monkeypatch):
+    labels = {"a,b": "Drink", 'say "hi"': "Food", "plain": "Sport"}
+    dataset = ProfileDataset(
+        records={u: [make_record(u, "i1", [("espresso", 0.5)])] for u in labels},
+        labels=labels,
+    )
+    monkeypatch.setattr(cli, "generate_fixture", lambda *args: dataset)
+    assert run("fixture", "--taxonomy", STARTER_PATH, "--out", tmp_path / "fix") == 0
+    with open(tmp_path / "fix" / "labels.csv", encoding="utf-8", newline="") as fh:
+        assert load_labels(fh) == labels

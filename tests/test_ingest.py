@@ -10,8 +10,10 @@ from interestprof.ingest import (
     ProfileDataset,
     attach_labels,
     load_labels,
+    load_manifest,
     load_predictions,
     run_external_classifier,
+    serialize_labels,
     serialize_predictions,
 )
 from interestprof.taxonomy import TOPICS
@@ -151,6 +153,31 @@ def test_labels_balanced_across_topics():
     assert len(labels) == 240
     per_topic = {topic: sum(1 for v in labels.values() if v == topic) for topic in TOPICS}
     assert set(per_topic.values()) == {10}
+
+
+def test_serialize_labels_round_trips_and_keeps_plain_ids_unquoted():
+    assert serialize_labels({"u1": "Drink", "user_food_002": "Food"}) == \
+        "user_id,topic\nu1,Drink\nuser_food_002,Food\n"
+    labels = {"a,b": "Drink", 'q"x': "Food", "plain": "Sport"}
+    assert load_labels(serialize_labels(labels)) == labels
+
+
+def test_load_manifest_header_optional_and_quoted_paths():
+    rows = [("u1", "i1", "/img/a,b.jpg"), ("u2", "i2", "/img/c.jpg")]
+    body = 'u1,i1,"/img/a,b.jpg"\n\n u2 , i2 ,/img/c.jpg\n'
+    assert load_manifest(body) == rows
+    assert load_manifest("user_id,image_id,image_path\n" + body) == rows
+
+
+@pytest.mark.parametrize("row, message", [
+    ("u1,i1", "m.csv:2: expected user_id,image_id,image_path, got 2 columns"),
+    ("u1,i1,/a.jpg,extra", "m.csv:2: expected user_id,image_id,image_path, got 4 columns"),
+    ("u1,,/a.jpg", "m.csv:2: empty image_id"),
+])
+def test_load_manifest_bad_row_names_path_and_line(row, message):
+    with pytest.raises(DataFormatError) as err:
+        load_manifest(f"u0,i0,/z.jpg\n{row}\n", path="m.csv")
+    assert str(err.value) == message
 
 
 def test_attach_labels_warns_on_missing_users():
