@@ -12,6 +12,7 @@ the full profile and every sweep point come from that block.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -75,17 +76,22 @@ def _load_scoring_tax(cfg: RunConfig) -> Taxonomy:
 
 
 def _load_dataset(cfg: RunConfig) -> ProfileDataset:
-    """Predictions (or classifier output) with labels attached; input files may start with a BOM."""
+    """Predictions (or classifier output) with labels attached.
+
+    Input files may start with a BOM. Undecodable bytes are kept as lone
+    surrogates, which the parsers report with their line number.
+    """
     if cfg.predictions is not None:
         if not Path(cfg.predictions).exists():
             raise ConfigError(f"predictions file not found: {cfg.predictions}")
-        with open(cfg.predictions, "r", encoding="utf-8-sig") as fh:
+        with open(cfg.predictions, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
             dataset = load_predictions(fh, k_max=cfg.topk, skip_bad=cfg.skip_bad)
     elif cfg.classifier_cmd is not None:
         manifest_path = _require(cfg.manifest, "--manifest")
         if not Path(manifest_path).exists():
             raise ConfigError(f"manifest file not found: {manifest_path}")
-        with open(manifest_path, "r", encoding="utf-8-sig", newline="") as fh:
+        with open(manifest_path, "r", encoding="utf-8-sig", errors="surrogateescape",
+                  newline="") as fh:
             rows = load_manifest(fh, path=manifest_path)
         dataset = run_external_classifier(rows, cfg.classifier_cmd, k=cfg.topk)
     else:
@@ -94,7 +100,8 @@ def _load_dataset(cfg: RunConfig) -> ProfileDataset:
     if cfg.labels is not None:
         if not Path(cfg.labels).exists():
             raise ConfigError(f"labels file not found: {cfg.labels}")
-        with open(cfg.labels, "r", encoding="utf-8-sig", newline="") as fh:
+        with open(cfg.labels, "r", encoding="utf-8-sig", errors="surrogateescape",
+                  newline="") as fh:
             dataset = attach_labels(dataset, load_labels(fh))
     for w in dataset.warnings:
         _note(f"warning: {w}")
@@ -334,6 +341,10 @@ def main(argv: list[str] | None = None) -> int:
     values = dict(vars(ns))
     command = values.pop("command")
     config_path = values.pop("config", None)
+    # A command builds only acyclic data, so cyclic collections would find
+    # nothing; they are switched off for its duration.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         file_values = parse_config_file(config_path) if config_path else {}
         cfg = build_config(file_values, env_overrides(), values)
@@ -344,6 +355,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ExternalClassifierError, OSError) as exc:
         _note(f"error: {exc}")
         return 2
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def run_main() -> None:

@@ -9,6 +9,11 @@ Labels are CSV with header ``user_id,topic``. The external-classifier adapter
 reads a ``user_id,image_id,image_path`` CSV manifest, invokes a user-supplied
 command once per batch with ``{input}`` and ``{output}`` placeholders and
 ingests whatever it wrote.
+
+Every parse error is a DataFormatError naming the line. Text that cannot be
+written back as UTF-8 is rejected here, before any output exists: open input
+files with ``errors="surrogateescape"`` so an undecodable byte reaches the
+parser as a lone surrogate, which is then reported like a ``\ud800`` escape.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import shlex
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -29,7 +35,7 @@ from .taxonomy import TOPICS, resolve_compound
 DEFAULT_TOP_K = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictionRecord:
     """Top-k classifier output for one image, probabilities nonincreasing."""
 
@@ -64,22 +70,54 @@ def _lines(source: str | Iterable[str]) -> Iterator[str]:
         yield from source
 
 
-def _parse_prediction_line(line: str, no: int, k_max: int) -> PredictionRecord:
+def _check_utf8(text: str, what: str, no: int, path: str | None = None) -> None:
+    """Reject text holding a lone surrogate: an undecodable byte or a ``\ud800`` escape."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise DataFormatError(f"{what} is not valid UTF-8 text", line=no, path=path) from None
+
+
+_BY_PROB = itemgetter(1)
+
+
+def _parse_prediction_line(
+    line: str, no: int, k_max: int, strings: dict[str, str]
+) -> PredictionRecord:
+    """One record; ``strings`` interns user ids and labels across a load.
+
+    ``json`` yields only exact dict/list/str/int/float/bool/None, so exact
+    type checks suffice (and keep bool out of the numbers).
+    """
+    if not line.isascii():
+        _check_utf8(line, "line", no)
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"malformed JSON: {exc.msg}", line=no) from None
-    if not isinstance(obj, dict):
+    except ValueError as exc:  # an integer literal beyond the int/str digit limit
+        raise DataFormatError(f"malformed JSON: {exc}", line=no) from None
+    except RecursionError:
+        raise DataFormatError("malformed JSON: nested too deeply", line=no) from None
+    if type(obj) is not dict:
         raise DataFormatError("expected a JSON object", line=no)
 
     user_id = obj.get("user_id")
     image_id = obj.get("image_id")
     preds = obj.get("predictions")
-    if not isinstance(user_id, str) or not user_id:
+    if type(user_id) is not str or not user_id:
         raise DataFormatError("missing or empty 'user_id'", line=no)
-    if not isinstance(image_id, str) or not image_id:
+    if type(image_id) is not str or not image_id:
         raise DataFormatError("missing or empty 'image_id'", line=no)
-    if not isinstance(preds, list) or not preds:
+    known = strings.get(user_id)
+    if known is None:
+        if not user_id.isascii():
+            _check_utf8(user_id, "'user_id'", no)
+        known = strings[user_id] = user_id
+    user_id = known
+    if not image_id.isascii():
+        _check_utf8(image_id, "'image_id'", no)
+    if type(preds) is not list or not preds:
         raise DataFormatError("'predictions' must be a nonempty list", line=no)
     if len(preds) > k_max:
         raise DataFormatError(
@@ -88,21 +126,32 @@ def _parse_prediction_line(line: str, no: int, k_max: int) -> PredictionRecord:
 
     pairs = []
     for item in preds:
-        if not isinstance(item, dict):
+        if type(item) is not dict:
             raise DataFormatError("prediction entries must be objects", line=no)
         label = item.get("label")
         prob = item.get("prob")
-        if not isinstance(label, str) or not label:
+        if type(label) is not str or not label:
             raise DataFormatError("prediction missing a 'label' string", line=no)
-        if not isinstance(prob, (int, float)) or isinstance(prob, bool):
+        known = strings.get(label)
+        if known is None:
+            if not label.isascii():
+                _check_utf8(label, "'label'", no)
+            known = strings[label] = label
+        if type(prob) is float:
+            if not 0.0 <= prob <= 1.0:
+                raise DataFormatError(f"prob {prob} for '{label}' out of range [0, 1]", line=no)
+        elif type(prob) is int:
+            # Range-checked as an int: float() of a huge int would overflow.
+            if not 0 <= prob <= 1:
+                raise DataFormatError(f"prob {prob} for '{label}' out of range [0, 1]", line=no)
+            prob = float(prob)
+        else:
             raise DataFormatError(f"prob for '{label}' is not a number", line=no)
-        if not 0.0 <= prob <= 1.0:
-            raise DataFormatError(f"prob {prob} for '{label}' out of range [0, 1]", line=no)
-        pairs.append((label, float(prob)))
+        pairs.append((known, prob))
     # Classifiers normally emit descending scores already; sorting makes the
-    # nonincreasing invariant hold by construction (stable, so equal probs
-    # keep their input order).
-    pairs.sort(key=lambda lp: -lp[1])
+    # nonincreasing invariant hold by construction (stable, also in reverse,
+    # so equal probs keep their input order).
+    pairs.sort(key=_BY_PROB, reverse=True)
     return PredictionRecord(user_id=user_id, image_id=image_id, predictions=tuple(pairs))
 
 
@@ -117,16 +166,20 @@ def load_predictions(
     in which case it is skipped and reported in ``dataset.warnings``.
     """
     records: dict[str, list[PredictionRecord]] = {}
-    seen: set[tuple[str, str]] = set()
+    seen: dict[str, set[str]] = {}  # image ids per user
+    strings: dict[str, str] = {}
     warnings: list[str] = []
     for no, raw in enumerate(_lines(source), start=1):
         line = raw.strip()
         if not line:
             continue
         try:
-            rec = _parse_prediction_line(line, no, k_max)
-            key = (rec.user_id, rec.image_id)
-            if key in seen:
+            rec = _parse_prediction_line(line, no, k_max, strings)
+            images = seen.get(rec.user_id)
+            if images is None:
+                images = seen[rec.user_id] = set()
+                records[rec.user_id] = []
+            elif rec.image_id in images:
                 raise DataFormatError(
                     f"duplicate record for user '{rec.user_id}' image '{rec.image_id}'",
                     line=no,
@@ -136,8 +189,8 @@ def load_predictions(
                 warnings.append(f"skipped {exc}")
                 continue
             raise
-        seen.add(key)
-        records.setdefault(rec.user_id, []).append(rec)
+        images.add(rec.image_id)
+        records[rec.user_id].append(rec)
     return ProfileDataset(records=records, labels={}, warnings=warnings)
 
 
@@ -157,12 +210,29 @@ def serialize_predictions(dataset: ProfileDataset) -> str:
     return "\n".join(out) + ("\n" if out else "")
 
 
+def _csv_rows(
+    source: str | Iterable[str], path: str | None = None
+) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) of each CSV row.
+
+    A csv error or a cell that is not valid UTF-8 raises DataFormatError.
+    """
+    reader = csv.reader(_lines(source))
+    try:
+        for row in reader:
+            for cell in row:
+                if not cell.isascii():
+                    _check_utf8(cell, "cell", reader.line_num, path)
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise DataFormatError(f"malformed CSV: {exc}", line=reader.line_num, path=path) from None
+
+
 def load_labels(source: str | Iterable[str]) -> dict[str, str]:
     """Read a ``user_id,topic`` CSV into a user -> canonical topic table."""
-    rows = csv.reader(_lines(source))
     labels: dict[str, str] = {}
     header_seen = False
-    for no, row in enumerate(rows, start=1):
+    for no, row in _csv_rows(source):
         if not row or not any(cell.strip() for cell in row):
             continue
         if not header_seen:
@@ -210,9 +280,7 @@ def load_manifest(
     Errors name ``path:line`` when ``path`` is given.
     """
     rows: list[tuple[str, str, str]] = []
-    reader = csv.reader(_lines(source))
-    for row in reader:
-        no = reader.line_num
+    for no, row in _csv_rows(source, path):
         cells = tuple(cell.strip() for cell in row)
         if not any(cells) or (no == 1 and cells == MANIFEST_HEADER):
             continue
@@ -274,5 +342,5 @@ def run_external_classifier(
             )
         if not out_path.exists():
             raise ExternalClassifierError("classifier command wrote no output file")
-        with open(out_path, "r", encoding="utf-8") as fh:
+        with open(out_path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             return load_predictions(fh, k_max=k)

@@ -8,18 +8,25 @@ ties, exact through integer votes); images with all-zero rows push their mass
 into ``unmapped``. Both vectors therefore sum to 1 including unmapped mass.
 
 Every view is derived from one ScoreBlock per user: ``profile_prefixes``
-builds the full profile and each sweep point from prefixes of the block.
+builds the full profile and each sweep point from prefixes of the block, in
+one running pass over its sparse rows. The pass keeps each column's nonzero
+probabilities and the integer vote totals so far, and reads off a prefix
+size when it reaches it: ``fsum`` per column (the nonzeros sum exactly to the
+dense column's fsum, zero sums included, which fsum returns as +0.0) and the
+vote totals over ``scale * n``. The dense adapters ``aggregate_prob`` and
+``aggregate_occ`` turn their rows into the same sparse cells and share the
+pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import EmptyInputError, NoPredictionError
 from .ingest import DEFAULT_TOP_K, PredictionRecord, ProfileDataset
-from .scoring import ImageLevelMatrices, ScoreBlock, TopicDistribution, score_block
+from .scoring import Cell, ImageLevelMatrices, ScoreBlock, TopicDistribution, score_block
 from .taxonomy import N_TOPICS, TOPICS, Taxonomy
 
 MECHANISMS = ("prob", "occ")
@@ -44,52 +51,66 @@ class UserProfile:
         return self.v_prob if m == "prob" else self.v_occ
 
 
-def _prob_vector(rows: Sequence[Sequence[float]]) -> TopicDistribution:
-    """Column fsums of probability rows (topics, then unmapped), normalized to mass 1."""
-    columns = [math.fsum(col) for col in zip(*rows)]
-    grand = math.fsum(columns)
-    if grand == 0.0:
-        # No probability mass anywhere: the whole unit is unmapped.
-        return TopicDistribution(scores=(0.0,) * N_TOPICS, unmapped_mass=1.0)
-    return TopicDistribution(
-        scores=tuple(c / grand for c in columns[:N_TOPICS]),
-        unmapped_mass=columns[N_TOPICS] / grand,
-    )
-
-
 def _vote_scale(max_ties: int) -> int:
     """Votes per image: divisible by every possible number of tied topics."""
     return math.lcm(*range(1, min(max_ties, N_TOPICS) + 1))
 
 
-def _votes(scores: Sequence[float], scale: int) -> list[int]:
-    """One image's occurrence vote over topics then unmapped.
+def _prefix_vectors(
+    rows: Iterable[Sequence[Cell]], sizes: Collection[int], scale: int
+) -> dict[int, tuple[TopicDistribution, TopicDistribution]]:
+    """(v_prob, v_occ) over the first n rows for each n in sizes, in one pass.
 
-    ``scale`` is split evenly over the topics where the first N_TOPICS scores
-    attain their maximum, or goes to unmapped when they are all zero.
+    Rows hold sparse ``(position, prob, count)`` cells. Probability columns
+    are fsums normalized by their grand fsum; with no mass at all, the whole
+    unit is unmapped. Each image casts ``scale`` occurrence votes, split
+    evenly over the topics where its count peaks, or to unmapped when no
+    topic has a count. Vote totals over ``scale * n`` are integer true
+    divisions, correctly rounded, so each cell is the float of the exact
+    fraction of credit.
     """
-    topics = scores[:N_TOPICS]
+    last = max(sizes, default=0)
+    columns: list[list[float]] = [[] for _ in range(N_TOPICS + 1)]
     votes = [0] * (N_TOPICS + 1)
-    peak = max(topics)
-    if peak == 0:
-        votes[N_TOPICS] = scale
-        return votes
-    tied = [i for i, s in enumerate(topics) if s == peak]
-    share = scale // len(tied)
-    for i in tied:
-        votes[i] = share
-    return votes
+    vectors = {}
+    for n, row in enumerate(rows, start=1):
+        peak = 0
+        tied: list[int] = []
+        for pos, prob, count in row:
+            if prob:
+                columns[pos].append(prob)
+            if count and pos < N_TOPICS:
+                if count > peak:
+                    peak, tied = count, [pos]
+                elif count == peak:
+                    tied.append(pos)
+        if tied:
+            share = scale // len(tied)
+            for pos in tied:
+                votes[pos] += share
+        else:
+            votes[N_TOPICS] += scale
+        if n in sizes:
+            vectors[n] = (_prob_vector(columns), _occ_vector(votes, scale * n))
+            if n == last:
+                break
+    return vectors
 
 
-def _occ_vector(votes: Sequence[Sequence[int]], scale: int) -> TopicDistribution:
-    """Vote totals over ``scale`` times the image count.
+def _prob_vector(columns: Sequence[Sequence[float]]) -> TopicDistribution:
+    sums = [math.fsum(col) for col in columns]
+    grand = math.fsum(sums)
+    if grand == 0.0:
+        return TopicDistribution(scores=(0.0,) * N_TOPICS, unmapped_mass=1.0)
+    return TopicDistribution(
+        scores=tuple(c / grand for c in sums[:N_TOPICS]), unmapped_mass=sums[N_TOPICS] / grand
+    )
 
-    Integer true division is correctly rounded, so each cell equals the float
-    of the exact fraction of credit.
-    """
-    denom = scale * len(votes)
-    cells = [sum(col) / denom for col in zip(*votes)]
-    return TopicDistribution(scores=tuple(cells[:N_TOPICS]), unmapped_mass=cells[N_TOPICS])
+
+def _occ_vector(votes: Sequence[int], denom: int) -> TopicDistribution:
+    return TopicDistribution(
+        scores=tuple(v / denom for v in votes[:N_TOPICS]), unmapped_mass=votes[N_TOPICS] / denom
+    )
 
 
 def aggregate_prob(m: ImageLevelMatrices) -> TopicDistribution:
@@ -98,17 +119,26 @@ def aggregate_prob(m: ImageLevelMatrices) -> TopicDistribution:
     Column sums use math.fsum, so the vector is exactly invariant to the
     order of the user's images.
     """
-    if m.n_images() == 0:
+    n = m.n_images()
+    if n == 0:
         raise EmptyInputError("cannot aggregate zero images")
-    return _prob_vector([row.scores + (row.unmapped_mass,) for row in m.prob_rows])
+    rows = (
+        [(pos, v, 0) for pos, v in enumerate((*row.scores, row.unmapped_mass)) if v]
+        for row in m.prob_rows
+    )
+    return _prefix_vectors(rows, (n,), _vote_scale(N_TOPICS))[n][0]
 
 
 def aggregate_occ(m: ImageLevelMatrices) -> TopicDistribution:
     """Per-image argmax voting over the occurrence rows, fractional on ties."""
-    if m.n_images() == 0:
+    n = m.n_images()
+    if n == 0:
         raise EmptyInputError("cannot aggregate zero images")
-    scale = _vote_scale(N_TOPICS)
-    return _occ_vector([_votes(row.scores, scale) for row in m.occ_rows], scale)
+    rows = (
+        [(pos, 0.0, v) for pos, v in enumerate((*row.scores, row.unmapped_mass)) if v]
+        for row in m.occ_rows
+    )
+    return _prefix_vectors(rows, (n,), _vote_scale(N_TOPICS))[n][1]
 
 
 def argmax_topics(v: TopicDistribution) -> tuple[str, ...]:
@@ -137,27 +167,25 @@ def profile_prefixes(
     """
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism '{mechanism}'")
-    if not block.n_images():
+    total = block.n_images()
+    if not total:
         raise EmptyInputError("cannot profile a user with zero records")
-    scale = _vote_scale(block.k)
-    votes = [_votes(row, scale) for row in block.counts]
+    if any(n < 1 for n in sizes):
+        raise ValueError(f"prefix sizes must be positive: {sizes}")
+    vectors = _prefix_vectors(block.rows, {min(n, total) for n in sizes}, _vote_scale(block.k))
     by_size: dict[int, UserProfile] = {}
-    for n in sizes:
-        n = min(n, block.n_images())
-        if n not in by_size:
-            v_prob = _prob_vector(block.prob[:n])
-            v_occ = _occ_vector(votes[:n], scale)
-            best = argmax_topics(v_prob if mechanism == "prob" else v_occ)
-            by_size[n] = UserProfile(
-                user_id=block.user_id,
-                n_images=n,
-                v_prob=v_prob,
-                v_occ=v_occ,
-                mechanism=mechanism,
-                predicted_topic=best[0] if best else None,
-                ties=best if len(best) > 1 else (),
-            )
-    return [by_size[min(n, block.n_images())] for n in sizes]
+    for n, (v_prob, v_occ) in vectors.items():
+        best = argmax_topics(v_prob if mechanism == "prob" else v_occ)
+        by_size[n] = UserProfile(
+            user_id=block.user_id,
+            n_images=n,
+            v_prob=v_prob,
+            v_occ=v_occ,
+            mechanism=mechanism,
+            predicted_topic=best[0] if best else None,
+            ties=best if len(best) > 1 else (),
+        )
+    return [by_size[min(n, total)] for n in sizes]
 
 
 def profile_user(

@@ -4,6 +4,8 @@ Floats are emitted with at most 9 significant digits (shortest representation
 that round-trips the rounded value), which keeps repeated runs byte-identical.
 The image score tables are written through the csv module, so a user or
 image id holding a comma or a quote is quoted instead of shifting columns.
+Score blocks are sparse, so each row is a copy of an all-"0" template with
+only the cells the image touches formatted into it.
 
 Every JSON artifact goes through one writer, ``to_json``: in a single pass it
 rounds floats and lays the text out exactly as ``json.dumps(..., indent=2)``
@@ -224,11 +226,23 @@ def open_score_tables(outdir: Path, k: int) -> Iterator[ScoreTables]:
 
 
 def write_score_rows(tables: ScoreTables, block: ScoreBlock) -> None:
-    """Append one user's image rows to both score tables."""
-    user, occ_cells = block.user_id, tables.occ_cells
-    for image_id, prob, counts in zip(block.image_ids, block.prob, block.counts):
-        tables.prob.writerow((user, image_id, *[fmt_float(x) if x else "0" for x in prob]))
-        tables.occ.writerow((user, image_id, *[occ_cells[c] for c in counts]))
+    """Append one user's image rows to both score tables.
+
+    Each row starts as a copy of an all-"0" template; only the cells the
+    image touches are filled in.
+    """
+    occ_cells = tables.occ_cells
+    template = [block.user_id, "", *["0"] * (len(TOPICS) + 1)]
+    for image_id, cells in zip(block.image_ids, block.rows):
+        prob_row = template.copy()
+        prob_row[1] = image_id
+        occ_row = prob_row.copy()
+        for pos, prob, count in cells:
+            if prob:
+                prob_row[pos + 2] = fmt_float(prob)
+            occ_row[pos + 2] = occ_cells[count]
+        tables.prob.writerow(prob_row)
+        tables.occ.writerow(occ_row)
 
 
 def write_scores(outdir: Path, dataset: ProfileDataset, tax: Taxonomy, k: int) -> None:

@@ -9,7 +9,10 @@ renormalized away, so coverage gaps of the taxonomy stay visible downstream.
 
 ``score_block`` scores one user's records once into exact per-image rows
 (a ScoreBlock); every other view of the image scores (the row objects below,
-the score CSVs, user profiles at every sweep point) is derived from it.
+the score CSVs, user profiles at every sweep point) is derived from it. A
+block row is sparse: an image touches at most k + 1 of the 25 cells (24
+topics plus unmapped), so it holds one ``(position, prob, count)`` cell per
+position it touches, in position order, and every other cell is zero.
 """
 
 from __future__ import annotations
@@ -66,67 +69,73 @@ class ImageLevelMatrices:
         return len(self.image_ids)
 
 
+Cell = tuple[int, float, int]  # (position, fsum of probabilities, label count)
+
+
 @dataclass(frozen=True)
 class ScoreBlock:
     """Exact image-level scores of one user's records, in record order.
 
-    Row j describes image j in N_TOPICS + 1 cells, the last one for unmapped
-    mass. ``prob[j]`` holds the math.fsum of the image's label probabilities
-    per topic; ``counts[j]`` its integer label counts, where the labels a
-    short record lacks (k minus its length) count as unmapped.
+    ``rows[j]`` describes image j over N_TOPICS + 1 positions, the last one
+    for unmapped mass, by one ``(position, prob, count)`` cell per position
+    its labels touch, in position order; all other cells are zero. ``prob``
+    is the math.fsum of those labels' probabilities and ``count`` their
+    number. The labels a short record lacks (k minus its length) count as
+    unmapped.
     """
 
     user_id: str
     image_ids: tuple[str, ...]
     k: int
-    prob: tuple[tuple[float, ...], ...]
-    counts: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[Cell, ...], ...]
 
     def n_images(self) -> int:
         return len(self.image_ids)
 
     def matrices(self) -> ImageLevelMatrices:
-        """The block as TopicDistribution rows; occurrence cells are counts / k."""
+        """The block as dense TopicDistribution rows; occurrence cells are counts / k."""
         k = self.k
+        prob_rows, occ_rows = [], []
+        for row in self.rows:
+            prob = [0.0] * (N_TOPICS + 1)
+            occ = [0.0] * (N_TOPICS + 1)
+            for pos, p, c in row:
+                prob[pos] = p
+                occ[pos] = c / k
+            prob_rows.append(_distribution(prob))
+            occ_rows.append(_distribution(occ))
         return ImageLevelMatrices(
-            image_ids=self.image_ids,
-            prob_rows=tuple(
-                TopicDistribution(scores=row[:N_TOPICS], unmapped_mass=row[N_TOPICS])
-                for row in self.prob
-            ),
-            occ_rows=tuple(
-                TopicDistribution(
-                    scores=tuple(c / k for c in row[:N_TOPICS]),
-                    unmapped_mass=row[N_TOPICS] / k,
-                )
-                for row in self.counts
-            ),
+            image_ids=self.image_ids, prob_rows=tuple(prob_rows), occ_rows=tuple(occ_rows)
         )
+
+
+def _distribution(cells: list[float]) -> TopicDistribution:
+    return TopicDistribution(scores=tuple(cells[:N_TOPICS]), unmapped_mass=cells[N_TOPICS])
 
 
 def _score_record(
     predictions: tuple[tuple[str, float], ...], position: Callable[[str], int], k: int
-) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    """(prob row, count row) of one image; see ScoreBlock."""
-    if k < len(predictions):
+) -> tuple[Cell, ...]:
+    """Sparse cells of one image; see ScoreBlock."""
+    missing = k - len(predictions)
+    if missing < 0:
         raise ValueError(
             f"divisor k={k} is smaller than the record's {len(predictions)} predictions"
         )
-    counts = [0] * (N_TOPICS + 1)
-    counts[N_TOPICS] = k - len(predictions)
-    per_topic: dict[int, list[float]] = {}
+    by_pos: dict[int, list[float]] = {}
     for label, prob in predictions:
         pos = position(label)
-        counts[pos] += 1
-        bucket = per_topic.get(pos)
+        bucket = by_pos.get(pos)
         if bucket is None:
-            per_topic[pos] = [prob]
+            by_pos[pos] = [prob]
         else:
             bucket.append(prob)
-    row = [0.0] * (N_TOPICS + 1)
-    for pos, bucket in per_topic.items():
-        row[pos] = math.fsum(bucket)
-    return tuple(row), tuple(counts)
+    if missing and N_TOPICS not in by_pos:
+        by_pos[N_TOPICS] = []
+    return tuple(
+        (pos, math.fsum(bucket), len(bucket) + (missing if pos == N_TOPICS else 0))
+        for pos, bucket in sorted(by_pos.items())
+    )
 
 
 def score_block(
@@ -140,20 +149,17 @@ def score_block(
     if len(users) > 1:
         raise ValueError(f"records span multiple users: {sorted(users)}")
     position = tax.label_index.position
-    rows = [_score_record(rec.predictions, position, k) for rec in records]
     return ScoreBlock(
         user_id=records[0].user_id if records else "",
         image_ids=tuple(rec.image_id for rec in records),
         k=k,
-        prob=tuple(prob for prob, _ in rows),
-        counts=tuple(counts for _, counts in rows),
+        rows=tuple(_score_record(rec.predictions, position, k) for rec in records),
     )
 
 
 def score_image_prob(record: PredictionRecord, tax: Taxonomy) -> TopicDistribution:
     """Probability scoring: per-topic sum of prediction probabilities."""
-    row, _ = _score_record(record.predictions, tax.label_index.position, len(record.predictions))
-    return TopicDistribution(scores=row[:N_TOPICS], unmapped_mass=row[N_TOPICS])
+    return score_block([record], tax, len(record.predictions)).matrices().prob_rows[0]
 
 
 def score_image_occ(record: PredictionRecord, tax: Taxonomy, k: int = DEFAULT_TOP_K) -> TopicDistribution:

@@ -6,7 +6,6 @@ No plotting dependency; output is deterministic for identical inputs.
 from __future__ import annotations
 
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b",
@@ -14,6 +13,11 @@ PALETTE = (
 )
 
 _FONT = 'font-family="Helvetica,Arial,sans-serif"'
+
+
+def _escape(text: str) -> str:
+    """Escape &, < and > for SVG text content (xml.sax.saxutils would import http.client)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(x: float) -> str:
@@ -64,7 +68,7 @@ def line_chart(
     if title:
         out.append(
             f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" {_FONT} '
-            f'font-size="16">{escape(title)}</text>'
+            f'font-size="16">{_escape(title)}</text>'
         )
     for tx in _ticks(x_lo, x_hi):
         out.append(
@@ -90,13 +94,13 @@ def line_chart(
     if x_label:
         out.append(
             f'<text x="{left + pw / 2:.0f}" y="{height - 12}" text-anchor="middle" '
-            f'{_FONT} font-size="12">{escape(x_label)}</text>'
+            f'{_FONT} font-size="12">{_escape(x_label)}</text>'
         )
     if y_label:
         out.append(
             f'<text x="16" y="{top + ph / 2:.0f}" text-anchor="middle" {_FONT} '
             f'font-size="12" transform="rotate(-90 16 {top + ph / 2:.0f})">'
-            f"{escape(y_label)}</text>"
+            f"{_escape(y_label)}</text>"
         )
     for idx, (name, pts) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
@@ -115,7 +119,7 @@ def line_chart(
             f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>'
         )
         out.append(
-            f'<text x="{left + pw + 34}" y="{ly}" {_FONT} font-size="11">{escape(name)}</text>'
+            f'<text x="{left + pw + 34}" y="{ly}" {_FONT} font-size="11">{_escape(name)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
@@ -151,19 +155,19 @@ def heatmap(
     if title:
         out.append(
             f'<text x="{width / 2:.0f}" y="22" text-anchor="middle" {_FONT} '
-            f'font-size="15">{escape(title)}</text>'
+            f'font-size="15">{_escape(title)}</text>'
         )
     for j, name in enumerate(labels):
         x = left + j * cell + cell / 2
         out.append(
             f'<text x="{_fmt(x)}" y="{top - 6}" text-anchor="start" {_FONT} font-size="10" '
-            f'transform="rotate(-60 {_fmt(x)} {top - 6})">{escape(name)}</text>'
+            f'transform="rotate(-60 {_fmt(x)} {top - 6})">{_escape(name)}</text>'
         )
     for i, name in enumerate(labels):
         y = top + i * cell
         out.append(
             f'<text x="{left - 6}" y="{y + cell / 2 + 4:.1f}" text-anchor="end" '
-            f'{_FONT} font-size="10">{escape(name)}</text>'
+            f'{_FONT} font-size="10">{_escape(name)}</text>'
         )
         for j in range(n):
             v = values[i][j]

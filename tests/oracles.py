@@ -4,6 +4,8 @@ These deliberately take the dumbest correct path (exhaustive enumeration,
 two-pass loops) and share no code with the implementations they verify.
 """
 
+import csv
+import io
 import math
 from collections.abc import Mapping
 from fractions import Fraction
@@ -175,6 +177,30 @@ def bf_profile(rows, topic_names, mechanism):
         tied[0] if tied else None,
         tied if len(tied) > 1 else (),
     )
+
+
+def dense_score_tables(tax, topic_names, records_by_user, k):
+    """Text of image_scores_prob.csv and image_scores_occ.csv, dense.
+
+    Every row spells out all topic cells plus unmapped, from bf_image_rows;
+    a zero probability is written as "0", every other cell as 9 significant
+    digits. Rows go through csv.writer, so ids holding , or " are quoted.
+    """
+    header = ("user_id", "image_id", *topic_names, "unmapped")
+    prob_buf, occ_buf = io.StringIO(), io.StringIO()
+    prob = csv.writer(prob_buf, lineterminator="\n")
+    occ = csv.writer(occ_buf, lineterminator="\n")
+    prob.writerow(header)
+    occ.writerow(header)
+    for user, records in records_by_user.items():
+        for rec in records:
+            p_scores, p_unmapped, o_scores, o_unmapped = bf_image_rows(
+                tax, topic_names, rec.predictions, k
+            )
+            prob.writerow((user, rec.image_id,
+                           *[f"{x:.9g}" if x else "0" for x in (*p_scores, p_unmapped)]))
+            occ.writerow((user, rec.image_id, *[f"{x:.9g}" for x in (*o_scores, o_unmapped)]))
+    return prob_buf.getvalue(), occ_buf.getvalue()
 
 
 def json_ready(obj):

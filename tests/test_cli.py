@@ -368,3 +368,78 @@ def test_fixture_labels_quote_ids_with_commas_and_quotes(tmp_path, monkeypatch):
     assert run("fixture", "--taxonomy", STARTER_PATH, "--out", tmp_path / "fix") == 0
     with open(tmp_path / "fix" / "labels.csv", encoding="utf-8", newline="") as fh:
         assert load_labels(fh) == labels
+
+
+def test_import_leaves_http_client_unimported():
+    code = "import sys\nimport interestprof.cli\nprint('http.client' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(interestprof.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+def test_gc_is_off_during_a_command_and_on_after_main(tmp_path, monkeypatch):
+    import gc
+
+    during = []
+    validate = cli._COMMANDS["validate-ontology"]
+    monkeypatch.setitem(cli._COMMANDS, "validate-ontology",
+                        lambda cfg: during.append(gc.isenabled()) or validate(cfg))
+    assert gc.isenabled()
+    assert run("validate-ontology", "--taxonomy", STARTER_PATH) == 0
+    assert gc.isenabled()
+    bad = tmp_path / "cyclic.taxonomy"
+    bad.write_text("root R\nconcept A parent B\nconcept B parent A\n")
+    assert run("validate-ontology", "--taxonomy", bad) == 1
+    assert gc.isenabled()
+    assert during == [False, False]
+
+
+GOOD_LINE = '{"user_id": "u1", "image_id": "i1", "predictions": [{"label": "cup", "prob": 0.5}]}'
+
+
+def _pipeline_rejects(tmp_path, capsys, predictions: bytes, labels: bytes | None = None):
+    """Run pipeline on raw input bytes; expect exit 1 and nothing written."""
+    pred_path = tmp_path / "predictions.jsonl"
+    pred_path.write_bytes(predictions)
+    args = ["pipeline", "--taxonomy", STARTER_PATH, "--predictions", pred_path,
+            "--out", tmp_path / "out"]
+    if labels is not None:
+        (tmp_path / "labels.csv").write_bytes(labels)
+        args += ["--labels", tmp_path / "labels.csv"]
+    assert run(*args) == 1
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+def test_prob_integer_beyond_digit_limit_exits_1(tmp_path, capsys):
+    huge = GOOD_LINE.replace("0.5", "1" * 5000)
+    err = _pipeline_rejects(tmp_path, capsys, f"{GOOD_LINE}\n{huge}\n".encode())
+    assert "error: line 2: malformed JSON: " in err
+
+
+def test_deeply_nested_line_exits_1(tmp_path, capsys):
+    err = _pipeline_rejects(tmp_path, capsys, b"[" * 100_000 + b"\n")
+    assert "error: line 1: malformed JSON: nested too deeply" in err
+
+
+def test_lone_surrogate_user_id_exits_1_before_any_output(tmp_path, capsys):
+    line = GOOD_LINE.replace('"u1"', '"\\ud800"')
+    err = _pipeline_rejects(tmp_path, capsys, f"{GOOD_LINE}\n{line}\n".encode())
+    assert "error: line 2: 'user_id' is not valid UTF-8 text" in err
+
+
+@pytest.mark.parametrize("bad_file", ["predictions", "labels"])
+def test_non_utf8_byte_exits_1_naming_the_line(tmp_path, capsys, bad_file):
+    predictions = f"{GOOD_LINE}\n".encode()
+    labels = b"user_id,topic\nu1,Drink\n"
+    if bad_file == "predictions":
+        predictions += GOOD_LINE.replace("i1", "i\xff").encode("latin-1") + b"\n"
+    else:
+        labels += b"u\xff2,Food\n"
+    err = _pipeline_rejects(tmp_path, capsys, predictions, labels)
+    assert f"error: line {2 if bad_file == 'predictions' else 3}: " in err
+    assert "is not valid UTF-8 text" in err

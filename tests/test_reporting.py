@@ -1,4 +1,5 @@
-"""The JSON writer against the stdlib encoder, and the profile files it writes."""
+"""The JSON writer against the stdlib encoder, the profile files it writes, and
+the sparse score tables against the dense reference writer."""
 
 import json
 import math
@@ -9,11 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 
-from conftest import make_record, starter_taxonomy
+from conftest import KNOWN_TERMS, UNKNOWN_TERMS, make_record, starter_taxonomy
 from interestprof.profiling import profile_prefixes
-from interestprof.reporting import profile_payload, to_json, write_profiles
+from interestprof.reporting import (
+    open_score_tables, profile_payload, to_json, write_profiles, write_score_rows,
+)
 from interestprof.scoring import score_block
-from oracles import json_ready
+from interestprof.taxonomy import TOPICS
+from oracles import dense_score_tables, json_ready
 
 
 def reference(obj) -> str:
@@ -111,3 +115,39 @@ def test_write_profiles_without_sweep_writes_one_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["profiles.json"]
     assert (tmp_path / "profiles.json").read_text(encoding="utf-8") == \
         _reference_files(profiles, {})[0]
+
+
+ids = st.text(st.sampled_from('ab,"\' é\n'), min_size=1, max_size=6)
+probs = st.one_of(st.sampled_from([0.0, 0.0, 0.1, 0.25, 1.0]),
+                  st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def score_inputs(draw):
+    """k from 1 to 10, short records, zero probs, all-unmapped images, awkward ids."""
+    k = draw(st.integers(min_value=1, max_value=10))
+    users = draw(st.lists(ids, min_size=1, max_size=3, unique=True))
+    records = {}
+    for user in users:
+        image_ids = draw(st.lists(ids, min_size=1, max_size=5, unique=True))
+        records[user] = []
+        for image_id in image_ids:
+            all_unmapped = draw(st.integers(min_value=0, max_value=3)) == 0
+            terms = UNKNOWN_TERMS if all_unmapped else KNOWN_TERMS + UNKNOWN_TERMS
+            pairs = draw(st.lists(st.tuples(st.sampled_from(terms), probs),
+                                  min_size=1, max_size=k))
+            records[user].append(make_record(user, image_id, pairs))
+    return k, records
+
+
+@given(score_inputs())
+def test_sparse_score_rows_match_dense_reference(tmp_path_factory, data):
+    k, records = data
+    tax = starter_taxonomy()
+    out = tmp_path_factory.mktemp("scores")
+    with open_score_tables(out, k) as tables:
+        for user_records in records.values():
+            write_score_rows(tables, score_block(user_records, tax, k))
+    expected = dense_score_tables(tax, TOPICS, records, k)
+    got = tuple((out / f"image_scores_{m}.csv").read_bytes() for m in ("prob", "occ"))
+    assert got == tuple(text.encode("utf-8") for text in expected)

@@ -21,6 +21,7 @@ def test_line_chart_escapes_labels():
     svg = line_chart([("a<b&c", [(0, 0), (1, 1)])], title="t<1>")
     ET.fromstring(svg)
     assert "a<b&c" not in svg
+    assert ">a&lt;b&amp;c</text>" in svg and ">t&lt;1&gt;</text>" in svg
 
 
 def test_line_chart_deterministic():
