@@ -6,7 +6,9 @@ fixture, pipeline. Exit status is 0 on success, 1 on validation failure and
 every subcommand writes byte-identical artifacts.
 
 Each user's records are scored once into a ScoreBlock; the score CSV rows,
-the full profile and every sweep point come from that block.
+the full profile and every sweep point come from that block. The package uses
+only the standard library: correlate and pipeline compute their matrices in
+plain Python, so no subcommand imports a third-party module.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from pathlib import Path
 
 from . import __version__
 from .config import RunConfig, build_config, env_overrides, parse_config_file, parse_sweep
-from .errors import ConfigError, ExternalClassifierError, ValidationFailure
+from .correlation import co_interest_matrix, pearson_matrix
+from .errors import ConfigError, ExternalClassifierError, ValidationFailure, escape_control
 from .evaluation import evaluate
 from .fixtures import generate_fixture
 from .ingest import (
@@ -139,7 +142,8 @@ def _profile_dataset(
                 write_score_rows(score_tables, block)
             full, *swept = profile_prefixes(block, (block.n_images(), *sweep), cfg.mechanism)
             if full.predicted_topic is None:
-                _note(f"warning: skipping user '{user}': no prediction label maps to any topic")
+                _note(f"warning: skipping user '{escape_control(user)}': "
+                      "no prediction label maps to any topic")
                 continue
             profiles.append(full)
             for n, profile in zip(sweep, swept):
@@ -189,8 +193,6 @@ def cmd_profile(cfg: RunConfig) -> int:
 
 
 def cmd_correlate(cfg: RunConfig) -> int:
-    from .correlation import co_interest_matrix, pearson_matrix  # numpy, only when correlating
-
     tax = _load_scoring_tax(cfg)
     dataset = _load_dataset(cfg)
     out = _prepare_outdir(cfg)
@@ -227,8 +229,6 @@ def cmd_fixture(cfg: RunConfig) -> int:
 
 
 def cmd_pipeline(cfg: RunConfig) -> int:
-    from .correlation import co_interest_matrix, pearson_matrix  # numpy, only when correlating
-
     tax = _load_scoring_tax(cfg)
     dataset = _load_dataset(cfg)
     out = _prepare_outdir(cfg)

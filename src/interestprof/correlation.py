@@ -1,16 +1,20 @@
-"""Topic correlation across users: Pearson matrix with bands, co-interest index."""
+"""Topic correlation across users: Pearson matrix with bands, co-interest index.
+
+Both matrices are 24x24 over a few hundred to a few thousand user vectors, so
+they are computed in plain Python: Pearson from exactly summed (``fsum``)
+cross products of centred columns, co-interest from one integer bitmask of
+interested users per topic.
+"""
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import EmptyInputError
 from .profiling import UserProfile
-from .taxonomy import N_TOPICS
 
 BAND_HIGH_POSITIVE = "high-positive"
 BAND_POSITIVE = "positive"
@@ -36,19 +40,24 @@ def band_of(rho: float) -> str:
 class CorrelationMatrix:
     """24x24 Pearson coefficients (NaN where undefined) and their bands."""
 
-    rho: np.ndarray
+    rho: tuple[tuple[float, ...], ...]
     bands: tuple[tuple[str, ...], ...]
 
     def value(self, i: int, j: int) -> float | None:
-        v = float(self.rho[i, j])
+        v = self.rho[i][j]
         return None if math.isnan(v) else v
 
 
-def scores_matrix(profiles: Sequence[UserProfile], mechanism: str = "occ") -> np.ndarray:
-    """Users-by-topics score matrix from the selected mechanism's vectors."""
-    return np.array(
-        [p.vector(mechanism).scores for p in profiles], dtype=np.float64
-    ).reshape(len(profiles), N_TOPICS)
+def _columns(profiles: Sequence[UserProfile], mechanism: str) -> list[tuple[float, ...]]:
+    """Topic score columns of the selected mechanism's vectors, one value per user."""
+    return list(zip(*(p.vector(mechanism).scores for p in profiles)))
+
+
+def _ratio(cross: float, denom: float) -> float:
+    """cross / denom clipped to [-1, 1]; a zero denominator (underflow) as IEEE division."""
+    if denom:
+        return max(-1.0, min(1.0, cross / denom))
+    return math.copysign(1.0, cross) if cross else math.nan
 
 
 def pearson_matrix(profiles: Sequence[UserProfile], mechanism: str = "occ") -> CorrelationMatrix:
@@ -56,44 +65,62 @@ def pearson_matrix(profiles: Sequence[UserProfile], mechanism: str = "occ") -> C
 
     Columns that are exactly constant have no variance; their rows and columns
     are undefined (NaN) rather than forced to zero. The diagonal is exactly 1
-    wherever the column varies.
+    wherever the column varies. Cross products are summed exactly and the
+    upper triangle is mirrored, so the matrix is symmetric by construction.
     """
-    if len(profiles) < 2:
+    n = len(profiles)
+    if n < 2:
         raise EmptyInputError("pearson_matrix needs at least 2 profiles")
-    x = scores_matrix(profiles, mechanism)
-    constant = np.all(x == x[0], axis=0)
+    columns = _columns(profiles, mechanism)
+    m = len(columns)
+    varying = [j for j, col in enumerate(columns) if col.count(col[0]) != n]
+    centred, spread = {}, {}
+    for j in varying:
+        mean = math.fsum(columns[j]) / n
+        cj = centred[j] = [v - mean for v in columns[j]]
+        spread[j] = math.sqrt(math.fsum(map(operator.mul, cj, cj)))
 
-    centered = x - x.mean(axis=0)
-    cross = centered.T @ centered
-    spread = np.sqrt(np.diag(cross))
-    denom = np.outer(spread, spread)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rho = cross / denom
-    rho = (rho + rho.T) / 2.0
-    rho = np.clip(rho, -1.0, 1.0)
-    rho[constant, :] = np.nan
-    rho[:, constant] = np.nan
-    diag = np.arange(N_TOPICS)
-    rho[diag[~constant], diag[~constant]] = 1.0
+    rho = [[math.nan] * m for _ in range(m)]
+    for a, i in enumerate(varying):
+        rho[i][i] = 1.0
+        ci = centred[i]
+        for j in varying[a + 1:]:
+            cross = math.fsum(map(operator.mul, ci, centred[j]))
+            rho[i][j] = rho[j][i] = _ratio(cross, spread[i] * spread[j])
 
-    bands = tuple(tuple(band_of(float(v)) for v in row) for row in rho)
-    return CorrelationMatrix(rho=rho, bands=bands)
+    rows = tuple(tuple(row) for row in rho)
+    bands = tuple(tuple(band_of(v) for v in row) for row in rows)
+    return CorrelationMatrix(rho=rows, bands=bands)
 
 
 def co_interest_matrix(
     profiles: Sequence[UserProfile], tau: float = 0.1, mechanism: str = "occ"
-) -> np.ndarray:
+) -> list[list[float]]:
     """Jaccard-style ratio of users interested in both topics over either.
 
     A user counts as interested in a topic when their score is >= tau.
-    Entries with no interested user on either side are 0.
+    Entries with no interested user on either side are 0. Each topic's
+    interested users are one integer bitmask (bit r for user r), so a pair's
+    shared count is the popcount of an AND.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
     if not profiles:
         raise EmptyInputError("co_interest_matrix needs at least 1 profile")
-    interested = (scores_matrix(profiles, mechanism) >= tau).astype(np.int64)
-    both = interested.T @ interested
-    per_topic = interested.sum(axis=0)
-    either = per_topic[:, None] + per_topic[None, :] - both
-    return np.where(either > 0, both / np.maximum(either, 1), 0.0)
+    masks = []
+    for col in _columns(profiles, mechanism):
+        mask = 0
+        for r, v in enumerate(col):
+            if v >= tau:
+                mask |= 1 << r
+        masks.append(mask)
+    per_topic = [mask.bit_count() for mask in masks]
+    matrix = []
+    for mi, per_i in zip(masks, per_topic):
+        row = []
+        for mj, per_j in zip(masks, per_topic):
+            both = (mi & mj).bit_count()
+            either = per_i + per_j - both
+            row.append(both / either if either else 0.0)
+        matrix.append(row)
+    return matrix

@@ -2,7 +2,17 @@
 
 The CLI maps ValidationFailure subclasses to exit status 1 and
 ConfigError / ExternalClassifierError / OSError to exit status 2.
+Messages are printed as one line each; ids, labels and topics read from input
+files go through ``escape_control`` before they are quoted in one.
 """
+
+# C0 controls, DEL and C1 controls, each spelled as its Python escape (\n, \x1b, \x9b).
+_CONTROL_ESCAPES = {c: repr(chr(c))[1:-1] for c in (*range(0x20), *range(0x7F, 0xA0))}
+
+
+def escape_control(text: str) -> str:
+    """``text`` with every control character escaped, so quoting it cannot break a line."""
+    return text.translate(_CONTROL_ESCAPES)
 
 
 class InterestProfError(Exception):

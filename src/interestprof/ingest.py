@@ -29,7 +29,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import ConfigError, DataFormatError, ExternalClassifierError
+from .errors import ConfigError, DataFormatError, ExternalClassifierError, escape_control
 from .taxonomy import TOPICS, resolve_compound
 
 DEFAULT_TOP_K = 5
@@ -139,14 +139,18 @@ def _parse_prediction_line(
             known = strings[label] = label
         if type(prob) is float:
             if not 0.0 <= prob <= 1.0:
-                raise DataFormatError(f"prob {prob} for '{label}' out of range [0, 1]", line=no)
+                raise DataFormatError(
+                    f"prob {prob} for '{escape_control(label)}' out of range [0, 1]", line=no
+                )
         elif type(prob) is int:
             # Range-checked as an int: float() of a huge int would overflow.
             if not 0 <= prob <= 1:
-                raise DataFormatError(f"prob {prob} for '{label}' out of range [0, 1]", line=no)
+                raise DataFormatError(
+                    f"prob {prob} for '{escape_control(label)}' out of range [0, 1]", line=no
+                )
             prob = float(prob)
         else:
-            raise DataFormatError(f"prob for '{label}' is not a number", line=no)
+            raise DataFormatError(f"prob for '{escape_control(label)}' is not a number", line=no)
         pairs.append((known, prob))
     # Classifiers normally emit descending scores already; sorting makes the
     # nonincreasing invariant hold by construction (stable, also in reverse,
@@ -181,7 +185,8 @@ def load_predictions(
                 records[rec.user_id] = []
             elif rec.image_id in images:
                 raise DataFormatError(
-                    f"duplicate record for user '{rec.user_id}' image '{rec.image_id}'",
+                    f"duplicate record for user '{escape_control(rec.user_id)}' "
+                    f"image '{escape_control(rec.image_id)}'",
                     line=no,
                 )
         except DataFormatError as exc:
@@ -249,11 +254,12 @@ def load_labels(source: str | Iterable[str]) -> dict[str, str]:
             atoms = resolve_compound(topic)
             if atoms is not None:
                 raise DataFormatError(
-                    f"compound topic '{topic}': use {' or '.join(atoms)}", line=no
+                    f"compound topic '{escape_control(topic)}': use {' or '.join(atoms)}",
+                    line=no,
                 )
-            raise DataFormatError(f"unknown topic '{topic}'", line=no)
+            raise DataFormatError(f"unknown topic '{escape_control(topic)}'", line=no)
         if user_id in labels:
-            raise DataFormatError(f"duplicate label for user '{user_id}'", line=no)
+            raise DataFormatError(f"duplicate label for user '{escape_control(user_id)}'", line=no)
         labels[user_id] = topic
     if not header_seen:
         raise DataFormatError("empty labels file: expected header 'user_id,topic'", line=1)
@@ -301,7 +307,9 @@ def attach_labels(dataset: ProfileDataset, labels: dict[str, str]) -> ProfileDat
     warnings = list(dataset.warnings)
     for user_id in labels:
         if user_id not in dataset.records:
-            warnings.append(f"label for user '{user_id}' matches no prediction records")
+            warnings.append(
+                f"label for user '{escape_control(user_id)}' matches no prediction records"
+            )
     return ProfileDataset(records=dataset.records, labels=dict(labels), warnings=warnings)
 
 

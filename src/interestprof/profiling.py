@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
-from .errors import EmptyInputError, NoPredictionError
+from .errors import EmptyInputError, NoPredictionError, escape_control
 from .ingest import DEFAULT_TOP_K, PredictionRecord, ProfileDataset
 from .scoring import Cell, ImageLevelMatrices, ScoreBlock, TopicDistribution, score_block
 from .taxonomy import N_TOPICS, TOPICS, Taxonomy
@@ -198,7 +198,7 @@ def profile_user(
     (profile,) = profile_prefixes(score_block(records, tax, k), (len(records),), mechanism)
     if profile.predicted_topic is None:
         raise NoPredictionError(
-            f"user '{profile.user_id}': no prediction label maps to any topic"
+            f"user '{escape_control(profile.user_id)}': no prediction label maps to any topic"
         )
     return profile
 

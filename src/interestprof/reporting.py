@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
+from .correlation import CorrelationMatrix
 from .evaluation import EvalReport
 from .ingest import ProfileDataset
 from .ontometrics import SemioticReport, SizeMetrics, StructuralMetrics
@@ -32,9 +33,6 @@ from .profiling import UserProfile
 from .scoring import ScoreBlock, TopicDistribution, score_block
 from .svgchart import heatmap, line_chart
 from .taxonomy import TOPICS, Taxonomy
-
-if TYPE_CHECKING:
-    from .correlation import CorrelationMatrix
 
 
 def fmt_float(x: float) -> str:
@@ -259,26 +257,18 @@ def _matrix_csv(col_labels: Sequence[str], row_labels: Sequence[str],
     return "".join(lines)
 
 
-def write_correlation(outdir: Path, corr: CorrelationMatrix, co_interest) -> None:
+def write_correlation(outdir: Path, corr: CorrelationMatrix,
+                      co_interest: Sequence[Sequence[float]]) -> None:
     n = len(TOPICS)
-    rho_cells = [
-        ["" if corr.value(i, j) is None else fmt_float(corr.value(i, j)) for j in range(n)]
-        for i in range(n)
-    ]
+    values = [[corr.value(i, j) for j in range(n)] for i in range(n)]
+    rho_cells = [["" if v is None else fmt_float(v) for v in row] for row in values]
     write_text(outdir / "pearson.csv", _matrix_csv(TOPICS, TOPICS, rho_cells))
-    write_text(
-        outdir / "pearson_bands.csv",
-        _matrix_csv(TOPICS, TOPICS, [list(row) for row in corr.bands]),
-    )
+    write_text(outdir / "pearson_bands.csv", _matrix_csv(TOPICS, TOPICS, corr.bands))
     write_text(
         outdir / "pearson_heatmap.svg",
-        heatmap(
-            [[corr.value(i, j) for j in range(n)] for i in range(n)],
-            TOPICS,
-            title="Pearson correlation between topic scores",
-        ),
+        heatmap(values, TOPICS, title="Pearson correlation between topic scores"),
     )
-    co_cells = [[fmt_float(float(co_interest[i][j])) for j in range(n)] for i in range(n)]
+    co_cells = [[fmt_float(v) for v in row] for row in co_interest]
     write_text(outdir / "co_interest.csv", _matrix_csv(TOPICS, TOPICS, co_cells))
 
 

@@ -96,6 +96,27 @@ def bf_pearson(x):
     return rho
 
 
+def bf_co_interest(x, tau):
+    """Co-interest ratios by counting users per topic pair, in exact Fractions.
+
+    Rows of x are users. A user is interested in a column when its value is
+    >= tau. Returns a square list-of-lists of float(both / either), 0.0 where
+    no user is interested in either column.
+    """
+    tau = Fraction(tau)
+    interested = [[Fraction(v) >= tau for v in row] for row in x]
+    m = len(x[0])
+    out = []
+    for i in range(m):
+        row = []
+        for j in range(m):
+            both = sum(1 for r in interested if r[i] and r[j])
+            either = sum(1 for r in interested if r[i] or r[j])
+            row.append(float(Fraction(both, either)) if either else 0.0)
+        out.append(row)
+    return out
+
+
 def bf_normalize(label):
     """Instance-term matching rule, restated: casefold, '_' is a space, runs collapse."""
     return " ".join(label.replace("_", " ").casefold().split())

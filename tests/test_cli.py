@@ -287,18 +287,65 @@ def test_score_tables_quote_ids_with_commas_and_quotes(tmp_path):
         assert cells["unmapped"] == ("0" if name.endswith("prob.csv") else "0.6")
 
 
-def test_validate_ontology_leaves_numpy_unimported():
+def test_validate_ontology_leaves_numpy_unimported(tmp_path, small_fixture):
+    predictions, labels = small_fixture
+    data = ["--taxonomy", str(STARTER_PATH), "--predictions", str(predictions),
+            "--labels", str(labels)]
+    commands = [
+        ["validate-ontology", "--taxonomy", str(STARTER_PATH)],
+        ["pipeline", *data, "--out", str(tmp_path / "pipeline")],
+        ["correlate", *data, "--out", str(tmp_path / "correlate")],
+    ]
     code = (
         "import sys\n"
         "from interestprof.cli import main\n"
-        f"rc = main(['validate-ontology', '--taxonomy', {str(STARTER_PATH)!r}])\n"
-        "print(rc, 'numpy' in sys.modules)\n"
+        f"for argv in {commands!r}:\n"
+        "    print('result', main(argv), 'numpy' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(interestprof.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-2:] == ["0", "False"]
+    results = [line.split()[1:] for line in proc.stdout.splitlines() if line.startswith("result")]
+    assert results == [["0", "False"]] * 3
+    assert (tmp_path / "pipeline" / "pearson.csv").exists()
+    assert (tmp_path / "correlate" / "co_interest.csv").exists()
+
+
+FORGED = "a\nFAKE: line 9: \u001b[31mred"
+
+
+@pytest.mark.parametrize("case", ["bad-prob", "skip-bad", "duplicate", "labels", "unmappable"])
+def test_quoted_input_text_cannot_forge_stderr_lines(tmp_path, capsys, case):
+    def line(user, image, label, prob):
+        return json.dumps({"user_id": user, "image_id": image,
+                           "predictions": [{"label": label, "prob": prob}]}) + "\n"
+
+    predictions = tmp_path / "p.jsonl"
+    labels = tmp_path / "labels.csv"
+    args = ["score", "--taxonomy", STARTER_PATH, "--predictions", predictions,
+            "--out", tmp_path / "out"]
+    good = line("u1", "i1", "espresso", 0.5)
+    if case == "bad-prob":
+        predictions.write_text(good + line("u2", "i2", FORGED, 2))
+    elif case == "skip-bad":
+        predictions.write_text(good + line("u2", "i2", FORGED, 2))
+        args.append("--skip-bad")
+    elif case == "duplicate":
+        predictions.write_text(line(FORGED, "i1", "espresso", 0.5) * 2)
+    elif case == "labels":
+        predictions.write_text(good)
+        labels.write_text(f'user_id,topic\n"{FORGED}",Drink\n')
+        args += ["--labels", labels]
+    else:
+        predictions.write_text(good + line(FORGED, "i1", "no such label", 0.5))
+        args[0] = "profile"
+    rc = run(*args)
+    err = capsys.readouterr().err
+    assert rc == (1 if case in ("bad-prob", "duplicate") else 0)
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "\x1b" not in err
+    assert repr(FORGED)[1:-1] in err
 
 
 def _artifacts(out):

@@ -5,7 +5,12 @@ import sys
 
 import pytest
 
-from interestprof.errors import ConfigError, DataFormatError, ExternalClassifierError
+from interestprof.errors import (
+    ConfigError,
+    DataFormatError,
+    ExternalClassifierError,
+    escape_control,
+)
 from interestprof.ingest import (
     ProfileDataset,
     attach_labels,
@@ -210,6 +215,32 @@ def _stub(tmp_path, body, name="stub.py"):
     path = tmp_path / name
     path.write_text(body)
     return f"{sys.executable} {path} {{input}} {{output}}"
+
+
+def test_escape_control_spells_out_c0_del_and_c1():
+    controls = "".join(map(chr, (*range(0x20), 0x7F, *range(0x80, 0xA0))))
+    escaped = escape_control(controls)
+    assert escaped.isascii() and escaped.isprintable()
+    assert escaped.startswith("\\x00\\x01") and "\\t\\n" in escaped
+    assert escaped.endswith("\\x7f\\x80" + "".join(f"\\x{c:x}" for c in range(0x81, 0xA0)))
+    ordinary = "user_42 Ünïcödé, 'quoted' \\back\\slash \u00a0\u2603"
+    assert escape_control(ordinary) == ordinary
+
+
+def test_messages_quote_ids_as_before_and_escape_controls():
+    line = json.dumps({"user_id": "u1", "image_id": "img1",
+                       "predictions": [{"label": "cup", "prob": 0.5}]})
+    with pytest.raises(DataFormatError) as plain:
+        load_predictions(line + "\n" + line)
+    assert str(plain.value) == "line 2: duplicate record for user 'u1' image 'img1'"
+    bad = json.dumps({"user_id": "u\x1b[2J", "image_id": "i\r1",
+                      "predictions": [{"label": "c\x9bup", "prob": 1.5}]})
+    with pytest.raises(DataFormatError) as escaped:
+        load_predictions(bad)
+    assert str(escaped.value) == "line 1: prob 1.5 for 'c\\x9bup' out of range [0, 1]"
+    with pytest.raises(DataFormatError) as dup:
+        load_predictions(bad.replace("1.5", "0.5") + "\n" + bad.replace("1.5", "0.5"))
+    assert str(dup.value) == "line 2: duplicate record for user 'u\\x1b[2J' image 'i\\r1'"
 
 
 def test_external_classifier_identity(tmp_path):
