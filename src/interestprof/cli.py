@@ -5,10 +5,19 @@ fixture, pipeline. Exit status is 0 on success, 1 on validation failure and
 2 on I/O or configuration errors. Given identical inputs, seed and flags,
 every subcommand writes byte-identical artifacts.
 
-Each user's records are scored once into a ScoreBlock; the score CSV rows,
-the full profile and every sweep point come from that block. The package uses
-only the standard library: correlate and pipeline compute their matrices in
-plain Python, so no subcommand imports a third-party module.
+The data subcommands run one chain, ``_run_chain``: load the taxonomy, load
+the dataset, prepare ``--out``, make one pass over the users, then write. Each
+subcommand is a row of ``_CHAINS``, the steps it runs in chain order
+(metrics, scores, profiles, correlation, evaluation) and its summary line, so
+``score`` writes the same bytes as the score tables of ``pipeline``. The pass
+scores each user's records once into a ScoreBlock; the score CSV rows, the
+full profile and every sweep point come from that block. A subcommand named
+for one step fails (exit 1) when that step has no input, such as fewer than 2
+profiles to correlate or no labeled profile to evaluate; ``pipeline`` skips
+the step with a note instead.
+
+Every input file is opened through ``errors.open_input``. The package uses
+only the standard library.
 """
 
 from __future__ import annotations
@@ -22,7 +31,13 @@ from pathlib import Path
 from . import __version__
 from .config import RunConfig, build_config, env_overrides, parse_config_file, parse_sweep
 from .correlation import co_interest_matrix, pearson_matrix
-from .errors import ConfigError, ExternalClassifierError, ValidationFailure, escape_control
+from .errors import (
+    ConfigError,
+    ExternalClassifierError,
+    ValidationFailure,
+    escape_control,
+    open_input,
+)
 from .evaluation import evaluate
 from .fixtures import generate_fixture
 from .ingest import (
@@ -36,7 +51,7 @@ from .ingest import (
     serialize_predictions,
 )
 from .ontometrics import semiotic_report, size_metrics, structural_metrics
-from .profiling import UserProfile, profile_prefixes
+from .profiling import profile_prefixes
 from .reporting import (
     open_score_tables,
     write_correlation,
@@ -44,7 +59,6 @@ from .reporting import (
     write_metrics,
     write_profiles,
     write_score_rows,
-    write_scores,
     write_text,
 )
 from .scoring import score_block
@@ -62,49 +76,27 @@ def _require(value, flag: str):
 
 
 def _load_tax(cfg: RunConfig) -> Taxonomy:
-    path = _require(cfg.taxonomy, "--taxonomy")
-    if not Path(path).exists():
-        raise ConfigError(f"taxonomy file not found: {path}")
-    tax = load_taxonomy(path)
+    tax = load_taxonomy(_require(cfg.taxonomy, "--taxonomy"))
     for w in tax.warnings:
         _note(f"warning: {w}")
     return tax
 
 
-def _load_scoring_tax(cfg: RunConfig) -> Taxonomy:
-    """Taxonomy with its label index compiled, so a bad topic fails before any output."""
-    tax = _load_tax(cfg)
-    tax.label_index  # compiled on first access
-    return tax
-
-
 def _load_dataset(cfg: RunConfig) -> ProfileDataset:
-    """Predictions (or classifier output) with labels attached.
-
-    Input files may start with a BOM. Undecodable bytes are kept as lone
-    surrogates, which the parsers report with their line number.
-    """
+    """Predictions (or classifier output) with labels attached."""
     if cfg.predictions is not None:
-        if not Path(cfg.predictions).exists():
-            raise ConfigError(f"predictions file not found: {cfg.predictions}")
-        with open(cfg.predictions, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        with open_input(cfg.predictions, "predictions") as fh:
             dataset = load_predictions(fh, k_max=cfg.topk, skip_bad=cfg.skip_bad)
     elif cfg.classifier_cmd is not None:
         manifest_path = _require(cfg.manifest, "--manifest")
-        if not Path(manifest_path).exists():
-            raise ConfigError(f"manifest file not found: {manifest_path}")
-        with open(manifest_path, "r", encoding="utf-8-sig", errors="surrogateescape",
-                  newline="") as fh:
+        with open_input(manifest_path, "manifest", newline="") as fh:
             rows = load_manifest(fh, path=manifest_path)
         dataset = run_external_classifier(rows, cfg.classifier_cmd, k=cfg.topk)
     else:
         raise ConfigError("missing required setting: --predictions (or --classifier-cmd)")
 
     if cfg.labels is not None:
-        if not Path(cfg.labels).exists():
-            raise ConfigError(f"labels file not found: {cfg.labels}")
-        with open(cfg.labels, "r", encoding="utf-8-sig", errors="surrogateescape",
-                  newline="") as fh:
+        with open_input(cfg.labels, "labels", newline="") as fh:
             dataset = attach_labels(dataset, load_labels(fh))
     for w in dataset.warnings:
         _note(f"warning: {w}")
@@ -119,100 +111,12 @@ def _prepare_outdir(cfg: RunConfig) -> Path:
     return out
 
 
-def _profile_dataset(
-    dataset: ProfileDataset,
-    tax: Taxonomy,
-    cfg: RunConfig,
-    sweep: tuple[int, ...] = (),
-    scores_dir: Path | None = None,
-) -> tuple[list[UserProfile], dict[int, list[UserProfile]]]:
-    """Full profiles and sweep profiles, scoring each user's records once.
-
-    With ``scores_dir`` the image score tables are written in the same pass.
-    Users with no mappable mass are skipped with a warning and left out of
-    the sweep as well.
-    """
-    profiles: list[UserProfile] = []
-    sweep_map: dict[int, list[UserProfile]] = {n: [] for n in sweep}
-    tables = open_score_tables(scores_dir, cfg.topk) if scores_dir else nullcontext()
-    with tables as score_tables:
-        for user in dataset.users():
-            block = score_block(dataset.records[user], tax, cfg.topk)
-            if score_tables is not None:
-                write_score_rows(score_tables, block)
-            full, *swept = profile_prefixes(block, (block.n_images(), *sweep), cfg.mechanism)
-            if full.predicted_topic is None:
-                _note(f"warning: skipping user '{escape_control(user)}': "
-                      "no prediction label maps to any topic")
-                continue
-            profiles.append(full)
-            for n, profile in zip(sweep, swept):
-                sweep_map[n].append(profile)
-    return profiles, sweep_map
-
-
 def cmd_validate(cfg: RunConfig) -> int:
     tax = _load_tax(cfg)
     print(
         f"ontology OK: {len(tax.parent)} concepts, {len(tax.topics)} topics, "
         f"{len(tax.instances)} instances"
     )
-    return 0
-
-
-def cmd_metrics(cfg: RunConfig) -> int:
-    tax = _load_tax(cfg)
-    out = _prepare_outdir(cfg)
-    write_metrics(
-        out,
-        size_metrics(tax),
-        structural_metrics(tax),
-        semiotic_report(tax, accuracy_attested=cfg.attest_accuracy),
-    )
-    print(f"wrote ontology metrics to {out}")
-    return 0
-
-
-def cmd_score(cfg: RunConfig) -> int:
-    tax = _load_scoring_tax(cfg)
-    dataset = _load_dataset(cfg)
-    out = _prepare_outdir(cfg)
-    write_scores(out, dataset, tax, cfg.topk)
-    print(f"scored {dataset.n_records()} images for {len(dataset.users())} users into {out}")
-    return 0
-
-
-def cmd_profile(cfg: RunConfig) -> int:
-    tax = _load_scoring_tax(cfg)
-    dataset = _load_dataset(cfg)
-    out = _prepare_outdir(cfg)
-    profiles, sweep_map = _profile_dataset(dataset, tax, cfg, cfg.sweep)
-    write_profiles(out, profiles, sweep_map if profiles else {})
-    print(f"profiled {len(profiles)} users into {out}")
-    return 0
-
-
-def cmd_correlate(cfg: RunConfig) -> int:
-    tax = _load_scoring_tax(cfg)
-    dataset = _load_dataset(cfg)
-    out = _prepare_outdir(cfg)
-    profiles, _ = _profile_dataset(dataset, tax, cfg)
-    corr = pearson_matrix(profiles, cfg.mechanism)
-    co = co_interest_matrix(profiles, cfg.tau, cfg.mechanism)
-    write_correlation(out, corr, co)
-    print(f"wrote correlation matrices for {len(profiles)} users into {out}")
-    return 0
-
-
-def cmd_evaluate(cfg: RunConfig) -> int:
-    tax = _load_scoring_tax(cfg)
-    _require(cfg.labels, "--labels")
-    dataset = _load_dataset(cfg)
-    out = _prepare_outdir(cfg)
-    _, sweep_map = _profile_dataset(dataset, tax, cfg, cfg.sweep)
-    report = evaluate(sweep_map, dataset.labels, cfg.mechanism)
-    write_evaluation(out, report)
-    print(f"evaluated {report.n_labeled} labeled users into {out}")
     return 0
 
 
@@ -228,50 +132,91 @@ def cmd_fixture(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_pipeline(cfg: RunConfig) -> int:
-    tax = _load_scoring_tax(cfg)
-    dataset = _load_dataset(cfg)
-    out = _prepare_outdir(cfg)
-
-    write_metrics(
-        out,
-        size_metrics(tax),
-        structural_metrics(tax),
-        semiotic_report(tax, accuracy_attested=cfg.attest_accuracy),
-    )
-    profiles, sweep_map = _profile_dataset(dataset, tax, cfg, cfg.sweep, scores_dir=out)
-    if not profiles:
-        sweep_map = {}
-    write_profiles(out, profiles, sweep_map)
-
-    if len(profiles) >= 2:
-        corr = pearson_matrix(profiles, cfg.mechanism)
-        co = co_interest_matrix(profiles, cfg.tau, cfg.mechanism)
-        write_correlation(out, corr, co)
-    else:
-        _note("note: fewer than 2 profiles, correlation step skipped")
-
-    labeled = [p for p in profiles if p.user_id in dataset.labels]
-    if labeled:
-        report = evaluate(sweep_map, dataset.labels, cfg.mechanism)
-        write_evaluation(out, report)
-    else:
-        _note("note: no labeled users, evaluation step skipped")
-
-    print(f"pipeline complete: {len(profiles)} users profiled into {out}")
-    return 0
-
-
 _COMMANDS = {
     "validate-ontology": cmd_validate,
-    "metrics": cmd_metrics,
-    "score": cmd_score,
-    "profile": cmd_profile,
-    "correlate": cmd_correlate,
-    "evaluate": cmd_evaluate,
     "fixture": cmd_fixture,
-    "pipeline": cmd_pipeline,
 }
+
+# Each data subcommand: the steps it runs, in chain order, and its summary line.
+_CHAINS = {
+    "metrics": (("metrics",), "wrote ontology metrics to {out}"),
+    "score": (("scores",), "scored {images} images for {users} users into {out}"),
+    "profile": (("profiles",), "profiled {profiled} users into {out}"),
+    "correlate": (("correlation",), "wrote correlation matrices for {profiled} users into {out}"),
+    "evaluate": (("evaluation",), "evaluated {labeled} labeled users into {out}"),
+    "pipeline": (
+        ("metrics", "scores", "profiles", "correlation", "evaluation"),
+        "pipeline complete: {profiled} users profiled into {out}",
+    ),
+}
+
+
+def _run_chain(cfg: RunConfig, command: str) -> int:
+    steps, summary = _CHAINS[command]
+    single = len(steps) == 1  # a single step fails where pipeline would skip it
+    tax = _load_tax(cfg)
+    # metrics alone reads no data, so it accepts topics that are not canonical.
+    data = steps != ("metrics",)
+    if data:
+        tax.label_index  # compiled on first access, so a bad topic fails before any output
+    if single and "evaluation" in steps:
+        _require(cfg.labels, "--labels")
+    dataset = _load_dataset(cfg) if data else ProfileDataset()
+    out = _prepare_outdir(cfg)
+
+    if "metrics" in steps:
+        write_metrics(
+            out,
+            size_metrics(tax),
+            structural_metrics(tax),
+            semiotic_report(tax, accuracy_attested=cfg.attest_accuracy),
+        )
+
+    # One pass: each user is scored once and profiled only for a later step,
+    # so score alone warns about no user. Users with no mappable mass are
+    # skipped with a warning and left out of the sweep as well.
+    profiling = not {"profiles", "correlation", "evaluation"}.isdisjoint(steps)
+    profiles = []
+    sweep_map = {n: [] for n in cfg.sweep}
+    tables = open_score_tables(out, cfg.topk) if "scores" in steps else nullcontext()
+    with tables as score_tables:
+        for user in dataset.users():
+            block = score_block(dataset.records[user], tax, cfg.topk)
+            if score_tables is not None:
+                write_score_rows(score_tables, block)
+            if not profiling:
+                continue
+            full, *swept = profile_prefixes(block, (block.n_images(), *cfg.sweep), cfg.mechanism)
+            if full.predicted_topic is None:
+                _note(f"warning: skipping user '{escape_control(user)}': "
+                      "no prediction label maps to any topic")
+                continue
+            profiles.append(full)
+            for n, profile in zip(cfg.sweep, swept):
+                sweep_map[n].append(profile)
+    del score_tables  # closed, but its files hold their write buffers until freed
+    facts = {"out": out, "images": dataset.n_records(), "users": len(dataset.users()),
+             "profiled": len(profiles)}
+
+    if "profiles" in steps:
+        write_profiles(out, profiles, sweep_map if profiles else {})
+    if "correlation" in steps:
+        if single or len(profiles) >= 2:
+            corr = pearson_matrix(profiles, cfg.mechanism)
+            co = co_interest_matrix(profiles, cfg.tau, cfg.mechanism)
+            write_correlation(out, corr, co)
+        else:
+            _note("note: fewer than 2 profiles, correlation step skipped")
+    if "evaluation" in steps:
+        if single or any(p.user_id in dataset.labels for p in profiles):
+            report = evaluate(sweep_map, dataset.labels, cfg.mechanism)
+            write_evaluation(out, report)
+            facts["labeled"] = report.n_labeled
+        else:
+            _note("note: no labeled users, evaluation step skipped")
+
+    print(summary.format_map(facts))
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,7 +293,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         file_values = parse_config_file(config_path) if config_path else {}
         cfg = build_config(file_values, env_overrides(), values)
-        return _COMMANDS[command](cfg)
+        if command in _COMMANDS:
+            return _COMMANDS[command](cfg)
+        return _run_chain(cfg, command)
     except ValidationFailure as exc:
         _note(f"error: {exc}")
         return 1

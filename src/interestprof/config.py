@@ -1,8 +1,9 @@
 """Run configuration: defaults overridden by config file, environment, flags.
 
-The config file is flat ``key = value`` text (``#`` comments). Every key can
-also be set through an ``INTERESTPROF_<KEY>`` environment variable; explicit
-command-line flags win over both.
+The config file is flat ``key = value`` UTF-8 text (``#`` comments; a leading
+BOM is ignored). Every key can also be set through an ``INTERESTPROF_<KEY>``
+environment variable; explicit command-line flags win over both. Values quoted
+in messages have their control characters escaped.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping
 
-from .errors import ConfigError
+from .errors import ConfigError, DataFormatError, check_utf8, escape_control, open_input
 
 ENV_PREFIX = "INTERESTPROF_"
 
@@ -43,7 +44,9 @@ class RunConfig:
         if self.topk < 1:
             raise ConfigError(f"topk must be >= 1, got {self.topk}")
         if self.mechanism not in ("prob", "occ"):
-            raise ConfigError(f"mechanism must be 'prob' or 'occ', got '{self.mechanism}'")
+            raise ConfigError(
+                f"mechanism must be 'prob' or 'occ', got '{escape_control(self.mechanism)}'"
+            )
         if not self.sweep or any(s <= 0 for s in self.sweep) or \
                 list(self.sweep) != sorted(set(self.sweep)):
             raise ConfigError(
@@ -68,14 +71,16 @@ def _parse_bool(key: str, raw: str) -> bool:
     try:
         return _BOOL_WORDS[raw.strip().casefold()]
     except KeyError:
-        raise ConfigError(f"{key}: expected a boolean, got '{raw}'") from None
+        raise ConfigError(f"{key}: expected a boolean, got '{escape_control(raw)}'") from None
 
 
 def parse_sweep(raw: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in raw.split(",") if part.strip())
     except ValueError:
-        raise ConfigError(f"sweep: expected comma-separated integers, got '{raw}'") from None
+        raise ConfigError(
+            f"sweep: expected comma-separated integers, got '{escape_control(raw)}'"
+        ) from None
 
 
 def _coerce(key: str, raw: str):
@@ -89,12 +94,12 @@ def _coerce(key: str, raw: str):
         try:
             return int(raw)
         except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got '{raw}'") from None
+            raise ConfigError(f"{key}: expected an integer, got '{escape_control(raw)}'") from None
     if kind == "float":
         try:
             return float(raw)
         except ValueError:
-            raise ConfigError(f"{key}: expected a number, got '{raw}'") from None
+            raise ConfigError(f"{key}: expected a number, got '{escape_control(raw)}'") from None
     return raw
 
 
@@ -103,12 +108,14 @@ _KEYS = {f.name for f in fields(RunConfig)}
 
 def parse_config_file(path: str | Path) -> dict:
     """Flat key=value file into a typed override mapping."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+    with open_input(path, "config") as fh:
+        text = fh.read()
     values = {}
     for no, raw in enumerate(text.splitlines(), start=1):
+        try:  # an undecodable byte is a configuration error, like any bad line here
+            check_utf8(raw, "line", no, str(path))
+        except DataFormatError as exc:
+            raise ConfigError(str(exc)) from None
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -117,7 +124,7 @@ def parse_config_file(path: str | Path) -> dict:
         key, _, raw_value = line.partition("=")
         key = key.strip()
         if key not in _KEYS:
-            raise ConfigError(f"{path}:{no}: unknown config key '{key}'")
+            raise ConfigError(f"{path}:{no}: unknown config key '{escape_control(key)}'")
         values[key] = _coerce(key, raw_value)
     return values
 

@@ -12,8 +12,8 @@ ingests whatever it wrote.
 
 Every parse error is a DataFormatError naming the line. Text that cannot be
 written back as UTF-8 is rejected here, before any output exists: open input
-files with ``errors="surrogateescape"`` so an undecodable byte reaches the
-parser as a lone surrogate, which is then reported like a ``\ud800`` escape.
+files with ``errors.open_input`` so an undecodable byte reaches the parser as
+a lone surrogate, which is then reported like a ``\ud800`` escape.
 """
 
 from __future__ import annotations
@@ -29,7 +29,14 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import ConfigError, DataFormatError, ExternalClassifierError, escape_control
+from .errors import (
+    ConfigError,
+    DataFormatError,
+    ExternalClassifierError,
+    check_utf8,
+    escape_control,
+    open_input,
+)
 from .taxonomy import TOPICS, resolve_compound
 
 DEFAULT_TOP_K = 5
@@ -70,14 +77,6 @@ def _lines(source: str | Iterable[str]) -> Iterator[str]:
         yield from source
 
 
-def _check_utf8(text: str, what: str, no: int, path: str | None = None) -> None:
-    """Reject text holding a lone surrogate: an undecodable byte or a ``\ud800`` escape."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        raise DataFormatError(f"{what} is not valid UTF-8 text", line=no, path=path) from None
-
-
 _BY_PROB = itemgetter(1)
 
 
@@ -90,7 +89,7 @@ def _parse_prediction_line(
     type checks suffice (and keep bool out of the numbers).
     """
     if not line.isascii():
-        _check_utf8(line, "line", no)
+        check_utf8(line, "line", no)
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -112,11 +111,11 @@ def _parse_prediction_line(
     known = strings.get(user_id)
     if known is None:
         if not user_id.isascii():
-            _check_utf8(user_id, "'user_id'", no)
+            check_utf8(user_id, "'user_id'", no)
         known = strings[user_id] = user_id
     user_id = known
     if not image_id.isascii():
-        _check_utf8(image_id, "'image_id'", no)
+        check_utf8(image_id, "'image_id'", no)
     if type(preds) is not list or not preds:
         raise DataFormatError("'predictions' must be a nonempty list", line=no)
     if len(preds) > k_max:
@@ -135,7 +134,7 @@ def _parse_prediction_line(
         known = strings.get(label)
         if known is None:
             if not label.isascii():
-                _check_utf8(label, "'label'", no)
+                check_utf8(label, "'label'", no)
             known = strings[label] = label
         if type(prob) is float:
             if not 0.0 <= prob <= 1.0:
@@ -227,7 +226,7 @@ def _csv_rows(
         for row in reader:
             for cell in row:
                 if not cell.isascii():
-                    _check_utf8(cell, "cell", reader.line_num, path)
+                    check_utf8(cell, "cell", reader.line_num, path)
             yield reader.line_num, row
     except csv.Error as exc:
         raise DataFormatError(f"malformed CSV: {exc}", line=reader.line_num, path=path) from None
@@ -322,7 +321,9 @@ def run_external_classifier(
 
     ``manifest`` rows are (user_id, image_id, image_path). The command template
     must contain ``{input}`` (manifest CSV path) and ``{output}`` (path where
-    the command writes prediction lines) and is invoked exactly once.
+    the command writes prediction lines) and is invoked exactly once. Parse
+    errors in its output name ``classifier output:<line>``, and the tail of its
+    stderr is quoted with control characters escaped.
     """
     if "{input}" not in command_template or "{output}" not in command_template:
         raise ConfigError("classifier command template needs {input} and {output} placeholders")
@@ -341,14 +342,16 @@ def run_external_classifier(
             tok.replace("{input}", str(in_path)).replace("{output}", str(out_path))
             for tok in shlex.split(command_template)
         ]
-        proc = subprocess.run(argv, capture_output=True, text=True)
+        proc = subprocess.run(argv, capture_output=True, text=True, errors="backslashreplace")
         if proc.returncode != 0:
             raise ExternalClassifierError(
                 f"classifier command exited with status {proc.returncode}: "
-                f"{proc.stderr.strip()[-500:]}",
-                exit_code=proc.returncode,
+                f"{escape_control(proc.stderr.strip()[-500:])}"
             )
         if not out_path.exists():
             raise ExternalClassifierError("classifier command wrote no output file")
-        with open(out_path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            return load_predictions(fh, k_max=k)
+        with open_input(out_path, "classifier output") as fh:
+            try:
+                return load_predictions(fh, k_max=k)
+            except DataFormatError as exc:
+                raise DataFormatError(exc.detail, exc.line, "classifier output") from None

@@ -27,12 +27,11 @@ from typing import Any, Iterator, Mapping, Sequence
 
 from .correlation import CorrelationMatrix
 from .evaluation import EvalReport
-from .ingest import ProfileDataset
 from .ontometrics import SemioticReport, SizeMetrics, StructuralMetrics
 from .profiling import UserProfile
-from .scoring import ScoreBlock, TopicDistribution, score_block
+from .scoring import ScoreBlock, TopicDistribution
 from .svgchart import heatmap, line_chart
-from .taxonomy import TOPICS, Taxonomy
+from .taxonomy import TOPICS
 
 
 def fmt_float(x: float) -> str:
@@ -241,12 +240,6 @@ def write_score_rows(tables: ScoreTables, block: ScoreBlock) -> None:
             occ_row[pos + 2] = occ_cells[count]
         tables.prob.writerow(prob_row)
         tables.occ.writerow(occ_row)
-
-
-def write_scores(outdir: Path, dataset: ProfileDataset, tax: Taxonomy, k: int) -> None:
-    with open_score_tables(outdir, k) as tables:
-        for user in dataset.users():
-            write_score_rows(tables, score_block(dataset.records[user], tax, k))
 
 
 def _matrix_csv(col_labels: Sequence[str], row_labels: Sequence[str],

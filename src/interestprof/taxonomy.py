@@ -1,6 +1,7 @@
 """Interest taxonomy: rooted concept hierarchy, instance vocabulary, topic queries.
 
-File format (UTF-8 text, one statement per line, ``#`` starts a comment):
+File format (UTF-8 text, one statement per line, ``#`` starts a comment; a
+leading BOM is ignored):
 
     root <name>                                   exactly once
     concept <name> parent <name> [topic]
@@ -10,7 +11,8 @@ File format (UTF-8 text, one statement per line, ``#`` starts a comment):
 
 Concept names are case-sensitive tokens without whitespace. Instance terms
 are matched case-insensitively, with underscores and spaces treated as equal,
-because classifier vocabularies are inconsistent about both.
+because classifier vocabularies are inconsistent about both. Names quoted in
+messages have their control characters escaped.
 """
 
 from __future__ import annotations
@@ -20,7 +22,14 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import CycleError, TaxonomyError, UnknownTopicError
+from .errors import (
+    CycleError,
+    TaxonomyError,
+    UnknownTopicError,
+    check_utf8,
+    escape_control,
+    open_input,
+)
 
 #: Canonical topic order. This is the vectorization contract: every score
 #: vector in the pipeline is indexed by position in this tuple.
@@ -89,7 +98,7 @@ def topic_index(topic: str) -> int:
     try:
         return _TOPIC_POS[topic]
     except KeyError:
-        raise UnknownTopicError(f"unknown topic '{topic}'") from None
+        raise UnknownTopicError(f"unknown topic '{escape_control(topic)}'") from None
 
 
 def topic_at(index: int) -> str:
@@ -173,8 +182,8 @@ class LabelIndex:
                 continue
             if topic not in _TOPIC_POS:
                 raise UnknownTopicError(
-                    f"topic concept '{topic}' (nearest topic of instance '{term}') "
-                    f"is not one of the {N_TOPICS} canonical topics"
+                    f"topic concept '{escape_control(topic)}' (nearest topic of instance "
+                    f"'{escape_control(term)}') is not one of the {N_TOPICS} canonical topics"
                 )
             by_term[term] = _TOPIC_POS[topic]
         self._by_term = by_term
@@ -216,8 +225,9 @@ def parse_taxonomy(source: str | Iterable[str]) -> Taxonomy:
     """Parse and validate a taxonomy from a string or an iterable of lines.
 
     Raises TaxonomyError (with line/column) on syntax problems, duplicate
-    concepts or instances, unknown references and a missing root, and
-    CycleError when the is-a graph is cyclic.
+    concepts or instances, unknown references and a missing root,
+    CycleError when the is-a graph is cyclic, and DataFormatError (with the
+    line) on text that is not valid UTF-8.
     """
     lines = source.splitlines() if isinstance(source, str) else [str(l) for l in source]
 
@@ -231,6 +241,8 @@ def parse_taxonomy(source: str | Iterable[str]) -> Taxonomy:
     ref_checks: list[tuple[str, str, int]] = []  # (what, concept name, line)
 
     for no, raw in enumerate(lines, start=1):
+        if not raw.isascii():
+            check_utf8(raw, "line", no)
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue
@@ -240,7 +252,8 @@ def parse_taxonomy(source: str | Iterable[str]) -> Taxonomy:
             if len(tok) != 2:
                 raise _syntax("root statement takes exactly one name", no, raw, kw)
             if root is not None:
-                raise _syntax(f"duplicate root statement (root is '{root}')", no, raw, tok[1])
+                raise _syntax(f"duplicate root statement (root is '{escape_control(root)}')",
+                              no, raw, tok[1])
             root = tok[1]
         elif kw == "concept":
             if len(tok) not in (4, 5) or tok[2] != "parent" or (len(tok) == 5 and tok[4] != "topic"):
@@ -248,7 +261,8 @@ def parse_taxonomy(source: str | Iterable[str]) -> Taxonomy:
             name, parent_name = tok[1], tok[3]
             if name in decl:
                 raise _syntax(
-                    f"duplicate concept '{name}' (first declared on line {decl[name][2]})",
+                    f"duplicate concept '{escape_control(name)}' "
+                    f"(first declared on line {decl[name][2]})",
                     no, raw, name,
                 )
             decl[name] = (parent_name, len(tok) == 5, no)
@@ -258,46 +272,50 @@ def parse_taxonomy(source: str | Iterable[str]) -> Taxonomy:
                 raise _syntax("expected: instance <term> concept <name>", no, raw, kw)
             term = normalize_term(tok[1])
             if not term:
-                raise _syntax(f"instance term '{tok[1]}' is empty after normalization", no, raw, tok[1])
+                raise _syntax(f"instance term '{escape_control(tok[1])}' is empty after "
+                              "normalization", no, raw, tok[1])
             if term in instances:
                 raise _syntax(
-                    f"duplicate instance '{term}' (first declared on line {inst_lines[term]})",
+                    f"duplicate instance '{escape_control(term)}' "
+                    f"(first declared on line {inst_lines[term]})",
                     no, raw, tok[1],
                 )
             instances[term] = tok[3]
             inst_lines[term] = no
-            ref_checks.append((f"instance '{term}'", tok[3], no))
+            ref_checks.append((f"instance '{escape_control(term)}'", tok[3], no))
         elif kw == "relation":
             if len(tok) != 4:
                 raise _syntax("expected: relation <name> <conceptA> <conceptB>", no, raw, kw)
             relations.append((tok[1], tok[2], tok[3]))
-            ref_checks.append((f"relation '{tok[1]}'", tok[2], no))
-            ref_checks.append((f"relation '{tok[1]}'", tok[3], no))
+            what = f"relation '{escape_control(tok[1])}'"
+            ref_checks.append((what, tok[2], no))
+            ref_checks.append((what, tok[3], no))
         elif kw == "attribute":
             if len(tok) != 4:
                 raise _syntax("expected: attribute <concept> <attr-name> <value-type>", no, raw, kw)
             attributes.setdefault(tok[1], []).append((tok[2], tok[3]))
             ref_checks.append(("attribute", tok[1], no))
         else:
-            raise _syntax(f"unknown statement '{kw}'", no, raw, kw)
+            raise _syntax(f"unknown statement '{escape_control(kw)}'", no, raw, kw)
 
     if root is None:
         raise TaxonomyError("missing root statement")
     if root in decl:
         raise TaxonomyError(
-            f"root '{root}' also declared as a concept", line=decl[root][2]
+            f"root '{escape_control(root)}' also declared as a concept", line=decl[root][2]
         )
 
     known = set(decl) | {root}
     for name, (parent_name, _, no) in decl.items():
         if parent_name not in known:
             raise TaxonomyError(
-                f"concept '{name}' references unknown parent '{parent_name}'", line=no
+                f"concept '{escape_control(name)}' references unknown parent "
+                f"'{escape_control(parent_name)}'", line=no
             )
     for what, concept_name, no in ref_checks:
         if concept_name not in known:
             raise TaxonomyError(
-                f"{what} references unknown concept '{concept_name}'", line=no
+                f"{what} references unknown concept '{escape_control(concept_name)}'", line=no
             )
 
     parent: dict[str, str | None] = {root: None}
@@ -306,7 +324,7 @@ def parse_taxonomy(source: str | Iterable[str]) -> Taxonomy:
 
     cycle = find_cycle(parent)
     if cycle is not None:
-        raise CycleError("is-a cycle: " + " -> ".join(cycle))
+        raise CycleError("is-a cycle: " + escape_control(" -> ".join(cycle)))
 
     topics = frozenset(name for name, (_, is_topic, _) in decl.items() if is_topic)
 
@@ -318,7 +336,7 @@ def parse_taxonomy(source: str | Iterable[str]) -> Taxonomy:
                 covered.add(node)
             node = parent[node]
     warnings = tuple(
-        f"topic '{name}' is not on the ancestry path of any instance"
+        f"topic '{escape_control(name)}' is not on the ancestry path of any instance"
         for name in order
         if name in topics and name not in covered
     )
@@ -335,8 +353,8 @@ def parse_taxonomy(source: str | Iterable[str]) -> Taxonomy:
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:
-    """Parse a taxonomy file from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Parse a taxonomy file from disk; a missing file is a ConfigError."""
+    with open_input(path, "taxonomy") as fh:
         return parse_taxonomy(fh.read())
 
 

@@ -195,12 +195,16 @@ def test_config_file_env_and_flag_precedence(tmp_path, monkeypatch):
     assert len((out3 / "predictions.jsonl").read_text().splitlines()) == 24 * 4
 
 
-def test_bad_config_values_exit_2(tmp_path):
+def test_bad_config_values_exit_2(tmp_path, capsys):
     config = tmp_path / "bad.conf"
     config.write_text("topk = zero\n")
     assert run("validate-ontology", "--config", config, "--taxonomy", STARTER_PATH) == 2
     config.write_text("mystery = 1\n")
     assert run("validate-ontology", "--config", config, "--taxonomy", STARTER_PATH) == 2
+    config.write_bytes(b"seed = 1\ntau = 0.2  # caf\xff\n")
+    capsys.readouterr()
+    assert run("validate-ontology", "--config", config, "--taxonomy", STARTER_PATH) == 2
+    assert capsys.readouterr().err == f"error: {config}:2: line is not valid UTF-8 text\n"
     assert run("profile", "--taxonomy", STARTER_PATH, "--predictions", WORKED_EXAMPLE_PATH,
                "--out", tmp_path / "m", "--sweep", "5,5") == 2
 
@@ -313,9 +317,11 @@ def test_validate_ontology_leaves_numpy_unimported(tmp_path, small_fixture):
 
 
 FORGED = "a\nFAKE: line 9: \u001b[31mred"
+RED, PLAIN = "\x1b[31m", "\x1b[0m"
 
 
-@pytest.mark.parametrize("case", ["bad-prob", "skip-bad", "duplicate", "labels", "unmappable"])
+@pytest.mark.parametrize("case", ["bad-prob", "skip-bad", "duplicate", "labels", "unmappable",
+                                  "concept", "instance", "config", "classifier"])
 def test_quoted_input_text_cannot_forge_stderr_lines(tmp_path, capsys, case):
     def line(user, image, label, prob):
         return json.dumps({"user_id": user, "image_id": image,
@@ -323,8 +329,10 @@ def test_quoted_input_text_cannot_forge_stderr_lines(tmp_path, capsys, case):
 
     predictions = tmp_path / "p.jsonl"
     labels = tmp_path / "labels.csv"
+    taxonomy = tmp_path / "t.taxonomy"
     args = ["score", "--taxonomy", STARTER_PATH, "--predictions", predictions,
             "--out", tmp_path / "out"]
+    shown = repr(FORGED)[1:-1]
     good = line("u1", "i1", "espresso", 0.5)
     if case == "bad-prob":
         predictions.write_text(good + line("u2", "i2", FORGED, 2))
@@ -337,15 +345,41 @@ def test_quoted_input_text_cannot_forge_stderr_lines(tmp_path, capsys, case):
         predictions.write_text(good)
         labels.write_text(f'user_id,topic\n"{FORGED}",Drink\n')
         args += ["--labels", labels]
-    else:
+    elif case == "unmappable":
         predictions.write_text(good + line(FORGED, "i1", "no such label", 0.5))
         args[0] = "profile"
+    elif case == "concept":
+        taxonomy.write_text(f"root R\nconcept A{RED} parent Q\n")
+        args = ["validate-ontology", "--taxonomy", taxonomy]
+        shown = "error: line 2: concept 'A\\x1b[31m' references unknown parent 'Q'\n"
+    elif case == "instance":
+        taxonomy.write_text(
+            f"root R\nconcept C parent R topic\ninstance caf{RED}e concept Foo{PLAIN}\n"
+        )
+        args = ["validate-ontology", "--taxonomy", taxonomy]
+        shown = "error: line 3: instance 'caf\\x1b[31me' references unknown concept 'Foo\\x1b[0m'\n"
+    elif case == "config":
+        config = tmp_path / "run.conf"
+        config.write_text(f"topk = 5{RED}\n")
+        args = ["validate-ontology", "--taxonomy", STARTER_PATH, "--config", config]
+        shown = "error: topk: expected an integer, got '5\\x1b[31m'\n"
+    else:
+        stub = ("import sys\nsys.stderr.buffer.write(b'boom \\xff\\x1b[31mRED\\nFAKE: line 9')\n"
+                "sys.exit(3)\n")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(MANIFEST)
+        args = ["score", "--taxonomy", STARTER_PATH, "--classifier-cmd", _stub(tmp_path, stub),
+                "--manifest", manifest, "--out", tmp_path / "out"]
+        shown = ("error: classifier command exited with status 3: "
+                 "boom \\xff\\x1b[31mRED\\nFAKE: line 9\n")
     rc = run(*args)
     err = capsys.readouterr().err
-    assert rc == (1 if case in ("bad-prob", "duplicate") else 0)
+    expected_rc = {"bad-prob": 1, "duplicate": 1, "concept": 1, "instance": 1, "config": 2,
+                   "classifier": 2}
+    assert rc == expected_rc.get(case, 0)
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "\x1b" not in err
-    assert repr(FORGED)[1:-1] in err
+    assert shown in err
 
 
 def _artifacts(out):
@@ -365,15 +399,18 @@ def small_fixture(tmp_path):
     return fix / "predictions.jsonl", fix / "labels.csv"
 
 
-def _pipeline(out, predictions, labels):
-    assert run("pipeline", "--taxonomy", STARTER_PATH, "--predictions", predictions,
-               "--labels", labels, "--out", out, "--sweep", "1,3") == 0
+def _pipeline(out, predictions, labels, taxonomy, config):
+    assert run("pipeline", "--taxonomy", taxonomy, "--predictions", predictions,
+               "--labels", labels, "--config", config, "--out", out, "--sweep", "1,3") == 0
     return _artifacts(out)
 
 
-@pytest.mark.parametrize("bom_file", ["predictions", "labels"])
+@pytest.mark.parametrize("bom_file", ["predictions", "labels", "taxonomy", "config"])
 def test_bom_prefixed_input_gives_same_artifacts(tmp_path, small_fixture, bom_file):
-    inputs = dict(zip(("predictions", "labels"), small_fixture))
+    config = tmp_path / "run.conf"
+    config.write_text("tau = 0.3\n")
+    inputs = dict(zip(("predictions", "labels"), small_fixture),
+                  taxonomy=STARTER_PATH, config=config)
     plain = _pipeline(tmp_path / "plain", **inputs)
     inputs[bom_file] = _with_bom(inputs[bom_file], tmp_path / f"bom-{bom_file}")
     assert _pipeline(tmp_path / "bom", **inputs) == plain
@@ -383,16 +420,19 @@ MANIFEST = 'user_id,image_id,image_path\nu1,i1,"/img/a,b.jpg"\nu1,i2,/img/c.jpg\
 
 
 def test_bom_prefixed_manifest_gives_same_artifacts(tmp_path):
-    template = _stub(tmp_path, STUB_OK)
+    stub_bom = STUB_OK.replace('open(sys.argv[2], "w")',
+                               'open(sys.argv[2], "w", encoding="utf-8-sig")')
     outputs = []
-    for name, prefix in (("plain", ""), ("bom", BOM)):
+    for name, prefix, stub in (("plain", "", STUB_OK), ("bom", BOM, STUB_OK),
+                               ("bom-output", "", stub_bom)):
         manifest = tmp_path / f"{name}.csv"
         manifest.write_text(prefix + MANIFEST, encoding="utf-8")
         out = tmp_path / name
-        assert run("score", "--taxonomy", STARTER_PATH, "--classifier-cmd", template,
+        assert run("score", "--taxonomy", STARTER_PATH,
+                   "--classifier-cmd", _stub(tmp_path, stub, f"{name}.py"),
                    "--manifest", manifest, "--out", out) == 0
         outputs.append(_artifacts(out))
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
     rows = outputs[0]["image_scores_prob.csv"].decode().splitlines()[1:]
     assert [row.split(",")[:2] for row in rows] == [["u1", "i1"], ["u1", "i2"], ["u2", "i1"]]
 
@@ -446,11 +486,16 @@ def test_gc_is_off_during_a_command_and_on_after_main(tmp_path, monkeypatch):
 GOOD_LINE = '{"user_id": "u1", "image_id": "i1", "predictions": [{"label": "cup", "prob": 0.5}]}'
 
 
-def _pipeline_rejects(tmp_path, capsys, predictions: bytes, labels: bytes | None = None):
+def _pipeline_rejects(tmp_path, capsys, predictions: bytes, labels: bytes | None = None,
+                      taxonomy: bytes | None = None):
     """Run pipeline on raw input bytes; expect exit 1 and nothing written."""
     pred_path = tmp_path / "predictions.jsonl"
     pred_path.write_bytes(predictions)
-    args = ["pipeline", "--taxonomy", STARTER_PATH, "--predictions", pred_path,
+    tax_path = STARTER_PATH
+    if taxonomy is not None:
+        tax_path = tmp_path / "t.taxonomy"
+        tax_path.write_bytes(taxonomy)
+    args = ["pipeline", "--taxonomy", tax_path, "--predictions", pred_path,
             "--out", tmp_path / "out"]
     if labels is not None:
         (tmp_path / "labels.csv").write_bytes(labels)
@@ -479,14 +524,67 @@ def test_lone_surrogate_user_id_exits_1_before_any_output(tmp_path, capsys):
     assert "error: line 2: 'user_id' is not valid UTF-8 text" in err
 
 
-@pytest.mark.parametrize("bad_file", ["predictions", "labels"])
+@pytest.mark.parametrize("bad_file", ["predictions", "labels", "taxonomy"])
 def test_non_utf8_byte_exits_1_naming_the_line(tmp_path, capsys, bad_file):
     predictions = f"{GOOD_LINE}\n".encode()
     labels = b"user_id,topic\nu1,Drink\n"
+    taxonomy = None
     if bad_file == "predictions":
         predictions += GOOD_LINE.replace("i1", "i\xff").encode("latin-1") + b"\n"
-    else:
+    elif bad_file == "labels":
         labels += b"u\xff2,Food\n"
-    err = _pipeline_rejects(tmp_path, capsys, predictions, labels)
-    assert f"error: line {2 if bad_file == 'predictions' else 3}: " in err
+    else:
+        taxonomy = b"root R\n# caf\xff\n" + STARTER_PATH.read_bytes()
+    err = _pipeline_rejects(tmp_path, capsys, predictions, labels, taxonomy)
+    assert f"error: line {dict(predictions=2, labels=3, taxonomy=2)[bad_file]}: " in err
     assert "is not valid UTF-8 text" in err
+
+
+GHOST = json.dumps({"user_id": "ghost", "image_id": "g1",
+                    "predictions": [{"label": "zzz_unknown", "prob": 0.9}]}) + "\n"
+SKIP_GHOST = "warning: skipping user 'ghost': no prediction label maps to any topic\n"
+
+
+@pytest.mark.parametrize("mechanism", ["occ", "prob"])
+def test_each_subcommand_writes_the_pipeline_bytes(tmp_path, small_fixture, mechanism):
+    fixture_predictions, labels = small_fixture
+    predictions = tmp_path / "p.jsonl"
+    predictions.write_text(fixture_predictions.read_text() + GHOST)
+    common = ["--taxonomy", STARTER_PATH, "--mechanism", mechanism]
+    data = [*common, "--predictions", predictions, "--labels", labels, "--sweep", "1,2,7"]
+    assert run("pipeline", *data, "--out", tmp_path / "pipeline") == 0
+    pipeline = _artifacts(tmp_path / "pipeline")
+    written = {}
+    for command in ("metrics", "score", "profile", "correlate", "evaluate"):
+        out = tmp_path / command
+        assert run(command, *(common if command == "metrics" else data), "--out", out) == 0
+        artifacts = _artifacts(out)
+        assert artifacts == {name: pipeline[name] for name in artifacts}, command
+        written.update(artifacts)
+    assert written == pipeline
+
+
+@pytest.mark.parametrize("command, records, label_rows, rc, err, files", [
+    ("correlate", "worked", None, 1, "error: pearson_matrix needs at least 2 profiles\n", {}),
+    ("evaluate", "worked+ghost", "ghost,Drink\n", 1,
+     SKIP_GHOST + "error: no labeled users present in the profiles\n", {}),
+    ("score", "ghost", None, 0, "", None),
+    ("profile", "ghost", None, 0, SKIP_GHOST,
+     {"profiles.json": b"[]\n", "profiles_sweep.json": b"{}\n"}),
+    ("pipeline", "worked", None, 0, "note: fewer than 2 profiles, correlation step skipped\n"
+     "note: no labeled users, evaluation step skipped\n", None),
+])
+def test_single_step_fails_where_pipeline_skips(tmp_path, capsys, command, records, label_rows,
+                                               rc, err, files):
+    text = {"worked": WORKED_EXAMPLE_PATH.read_text(), "ghost": GHOST}
+    predictions = tmp_path / "p.jsonl"
+    predictions.write_text("".join(text[part] for part in records.split("+")))
+    args = [command, "--taxonomy", STARTER_PATH, "--predictions", predictions,
+            "--out", tmp_path / "out"]
+    if label_rows is not None:
+        (tmp_path / "labels.csv").write_text("user_id,topic\n" + label_rows)
+        args += ["--labels", tmp_path / "labels.csv"]
+    assert run(*args) == rc
+    assert capsys.readouterr().err == err
+    if files is not None:
+        assert _artifacts(tmp_path / "out") == files

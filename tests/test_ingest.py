@@ -257,8 +257,17 @@ def test_external_classifier_failure_carries_exit_code(tmp_path):
     template = _stub(tmp_path, STUB_FAIL)
     with pytest.raises(ExternalClassifierError) as err:
         run_external_classifier([("u", "i", "p")], template, k=5)
-    assert err.value.exit_code == 3
-    assert "boom" in str(err.value)
+    assert str(err.value) == "classifier command exited with status 3: boom"
+
+
+def test_external_classifier_output_errors_name_the_output(tmp_path):
+    # The second output line has an empty image id.
+    template = _stub(tmp_path, STUB_OK.replace(
+        '"image_id": r["image_id"],', '"image_id": r["image_id"] if r["user_id"] == "u1" else "",'))
+    manifest = [("u1", "i1", "/tmp/a.jpg"), ("u2", "i1", "/tmp/b.jpg")]
+    with pytest.raises(DataFormatError) as err:
+        run_external_classifier(manifest, template, k=5)
+    assert str(err.value) == "classifier output:2: missing or empty 'image_id'"
 
 
 def test_external_classifier_empty_manifest_not_invoked():
