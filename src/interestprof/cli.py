@@ -6,15 +6,15 @@ fixture, pipeline. Exit status is 0 on success, 1 on validation failure and
 every subcommand writes byte-identical artifacts.
 
 The data subcommands run one chain, ``_run_chain``: load the taxonomy, load
-the dataset, prepare ``--out``, make one pass over the users, then write. Each
-subcommand is a row of ``_CHAINS``, the steps it runs in chain order
-(metrics, scores, profiles, correlation, evaluation) and its summary line, so
-``score`` writes the same bytes as the score tables of ``pipeline``. The pass
-scores each user's records once into a ScoreBlock; the score CSV rows, the
-full profile and every sweep point come from that block. A subcommand named
-for one step fails (exit 1) when that step has no input, such as fewer than 2
-profiles to correlate or no labeled profile to evaluate; ``pipeline`` skips
-the step with a note instead.
+the dataset, check ``--out``, make one pass over the users, then write; the
+directory is made just before its first file. Each subcommand is a row of
+``_CHAINS``, the steps it runs in chain order (metrics, scores, profiles,
+correlation, evaluation) and its summary line, so ``score`` writes the same
+bytes as the score tables of ``pipeline``. The pass scores each user's records
+once into a ScoreBlock; the score CSV rows, the full profile and every sweep
+point come from that block. A subcommand named for one step fails (exit 1)
+when that step has no input, such as fewer than 2 profiles to correlate or no
+labeled profile to evaluate; ``pipeline`` skips the step with a note instead.
 
 Every input file is opened through ``errors.open_input``. The package uses
 only the standard library.
@@ -104,9 +104,18 @@ def _load_dataset(cfg: RunConfig) -> ProfileDataset:
 
 
 def _prepare_outdir(cfg: RunConfig) -> Path:
+    """The --out path, refused when it holds files and --force is not given.
+
+    The directory is not made here: ``_made`` makes it just before the first
+    file is written, so a step that fails first leaves no --out behind.
+    """
     out = Path(_require(cfg.out, "--out"))
     if out.exists() and any(out.iterdir()) and not cfg.force:
         raise ConfigError(f"output directory {out} is not empty (use --force to overwrite)")
+    return out
+
+
+def _made(out: Path) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -126,7 +135,7 @@ def cmd_fixture(cfg: RunConfig) -> int:
     dataset = generate_fixture(
         cfg.users_per_topic, cfg.images, cfg.purity, cfg.seed, tax, cfg.topk
     )
-    write_text(out / "predictions.jsonl", serialize_predictions(dataset))
+    write_text(_made(out) / "predictions.jsonl", serialize_predictions(dataset))
     write_text(out / "labels.csv", serialize_labels(dataset.labels))
     print(f"wrote fixture ({len(dataset.users())} users) into {out}")
     return 0
@@ -166,7 +175,7 @@ def _run_chain(cfg: RunConfig, command: str) -> int:
 
     if "metrics" in steps:
         write_metrics(
-            out,
+            _made(out),
             size_metrics(tax),
             structural_metrics(tax),
             semiotic_report(tax, accuracy_attested=cfg.attest_accuracy),
@@ -178,7 +187,7 @@ def _run_chain(cfg: RunConfig, command: str) -> int:
     profiling = not {"profiles", "correlation", "evaluation"}.isdisjoint(steps)
     profiles = []
     sweep_map = {n: [] for n in cfg.sweep}
-    tables = open_score_tables(out, cfg.topk) if "scores" in steps else nullcontext()
+    tables = open_score_tables(_made(out), cfg.topk) if "scores" in steps else nullcontext()
     with tables as score_tables:
         for user in dataset.users():
             block = score_block(dataset.records[user], tax, cfg.topk)
@@ -199,18 +208,18 @@ def _run_chain(cfg: RunConfig, command: str) -> int:
              "profiled": len(profiles)}
 
     if "profiles" in steps:
-        write_profiles(out, profiles, sweep_map if profiles else {})
+        write_profiles(_made(out), profiles, sweep_map if profiles else {})
     if "correlation" in steps:
         if single or len(profiles) >= 2:
             corr = pearson_matrix(profiles, cfg.mechanism)
             co = co_interest_matrix(profiles, cfg.tau, cfg.mechanism)
-            write_correlation(out, corr, co)
+            write_correlation(_made(out), corr, co)
         else:
             _note("note: fewer than 2 profiles, correlation step skipped")
     if "evaluation" in steps:
         if single or any(p.user_id in dataset.labels for p in profiles):
             report = evaluate(sweep_map, dataset.labels, cfg.mechanism)
-            write_evaluation(out, report)
+            write_evaluation(_made(out), report)
             facts["labeled"] = report.n_labeled
         else:
             _note("note: no labeled users, evaluation step skipped")
@@ -246,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     data.add_argument("--classifier-cmd", dest="classifier_cmd",
                       help="external classifier command template with {input} and {output}")
     data.add_argument("--manifest", help="user_id,image_id,image_path CSV for --classifier-cmd")
-    data.add_argument("--sweep", type=parse_sweep,
+    data.add_argument("--sweep",
                       help="comma-separated image-count sweep (default 5,10,50,75,100)")
     data.add_argument("--tau", type=float, help="co-interest threshold in (0,1] (default 0.1)")
 
@@ -291,6 +300,8 @@ def main(argv: list[str] | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
+        if "sweep" in values:  # parsed here, where a bad list is a one-line error
+            values["sweep"] = parse_sweep(values["sweep"], "--sweep")
         file_values = parse_config_file(config_path) if config_path else {}
         cfg = build_config(file_values, env_overrides(), values)
         if command in _COMMANDS:

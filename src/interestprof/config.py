@@ -67,39 +67,36 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
 
 
-def _parse_bool(key: str, raw: str) -> bool:
-    try:
-        return _BOOL_WORDS[raw.strip().casefold()]
-    except KeyError:
-        raise ConfigError(f"{key}: expected a boolean, got '{escape_control(raw)}'") from None
-
-
-def parse_sweep(raw: str) -> tuple[int, ...]:
+def parse_sweep(raw: str, source: str = "sweep") -> tuple[int, ...]:
+    """Comma-separated integers; a bad list is reported under ``source``."""
     try:
         return tuple(int(part) for part in raw.split(",") if part.strip())
     except ValueError:
         raise ConfigError(
-            f"sweep: expected comma-separated integers, got '{escape_control(raw)}'"
+            f"{source}: expected comma-separated integers, got '{escape_control(raw)}'"
         ) from None
 
 
-def _coerce(key: str, raw: str):
+_EXPECTED = {"bool": "a boolean", "int": "an integer", "float": "a number"}
+
+
+def _coerce(key: str, raw: str, source: str):
+    """Typed value of a setting; a bad value is reported under its source."""
     kind = {f.name: f.type for f in fields(RunConfig)}[key]
     raw = raw.strip()
     if key == "sweep":
-        return parse_sweep(raw)
-    if kind == "bool":
-        return _parse_bool(key, raw)
-    if kind == "int":
-        try:
+        return parse_sweep(raw, source)
+    try:
+        if kind == "bool":
+            return _BOOL_WORDS[raw.casefold()]
+        if kind == "int":
             return int(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got '{escape_control(raw)}'") from None
-    if kind == "float":
-        try:
+        if kind == "float":
             return float(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected a number, got '{escape_control(raw)}'") from None
+    except (KeyError, ValueError):
+        raise ConfigError(
+            f"{source}: expected {_EXPECTED[kind]}, got '{escape_control(raw)}'"
+        ) from None
     return raw
 
 
@@ -125,7 +122,7 @@ def parse_config_file(path: str | Path) -> dict:
         key = key.strip()
         if key not in _KEYS:
             raise ConfigError(f"{path}:{no}: unknown config key '{escape_control(key)}'")
-        values[key] = _coerce(key, raw_value)
+        values[key] = _coerce(key, raw_value, f"{path}:{no}: {key}")
     return values
 
 
@@ -133,9 +130,9 @@ def env_overrides(environ: Mapping[str, str] | None = None) -> dict:
     environ = os.environ if environ is None else environ
     values = {}
     for key in sorted(_KEYS):
-        raw = environ.get(ENV_PREFIX + key.upper())
-        if raw is not None:
-            values[key] = _coerce(key, raw)
+        name = ENV_PREFIX + key.upper()
+        if name in environ:
+            values[key] = _coerce(key, environ[name], name)
     return values
 
 

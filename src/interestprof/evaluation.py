@@ -2,12 +2,16 @@
 
 All measures compare the predicted topic (argmax of a user vector) against the
 user's self-assessed topic. The accuracy sweep runs over prefix sizes of each
-user's image list; confusion, precision/recall, CMC and ROC are computed at
-the largest sweep point.
+user's image list, one tally per sweep point giving overall and per-topic
+accuracy; confusion, precision/recall, CMC and ROC are computed at the largest
+sweep point. Confusion and precision/recall count only the labeled users with
+a prediction there. CMC and ROC run over the same users, or over every labeled
+user at that point when none has a prediction.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
@@ -110,43 +114,27 @@ def evaluate(
     if not profiles_by_k:
         raise EmptyInputError("no sweep profiles to evaluate")
     ks = sorted(profiles_by_k)
-    k_max = ks[-1]
-
-    labeled_by_k: dict[int, list[UserProfile]] = {
-        k: [p for p in profiles_by_k[k] if p.user_id in labels] for k in ks
-    }
-    if not labeled_by_k[k_max]:
-        raise EmptyInputError("no labeled users present in the profiles")
 
     per_topic: dict[str, dict[int, float | None]] = {t: {} for t in TOPICS}
     overall_by_mech: dict[str, dict[int, float]] = {m: {} for m in MECHANISMS}
     for k in ks:
-        rows = labeled_by_k[k]
-        for mech in MECHANISMS:
-            hits = sum(
-                1 for p in rows if _predicted_or_none(p.vector(mech)) == labels[p.user_id]
-            )
+        rows = [(p, labels[p.user_id]) for p in profiles_by_k[k] if p.user_id in labels]
+        guesses = {m: [_predicted_or_none(p.vector(m)) for p, _ in rows] for m in MECHANISMS}
+        for mech, guessed in guesses.items():
+            hits = sum(g == label for g, (_, label) in zip(guessed, rows))
             overall_by_mech[mech][k] = hits / len(rows) if rows else 0.0
+        labeled = Counter(label for _, label in rows)
+        correct = Counter(label for g, (_, label) in zip(guesses[mechanism], rows) if g == label)
         for topic in TOPICS:
-            topic_rows = [p for p in rows if labels[p.user_id] == topic]
-            if not topic_rows:
-                per_topic[topic][k] = None
-                continue
-            hits = sum(
-                1
-                for p in topic_rows
-                if _predicted_or_none(p.vector(mechanism)) == topic
-            )
-            per_topic[topic][k] = hits / len(topic_rows)
+            per_topic[topic][k] = correct[topic] / labeled[topic] if labeled[topic] else None
+    # The loop ends on the largest sweep point; everything below uses its rows.
+    if not rows:
+        raise EmptyInputError("no labeled users present in the profiles")
 
     confusion = [[0] * N_TOPICS for _ in range(N_TOPICS)]
-    final_rows = []
-    for p in labeled_by_k[k_max]:
-        predicted = _predicted_or_none(p.vector(mechanism))
-        if predicted is None:
-            continue  # no mapped mass under this mechanism; not tallied
-        final_rows.append(p)
-        confusion[TOPICS.index(labels[p.user_id])][TOPICS.index(predicted)] += 1
+    predicted = [(p, g) for (p, _), g in zip(rows, guesses[mechanism]) if g is not None]
+    for p, g in predicted:
+        confusion[TOPICS.index(labels[p.user_id])][TOPICS.index(g)] += 1
 
     precision: dict[str, float] = {}
     recall: dict[str, float] = {}
@@ -167,21 +155,19 @@ def evaluate(
         else:
             recall[topic] = tp / row
 
-    cmc = cmc_curve(final_rows, labels, mechanism) if final_rows else cmc_curve(
-        labeled_by_k[k_max], labels, mechanism
-    )
-
-    roc: dict[str, tuple[tuple[float, float, float], ...]] = {}
-    rows = final_rows if final_rows else list(labeled_by_k[k_max])
-    for i, topic in enumerate(TOPICS):
-        scores = [p.vector(mechanism).scores[i] for p in rows]
-        positives = [labels[p.user_id] == topic for p in rows]
-        roc[topic] = roc_series(scores, positives)
+    population = [p for p, _ in predicted] or [p for p, _ in rows]
+    cmc = cmc_curve(population, labels, mechanism)
+    scores = [p.vector(mechanism).scores for p in population]
+    truth = [labels[p.user_id] for p in population]
+    roc = {
+        topic: roc_series([s[i] for s in scores], [t == topic for t in truth])
+        for i, topic in enumerate(TOPICS)
+    }
 
     return EvalReport(
         mechanism=mechanism,
         sweep=tuple(ks),
-        n_labeled=len(final_rows),
+        n_labeled=len(predicted),
         per_topic_accuracy=per_topic,
         overall_accuracy=dict(overall_by_mech[mechanism]),
         overall_accuracy_by_mechanism=overall_by_mech,

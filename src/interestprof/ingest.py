@@ -13,7 +13,7 @@ ingests whatever it wrote.
 Every parse error is a DataFormatError naming the line. Text that cannot be
 written back as UTF-8 is rejected here, before any output exists: open input
 files with ``errors.open_input`` so an undecodable byte reaches the parser as
-a lone surrogate, which is then reported like a ``\ud800`` escape.
+a lone surrogate, which is then reported like a ``\\ud800`` escape.
 """
 
 from __future__ import annotations

@@ -12,7 +12,13 @@ rounds floats and lays the text out exactly as ``json.dumps(..., indent=2)``
 does. ``write_profiles`` encodes each distinct profile object once, memoized
 by identity for the call, because the sweep repeats the full profile at every
 point at or past a user's image count; the encoded text is re-indented to
-where it sits in ``profiles.json`` or ``profiles_sweep.json``.
+where it sits in ``profiles.json`` or ``profiles_sweep.json``. The metrics and
+evaluation payloads are the result objects' own values, passed as they are.
+
+Every other CSV artifact (the accuracy sweep, confusion, CMC, precision and
+recall, ROC points and the three correlation matrices) is text from one
+helper, ``_csv``. Its cells are fixed names, topics and numbers, none of which
+needs quoting; None is an empty cell.
 """
 
 from __future__ import annotations
@@ -23,13 +29,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .correlation import CorrelationMatrix
 from .evaluation import EvalReport
 from .ontometrics import SemioticReport, SizeMetrics, StructuralMetrics
 from .profiling import UserProfile
-from .scoring import ScoreBlock, TopicDistribution
+from .scoring import ScoreBlock
 from .svgchart import heatmap, line_chart
 from .taxonomy import TOPICS
 
@@ -84,8 +90,6 @@ def _encode(obj, indent: str) -> str:
         return "[\n" + inner + (",\n" + inner).join(
             [_encode(v, inner) for v in obj]
         ) + "\n" + indent + "]"
-    if hasattr(obj, "tolist"):  # numpy arrays and scalars
-        return _encode(obj.tolist(), indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -99,8 +103,7 @@ class _Encoded:
 def to_json(obj) -> str:
     """``json.dumps(obj, indent=2)`` with floats rounded to 9 significant digits.
 
-    NaN becomes null, a Fraction its string, a mapping key its str(), and
-    anything with ``tolist`` (numpy arrays and scalars) that list or value.
+    NaN becomes null, a Fraction its string and a mapping key its str().
     """
     return _encode(obj, "")
 
@@ -113,17 +116,13 @@ def write_json(path: Path, payload) -> None:
     write_text(path, to_json(payload) + "\n")
 
 
-def distribution_payload(v: TopicDistribution) -> dict[str, float]:
-    return v.as_dict()
-
-
 def profile_payload(p: UserProfile) -> dict:
     return {
         "user_id": p.user_id,
         "n_images": p.n_images,
         "mechanism": p.mechanism,
-        "v_prob": distribution_payload(p.v_prob),
-        "v_occ": distribution_payload(p.v_occ),
+        "v_prob": p.v_prob.as_dict(),
+        "v_occ": p.v_occ.as_dict(),
         "predicted_topic": p.predicted_topic,
         "ties": list(p.ties),
     }
@@ -154,32 +153,7 @@ def write_profiles(outdir: Path, profiles: Sequence[UserProfile],
 
 def write_metrics(outdir: Path, size: SizeMetrics, structural: StructuralMetrics,
                   semiotic: SemioticReport) -> None:
-    payload = {
-        "size": {
-            "size_c": size.size_c,
-            "size_i": size.size_i,
-            "size_a": size.size_a,
-            "size_r": size.size_r,
-            "size_total": size.size_total,
-        },
-        "structural": {
-            "n_rn": structural.n_rn,
-            "n_ln": structural.n_ln,
-            "max_spl": structural.max_spl,
-            "n_ic": structural.n_ic,
-            "tnrnr": structural.tnrnr,
-            "anrnr": structural.anrnr,
-        },
-        "semiotic": {
-            "lawfulness": semiotic.lawfulness,
-            "richness": semiotic.richness,
-            "interpretability": semiotic.interpretability,
-            "consistency": semiotic.consistency,
-            "clarity": semiotic.clarity,
-            "comprehensiveness": semiotic.comprehensiveness,
-            "accuracy": semiotic.accuracy,
-        },
-    }
+    payload = {"size": vars(size), "structural": vars(structural), "semiotic": vars(semiotic)}
     write_json(outdir / "ontology_metrics.json", payload)
     write_text(outdir / "ontology_metrics.txt", metrics_table(payload))
 
@@ -242,93 +216,61 @@ def write_score_rows(tables: ScoreTables, block: ScoreBlock) -> None:
         tables.occ.writerow(occ_row)
 
 
-def _matrix_csv(col_labels: Sequence[str], row_labels: Sequence[str],
-                cells: Sequence[Sequence[str]]) -> str:
-    lines = ["topic," + ",".join(col_labels) + "\n"]
-    for name, row in zip(row_labels, cells):
-        lines.append(name + "," + ",".join(row) + "\n")
-    return "".join(lines)
+def _csv(rows: Iterable[Sequence]) -> str:
+    """CSV text, one line per row: None is an empty cell, a float has 9
+    significant digits and any other value is its str()."""
+    return "".join([
+        ",".join([fmt_float(c) if isinstance(c, float) else "" if c is None else str(c)
+                  for c in row]) + "\n"
+        for row in rows
+    ])
+
+
+def _topic_matrix(cells: Sequence[Sequence]) -> list[Sequence]:
+    """Rows of a 24 x 24 topic matrix: a header, then one row per topic."""
+    return [("topic", *TOPICS), *[(topic, *row) for topic, row in zip(TOPICS, cells)]]
 
 
 def write_correlation(outdir: Path, corr: CorrelationMatrix,
                       co_interest: Sequence[Sequence[float]]) -> None:
     n = len(TOPICS)
     values = [[corr.value(i, j) for j in range(n)] for i in range(n)]
-    rho_cells = [["" if v is None else fmt_float(v) for v in row] for row in values]
-    write_text(outdir / "pearson.csv", _matrix_csv(TOPICS, TOPICS, rho_cells))
-    write_text(outdir / "pearson_bands.csv", _matrix_csv(TOPICS, TOPICS, corr.bands))
+    write_text(outdir / "pearson.csv", _csv(_topic_matrix(values)))
+    write_text(outdir / "pearson_bands.csv", _csv(_topic_matrix(corr.bands)))
     write_text(
         outdir / "pearson_heatmap.svg",
         heatmap(values, TOPICS, title="Pearson correlation between topic scores"),
     )
-    co_cells = [[fmt_float(v) for v in row] for row in co_interest]
-    write_text(outdir / "co_interest.csv", _matrix_csv(TOPICS, TOPICS, co_cells))
+    write_text(outdir / "co_interest.csv", _csv(_topic_matrix(co_interest)))
+
+
+# report.json keys, in file order; each holds the EvalReport field of that name.
+_REPORT_KEYS = ("mechanism", "sweep", "n_labeled", "overall_accuracy",
+                "overall_accuracy_by_mechanism", "per_topic_accuracy", "precision", "recall",
+                "undefined_precision", "undefined_recall", "confusion", "cmc")
 
 
 def write_evaluation(outdir: Path, report: EvalReport) -> None:
-    payload = {
-        "mechanism": report.mechanism,
-        "sweep": list(report.sweep),
-        "n_labeled": report.n_labeled,
-        "overall_accuracy": {str(k): v for k, v in report.overall_accuracy.items()},
-        "overall_accuracy_by_mechanism": {
-            m: {str(k): v for k, v in accs.items()}
-            for m, accs in report.overall_accuracy_by_mechanism.items()
-        },
-        "per_topic_accuracy": {
-            t: {str(k): v for k, v in accs.items()}
-            for t, accs in report.per_topic_accuracy.items()
-        },
-        "precision": report.precision,
-        "recall": report.recall,
-        "undefined_precision": list(report.undefined_precision),
-        "undefined_recall": list(report.undefined_recall),
-        "confusion": [list(row) for row in report.confusion],
-        "cmc": [list(point) for point in report.cmc],
-        "roc": {t: [list(p) for p in pts] for t, pts in report.roc_points.items()},
-    }
+    payload = {key: getattr(report, key) for key in _REPORT_KEYS}
+    payload["roc"] = report.roc_points
     write_json(outdir / "report.json", payload)
 
-    ks = list(report.sweep)
-    lines = ["topic," + ",".join(f"k={k}" for k in ks) + "\n"]
-    for topic in TOPICS:
-        accs = report.per_topic_accuracy[topic]
-        lines.append(
-            topic + "," + ",".join(
-                "" if accs[k] is None else fmt_float(accs[k]) for k in ks
-            ) + "\n"
-        )
-    lines.append(
-        "overall," + ",".join(fmt_float(report.overall_accuracy[k]) for k in ks) + "\n"
-    )
-    write_text(outdir / "accuracy_by_topic.csv", "".join(lines))
-
-    write_text(
-        outdir / "confusion.csv",
-        _matrix_csv(TOPICS, TOPICS, [[str(c) for c in row] for row in report.confusion]),
-    )
-
-    write_text(
-        outdir / "cmc.csv",
-        "rank,fraction\n" + "".join(f"{r},{fmt_float(f)}\n" for r, f in report.cmc),
-    )
-
-    write_text(
-        outdir / "precision_recall.csv",
-        "topic,precision,recall\n" + "".join(
-            f"{t},{fmt_float(report.precision[t])},{fmt_float(report.recall[t])}\n"
-            for t in TOPICS
-        ),
-    )
-
-    write_text(
-        outdir / "roc_points.csv",
-        "topic,threshold,fpr,tpr\n" + "".join(
-            f"{t},{fmt_float(th)},{fmt_float(fpr)},{fmt_float(tpr)}\n"
-            for t in TOPICS
-            for th, fpr, tpr in report.roc_points[t]
-        ),
-    )
+    ks = report.sweep
+    write_text(outdir / "accuracy_by_topic.csv", _csv([
+        ("topic", *[f"k={k}" for k in ks]),
+        *[(topic, *[report.per_topic_accuracy[topic][k] for k in ks]) for topic in TOPICS],
+        ("overall", *[report.overall_accuracy[k] for k in ks]),
+    ]))
+    write_text(outdir / "confusion.csv", _csv(_topic_matrix(report.confusion)))
+    write_text(outdir / "cmc.csv", _csv([("rank", "fraction"), *report.cmc]))
+    write_text(outdir / "precision_recall.csv", _csv([
+        ("topic", "precision", "recall"),
+        *[(topic, report.precision[topic], report.recall[topic]) for topic in TOPICS],
+    ]))
+    write_text(outdir / "roc_points.csv", _csv([
+        ("topic", "threshold", "fpr", "tpr"),
+        *[(topic, *point) for topic in TOPICS for point in report.roc_points[topic]],
+    ]))
 
     write_text(
         outdir / "cmc.svg",

@@ -200,6 +200,110 @@ def bf_profile(rows, topic_names, mechanism):
     )
 
 
+def bf_argmax(scores, topic_names):
+    """Lowest-index topic holding the largest score, or None when no score is positive."""
+    best = None
+    for i, s in enumerate(scores):
+        if s > 0.0 and (best is None or s > scores[best]):
+            best = i
+    return None if best is None else topic_names[best]
+
+
+def bf_roc(scores, positives):
+    """(threshold, fpr, tpr) for each distinct score, largest first, by counting
+    the users at or above it; an empty class has rate 0."""
+    n_pos = sum(1 for p in positives if p)
+    n_neg = len(positives) - n_pos
+    points = []
+    for th in sorted(set(scores), reverse=True):
+        tp = sum(1 for s, p in zip(scores, positives) if p and s >= th)
+        fp = sum(1 for s, p in zip(scores, positives) if not p and s >= th)
+        points.append((th, float(Fraction(fp, n_neg)) if n_neg else 0.0,
+                       float(Fraction(tp, n_pos)) if n_pos else 0.0))
+    return tuple(points)
+
+
+def bf_evaluate(profiles_by_k, labels, mechanism, topic_names):
+    """Every EvalReport field, by name, restated from the definitions.
+
+    At each sweep point the labeled users are the profiles whose id has a
+    label; accuracy is the share of them whose argmax (bf_argmax) is their
+    label, 0 with none, and per-topic accuracy is None for a topic nobody
+    there holds. At the largest point, the users with a prediction under the
+    mechanism fill the confusion matrix (rows: label, columns: prediction);
+    precision and recall divide its diagonal by column and row counts, 0 and
+    flagged when a count is 0. CMC and ROC run over those users, or over all
+    labeled users there when none has a prediction. A label's rank is one
+    more than the number of topics scoring strictly higher. Returns None when
+    no labeled user is present at the largest point.
+    """
+    def guess(p, m):
+        return bf_argmax(getattr(p, "v_" + m).scores, topic_names)
+
+    def share(part, whole):
+        return float(Fraction(part, whole))
+
+    ks = sorted(profiles_by_k)
+    labeled = {k: [p for p in profiles_by_k[k] if p.user_id in labels] for k in ks}
+    by_mech = {
+        m: {k: share(sum(1 for p in labeled[k] if guess(p, m) == labels[p.user_id]),
+                     len(labeled[k])) if labeled[k] else 0.0 for k in ks}
+        for m in ("prob", "occ")
+    }
+    per_topic = {}
+    for t in topic_names:
+        per_topic[t] = {}
+        for k in ks:
+            holders = [p for p in labeled[k] if labels[p.user_id] == t]
+            per_topic[t][k] = share(sum(1 for p in holders if guess(p, mechanism) == t),
+                                    len(holders)) if holders else None
+
+    final = labeled[ks[-1]]
+    if not final:
+        return None
+    predicted = [p for p in final if guess(p, mechanism) is not None]
+    confusion = tuple(
+        tuple(sum(1 for p in predicted
+                  if labels[p.user_id] == truth and guess(p, mechanism) == said)
+              for said in topic_names)
+        for truth in topic_names
+    )
+    precision, recall, undefined_p, undefined_r = {}, {}, [], []
+    for i, t in enumerate(topic_names):
+        said = sum(row[i] for row in confusion)
+        held = sum(confusion[i])
+        precision[t] = share(confusion[i][i], said) if said else 0.0
+        recall[t] = share(confusion[i][i], held) if held else 0.0
+        if not said:
+            undefined_p.append(t)
+        if not held:
+            undefined_r.append(t)
+
+    population = predicted or final
+    scores = [getattr(p, "v_" + mechanism).scores for p in population]
+    ranks = [1 + sum(1 for s in v if s > v[topic_names.index(labels[p.user_id])])
+             for p, v in zip(population, scores)]
+    cmc = tuple((r, share(sum(1 for x in ranks if x <= r), len(ranks)))
+                for r in range(1, len(topic_names) + 1))
+    roc = {t: bf_roc([v[i] for v in scores], [labels[p.user_id] == t for p in population])
+           for i, t in enumerate(topic_names)}
+    return {
+        "mechanism": mechanism,
+        "sweep": tuple(ks),
+        "n_labeled": len(predicted),
+        "per_topic_accuracy": per_topic,
+        "overall_accuracy": by_mech[mechanism],
+        "overall_accuracy_by_mechanism": by_mech,
+        "precision": precision,
+        "recall": recall,
+        "undefined_precision": tuple(undefined_p),
+        "undefined_recall": tuple(undefined_r),
+        "confusion": confusion,
+        "cmc": cmc,
+        "roc_points": roc,
+    }
+
+
 def dense_score_tables(tax, topic_names, records_by_user, k):
     """Text of image_scores_prob.csv and image_scores_occ.csv, dense.
 

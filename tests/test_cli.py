@@ -195,10 +195,12 @@ def test_config_file_env_and_flag_precedence(tmp_path, monkeypatch):
     assert len((out3 / "predictions.jsonl").read_text().splitlines()) == 24 * 4
 
 
-def test_bad_config_values_exit_2(tmp_path, capsys):
+def test_bad_config_values_exit_2(tmp_path, capsys, monkeypatch):
     config = tmp_path / "bad.conf"
-    config.write_text("topk = zero\n")
+    config.write_text("seed = 1\ntopk = zero\n")
     assert run("validate-ontology", "--config", config, "--taxonomy", STARTER_PATH) == 2
+    assert capsys.readouterr().err == \
+        f"error: {config}:2: topk: expected an integer, got 'zero'\n"
     config.write_text("mystery = 1\n")
     assert run("validate-ontology", "--config", config, "--taxonomy", STARTER_PATH) == 2
     config.write_bytes(b"seed = 1\ntau = 0.2  # caf\xff\n")
@@ -207,6 +209,21 @@ def test_bad_config_values_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {config}:2: line is not valid UTF-8 text\n"
     assert run("profile", "--taxonomy", STARTER_PATH, "--predictions", WORKED_EXAMPLE_PATH,
                "--out", tmp_path / "m", "--sweep", "5,5") == 2
+    capsys.readouterr()
+    # A bad --sweep list is parsed inside main, so it is one line and no traceback.
+    assert run("profile", "--taxonomy", STARTER_PATH, "--predictions", WORKED_EXAMPLE_PATH,
+               "--out", tmp_path / "m", "--sweep", "5,x") == 2
+    assert capsys.readouterr().err == "error: --sweep: expected comma-separated integers, " \
+        "got '5,x'\n"
+    assert not (tmp_path / "m").exists()
+    monkeypatch.setenv(ENV_PREFIX + "TAU", "abc")
+    assert run("validate-ontology", "--taxonomy", STARTER_PATH) == 2
+    assert capsys.readouterr().err == "error: INTERESTPROF_TAU: expected a number, got 'abc'\n"
+    monkeypatch.setenv(ENV_PREFIX + "TAU", "0.2")
+    monkeypatch.setenv(ENV_PREFIX + "FORCE", "maybe")
+    assert run("validate-ontology", "--taxonomy", STARTER_PATH) == 2
+    assert capsys.readouterr().err == \
+        "error: INTERESTPROF_FORCE: expected a boolean, got 'maybe'\n"
 
 
 def test_unmappable_user_skipped_with_warning(tmp_path, capsys):
@@ -362,7 +379,7 @@ def test_quoted_input_text_cannot_forge_stderr_lines(tmp_path, capsys, case):
         config = tmp_path / "run.conf"
         config.write_text(f"topk = 5{RED}\n")
         args = ["validate-ontology", "--taxonomy", STARTER_PATH, "--config", config]
-        shown = "error: topk: expected an integer, got '5\\x1b[31m'\n"
+        shown = f"error: {config}:1: topk: expected an integer, got '5\\x1b[31m'\n"
     else:
         stub = ("import sys\nsys.stderr.buffer.write(b'boom \\xff\\x1b[31mRED\\nFAKE: line 9')\n"
                 "sys.exit(3)\n")
@@ -586,5 +603,7 @@ def test_single_step_fails_where_pipeline_skips(tmp_path, capsys, command, recor
         args += ["--labels", tmp_path / "labels.csv"]
     assert run(*args) == rc
     assert capsys.readouterr().err == err
-    if files is not None:
+    if rc:  # a failed step leaves no --out behind, not even an empty one
+        assert not (tmp_path / "out").exists()
+    elif files is not None:
         assert _artifacts(tmp_path / "out") == files

@@ -1,14 +1,20 @@
 """Evaluation harness: accuracy sweep, confusion, precision/recall, CMC, ROC."""
 
+import json
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from conftest import profile_from_scores, starter_taxonomy, vector
 from interestprof.errors import EmptyInputError
 from interestprof.evaluation import cmc_curve, evaluate, label_rank, roc_series
 from interestprof.fixtures import generate_fixture
-from interestprof.profiling import sweep_profiles
+from interestprof.profiling import MECHANISMS, UserProfile, sweep_profiles
+from interestprof.reporting import write_evaluation
 from interestprof.scoring import TopicDistribution
 from interestprof.taxonomy import N_TOPICS, TOPICS
+from oracles import bf_evaluate, json_ready
 
 
 def small_eval(purity, seed, users=3, images=6, topics=("Drink", "Sport", "Places", "Family")):
@@ -130,3 +136,92 @@ def test_roc_in_report_covers_every_topic():
     assert set(report.roc_points) == set(TOPICS)
     for pts in report.roc_points.values():
         assert len(pts) >= 1
+
+
+# Scores sit on a few topics and a coarse grid, so argmax ties, shared ROC
+# thresholds and correct guesses are common. One labeled topic is never scored.
+SCORED = (0, 1, 2, N_TOPICS - 1)
+LABEL_TOPICS = (TOPICS[0], TOPICS[1], TOPICS[2], TOPICS[10], TOPICS[-1])
+grid = st.sampled_from((0.0, 0.0, 0.125, 0.25, 0.5))
+
+
+@st.composite
+def distributions(draw, zero=False):
+    scores = [0.0] * N_TOPICS
+    if not zero:
+        for i in SCORED:
+            scores[i] = draw(grid)
+    return TopicDistribution(tuple(scores), unmapped_mass=0.0 if any(scores) else 1.0)
+
+
+@st.composite
+def eval_inputs(draw):
+    """Sweep profiles, labels and a mechanism.
+
+    One to four sweep points, each holding its own subset of the users in its
+    own order; any vector may be all zero (a null prediction), and sometimes
+    every vector at the largest point is, under the evaluated mechanism.
+    Profiles record either mechanism as their own, and labels name users
+    that appear at no sweep point.
+    """
+    mechanism = draw(st.sampled_from(MECHANISMS))
+    users = [f"u{i}" for i in range(draw(st.integers(min_value=1, max_value=6)))]
+    ks = draw(st.lists(st.integers(min_value=1, max_value=100), min_size=1, max_size=4,
+                       unique=True))
+    null_at_max = draw(st.integers(min_value=0, max_value=3)) == 0
+    profiles_by_k = {}
+    for k in ks:
+        zero = null_at_max and k == max(ks)
+        profiles_by_k[k] = [
+            UserProfile(user_id=user, n_images=k,
+                        v_prob=draw(distributions(zero and mechanism == "prob")),
+                        v_occ=draw(distributions(zero and mechanism == "occ")),
+                        mechanism=draw(st.sampled_from(MECHANISMS)), predicted_topic=None)
+            for user in draw(st.lists(st.sampled_from(users), unique=True,
+                                      min_size=int(k == max(ks))))
+        ]
+    labeled = [user for user in users if draw(st.integers(min_value=0, max_value=3))]
+    labeled += draw(st.lists(st.sampled_from(["absent", "gone"]), unique=True))
+    labels = {user: draw(st.sampled_from(LABEL_TOPICS)) for user in labeled}
+    return profiles_by_k, labels, mechanism
+
+
+def list_and_str_payload(report):
+    """report.json's payload as the earlier writer built it: lists and str keys."""
+    return {
+        "mechanism": report.mechanism,
+        "sweep": list(report.sweep),
+        "n_labeled": report.n_labeled,
+        "overall_accuracy": {str(k): v for k, v in report.overall_accuracy.items()},
+        "overall_accuracy_by_mechanism": {
+            m: {str(k): v for k, v in accs.items()}
+            for m, accs in report.overall_accuracy_by_mechanism.items()
+        },
+        "per_topic_accuracy": {
+            t: {str(k): v for k, v in accs.items()}
+            for t, accs in report.per_topic_accuracy.items()
+        },
+        "precision": report.precision,
+        "recall": report.recall,
+        "undefined_precision": list(report.undefined_precision),
+        "undefined_recall": list(report.undefined_recall),
+        "confusion": [list(row) for row in report.confusion],
+        "cmc": [list(point) for point in report.cmc],
+        "roc": {t: [list(p) for p in pts] for t, pts in report.roc_points.items()},
+    }
+
+
+@given(eval_inputs())
+def test_evaluate_matches_brute_force(tmp_path_factory, data):
+    profiles_by_k, labels, mechanism = data
+    expected = bf_evaluate(profiles_by_k, labels, mechanism, TOPICS)
+    if expected is None:
+        with pytest.raises(EmptyInputError):
+            evaluate(profiles_by_k, labels, mechanism)
+        return
+    report = evaluate(profiles_by_k, labels, mechanism)
+    assert vars(report) == expected
+    out = tmp_path_factory.mktemp("evaluation")
+    write_evaluation(out, report)
+    assert (out / "report.json").read_text(encoding="utf-8") == \
+        json.dumps(json_ready(list_and_str_payload(report)), indent=2) + "\n"

@@ -1,4 +1,5 @@
-"""The library imports only the standard library and itself (pyproject lists no dependencies)."""
+"""The library imports only the standard library and itself (pyproject lists no dependencies),
+and its source compiles on every supported Python (3.10 or later)."""
 
 import ast
 import sys
@@ -45,3 +46,22 @@ def test_import_scan_sees_every_import_form(tmp_path):
     )
     assert imported_top_levels(probe) == {"os", "numpy", "json", "interestprof", "scipy",
                                           "pandas"}
+
+
+def test_every_string_constant_encodes_as_utf8():
+    # Python 3.13 cleans docstrings at compile time and fails on a lone
+    # surrogate, so a "\ud800" written without a doubled backslash stops the import.
+    bad = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    node.value.encode("utf-8")
+                except UnicodeEncodeError:
+                    bad.setdefault(path.name, []).append(node.lineno)
+    assert bad == {}
+
+
+def test_every_module_parses_as_python_3_10():
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -6,7 +6,6 @@ import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
-import numpy as np
 import pytest
 from hypothesis import example, given
 
@@ -52,12 +51,6 @@ payloads = st.recursive(
 @example({1: "int key", "1": "str key", True: "bool key"})
 @example({"é\n\x00 ": "tab\tquote\"slash\\\\ \U0001f600"})
 def test_to_json_matches_stdlib_layout(payload):
-    assert to_json(payload) == reference(payload)
-
-
-def test_to_json_reads_numpy_through_tolist():
-    payload = {"rows": np.array([[0.1234567891, np.nan], [np.inf, -0.0]]),
-               "count": np.int64(3), "flag": np.bool_(True), "x": np.float64(1 / 3)}
     assert to_json(payload) == reference(payload)
 
 
