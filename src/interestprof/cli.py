@@ -10,9 +10,13 @@ the dataset, check ``--out``, make one pass over the users, then write; the
 directory is made just before its first file. Each subcommand is a row of
 ``_CHAINS``, the steps it runs in chain order (metrics, scores, profiles,
 correlation, evaluation) and its summary line, so ``score`` writes the same
-bytes as the score tables of ``pipeline``. The pass scores each user's records
-once into a ScoreBlock; the score CSV rows, the full profile and every sweep
-point come from that block. A subcommand named for one step fails (exit 1)
+bytes as the score tables of ``pipeline``. The dataset holds score cells, not
+records: ``scoring.load_score_cells`` scores each prediction line (or each
+record of the classifier's output) as it is read. The pass takes each user's
+cells out of the dataset as a ScoreBlock, writes its score CSV rows and
+derives the full profile and every sweep point from it, so the cells are
+freed user by user before the profile files are streamed. A subcommand named
+for one step fails (exit 1)
 when that step has no input, such as fewer than 2 profiles to correlate or no
 labeled profile to evaluate; ``pipeline`` skips the step with a note instead.
 
@@ -26,10 +30,11 @@ import argparse
 import gc
 import sys
 from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .config import RunConfig, build_config, env_overrides, parse_config_file, parse_sweep
+from .config import RunConfig, build_config, env_overrides, flag_overrides, parse_config_file
 from .correlation import co_interest_matrix, pearson_matrix
 from .errors import (
     ConfigError,
@@ -41,11 +46,9 @@ from .errors import (
 from .evaluation import evaluate
 from .fixtures import generate_fixture
 from .ingest import (
-    ProfileDataset,
     attach_labels,
     load_labels,
-    load_manifest,
-    load_predictions,
+    read_manifest,
     run_external_classifier,
     serialize_labels,
     serialize_predictions,
@@ -61,7 +64,7 @@ from .reporting import (
     write_score_rows,
     write_text,
 )
-from .scoring import score_block
+from .scoring import ScoredDataset, load_score_cells
 from .taxonomy import Taxonomy, load_taxonomy
 
 
@@ -82,16 +85,18 @@ def _load_tax(cfg: RunConfig) -> Taxonomy:
     return tax
 
 
-def _load_dataset(cfg: RunConfig) -> ProfileDataset:
-    """Predictions (or classifier output) with labels attached."""
+def _load_dataset(cfg: RunConfig, tax: Taxonomy) -> ScoredDataset:
+    """Score cells of the predictions (or classifier output), labels attached."""
     if cfg.predictions is not None:
         with open_input(cfg.predictions, "predictions") as fh:
-            dataset = load_predictions(fh, k_max=cfg.topk, skip_bad=cfg.skip_bad)
+            dataset = load_score_cells(fh, tax, cfg.topk, cfg.skip_bad)
     elif cfg.classifier_cmd is not None:
         manifest_path = _require(cfg.manifest, "--manifest")
         with open_input(manifest_path, "manifest", newline="") as fh:
-            rows = load_manifest(fh, path=manifest_path)
-        dataset = run_external_classifier(rows, cfg.classifier_cmd, k=cfg.topk)
+            manifest = read_manifest(fh, path=manifest_path)
+        dataset = run_external_classifier(
+            manifest, cfg.classifier_cmd, k=cfg.topk, load=partial(load_score_cells, tax=tax)
+        )
     else:
         raise ConfigError("missing required setting: --predictions (or --classifier-cmd)")
 
@@ -170,7 +175,7 @@ def _run_chain(cfg: RunConfig, command: str) -> int:
         tax.label_index  # compiled on first access, so a bad topic fails before any output
     if single and "evaluation" in steps:
         _require(cfg.labels, "--labels")
-    dataset = _load_dataset(cfg) if data else ProfileDataset()
+    dataset = _load_dataset(cfg, tax) if data else ScoredDataset(cfg.topk)
     out = _prepare_outdir(cfg)
 
     if "metrics" in steps:
@@ -181,16 +186,19 @@ def _run_chain(cfg: RunConfig, command: str) -> int:
             semiotic_report(tax, accuracy_attested=cfg.attest_accuracy),
         )
 
-    # One pass: each user is scored once and profiled only for a later step,
-    # so score alone warns about no user. Users with no mappable mass are
-    # skipped with a warning and left out of the sweep as well.
+    # One pass: each user's cells are taken out of the dataset, and the user
+    # is profiled only for a later step, so score alone warns about no user.
+    # Users with no mappable mass are skipped with a warning and left out of
+    # the sweep as well.
     profiling = not {"profiles", "correlation", "evaluation"}.isdisjoint(steps)
+    users = dataset.users()
+    facts = {"out": out, "images": dataset.n_images(), "users": len(users)}
     profiles = []
     sweep_map = {n: [] for n in cfg.sweep}
     tables = open_score_tables(_made(out), cfg.topk) if "scores" in steps else nullcontext()
     with tables as score_tables:
-        for user in dataset.users():
-            block = score_block(dataset.records[user], tax, cfg.topk)
+        for user in users:
+            block = dataset.pop_block(user)
             if score_tables is not None:
                 write_score_rows(score_tables, block)
             if not profiling:
@@ -204,8 +212,7 @@ def _run_chain(cfg: RunConfig, command: str) -> int:
             for n, profile in zip(cfg.sweep, swept):
                 sweep_map[n].append(profile)
     del score_tables  # closed, but its files hold their write buffers until freed
-    facts = {"out": out, "images": dataset.n_records(), "users": len(dataset.users()),
-             "profiled": len(profiles)}
+    facts["profiled"] = len(profiles)
 
     if "profiles" in steps:
         write_profiles(_made(out), profiles, sweep_map if profiles else {})
@@ -241,11 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--taxonomy", help="taxonomy file path")
     common.add_argument("--out", help="output directory")
     common.add_argument("--force", action="store_true", help="allow writing into a non-empty output directory")
-    common.add_argument("--topk", type=int, help="top-k predictions per image (default 5)")
+    common.add_argument("--topk", help="top-k predictions per image (default 5)")
     common.add_argument("--mechanism", choices=("prob", "occ"), help="scoring mechanism (default occ)")
-    common.add_argument("--jobs", type=int,
+    common.add_argument("--jobs",
                         help="accepted for compatibility; has no effect (runs are single-threaded)")
-    common.add_argument("--seed", type=int, help="seed for fixture generation")
+    common.add_argument("--seed", help="seed for fixture generation")
 
     data = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     data.add_argument("--predictions", help="prediction lines (JSONL) path")
@@ -257,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     data.add_argument("--manifest", help="user_id,image_id,image_path CSV for --classifier-cmd")
     data.add_argument("--sweep",
                       help="comma-separated image-count sweep (default 5,10,50,75,100)")
-    data.add_argument("--tau", type=float, help="co-interest threshold in (0,1] (default 0.1)")
+    data.add_argument("--tau", help="co-interest threshold in (0,1] (default 0.1)")
 
     sub.add_parser("validate-ontology", parents=[common],
                    help="parse and validate a taxonomy file")
@@ -276,11 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the evaluation report against self-assessed labels")
     fx = sub.add_parser("fixture", parents=[common],
                         help="generate a seeded synthetic dataset")
-    fx.add_argument("--users-per-topic", dest="users_per_topic", type=int,
+    fx.add_argument("--users-per-topic", dest="users_per_topic",
                     default=argparse.SUPPRESS, help="users per topic (default 10)")
-    fx.add_argument("--images", type=int, default=argparse.SUPPRESS,
+    fx.add_argument("--images", default=argparse.SUPPRESS,
                     help="images per user (default 100)")
-    fx.add_argument("--purity", type=float, default=argparse.SUPPRESS,
+    fx.add_argument("--purity", default=argparse.SUPPRESS,
                     help="probability a label comes from the user's topic (default 1.0)")
     pp = sub.add_parser("pipeline", parents=[common, data],
                         help="run the full chain: metrics, score, profile, correlate, evaluate")
@@ -300,10 +307,9 @@ def main(argv: list[str] | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        if "sweep" in values:  # parsed here, where a bad list is a one-line error
-            values["sweep"] = parse_sweep(values["sweep"], "--sweep")
+        # Flag values are converted here, where a bad one is a one-line error.
         file_values = parse_config_file(config_path) if config_path else {}
-        cfg = build_config(file_values, env_overrides(), values)
+        cfg = build_config(file_values, env_overrides(), flag_overrides(values))
         if command in _COMMANDS:
             return _COMMANDS[command](cfg)
         return _run_chain(cfg, command)

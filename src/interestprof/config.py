@@ -2,8 +2,11 @@
 
 The config file is flat ``key = value`` UTF-8 text (``#`` comments; a leading
 BOM is ignored). Every key can also be set through an ``INTERESTPROF_<KEY>``
-environment variable; explicit command-line flags win over both. Values quoted
-in messages have their control characters escaped.
+environment variable; explicit command-line flags win over both. Every layer
+maps each key to its value and its source (``path:line: key``, the variable's
+name or the flag), and a bad value, unreadable or out of range, is reported
+under the source that set it. Values quoted in messages have their control
+characters escaped.
 """
 
 from __future__ import annotations
@@ -40,26 +43,32 @@ class RunConfig:
     images: int = 100
     purity: float = 1.0
 
-    def validate(self) -> "RunConfig":
+    def validate(self, sources: Mapping[str, str] | None = None) -> "RunConfig":
+        """This config, or a ConfigError prefixed by the source of the bad key."""
+
+        def fail(key: str, message: str):
+            source = (sources or {}).get(key)
+            raise ConfigError(f"{source}: {message}" if source else message)
+
         if self.topk < 1:
-            raise ConfigError(f"topk must be >= 1, got {self.topk}")
+            fail("topk", f"topk must be >= 1, got {self.topk}")
         if self.mechanism not in ("prob", "occ"):
-            raise ConfigError(
-                f"mechanism must be 'prob' or 'occ', got '{escape_control(self.mechanism)}'"
-            )
+            fail("mechanism",
+                 f"mechanism must be 'prob' or 'occ', got '{escape_control(self.mechanism)}'")
         if not self.sweep or any(s <= 0 for s in self.sweep) or \
                 list(self.sweep) != sorted(set(self.sweep)):
-            raise ConfigError(
-                f"sweep values must be positive and strictly increasing: {list(self.sweep)}"
-            )
+            fail("sweep",
+                 f"sweep values must be positive and strictly increasing: {list(self.sweep)}")
         if not 0.0 < self.tau <= 1.0:
-            raise ConfigError(f"tau must be in (0, 1], got {self.tau}")
+            fail("tau", f"tau must be in (0, 1], got {self.tau}")
         if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+            fail("jobs", f"jobs must be >= 1, got {self.jobs}")
         if not 0.0 <= self.purity <= 1.0:
-            raise ConfigError(f"purity must be in [0, 1], got {self.purity}")
-        if self.users_per_topic < 0 or self.images < 1:
-            raise ConfigError("fixture sizes must be positive")
+            fail("purity", f"purity must be in [0, 1], got {self.purity}")
+        if self.users_per_topic < 0:
+            fail("users_per_topic", "fixture sizes must be positive")
+        if self.images < 1:
+            fail("images", "fixture sizes must be positive")
         return self
 
 
@@ -80,9 +89,14 @@ def parse_sweep(raw: str, source: str = "sweep") -> tuple[int, ...]:
 _EXPECTED = {"bool": "a boolean", "int": "an integer", "float": "a number"}
 
 
+_KINDS = {f.name: f.type for f in fields(RunConfig)}
+_KEYS = set(_KINDS)
+Layer = dict[str, tuple[object, str]]  # key -> (value, source)
+
+
 def _coerce(key: str, raw: str, source: str):
     """Typed value of a setting; a bad value is reported under its source."""
-    kind = {f.name: f.type for f in fields(RunConfig)}[key]
+    kind = _KINDS[key]
     raw = raw.strip()
     if key == "sweep":
         return parse_sweep(raw, source)
@@ -100,11 +114,8 @@ def _coerce(key: str, raw: str, source: str):
     return raw
 
 
-_KEYS = {f.name for f in fields(RunConfig)}
-
-
-def parse_config_file(path: str | Path) -> dict:
-    """Flat key=value file into a typed override mapping."""
+def parse_config_file(path: str | Path) -> Layer:
+    """Flat key=value file into a typed override layer."""
     with open_input(path, "config") as fh:
         text = fh.read()
     values = {}
@@ -122,25 +133,39 @@ def parse_config_file(path: str | Path) -> dict:
         key = key.strip()
         if key not in _KEYS:
             raise ConfigError(f"{path}:{no}: unknown config key '{escape_control(key)}'")
-        values[key] = _coerce(key, raw_value, f"{path}:{no}: {key}")
+        source = f"{path}:{no}: {key}"
+        values[key] = (_coerce(key, raw_value, source), source)
     return values
 
 
-def env_overrides(environ: Mapping[str, str] | None = None) -> dict:
+def env_overrides(environ: Mapping[str, str] | None = None) -> Layer:
     environ = os.environ if environ is None else environ
     values = {}
     for key in sorted(_KEYS):
         name = ENV_PREFIX + key.upper()
         if name in environ:
-            values[key] = _coerce(key, environ[name], name)
+            values[key] = (_coerce(key, environ[name], name), name)
     return values
 
 
-def build_config(file_values: Mapping, env_values: Mapping, cli_values: Mapping) -> RunConfig:
+def flag_overrides(flags: Mapping[str, object]) -> Layer:
+    """Command-line values by key; the text of a number or sweep flag is coerced
+    here, so a bad one is reported under its flag, such as ``--topk``."""
+    values = {}
+    for key, value in flags.items():
+        if key in _KEYS and value is not None:
+            source = "--" + key.replace("_", "-")
+            if isinstance(value, str) and not _KINDS[key].startswith("str"):
+                value = _coerce(key, value, source)
+            values[key] = (value, source)
+    return values
+
+
+def build_config(*layers: Layer) -> RunConfig:
     """Merge defaults < config file < environment < CLI flags, then validate."""
-    merged = {}
-    for source in (file_values, env_values, cli_values):
-        for key, value in source.items():
-            if key in _KEYS and value is not None:
-                merged[key] = value
-    return RunConfig(**merged).validate()
+    merged, sources = {}, {}
+    for layer in layers:
+        for key, (value, source) in layer.items():
+            merged[key] = value
+            sources[key] = source
+    return RunConfig(**merged).validate(sources)

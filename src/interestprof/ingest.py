@@ -1,14 +1,22 @@
-"""Load prediction records and self-assessed labels; drive an external classifier.
+"""Load prediction lines and self-assessed labels; drive an external classifier.
 
 Prediction wire format is one JSON object per line:
 
     {"user_id": "u1", "image_id": "img1",
      "predictions": [{"label": "espresso", "prob": 0.08}, ...]}
 
+One per-line validator checks every line, and one loop, ``group_predictions``,
+groups the valid lines per user and image in file order, rejecting duplicates
+and (with ``--skip-bad``) skipping bad lines with a warning. What each image
+becomes is the caller's choice: ``load_predictions`` makes PredictionRecords,
+for the fixture, the scripts and the tests; the pipeline path,
+``scoring.load_score_cells``, makes each image's sparse score cells at once
+and holds no record.
+
 Labels are CSV with header ``user_id,topic``. The external-classifier adapter
 reads a ``user_id,image_id,image_path`` CSV manifest, invokes a user-supplied
 command once per batch with ``{input}`` and ``{output}`` placeholders and
-ingests whatever it wrote.
+ingests what it wrote, which must be one record per manifest row.
 
 Every parse error is a DataFormatError naming the line. Text that cannot be
 written back as UTF-8 is rejected here, before any output exists: open input
@@ -24,10 +32,10 @@ import json
 import shlex
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import (
     ConfigError,
@@ -77,13 +85,16 @@ def _lines(source: str | Iterable[str]) -> Iterator[str]:
         yield from source
 
 
-_BY_PROB = itemgetter(1)
+Pairs = list[tuple[str, float]]  # (label, prob) in line order
+T = TypeVar("T")
+D = TypeVar("D")  # a dataset: ProfileDataset or scoring.ScoredDataset
 
 
 def _parse_prediction_line(
     line: str, no: int, k_max: int, strings: dict[str, str]
-) -> PredictionRecord:
-    """One record; ``strings`` interns user ids and labels across a load.
+) -> tuple[str, str, Pairs]:
+    """(user_id, image_id, pairs) of one line; ``strings`` interns user ids and
+    labels across a load.
 
     ``json`` yields only exact dict/list/str/int/float/bool/None, so exact
     type checks suffice (and keep bool out of the numbers).
@@ -151,25 +162,26 @@ def _parse_prediction_line(
         else:
             raise DataFormatError(f"prob for '{escape_control(label)}' is not a number", line=no)
         pairs.append((known, prob))
-    # Classifiers normally emit descending scores already; sorting makes the
-    # nonincreasing invariant hold by construction (stable, also in reverse,
-    # so equal probs keep their input order).
-    pairs.sort(key=_BY_PROB, reverse=True)
-    return PredictionRecord(user_id=user_id, image_id=image_id, predictions=tuple(pairs))
+    return user_id, image_id, pairs
 
 
-def load_predictions(
+def group_predictions(
     source: str | Iterable[str],
+    image: Callable[[Pairs], T],
     k_max: int = DEFAULT_TOP_K,
     skip_bad: bool = False,
-) -> ProfileDataset:
-    """Read prediction lines into a dataset grouped by user, preserving file order.
+    listed: dict[tuple[str, str], int] | None = None,
+) -> tuple[dict[str, dict[str, T]], list[str]]:
+    """Valid prediction lines as user -> image_id -> ``image(pairs)``, file order,
+    and the warnings for skipped lines.
 
-    Any malformed or invalid line aborts the load unless ``skip_bad`` is set,
-    in which case it is skipped and reported in ``dataset.warnings``.
+    Any malformed or invalid line, or a second record of one image, aborts the
+    load unless ``skip_bad`` is set, in which case it is skipped and reported.
+    ``listed`` maps every expected (user_id, image_id) to its manifest line:
+    each record takes its pair out of it, a record whose pair is not there is
+    an error, and the pairs left over had no record.
     """
-    records: dict[str, list[PredictionRecord]] = {}
-    seen: dict[str, set[str]] = {}  # image ids per user
+    groups: dict[str, dict[str, T]] = {}
     strings: dict[str, str] = {}
     warnings: list[str] = []
     for no, raw in enumerate(_lines(source), start=1):
@@ -177,15 +189,18 @@ def load_predictions(
         if not line:
             continue
         try:
-            rec = _parse_prediction_line(line, no, k_max, strings)
-            images = seen.get(rec.user_id)
-            if images is None:
-                images = seen[rec.user_id] = set()
-                records[rec.user_id] = []
-            elif rec.image_id in images:
+            user_id, image_id, pairs = _parse_prediction_line(line, no, k_max, strings)
+            images = groups.get(user_id)
+            if images is not None and image_id in images:
                 raise DataFormatError(
-                    f"duplicate record for user '{escape_control(rec.user_id)}' "
-                    f"image '{escape_control(rec.image_id)}'",
+                    f"duplicate record for user '{escape_control(user_id)}' "
+                    f"image '{escape_control(image_id)}'",
+                    line=no,
+                )
+            if listed is not None and listed.pop((user_id, image_id), None) is None:
+                raise DataFormatError(
+                    f"user '{escape_control(user_id)}' image '{escape_control(image_id)}' "
+                    "is not listed in the manifest",
                     line=no,
                 )
         except DataFormatError as exc:
@@ -193,8 +208,38 @@ def load_predictions(
                 warnings.append(f"skipped {exc}")
                 continue
             raise
-        images.add(rec.image_id)
-        records[rec.user_id].append(rec)
+        if images is None:
+            images = groups[user_id] = {}
+        images[image_id] = image(pairs)
+    return groups, warnings
+
+
+_BY_PROB = itemgetter(1)
+
+
+def _by_prob(pairs: Pairs) -> tuple[tuple[str, float], ...]:
+    # Classifiers normally emit descending scores already; sorting makes the
+    # nonincreasing invariant hold by construction (stable, also in reverse,
+    # so equal probs keep their input order).
+    pairs.sort(key=_BY_PROB, reverse=True)
+    return tuple(pairs)
+
+
+def load_predictions(
+    source: str | Iterable[str],
+    k_max: int = DEFAULT_TOP_K,
+    skip_bad: bool = False,
+    listed: dict[tuple[str, str], int] | None = None,
+) -> ProfileDataset:
+    """Read prediction lines into records grouped by user, preserving file order.
+
+    Checks, errors and warnings are those of ``group_predictions``.
+    """
+    groups, warnings = group_predictions(source, _by_prob, k_max, skip_bad, listed)
+    records = {
+        user_id: [PredictionRecord(user_id, image_id, preds) for image_id, preds in images.items()]
+        for user_id, images in groups.items()
+    }
     return ProfileDataset(records=records, labels={}, warnings=warnings)
 
 
@@ -277,14 +322,22 @@ def serialize_labels(labels: dict[str, str]) -> str:
 MANIFEST_HEADER = ("user_id", "image_id", "image_path")
 
 
-def load_manifest(
-    source: str | Iterable[str], path: str | None = None
-) -> list[tuple[str, str, str]]:
-    """Read a ``user_id,image_id,image_path`` CSV (header optional) into rows.
+@dataclass(frozen=True)
+class Manifest:
+    """Rows of a ``user_id,image_id,image_path`` CSV, the line of each, and its path."""
+
+    rows: list[tuple[str, str, str]]
+    lines: list[int]
+    path: str | None = None
+
+
+def read_manifest(source: str | Iterable[str], path: str | None = None) -> Manifest:
+    """Read a ``user_id,image_id,image_path`` CSV (header optional).
 
     Errors name ``path:line`` when ``path`` is given.
     """
     rows: list[tuple[str, str, str]] = []
+    lines: list[int] = []
     for no, row in _csv_rows(source, path):
         cells = tuple(cell.strip() for cell in row)
         if not any(cells) or (no == 1 and cells == MANIFEST_HEADER):
@@ -298,45 +351,64 @@ def load_manifest(
             if not cell:
                 raise DataFormatError(f"empty {name}", line=no, path=path)
         rows.append(cells)
-    return rows
+        lines.append(no)
+    return Manifest(rows, lines, path)
 
 
-def attach_labels(dataset: ProfileDataset, labels: dict[str, str]) -> ProfileDataset:
+def load_manifest(
+    source: str | Iterable[str], path: str | None = None
+) -> list[tuple[str, str, str]]:
+    """The rows of ``read_manifest``."""
+    return read_manifest(source, path).rows
+
+
+def attach_labels(dataset: D, labels: dict[str, str]) -> D:
     """Dataset with labels attached; labels for absent users become warnings."""
+    users = set(dataset.users())
     warnings = list(dataset.warnings)
     for user_id in labels:
-        if user_id not in dataset.records:
+        if user_id not in users:
             warnings.append(
                 f"label for user '{escape_control(user_id)}' matches no prediction records"
             )
-    return ProfileDataset(records=dataset.records, labels=dict(labels), warnings=warnings)
+    return replace(dataset, labels=dict(labels), warnings=warnings)
 
 
 def run_external_classifier(
-    manifest: list[tuple[str, str, str]],
+    manifest: Manifest | Sequence[tuple[str, str, str]],
     command_template: str,
     k: int = DEFAULT_TOP_K,
-) -> ProfileDataset:
+    load: Callable[..., D] = load_predictions,
+) -> D:
     """Run a classifier command over a batch manifest and ingest its output.
 
-    ``manifest`` rows are (user_id, image_id, image_path). The command template
-    must contain ``{input}`` (manifest CSV path) and ``{output}`` (path where
-    the command writes prediction lines) and is invoked exactly once. Parse
-    errors in its output name ``classifier output:<line>``, and the tail of its
-    stderr is quoted with control characters escaped.
+    ``manifest`` rows are (user_id, image_id, image_path); a plain sequence of
+    rows numbers them from 1. The command template must contain ``{input}``
+    (manifest CSV path) and ``{output}`` (path where the command writes
+    prediction lines) and is invoked exactly once. ``load(lines, k_max=k,
+    listed=...)`` reads its output. Errors in the output name
+    ``classifier output:<line>``, a record of a (user_id, image_id) pair the
+    manifest does not list included; a manifest row with no record names its
+    own line. The tail of the command's stderr is quoted with control
+    characters escaped.
     """
     if "{input}" not in command_template or "{output}" not in command_template:
         raise ConfigError("classifier command template needs {input} and {output} placeholders")
-    if not manifest:
-        return ProfileDataset()
+    if not isinstance(manifest, Manifest):
+        manifest = Manifest(list(manifest), list(range(1, len(manifest) + 1)))
+    if not manifest.rows:
+        return load([], k_max=k)
 
+    listed: dict[tuple[str, str], int] = {}
+    for (user_id, image_id, _), no in zip(manifest.rows, manifest.lines):
+        listed.setdefault((user_id, image_id), no)
     with tempfile.TemporaryDirectory(prefix="interestprof-") as tmp:
         in_path = Path(tmp) / "manifest.csv"
         out_path = Path(tmp) / "predictions.jsonl"
         with open(in_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(MANIFEST_HEADER)
-            writer.writerows(manifest)
+            writer.writerows(manifest.rows)
 
         argv = [
             tok.replace("{input}", str(in_path)).replace("{output}", str(out_path))
@@ -352,6 +424,14 @@ def run_external_classifier(
             raise ExternalClassifierError("classifier command wrote no output file")
         with open_input(out_path, "classifier output") as fh:
             try:
-                return load_predictions(fh, k_max=k)
+                dataset = load(fh, k_max=k, listed=listed)
             except DataFormatError as exc:
                 raise DataFormatError(exc.detail, exc.line, "classifier output") from None
+    if listed:
+        (user_id, image_id), no = next(iter(listed.items()))
+        raise DataFormatError(
+            f"no classifier output for user '{escape_control(user_id)}' "
+            f"image '{escape_control(image_id)}'",
+            line=no, path=manifest.path,
+        )
+    return dataset

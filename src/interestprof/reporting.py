@@ -7,13 +7,15 @@ image id holding a comma or a quote is quoted instead of shifting columns.
 Score blocks are sparse, so each row is a copy of an all-"0" template with
 only the cells the image touches formatted into it.
 
-Every JSON artifact goes through one writer, ``to_json``: in a single pass it
+Every JSON artifact goes through one encoder, ``to_json``: in a single pass it
 rounds floats and lays the text out exactly as ``json.dumps(..., indent=2)``
 does. ``write_profiles`` encodes each distinct profile object once, memoized
 by identity for the call, because the sweep repeats the full profile at every
-point at or past a user's image count; the encoded text is re-indented to
-where it sits in ``profiles.json`` or ``profiles_sweep.json``. The metrics and
-evaluation payloads are the result objects' own values, passed as they are.
+point at or past a user's image count. It streams ``profiles.json`` and
+``profiles_sweep.json``: each profile's text is re-indented to where it sits
+and written to the open file, so neither document is ever one string. The
+metrics and evaluation payloads are the result objects' own values, passed as
+they are.
 
 Every other CSV artifact (the accuracy sweep, confusion, CMC, precision and
 recall, ROC points and the three correlation matrices) is text from one
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .correlation import CorrelationMatrix
 from .evaluation import EvalReport
@@ -70,8 +72,6 @@ def _encode(obj, indent: str) -> str:
         return "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    if isinstance(obj, _Encoded):  # encoded strings hold no raw newline
-        return obj.text.replace("\n", "\n" + indent)
     if isinstance(obj, Fraction):
         return _quote(str(obj))
     if isinstance(obj, Mapping):
@@ -91,13 +91,6 @@ def _encode(obj, indent: str) -> str:
             [_encode(v, inner) for v in obj]
         ) + "\n" + indent + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-@dataclass(frozen=True)
-class _Encoded:
-    """A value already encoded by ``to_json``; the writer only re-indents it."""
-
-    text: str
 
 
 def to_json(obj) -> str:
@@ -128,27 +121,45 @@ def profile_payload(p: UserProfile) -> dict:
     }
 
 
+def _write_array(fh: TextIO, texts: Iterable[str], indent: str) -> None:
+    """Write a JSON array of encoded texts as it sits at ``indent`` in an
+    indent-2 document. Encoded text holds no raw newline but its own layout's."""
+    inner = "\n" + indent + "  "
+    sep = "[" + inner
+    for text in texts:
+        fh.write(sep)
+        fh.write(text.replace("\n", inner))
+        sep = "," + inner
+    fh.write("[]" if sep[0] == "[" else "\n" + indent + "]")
+
+
 def write_profiles(outdir: Path, profiles: Sequence[UserProfile],
                    sweep_map: Mapping[int, Sequence[UserProfile]] | None = None) -> None:
-    """profiles.json and, given a sweep map, profiles_sweep.json.
+    """profiles.json and, given a sweep map, profiles_sweep.json, streamed.
 
     The sweep repeats one profile object at every point at or past a user's
     image count, so each distinct object is encoded once and placed as text.
     """
-    encoded: dict[int, _Encoded] = {}
+    encoded: dict[int, str] = {}
 
-    def placed(p: UserProfile) -> _Encoded:
-        text = encoded.get(id(p))
-        if text is None:
-            text = encoded[id(p)] = _Encoded(to_json(profile_payload(p)))
-        return text
+    def text(p: UserProfile) -> str:
+        t = encoded.get(id(p))
+        if t is None:
+            t = encoded[id(p)] = to_json(profile_payload(p))
+        return t
 
-    write_json(outdir / "profiles.json", [placed(p) for p in profiles])
-    if sweep_map is not None:
-        write_json(
-            outdir / "profiles_sweep.json",
-            {str(k): [placed(p) for p in ps] for k, ps in sweep_map.items()},
-        )
+    with open(outdir / "profiles.json", "w", encoding="utf-8") as fh:
+        _write_array(fh, map(text, profiles), "")
+        fh.write("\n")
+    if sweep_map is None:
+        return
+    with open(outdir / "profiles_sweep.json", "w", encoding="utf-8") as fh:
+        sep = "{\n  "
+        for n, ps in sweep_map.items():
+            fh.write(sep + _quote(str(n)) + ": ")
+            _write_array(fh, map(text, ps), "  ")
+            sep = ",\n  "
+        fh.write("{}\n" if sep[0] == "{" else "\n}\n")
 
 
 def write_metrics(outdir: Path, size: SizeMetrics, structural: StructuralMetrics,

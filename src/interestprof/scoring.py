@@ -7,21 +7,27 @@ record length, so short records lose mass to ``unmapped``). Mass belonging to
 labels with no topic ancestor is tracked in ``unmapped_mass`` instead of being
 renormalized away, so coverage gaps of the taxonomy stay visible downstream.
 
-``score_block`` scores one user's records once into exact per-image rows
-(a ScoreBlock); every other view of the image scores (the row objects below,
-the score CSVs, user profiles at every sweep point) is derived from it. A
-block row is sparse: an image touches at most k + 1 of the 25 cells (24
-topics plus unmapped), so it holds one ``(position, prob, count)`` cell per
-position it touches, in position order, and every other cell is zero.
+Each image is scored once into exact sparse cells: an image touches at most
+k + 1 of the 25 positions (24 topics plus unmapped), so it holds one
+``(position, prob, count)`` cell per position it touches, in position order,
+and every other cell is zero. A user's cell rows form a ScoreBlock, and every
+other view of the image scores (the row objects below, the score CSVs, user
+profiles at every sweep point) is derived from it.
+
+The pipeline path, ``load_score_cells``, scores each prediction line into
+its cells as it is read and keeps no PredictionRecord: the dataset it returns
+holds cells only. ``score_block`` gives the same blocks from records, for
+the fixture, the scripts and the tests. Cells use ``fsum`` and counts, so
+they do not depend on the order of an image's predictions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Sequence
 
-from .ingest import DEFAULT_TOP_K, PredictionRecord
+from .ingest import DEFAULT_TOP_K, PredictionRecord, group_predictions
 from .taxonomy import N_TOPICS, TOPICS, Taxonomy
 
 
@@ -114,7 +120,7 @@ def _distribution(cells: list[float]) -> TopicDistribution:
 
 
 def _score_record(
-    predictions: tuple[tuple[str, float], ...], position: Callable[[str], int], k: int
+    predictions: Sequence[tuple[str, float]], position: Callable[[str], int], k: int
 ) -> tuple[Cell, ...]:
     """Sparse cells of one image; see ScoreBlock."""
     missing = k - len(predictions)
@@ -155,6 +161,52 @@ def score_block(
         k=k,
         rows=tuple(_score_record(rec.predictions, position, k) for rec in records),
     )
+
+
+@dataclass
+class ScoredDataset:
+    """Each image's cells grouped per user (file order), plus optional labels.
+
+    ``cells[user]`` maps each image id to its cells, in file order.
+    ``pop_block`` takes a user's cells out as a ScoreBlock, so a pass over the
+    users frees each user's cells once it is done with them.
+    """
+
+    k: int
+    cells: dict[str, dict[str, tuple[Cell, ...]]] = field(default_factory=dict)
+    labels: dict[str, str] = field(default_factory=dict)
+    warnings: list[str] = field(default_factory=list)
+
+    def users(self) -> list[str]:
+        return list(self.cells)
+
+    def n_images(self) -> int:
+        return sum(map(len, self.cells.values()))
+
+    def pop_block(self, user_id: str) -> ScoreBlock:
+        images = self.cells.pop(user_id)
+        return ScoreBlock(
+            user_id=user_id, image_ids=tuple(images), k=self.k, rows=tuple(images.values())
+        )
+
+
+def load_score_cells(
+    source: str | Iterable[str],
+    tax: Taxonomy,
+    k_max: int = DEFAULT_TOP_K,
+    skip_bad: bool = False,
+    listed: dict[tuple[str, str], int] | None = None,
+) -> ScoredDataset:
+    """Prediction lines scored straight into cells, with k = ``k_max``.
+
+    The lines, checks, errors and warnings are those of ``load_predictions``,
+    and each user's block equals ``score_block`` of that user's records.
+    """
+    position = tax.label_index.position
+    cells, warnings = group_predictions(
+        source, lambda pairs: _score_record(pairs, position, k_max), k_max, skip_bad, listed
+    )
+    return ScoredDataset(k=k_max, cells=cells, warnings=warnings)
 
 
 def score_image_prob(record: PredictionRecord, tax: Taxonomy) -> TopicDistribution:

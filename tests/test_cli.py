@@ -11,11 +11,11 @@ import pytest
 
 import interestprof
 from conftest import STARTER_PATH, WORKED_EXAMPLE_PATH, make_record
-from interestprof import cli
+from interestprof import cli, ingest
 from interestprof.cli import main
 from interestprof.config import ENV_PREFIX
 from interestprof.ingest import ProfileDataset, load_labels
-from test_ingest import STUB_OK, _stub
+from test_ingest import STUB_OK, _stub, _writing_stub
 
 BOM = "\ufeff"
 
@@ -224,6 +224,43 @@ def test_bad_config_values_exit_2(tmp_path, capsys, monkeypatch):
     assert run("validate-ontology", "--taxonomy", STARTER_PATH) == 2
     assert capsys.readouterr().err == \
         "error: INTERESTPROF_FORCE: expected a boolean, got 'maybe'\n"
+    monkeypatch.delenv(ENV_PREFIX + "FORCE")
+    # An out-of-range value names its source like an unreadable one.
+    monkeypatch.setenv(ENV_PREFIX + "TAU", "5")
+    assert run("validate-ontology", "--taxonomy", STARTER_PATH) == 2
+    assert capsys.readouterr().err == "error: INTERESTPROF_TAU: tau must be in (0, 1], got 5.0\n"
+    monkeypatch.delenv(ENV_PREFIX + "TAU")
+    config.write_text("seed = 1\ntau = 5\n")
+    assert run("validate-ontology", "--config", config, "--taxonomy", STARTER_PATH) == 2
+    assert capsys.readouterr().err == f"error: {config}:2: tau: tau must be in (0, 1], got 5.0\n"
+    # A value that a later layer overrides is not checked, as before.
+    monkeypatch.setenv(ENV_PREFIX + "TAU", "0.5")
+    assert run("validate-ontology", "--config", config, "--taxonomy", STARTER_PATH) == 0
+    monkeypatch.delenv(ENV_PREFIX + "TAU")
+    capsys.readouterr()
+    data_args = ["profile", "--taxonomy", STARTER_PATH, "--predictions", WORKED_EXAMPLE_PATH,
+                 "--out", tmp_path / "m"]
+    fixture_args = ["fixture", "--taxonomy", STARTER_PATH, "--out", tmp_path / "m"]
+    for args, shown in [
+        (data_args + ["--sweep", "5,5"],
+         "--sweep: sweep values must be positive and strictly increasing: [5, 5]"),
+        (data_args + ["--tau", "5"], "--tau: tau must be in (0, 1], got 5.0"),
+        (data_args + ["--topk", "0"], "--topk: topk must be >= 1, got 0"),
+        (fixture_args + ["--images", "0"], "--images: fixture sizes must be positive"),
+        (fixture_args + ["--purity", "2"], "--purity: purity must be in [0, 1], got 2.0"),
+        # Typed flags are converted inside main: one line, no usage block.
+        (data_args + ["--topk", "abc"], "--topk: expected an integer, got 'abc'"),
+        (data_args + ["--tau", "abc"], "--tau: expected a number, got 'abc'"),
+        (data_args + ["--seed", "1.5"], "--seed: expected an integer, got '1.5'"),
+        (data_args + ["--jobs", "two"], "--jobs: expected an integer, got 'two'"),
+        (fixture_args + ["--users-per-topic", "x"],
+         "--users-per-topic: expected an integer, got 'x'"),
+        (fixture_args + ["--images", "x"], "--images: expected an integer, got 'x'"),
+        (fixture_args + ["--purity", "x"], "--purity: expected a number, got 'x'"),
+    ]:
+        assert run(*args) == 2
+        assert capsys.readouterr() == ("", f"error: {shown}\n")
+    assert not (tmp_path / "m").exists()
 
 
 def test_unmappable_user_skipped_with_warning(tmp_path, capsys):
@@ -460,6 +497,42 @@ def test_bad_manifest_row_exits_1_naming_path_and_line(tmp_path, capsys):
     assert run("score", "--taxonomy", STARTER_PATH, "--manifest", manifest,
                "--classifier-cmd", _stub(tmp_path, STUB_OK), "--out", tmp_path / "out") == 1
     assert f"{manifest}:3: expected user_id,image_id,image_path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["extra image", "missing image", "unknown user"])
+def test_classifier_output_off_the_manifest_exits_1(tmp_path, capsys, case):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(MANIFEST)
+    written, shown = {
+        "extra image": ([("u1", "i1"), ("u1", "i2"), ("u2", "i1"), ("u2", "i2")],
+                        "classifier output:4: user 'u2' image 'i2' is not listed in the manifest"),
+        "missing image": ([("u1", "i1"), ("u2", "i1")],
+                          f"{manifest}:3: no classifier output for user 'u1' image 'i2'"),
+        "unknown user": ([("ghost", "zzz")],
+                         "classifier output:1: user 'ghost' image 'zzz' is not listed in the manifest"),
+    }[case]
+    assert run("profile", "--taxonomy", STARTER_PATH, "--manifest", manifest,
+               "--classifier-cmd", _writing_stub(tmp_path, written),
+               "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"error: {shown}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_builds_no_prediction_record(tmp_path, monkeypatch, capsys):
+    built = []
+    record = ingest.PredictionRecord
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return record(*args, **kwargs)
+
+    monkeypatch.setattr(ingest, "PredictionRecord", counting)
+    assert run("pipeline", "--taxonomy", STARTER_PATH, "--predictions", WORKED_EXAMPLE_PATH,
+               "--out", tmp_path / "out") == 0
+    assert built == []
+    # The patch does see the records that load_predictions builds.
+    ingest.load_predictions(WORKED_EXAMPLE_PATH.read_text())
+    assert built
 
 
 def test_fixture_labels_quote_ids_with_commas_and_quotes(tmp_path, monkeypatch):

@@ -17,6 +17,7 @@ from interestprof.ingest import (
     load_labels,
     load_manifest,
     load_predictions,
+    read_manifest,
     run_external_classifier,
     serialize_labels,
     serialize_predictions,
@@ -251,6 +252,49 @@ def test_external_classifier_identity(tmp_path):
     assert ds.n_records() == 3
     for rec in ds.iter_records():
         assert rec.predictions == (("espresso", 0.5), ("dough", 0.25))
+
+
+def _writing_stub(tmp_path, pairs, name="writer.py"):
+    """A classifier that ignores its manifest and writes one record per (user, image)."""
+    text = "".join(json.dumps({"user_id": u, "image_id": i,
+                               "predictions": [{"label": "espresso", "prob": 0.5}]}) + "\n"
+                   for u, i in pairs)
+    return _stub(tmp_path, f"import sys\nopen(sys.argv[2], 'w').write({text!r})\n", name)
+
+
+@pytest.mark.parametrize("listed, written, message", [
+    ([("u1", "i1")], [("u1", "i1"), ("u1", "i2")],
+     "classifier output:2: user 'u1' image 'i2' is not listed in the manifest"),
+    ([("u1", "i1"), ("u1", "i2"), ("u2", "i1")], [("u2", "i1"), ("u1", "i1")],
+     "line 2: no classifier output for user 'u1' image 'i2'"),
+    ([("u1", "img1")], [("ghost", "zzz")],
+     "classifier output:1: user 'ghost' image 'zzz' is not listed in the manifest"),
+])
+def test_external_classifier_output_must_match_the_manifest(tmp_path, listed, written, message):
+    manifest = [(u, i, f"/img/{u}-{i}.jpg") for u, i in listed]
+    with pytest.raises(DataFormatError) as err:
+        run_external_classifier(manifest, _writing_stub(tmp_path, written), k=5)
+    assert str(err.value) == message
+
+
+def test_missing_classifier_output_names_the_manifest_line(tmp_path):
+    manifest = read_manifest("user_id,image_id,image_path\nu1,i1,/a.jpg\n\nu1,i2,/b.jpg\n",
+                             path="m.csv")
+    assert manifest.lines == [2, 4]
+    with pytest.raises(DataFormatError) as err:
+        run_external_classifier(manifest, _writing_stub(tmp_path, [("u1", "i1")]), k=5)
+    assert str(err.value) == "m.csv:4: no classifier output for user 'u1' image 'i2'"
+
+
+def test_unlisted_record_skipped_under_skip_bad_leaves_no_empty_user():
+    lines = [json.dumps({"user_id": u, "image_id": i,
+                         "predictions": [{"label": "cup", "prob": 0.5}]})
+             for u, i in (("u1", "i1"), ("ghost", "zzz"))]
+    listed = {("u1", "i1"): 2, ("u1", "i2"): 3}
+    ds = load_predictions(lines, skip_bad=True, listed=listed)
+    assert ds.users() == ["u1"]
+    assert ds.warnings == ["skipped line 2: user 'ghost' image 'zzz' is not listed in the manifest"]
+    assert listed == {("u1", "i2"): 3}
 
 
 def test_external_classifier_failure_carries_exit_code(tmp_path):

@@ -4,7 +4,10 @@ Arbitrary text lines (lone surrogates included) and JSON-shaped lines with
 random values go to ``load_predictions`` and ``load_labels``; any other
 exception is a parser bug. Whatever loads must be writable as UTF-8. The CLI
 must turn rejected input files, arbitrary bytes included, into exit 1 with a
-line-numbered message and no traceback.
+line-numbered message and no traceback. The pipeline's loader,
+``load_score_cells``, must agree with ``load_predictions`` followed by
+``score_block`` on every input: the same blocks and warnings, or the same
+error.
 """
 
 import contextlib
@@ -15,12 +18,14 @@ import tempfile
 from pathlib import Path
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import assume, given, settings
 
-from conftest import KNOWN_TERMS, STARTER_PATH, WORKED_EXAMPLE_PATH
+from conftest import KNOWN_TERMS, STARTER_PATH, UNKNOWN_TERMS, WORKED_EXAMPLE_PATH, starter_taxonomy
 from interestprof.cli import main
 from interestprof.errors import DataFormatError
 from interestprof.ingest import load_labels, load_predictions
+from interestprof.scoring import load_score_cells, score_block
 from interestprof.taxonomy import TOPICS
 
 chars = st.one_of(st.characters(), st.characters(categories=["Cs"]))
@@ -54,6 +59,16 @@ odd_lines = st.sampled_from([
     "\udcff",
 ])
 prediction_lines = st.one_of(texts, json_lines, odd_lines)
+# Well-formed lines, so that a differential run also compares loads that succeed.
+valid_lines = st.builds(
+    lambda user, image, preds: json.dumps({"user_id": user, "image_id": image, "predictions": [
+        {"label": label, "prob": prob} for label, prob in preds]}),
+    st.sampled_from(["u1", "u2", "u,3"]),
+    st.sampled_from(["i1", "i2", "i3"]),
+    st.lists(st.tuples(st.sampled_from(KNOWN_TERMS + UNKNOWN_TERMS),
+                       st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1]))),
+             min_size=1, max_size=7),
+)
 
 cells = st.one_of(st.sampled_from(["user_id", "topic", "u1", *TOPICS[:3], "Food & Drink"]), texts)
 csv_lines = st.lists(cells, min_size=1, max_size=3).map(",".join)
@@ -77,6 +92,28 @@ def test_load_predictions_raises_only_data_format_errors(lines, k_max):
         for rec in dataset.iter_records():
             assert_utf8(rec.user_id, rec.image_id, *(label for label, _ in rec.predictions))
             assert 0 < len(rec.predictions) <= k_max
+
+
+@given(st.lists(st.one_of(prediction_lines, valid_lines), max_size=6),
+       st.integers(min_value=1, max_value=7), st.booleans())
+def test_load_score_cells_matches_records_then_score_block(lines, k_max, skip_bad):
+    tax = starter_taxonomy()
+    for source in (lines, "\n".join(lines)):
+        try:
+            expected = load_predictions(source, k_max=k_max, skip_bad=skip_bad)
+        except DataFormatError as exc:
+            with pytest.raises(DataFormatError) as err:
+                load_score_cells(source, tax, k_max, skip_bad)
+            assert (str(err.value), err.value.line) == (str(exc), exc.line)
+            continue
+        dataset = load_score_cells(source, tax, k_max, skip_bad)
+        assert dataset.warnings == expected.warnings
+        assert dataset.users() == expected.users()
+        assert dataset.n_images() == expected.n_records()
+        blocks = [dataset.pop_block(user) for user in expected.users()]
+        assert blocks == [score_block(expected.records[user], tax, k_max)
+                          for user in expected.users()]
+        assert dataset.cells == {}
 
 
 @given(st.lists(label_lines, max_size=5))
