@@ -12,13 +12,15 @@ directory is made just before its first file. Each subcommand is a row of
 correlation, evaluation) and its summary line, so ``score`` writes the same
 bytes as the score tables of ``pipeline``. The dataset holds score cells, not
 records: ``scoring.load_score_cells`` scores each prediction line (or each
-record of the classifier's output) as it is read. The pass takes each user's
-cells out of the dataset as a ScoreBlock, writes its score CSV rows and
-derives the full profile and every sweep point from it, so the cells are
-freed user by user before the profile files are streamed. A subcommand named
-for one step fails (exit 1)
-when that step has no input, such as fewer than 2 profiles to correlate or no
-labeled profile to evaluate; ``pipeline`` skips the step with a note instead.
+record of the classifier's output) as it is read; ``--classifier-cmd`` is
+killed after ``classifier_timeout`` seconds (default 600). The pass takes each
+user's cells out of the dataset as a ScoreBlock, writes its score rows (text
+from a row template, one write per table per user) and derives the full
+profile and every sweep point from it, so the cells are freed user by user
+before the profile files are streamed. A subcommand named for one step fails
+(exit 1) when that step has no input, such as fewer than 2 profiles to
+correlate or no labeled profile to evaluate; ``pipeline`` skips the step with a
+note instead.
 
 Every input file is opened through ``errors.open_input``. The package uses
 only the standard library.
@@ -95,7 +97,8 @@ def _load_dataset(cfg: RunConfig, tax: Taxonomy) -> ScoredDataset:
         with open_input(manifest_path, "manifest", newline="") as fh:
             manifest = read_manifest(fh, path=manifest_path)
         dataset = run_external_classifier(
-            manifest, cfg.classifier_cmd, k=cfg.topk, load=partial(load_score_cells, tax=tax)
+            manifest, cfg.classifier_cmd, k=cfg.topk, load=partial(load_score_cells, tax=tax),
+            timeout=cfg.classifier_timeout,
         )
     else:
         raise ConfigError("missing required setting: --predictions (or --classifier-cmd)")
@@ -262,6 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     data.add_argument("--classifier-cmd", dest="classifier_cmd",
                       help="external classifier command template with {input} and {output}")
     data.add_argument("--manifest", help="user_id,image_id,image_path CSV for --classifier-cmd")
+    data.add_argument("--classifier-timeout", dest="classifier_timeout",
+                      help="seconds --classifier-cmd may run before it is killed (default 600)")
     data.add_argument("--sweep",
                       help="comma-separated image-count sweep (default 5,10,50,75,100)")
     data.add_argument("--tau", help="co-interest threshold in (0,1] (default 0.1)")

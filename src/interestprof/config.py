@@ -11,6 +11,7 @@ characters escaped.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -27,6 +28,7 @@ class RunConfig:
     predictions: str | None = None
     labels: str | None = None
     classifier_cmd: str | None = None
+    classifier_timeout: float = 600.0  # seconds the classifier command may run
     manifest: str | None = None
     out: str | None = None
     topk: int = 5
@@ -59,6 +61,9 @@ class RunConfig:
                 list(self.sweep) != sorted(set(self.sweep)):
             fail("sweep",
                  f"sweep values must be positive and strictly increasing: {list(self.sweep)}")
+        if not 0.0 < self.classifier_timeout < math.inf:
+            fail("classifier_timeout", "classifier_timeout must be a finite number of "
+                 f"seconds > 0, got {self.classifier_timeout}")
         if not 0.0 < self.tau <= 1.0:
             fail("tau", f"tau must be in (0, 1], got {self.tau}")
         if self.jobs < 1:

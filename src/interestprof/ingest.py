@@ -379,6 +379,7 @@ def run_external_classifier(
     command_template: str,
     k: int = DEFAULT_TOP_K,
     load: Callable[..., D] = load_predictions,
+    timeout: float | None = None,
 ) -> D:
     """Run a classifier command over a batch manifest and ingest its output.
 
@@ -390,10 +391,16 @@ def run_external_classifier(
     ``classifier output:<line>``, a record of a (user_id, image_id) pair the
     manifest does not list included; a manifest row with no record names its
     own line. The tail of the command's stderr is quoted with control
-    characters escaped.
+    characters escaped. A command that cannot be started, or that runs longer
+    than ``timeout`` seconds (None: no limit) and is killed, is an
+    ExternalClassifierError.
     """
     if "{input}" not in command_template or "{output}" not in command_template:
         raise ConfigError("classifier command template needs {input} and {output} placeholders")
+    try:
+        tokens = shlex.split(command_template)
+    except ValueError as exc:
+        raise ConfigError(f"classifier command template: {exc}") from None
     if not isinstance(manifest, Manifest):
         manifest = Manifest(list(manifest), list(range(1, len(manifest) + 1)))
     if not manifest.rows:
@@ -412,9 +419,20 @@ def run_external_classifier(
 
         argv = [
             tok.replace("{input}", str(in_path)).replace("{output}", str(out_path))
-            for tok in shlex.split(command_template)
+            for tok in tokens
         ]
-        proc = subprocess.run(argv, capture_output=True, text=True, errors="backslashreplace")
+        try:
+            proc = subprocess.run(argv, capture_output=True, text=True, errors="backslashreplace",
+                                  timeout=timeout)
+        except subprocess.TimeoutExpired:
+            raise ExternalClassifierError(
+                f"classifier command timed out after {timeout:g} s"
+            ) from None
+        except OSError as exc:
+            raise ExternalClassifierError(
+                f"classifier command '{escape_control(argv[0])}' could not be started: "
+                f"{exc.strerror or exc}"
+            ) from None
         if proc.returncode != 0:
             raise ExternalClassifierError(
                 f"classifier command exited with status {proc.returncode}: "

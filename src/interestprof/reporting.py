@@ -2,36 +2,49 @@
 
 Floats are emitted with at most 9 significant digits (shortest representation
 that round-trips the rounded value), which keeps repeated runs byte-identical.
-The image score tables are written through the csv module, so a user or
-image id holding a comma or a quote is quoted instead of shifting columns.
-Score blocks are sparse, so each row is a copy of an all-"0" template with
-only the cells the image touches formatted into it.
 
-Every JSON artifact goes through one encoder, ``to_json``: in a single pass it
-rounds floats and lays the text out exactly as ``json.dumps(..., indent=2)``
-does. ``write_profiles`` encodes each distinct profile object once, memoized
-by identity for the call, because the sweep repeats the full profile at every
-point at or past a user's image count. It streams ``profiles.json`` and
-``profiles_sweep.json``: each profile's text is re-indented to where it sits
-and written to the open file, so neither document is ever one string. The
-metrics and evaluation payloads are the result objects' own values, passed as
-they are.
+The image score tables are plain text. Score blocks are sparse, so each row
+is a copy of an all-"0" template with only the cells the image touches
+formatted into it, joined with commas; each user's rows go to a table as one
+string. A user id is quoted once per user and an image id once per row, by
+``_csv_field``: an id holding a comma, a quote or a line break is quoted by
+the csv module itself, so it reads back as one cell instead of shifting
+columns, and every other id is written as it is.
+
+JSON artifacts are laid out exactly as ``json.dumps(..., indent=2)`` would lay
+out the payload with its floats rounded. The general encoder, ``to_json``,
+does both in one recursive pass. The two fixed-shape records written in bulk
+are filled into precompiled ``%`` templates instead, with the encoder's own
+float rule (``_float_json``): a profile (``_PROFILE``) and a ROC point of
+``report.json`` (``_ROC_POINT``). ``write_profiles`` renders each distinct
+profile object once, memoized by identity for the call, because the sweep
+repeats the full profile at every point at or past a user's image count. It
+streams ``profiles.json`` and ``profiles_sweep.json``: each profile's text is
+re-indented to where it sits and written to the open file, so neither
+document is ever one string. ``report.json`` and ``roc_points.csv`` are
+streamed one ROC series at a time. The metrics and evaluation payloads are
+the result objects' own values, passed as they are.
 
 Every other CSV artifact (the accuracy sweep, confusion, CMC, precision and
-recall, ROC points and the three correlation matrices) is text from one
-helper, ``_csv``. Its cells are fixed names, topics and numbers, none of which
-needs quoting; None is an empty cell.
+recall and the three correlation matrices) is text from one helper, ``_csv``.
+Its cells are fixed names, topics and numbers, none of which needs quoting;
+None is an empty cell. ``roc_points.csv`` holds the same text as ``_csv``
+would give, one row template per topic.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import re
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from math import copysign
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import TextIO
 
 from .correlation import CorrelationMatrix
 from .evaluation import EvalReport
@@ -49,19 +62,32 @@ def fmt_float(x: float) -> str:
 _FLOAT_SPECIALS = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _float_json(x: float) -> str:
+    """JSON text of a float rounded to 9 significant digits; NaN is null."""
+    # repr of the float the 9-digit text reads back as. In fixed notation the
+    # text already has repr's digits (nine digits round-trip a double) and
+    # lacks only the ".0" of whole numbers. Exponent notation starts at 1e9
+    # here but at 1e16 in repr, and subnormals lose digits: ask repr.
+    text = f"{x:.9g}"
+    if "e" in text:
+        return repr(float(text))
+    if "." in text:
+        return text
+    return _FLOAT_SPECIALS.get(text) or text + ".0"
+
+
+_ZERO_JSON = {1.0: "0.0", -1.0: "-0.0"}  # by the sign of a zero
+
+
+def _floats_json(xs: Iterable[float]) -> list[str]:
+    """``_float_json`` of each value; a zero, the commonest, is looked up."""
+    return [_float_json(x) if x else _ZERO_JSON[copysign(1.0, x)] for x in xs]
+
+
 def _encode(obj, indent: str) -> str:
     """JSON text of ``obj`` as it sits at ``indent`` inside an indent-2 document."""
     if isinstance(obj, float):
-        # repr of the float the 9-digit text reads back as. In fixed notation
-        # the text already has repr's digits (nine digits round-trip a double)
-        # and lacks only the ".0" of whole numbers. Exponent notation starts at
-        # 1e9 here but at 1e16 in repr, and subnormals lose digits: ask repr.
-        text = f"{obj:.9g}"
-        if "e" in text:
-            return repr(float(text))
-        if "." in text:
-            return text
-        return _FLOAT_SPECIALS.get(text) or text + ".0"
+        return _float_json(obj)
     if isinstance(obj, str):
         return _quote(obj)
     if obj is None:
@@ -121,6 +147,34 @@ def profile_payload(p: UserProfile) -> dict:
     }
 
 
+def _vector_holes(indent: str) -> str:
+    """A topic vector's object, one float hole per topic and one for unmapped."""
+    inner = indent + "  "
+    return "{\n" + inner + (",\n" + inner).join(
+        [_quote(name).replace("%", "%%") + ": %s" for name in (*TOPICS, "unmapped")]
+    ) + "\n" + indent + "}"
+
+
+# The text of profile_payload(p) as to_json lays it out, with a hole per value.
+_PROFILE = (
+    '{\n  "user_id": %s,\n  "n_images": %s,\n  "mechanism": %s,\n'
+    '  "v_prob": ' + _vector_holes("  ") + ',\n'
+    '  "v_occ": ' + _vector_holes("  ") + ',\n'
+    '  "predicted_topic": %s,\n  "ties": %s\n}'
+)
+
+
+def _profile_json(p: UserProfile) -> str:
+    """``to_json(profile_payload(p))``, filled into the profile template."""
+    ties = "[\n    " + ",\n    ".join(map(_quote, p.ties)) + "\n  ]" if p.ties else "[]"
+    return _PROFILE % (
+        _quote(p.user_id), int.__repr__(p.n_images), _quote(p.mechanism),
+        *_floats_json((*p.v_prob.scores, p.v_prob.unmapped_mass)),
+        *_floats_json((*p.v_occ.scores, p.v_occ.unmapped_mass)),
+        "null" if p.predicted_topic is None else _quote(p.predicted_topic), ties,
+    )
+
+
 def _write_array(fh: TextIO, texts: Iterable[str], indent: str) -> None:
     """Write a JSON array of encoded texts as it sits at ``indent`` in an
     indent-2 document. Encoded text holds no raw newline but its own layout's."""
@@ -138,14 +192,14 @@ def write_profiles(outdir: Path, profiles: Sequence[UserProfile],
     """profiles.json and, given a sweep map, profiles_sweep.json, streamed.
 
     The sweep repeats one profile object at every point at or past a user's
-    image count, so each distinct object is encoded once and placed as text.
+    image count, so each distinct object is rendered once and placed as text.
     """
     encoded: dict[int, str] = {}
 
     def text(p: UserProfile) -> str:
         t = encoded.get(id(p))
         if t is None:
-            t = encoded[id(p)] = to_json(profile_payload(p))
+            t = encoded[id(p)] = _profile_json(p)
         return t
 
     with open(outdir / "profiles.json", "w", encoding="utf-8") as fh:
@@ -182,40 +236,55 @@ def metrics_table(payload: Mapping) -> str:
     return "\n".join(lines)
 
 
+# Characters that make the csv module quote a field, at least on some Python.
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as the csv module writes it as one cell of a row: an id
+    holding none of , " \\r \\n as it is, any other through csv.writer."""
+    if _CSV_SPECIAL.search(text) is None:
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text,))
+    return buf.getvalue()[:-1]
+
+
 @dataclass(frozen=True)
 class ScoreTables:
-    """CSV writers for image_scores_prob.csv and image_scores_occ.csv."""
+    """The open image_scores_prob.csv and image_scores_occ.csv."""
 
-    prob: Any
-    occ: Any
+    prob: TextIO
+    occ: TextIO
     occ_cells: tuple[str, ...]  # formatted count / k for every count 0..k
 
 
 @contextmanager
 def open_score_tables(outdir: Path, k: int) -> Iterator[ScoreTables]:
     """Open both image score tables and write their header rows."""
-    header = ("user_id", "image_id", *TOPICS, "unmapped")
+    header = ",".join(("user_id", "image_id", *TOPICS, "unmapped")) + "\n"
     with open(outdir / "image_scores_prob.csv", "w", encoding="utf-8", newline="") as prob_fh, \
             open(outdir / "image_scores_occ.csv", "w", encoding="utf-8", newline="") as occ_fh:
-        tables = ScoreTables(
-            prob=csv.writer(prob_fh, lineterminator="\n"),
-            occ=csv.writer(occ_fh, lineterminator="\n"),
-            occ_cells=tuple(fmt_float(c / k) for c in range(k + 1)),
-        )
-        tables.prob.writerow(header)
-        tables.occ.writerow(header)
-        yield tables
+        prob_fh.write(header)
+        occ_fh.write(header)
+        yield ScoreTables(prob_fh, occ_fh, tuple(fmt_float(c / k) for c in range(k + 1)))
 
 
 def write_score_rows(tables: ScoreTables, block: ScoreBlock) -> None:
     """Append one user's image rows to both score tables.
 
     Each row starts as a copy of an all-"0" template; only the cells the
-    image touches are filled in.
+    image touches are filled in. Each table gets the user's rows as one write.
     """
+    if not block.image_ids:
+        return
     occ_cells = tables.occ_cells
-    template = [block.user_id, "", *["0"] * (len(TOPICS) + 1)]
-    for image_id, cells in zip(block.image_ids, block.rows):
+    template = [_csv_field(block.user_id), "", *["0"] * (len(TOPICS) + 1)]
+    image_ids = block.image_ids
+    if _CSV_SPECIAL.search("".join(image_ids)) is not None:
+        image_ids = map(_csv_field, image_ids)
+    prob_lines, occ_lines = [], []
+    for image_id, cells in zip(image_ids, block.rows):
         prob_row = template.copy()
         prob_row[1] = image_id
         occ_row = prob_row.copy()
@@ -223,8 +292,10 @@ def write_score_rows(tables: ScoreTables, block: ScoreBlock) -> None:
             if prob:
                 prob_row[pos + 2] = fmt_float(prob)
             occ_row[pos + 2] = occ_cells[count]
-        tables.prob.writerow(prob_row)
-        tables.occ.writerow(occ_row)
+        prob_lines.append(",".join(prob_row))
+        occ_lines.append(",".join(occ_row))
+    tables.prob.write("\n".join(prob_lines) + "\n")
+    tables.occ.write("\n".join(occ_lines) + "\n")
 
 
 def _csv(rows: Iterable[Sequence]) -> str:
@@ -261,10 +332,31 @@ _REPORT_KEYS = ("mechanism", "sweep", "n_labeled", "overall_accuracy",
                 "undefined_precision", "undefined_recall", "confusion", "cmc")
 
 
+# A (threshold, fpr, tpr) point as to_json lays it out in report.json's "roc".
+_ROC_POINT = "[\n        %s,\n        %s,\n        %s\n      ]"
+
+
+def _write_roc(fh: TextIO, roc_points: Mapping[str, Sequence[tuple[float, float, float]]]
+               ) -> None:
+    """Write the ROC series as ``to_json`` lays them out at their depth in
+    report.json, one topic at a time; every point holds three floats."""
+    sep = "{\n    "
+    for topic, points in roc_points.items():
+        fh.write(sep + _quote(str(topic)) + ": ")
+        fh.write("[\n      " + ",\n      ".join([
+            _ROC_POINT % tuple(_floats_json(point)) for point in points
+        ]) + "\n    ]" if points else "[]")
+        sep = ",\n    "
+    fh.write("{}" if sep[0] == "{" else "\n  }")
+
+
 def write_evaluation(outdir: Path, report: EvalReport) -> None:
-    payload = {key: getattr(report, key) for key in _REPORT_KEYS}
-    payload["roc"] = report.roc_points
-    write_json(outdir / "report.json", payload)
+    head = to_json({key: getattr(report, key) for key in _REPORT_KEYS})
+    with open(outdir / "report.json", "w", encoding="utf-8") as fh:
+        # The "roc" series close the document, in place of the last "\n}".
+        fh.write(head[:-2] + ',\n  "roc": ')
+        _write_roc(fh, report.roc_points)
+        fh.write("\n}\n")
 
     ks = report.sweep
     write_text(outdir / "accuracy_by_topic.csv", _csv([
@@ -278,10 +370,12 @@ def write_evaluation(outdir: Path, report: EvalReport) -> None:
         ("topic", "precision", "recall"),
         *[(topic, report.precision[topic], report.recall[topic]) for topic in TOPICS],
     ]))
-    write_text(outdir / "roc_points.csv", _csv([
-        ("topic", "threshold", "fpr", "tpr"),
-        *[(topic, *point) for topic in TOPICS for point in report.roc_points[topic]],
-    ]))
+    with open(outdir / "roc_points.csv", "w", encoding="utf-8") as fh:
+        # _csv's rows, one topic at a time: "%.9g" is fmt_float.
+        fh.write("topic,threshold,fpr,tpr\n")
+        for topic in TOPICS:
+            row = topic + ",%.9g,%.9g,%.9g\n"
+            fh.write("".join([row % point for point in report.roc_points[topic]]))
 
     write_text(
         outdir / "cmc.svg",

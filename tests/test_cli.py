@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -516,6 +517,62 @@ def test_classifier_output_off_the_manifest_exits_1(tmp_path, capsys, case):
                "--out", tmp_path / "out") == 1
     assert capsys.readouterr().err == f"error: {shown}\n"
     assert not (tmp_path / "out").exists()
+
+
+SLEEPER = f'{sys.executable} -c "import time; time.sleep(5)" {{input}} {{output}}'
+
+
+@pytest.mark.parametrize("command, shown", [
+    (SLEEPER, "classifier command timed out after 0.5 s"),
+    ("/nonexistent/classifier {input} {output}",
+     "classifier command '/nonexistent/classifier' could not be started: "
+     "No such file or directory"),
+    ('classify "{input} {output}', "classifier command template: No closing quotation"),
+])
+def test_classifier_that_cannot_finish_exits_2_in_one_line(tmp_path, capsys, command, shown):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(MANIFEST)
+    started = time.monotonic()
+    assert run("pipeline", "--taxonomy", STARTER_PATH, "--manifest", manifest,
+               "--classifier-cmd", command, "--classifier-timeout", "0.5",
+               "--out", tmp_path / "out") == 2
+    assert time.monotonic() - started < 4
+    assert capsys.readouterr() == ("", f"error: {shown}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_classifier_timeout_is_set_like_every_other_key(tmp_path, capsys, monkeypatch):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(MANIFEST)
+    config = tmp_path / "run.conf"
+    config.write_text("classifier_timeout = 0.5\n")
+    args = ["score", "--taxonomy", STARTER_PATH, "--manifest", manifest,
+            "--classifier-cmd", SLEEPER, "--out", tmp_path / "out"]
+    assert run(*args, "--config", config) == 2
+    assert capsys.readouterr().err == "error: classifier command timed out after 0.5 s\n"
+    monkeypatch.setenv(ENV_PREFIX + "CLASSIFIER_TIMEOUT", "0.5")
+    assert run(*args) == 2
+    assert capsys.readouterr().err == "error: classifier command timed out after 0.5 s\n"
+    monkeypatch.delenv(ENV_PREFIX + "CLASSIFIER_TIMEOUT")
+    config.write_text("seed = 1\nclassifier_timeout = 0\n")
+    rule = "classifier_timeout must be a finite number of seconds > 0, got"
+    for extra, env, shown in [
+        (["--config", config], None, f"{config}:2: classifier_timeout: {rule} 0.0"),
+        (["--classifier-timeout", "-1"], None, f"--classifier-timeout: {rule} -1.0"),
+        (["--classifier-timeout", "inf"], None, f"--classifier-timeout: {rule} inf"),
+        (["--classifier-timeout", "soon"], None,
+         "--classifier-timeout: expected a number, got 'soon'"),
+        ([], "nan", f"INTERESTPROF_CLASSIFIER_TIMEOUT: {rule} nan"),
+    ]:
+        if env is not None:
+            monkeypatch.setenv(ENV_PREFIX + "CLASSIFIER_TIMEOUT", env)
+        assert run(*args, *extra) == 2
+        assert capsys.readouterr() == ("", f"error: {shown}\n")
+    assert not (tmp_path / "out").exists()
+    # The default lets a classifier that finishes run to the end.
+    monkeypatch.delenv(ENV_PREFIX + "CLASSIFIER_TIMEOUT")
+    assert run("score", "--taxonomy", STARTER_PATH, "--manifest", manifest,
+               "--classifier-cmd", _stub(tmp_path, STUB_OK), "--out", tmp_path / "out") == 0
 
 
 def test_pipeline_builds_no_prediction_record(tmp_path, monkeypatch, capsys):

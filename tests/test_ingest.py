@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 
 import pytest
 
@@ -323,3 +324,12 @@ def test_external_classifier_empty_manifest_not_invoked():
 def test_external_classifier_template_needs_placeholders():
     with pytest.raises(ConfigError, match="placeholder"):
         run_external_classifier([("u", "i", "p")], "classify --fast", k=5)
+
+
+def test_external_classifier_timeout_kills_the_command(tmp_path):
+    template = _stub(tmp_path, "import time\ntime.sleep(5)\n")
+    started = time.monotonic()
+    with pytest.raises(ExternalClassifierError) as err:
+        run_external_classifier([("u", "i", "p")], template, k=5, timeout=0.5)
+    assert time.monotonic() - started < 4
+    assert str(err.value) == "classifier command timed out after 0.5 s"

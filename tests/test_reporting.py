@@ -1,6 +1,7 @@
-"""The JSON writer against the stdlib encoder, the profile files it writes, and
-the sparse score tables against the dense reference writer."""
+"""The JSON writer against the stdlib encoder, the profile files and report.json
+against it, and the sparse score tables against the dense reference writer."""
 
+import csv
 import json
 import math
 from fractions import Fraction
@@ -10,12 +11,15 @@ import pytest
 from hypothesis import example, given
 
 from conftest import KNOWN_TERMS, UNKNOWN_TERMS, make_record, starter_taxonomy
-from interestprof.profiling import profile_prefixes
+from interestprof import reporting
+from interestprof.evaluation import EvalReport
+from interestprof.profiling import UserProfile, profile_prefixes
 from interestprof.reporting import (
-    open_score_tables, profile_payload, to_json, write_profiles, write_score_rows,
+    open_score_tables, profile_payload, to_json, write_evaluation, write_profiles,
+    write_score_rows,
 )
-from interestprof.scoring import score_block
-from interestprof.taxonomy import TOPICS
+from interestprof.scoring import TopicDistribution, score_block
+from interestprof.taxonomy import N_TOPICS, TOPICS
 from oracles import dense_score_tables, json_ready
 
 
@@ -116,7 +120,7 @@ probs = st.one_of(st.sampled_from([0.0, 0.0, 0.1, 0.25, 1.0]),
 
 
 @st.composite
-def score_inputs(draw):
+def score_inputs(draw, ids=ids):
     """k from 1 to 10, short records, zero probs, all-unmapped images, awkward ids."""
     k = draw(st.integers(min_value=1, max_value=10))
     users = draw(st.lists(ids, min_size=1, max_size=3, unique=True))
@@ -144,3 +148,152 @@ def test_sparse_score_rows_match_dense_reference(tmp_path_factory, data):
     expected = dense_score_tables(tax, TOPICS, records, k)
     got = tuple((out / f"image_scores_{m}.csv").read_bytes() for m in ("prob", "occ"))
     assert got == tuple(text.encode("utf-8") for text in expected)
+
+
+# Carriage returns (which csv.writer quotes on some Python versions and not on
+# others), tabs, spaces at either end, non-ASCII and astral characters.
+awkward_ids = st.one_of(
+    st.text(st.sampled_from('ab,"\' \t\r\né\U0001f600'), min_size=1, max_size=6),
+    st.sampled_from([" lead", "trail ", "\r", "a\rb", "\tx", "naïve", "\U0001f600"]),
+)
+
+
+@given(score_inputs(ids=awkward_ids))
+def test_score_rows_quote_ids_as_csv_writer_does(tmp_path_factory, data):
+    k, records = data
+    tax = starter_taxonomy()
+    out = tmp_path_factory.mktemp("scores")
+    with open_score_tables(out, k) as tables:
+        for user_records in records.values():
+            write_score_rows(tables, score_block(user_records, tax, k))
+    expected = dense_score_tables(tax, TOPICS, records, k)
+    got = tuple((out / f"image_scores_{m}.csv").read_bytes() for m in ("prob", "occ"))
+    assert got == tuple(text.encode("utf-8") for text in expected)
+
+
+_csv_writer = csv.writer
+
+
+class CountingWriter:
+    """A csv.writer that counts its writerow calls."""
+
+    calls = 0
+
+    def __init__(self, *args, **kwargs):
+        self.writer = _csv_writer(*args, **kwargs)
+
+    def writerow(self, row):
+        CountingWriter.calls += 1
+        return self.writer.writerow(row)
+
+
+def test_writers_make_no_call_per_record(tmp_path, monkeypatch):
+    """Score rows with plain ids make no csv.writer call, and write_profiles
+    renders every profile without the general JSON encoder."""
+    CountingWriter.calls = 0
+    monkeypatch.setattr(csv, "writer", CountingWriter)
+    tax = starter_taxonomy()
+    records = [make_record("u1", f"img{j}", [("espresso", 0.5), ("sandal", 0.25)])
+               for j in range(20)]
+    with open_score_tables(tmp_path, 5) as tables:
+        write_score_rows(tables, score_block(records, tax, 5))
+        assert CountingWriter.calls == 0
+        # An id the csv module quotes goes through it, once per id.
+        write_score_rows(tables, score_block([make_record("u,2", "i1", [("cup", 0.5)])], tax, 5))
+    assert CountingWriter.calls == 1
+
+    encoded = []
+
+    def counting_encode(obj, indent):
+        encoded.append(obj)
+        return "null"
+
+    monkeypatch.setattr(reporting, "_encode", counting_encode)
+    profiles, sweep_map = _profiles(["u1", "u2"], (1, 2, 50))
+    monkeypatch.setattr(reporting, "to_json", counting_encode)
+    write_profiles(tmp_path, profiles, sweep_map)
+    assert encoded == []
+    monkeypatch.undo()
+    assert (tmp_path / "profiles_sweep.json").read_text(encoding="utf-8") == \
+        _reference_files(profiles, sweep_map)[1]
+
+
+# Profile values are nonnegative: the edge floats without -0.0 and -inf.
+vector_floats = st.one_of(
+    st.floats(min_value=0.0), st.just(math.nan),
+    st.sampled_from([x for x in EDGE_FLOATS if not math.copysign(1.0, x) < 0]),
+)
+vectors = st.builds(
+    TopicDistribution,
+    st.lists(vector_floats, min_size=N_TOPICS, max_size=N_TOPICS).map(tuple),
+    vector_floats,
+)
+user_profiles = st.builds(
+    UserProfile,
+    user_id=text,
+    n_images=st.integers(min_value=0, max_value=10**12),
+    v_prob=vectors,
+    v_occ=vectors,
+    mechanism=st.sampled_from(("prob", "occ")),
+    predicted_topic=st.one_of(st.none(), st.sampled_from(TOPICS), text),
+    ties=st.one_of(st.just(()), st.lists(st.sampled_from(TOPICS), min_size=1, max_size=4)
+                   .map(tuple), st.lists(text, max_size=3).map(tuple)),
+)
+
+
+@st.composite
+def profile_sets(draw):
+    """Full profiles and a sweep map whose points share objects, as the pipeline's do."""
+    pool = draw(st.lists(user_profiles, min_size=1, max_size=4))
+    pick = st.sampled_from(pool)
+    profiles = draw(st.lists(pick, max_size=4))
+    points = draw(st.lists(st.integers(min_value=1, max_value=200), max_size=4, unique=True))
+    return profiles, {n: draw(st.lists(pick, max_size=4)) for n in sorted(points)}
+
+
+@given(profile_sets())
+def test_profile_template_matches_the_stdlib_layout(tmp_path_factory, data):
+    profiles, sweep_map = data
+    out = tmp_path_factory.mktemp("profiles")
+    write_profiles(out, profiles, sweep_map)
+    expected = _reference_files(profiles, sweep_map)
+    assert (out / "profiles.json").read_text(encoding="utf-8") == expected[0]
+    assert (out / "profiles_sweep.json").read_text(encoding="utf-8") == expected[1]
+
+
+roc_floats = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS + (1.0, 0.0)))
+roc_series = st.lists(st.tuples(roc_floats, roc_floats, roc_floats), max_size=4).map(tuple)
+
+
+def _report(roc_points) -> EvalReport:
+    sweep = (1, 5)
+    return EvalReport(
+        mechanism="occ", sweep=sweep, n_labeled=3,
+        per_topic_accuracy={t: {1: None, 5: 0.5} for t in TOPICS},
+        overall_accuracy={1: 0.25, 5: 1.0},
+        overall_accuracy_by_mechanism={"prob": {1: 0.0, 5: 1 / 3}, "occ": {1: 0.25, 5: 1.0}},
+        precision={t: 0.5 for t in TOPICS}, recall={t: 1.0 for t in TOPICS},
+        undefined_precision=("Drink",), undefined_recall=(),
+        confusion=tuple(tuple(int(i == j) for j in range(N_TOPICS)) for i in range(N_TOPICS)),
+        cmc=tuple((r, r / N_TOPICS) for r in range(1, N_TOPICS + 1)),
+        roc_points=roc_points,
+    )
+
+
+@given(st.permutations(TOPICS).flatmap(
+    lambda order: st.fixed_dictionaries({t: roc_series for t in order})))
+@example({t: () for t in TOPICS})
+@example({t: ((1.0, 0.0, 0.0), (0.5, 1e-5, 5e-324), (0.0, 1.0, 1.0)) if t == "Drink" else
+          ((1e16, 1.7976931348623157e308, 1e9),) for t in TOPICS})
+def test_roc_templates_match_the_general_writers(tmp_path_factory, roc_points):
+    out = tmp_path_factory.mktemp("report")
+    report = _report(roc_points)
+    write_evaluation(out, report)
+    payload = {key: getattr(report, key) for key in reporting._REPORT_KEYS}
+    payload["roc"] = report.roc_points
+    assert (out / "report.json").read_text(encoding="utf-8") == to_json(payload) + "\n"
+    assert to_json(payload) == reference(payload)
+    assert (out / "roc_points.csv").read_text(encoding="utf-8") == reporting._csv([
+        ("topic", "threshold", "fpr", "tpr"),
+        *[(topic, *point) for topic in TOPICS for point in roc_points[topic]],
+    ])
