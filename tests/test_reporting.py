@@ -204,7 +204,7 @@ def test_writers_make_no_call_per_record(tmp_path, monkeypatch):
 
     encoded = []
 
-    def counting_encode(obj, indent):
+    def counting_encode(obj, indent=""):
         encoded.append(obj)
         return "null"
 
