@@ -13,6 +13,13 @@ for the fixture, the scripts and the tests; the pipeline path,
 ``scoring.load_score_cells``, makes each image's sparse score cells at once
 and holds no record.
 
+Each line is read once. The default JSON decoder's scanner decodes it, and
+only a line the scanner does not read whole goes through ``json.loads``
+again, so every value and message is that of ``json.loads``. A per-load memo
+maps each label to its key (the label itself for records, its topic position
+for cells): a label is checked and resolved on its first sight, and each
+later occurrence is one dict probe.
+
 Labels are CSV with header ``user_id,topic``. The external-classifier adapter
 reads a ``user_id,image_id,image_path`` CSV manifest, invokes a user-supplied
 command once per batch with ``{input}`` and ``{output}`` placeholders and
@@ -29,7 +36,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import shlex
+import signal
 import subprocess
 import tempfile
 from dataclasses import dataclass, field, replace
@@ -85,16 +94,25 @@ def _lines(source: str | Iterable[str]) -> Iterator[str]:
         yield from source
 
 
-Pairs = list[tuple[str, float]]  # (label, prob) in line order
+K = TypeVar("K")  # what a load makes of each label
+Pairs = list[tuple[K, float]]  # (key of the label, prob) in line order
 T = TypeVar("T")
 D = TypeVar("D")  # a dataset: ProfileDataset or scoring.ScoredDataset
 
+# The default decoder's scanner, called without json.loads' two wrapper layers.
+_scan_once = json.JSONDecoder().scan_once
+
 
 def _parse_prediction_line(
-    line: str, no: int, k_max: int, strings: dict[str, str]
+    line: str, no: int, k_max: int, strings: dict[str, str], keys: dict[str, K],
+    key: Callable[[str], K] | None,
 ) -> tuple[str, str, Pairs]:
-    """(user_id, image_id, pairs) of one line; ``strings`` interns user ids and
-    labels across a load.
+    """(user_id, image_id, pairs) of one stripped line.
+
+    ``strings`` interns user ids across a load. ``keys`` memoizes each label's
+    key across a load (``key(label)``, or the label itself when ``key`` is
+    None): a label is type-checked, UTF-8-checked and resolved on its first
+    sight only, and each later occurrence costs one dict probe.
 
     ``json`` yields only exact dict/list/str/int/float/bool/None, so exact
     type checks suffice (and keep bool out of the numbers).
@@ -102,7 +120,15 @@ def _parse_prediction_line(
     if not line.isascii():
         check_utf8(line, "line", no)
     try:
-        obj = json.loads(line)
+        # The line has no whitespace left at either end, so json.loads accepts
+        # it exactly when the scanner reads one value that ends where the line
+        # ends; any other outcome re-runs json.loads for its value or message.
+        try:
+            obj, end = _scan_once(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(line):
+            obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"malformed JSON: {exc.msg}", line=no) from None
     except ValueError as exc:  # an integer literal beyond the int/str digit limit
@@ -140,13 +166,14 @@ def _parse_prediction_line(
             raise DataFormatError("prediction entries must be objects", line=no)
         label = item.get("label")
         prob = item.get("prob")
-        if type(label) is not str or not label:
-            raise DataFormatError("prediction missing a 'label' string", line=no)
-        known = strings.get(label)
-        if known is None:
+        try:
+            label_key = keys[label]
+        except (KeyError, TypeError):  # not seen in this load, or unhashable
+            if type(label) is not str or not label:
+                raise DataFormatError("prediction missing a 'label' string", line=no) from None
             if not label.isascii():
                 check_utf8(label, "'label'", no)
-            known = strings[label] = label
+            label_key = keys[label] = label if key is None else key(label)
         if type(prob) is float:
             if not 0.0 <= prob <= 1.0:
                 raise DataFormatError(
@@ -161,7 +188,7 @@ def _parse_prediction_line(
             prob = float(prob)
         else:
             raise DataFormatError(f"prob for '{escape_control(label)}' is not a number", line=no)
-        pairs.append((known, prob))
+        pairs.append((label_key, prob))
     return user_id, image_id, pairs
 
 
@@ -171,10 +198,13 @@ def group_predictions(
     k_max: int = DEFAULT_TOP_K,
     skip_bad: bool = False,
     listed: dict[tuple[str, str], int] | None = None,
+    key: Callable[[str], K] | None = None,
 ) -> tuple[dict[str, dict[str, T]], list[str]]:
     """Valid prediction lines as user -> image_id -> ``image(pairs)``, file order,
     and the warnings for skipped lines.
 
+    Each pair holds ``key(label)``, or the label itself when ``key`` is None;
+    ``key`` runs once per distinct label of a load, on its first valid sight.
     Any malformed or invalid line, or a second record of one image, aborts the
     load unless ``skip_bad`` is set, in which case it is skipped and reported.
     ``listed`` maps every expected (user_id, image_id) to its manifest line:
@@ -183,13 +213,16 @@ def group_predictions(
     """
     groups: dict[str, dict[str, T]] = {}
     strings: dict[str, str] = {}
+    keys: dict[str, K] = {}
     warnings: list[str] = []
     for no, raw in enumerate(_lines(source), start=1):
         line = raw.strip()
         if not line:
             continue
         try:
-            user_id, image_id, pairs = _parse_prediction_line(line, no, k_max, strings)
+            user_id, image_id, pairs = _parse_prediction_line(
+                line, no, k_max, strings, keys, key
+            )
             images = groups.get(user_id)
             if images is not None and image_id in images:
                 raise DataFormatError(
@@ -421,22 +454,30 @@ def run_external_classifier(
             tok.replace("{input}", str(in_path)).replace("{output}", str(out_path))
             for tok in tokens
         ]
+        # The command leads a process group of its own, so a timeout kills
+        # whatever it started as well.
         try:
-            proc = subprocess.run(argv, capture_output=True, text=True, errors="backslashreplace",
-                                  timeout=timeout)
-        except subprocess.TimeoutExpired:
-            raise ExternalClassifierError(
-                f"classifier command timed out after {timeout:g} s"
-            ) from None
+            proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                    text=True, errors="backslashreplace",
+                                    start_new_session=True)
         except OSError as exc:
             raise ExternalClassifierError(
                 f"classifier command '{escape_control(argv[0])}' could not be started: "
                 f"{exc.strerror or exc}"
             ) from None
+        with proc:
+            try:
+                _, stderr = proc.communicate(timeout=timeout)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+                raise ExternalClassifierError(
+                    f"classifier command timed out after {timeout:g} s"
+                ) from None
         if proc.returncode != 0:
             raise ExternalClassifierError(
                 f"classifier command exited with status {proc.returncode}: "
-                f"{escape_control(proc.stderr.strip()[-500:])}"
+                f"{escape_control(stderr.strip()[-500:])}"
             )
         if not out_path.exists():
             raise ExternalClassifierError("classifier command wrote no output file")

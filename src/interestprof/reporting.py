@@ -176,13 +176,13 @@ def _profile_json(p: UserProfile) -> str:
 
 
 def _write_array(fh: TextIO, texts: Iterable[str], indent: str) -> None:
-    """Write a JSON array of encoded texts as it sits at ``indent`` in an
-    indent-2 document. Encoded text holds no raw newline but its own layout's."""
+    """Write a JSON array as it sits at ``indent`` in an indent-2 document, of
+    encoded texts already laid out one level deeper."""
     inner = "\n" + indent + "  "
     sep = "[" + inner
     for text in texts:
         fh.write(sep)
-        fh.write(text.replace("\n", inner))
+        fh.write(text)
         sep = "," + inner
     fh.write("[]" if sep[0] == "[" else "\n" + indent + "]")
 
@@ -192,9 +192,11 @@ def write_profiles(outdir: Path, profiles: Sequence[UserProfile],
     """profiles.json and, given a sweep map, profiles_sweep.json, streamed.
 
     The sweep repeats one profile object at every point at or past a user's
-    image count, so each distinct object is rendered once and placed as text.
+    image count, so each distinct object is rendered once, indented once per
+    depth it is written at, and placed as text.
     """
     encoded: dict[int, str] = {}
+    swept: dict[int, str] = {}
 
     def text(p: UserProfile) -> str:
         t = encoded.get(id(p))
@@ -202,8 +204,14 @@ def write_profiles(outdir: Path, profiles: Sequence[UserProfile],
             t = encoded[id(p)] = _profile_json(p)
         return t
 
+    def sweep_text(p: UserProfile) -> str:
+        t = swept.get(id(p))
+        if t is None:
+            t = swept[id(p)] = text(p).replace("\n", "\n    ")
+        return t
+
     with open(outdir / "profiles.json", "w", encoding="utf-8") as fh:
-        _write_array(fh, map(text, profiles), "")
+        _write_array(fh, (text(p).replace("\n", "\n  ") for p in profiles), "")
         fh.write("\n")
     if sweep_map is None:
         return
@@ -211,7 +219,7 @@ def write_profiles(outdir: Path, profiles: Sequence[UserProfile],
         sep = "{\n  "
         for n, ps in sweep_map.items():
             fh.write(sep + _quote(str(n)) + ": ")
-            _write_array(fh, map(text, ps), "  ")
+            _write_array(fh, map(sweep_text, ps), "  ")
             sep = ",\n  "
         fh.write("{}\n" if sep[0] == "{" else "\n}\n")
 

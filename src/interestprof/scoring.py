@@ -12,20 +12,25 @@ k + 1 of the 25 positions (24 topics plus unmapped), so it holds one
 ``(position, prob, count)`` cell per position it touches, in position order,
 and every other cell is zero. A user's cell rows form a ScoreBlock, and every
 other view of the image scores (the row objects below, the score CSVs, user
-profiles at every sweep point) is derived from it.
+profiles at every sweep point) is derived from it. An image's cells come from
+its (position, prob) pairs as run-length sums: the pairs are sorted by
+position and each run of one position becomes one cell.
 
 The pipeline path, ``load_score_cells``, scores each prediction line into
 its cells as it is read and keeps no PredictionRecord: the dataset it returns
-holds cells only. ``score_block`` gives the same blocks from records, for
-the fixture, the scripts and the tests. Cells use ``fsum`` and counts, so
-they do not depend on the order of an image's predictions.
+holds cells only. The loader's per-load label memo hands it each label's
+position, so ``LabelIndex.position`` runs once per distinct label of a load.
+``score_block`` gives the same blocks from records, for the fixture, the
+scripts and the tests. Cells use ``fsum`` and counts, so they do not depend
+on the order of an image's predictions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from .ingest import DEFAULT_TOP_K, PredictionRecord, group_predictions
 from .taxonomy import N_TOPICS, TOPICS, Taxonomy
@@ -119,29 +124,38 @@ def _distribution(cells: list[float]) -> TopicDistribution:
     return TopicDistribution(scores=tuple(cells[:N_TOPICS]), unmapped_mass=cells[N_TOPICS])
 
 
-def _score_record(
-    predictions: Sequence[tuple[str, float]], position: Callable[[str], int], k: int
-) -> tuple[Cell, ...]:
-    """Sparse cells of one image; see ScoreBlock."""
-    missing = k - len(predictions)
+_POSITION = itemgetter(0)
+
+
+def _score_record(pairs: list[tuple[int, float]], k: int) -> tuple[Cell, ...]:
+    """Sparse cells of one image from its (position, prob) pairs; see ScoreBlock.
+
+    Sorts ``pairs`` by position in place and fsums each run of one position.
+    The sort is stable, so every run keeps its line order.
+    """
+    missing = k - len(pairs)
     if missing < 0:
         raise ValueError(
-            f"divisor k={k} is smaller than the record's {len(predictions)} predictions"
+            f"divisor k={k} is smaller than the record's {len(pairs)} predictions"
         )
-    by_pos: dict[int, list[float]] = {}
-    for label, prob in predictions:
-        pos = position(label)
-        bucket = by_pos.get(pos)
-        if bucket is None:
-            by_pos[pos] = [prob]
+    pairs.sort(key=_POSITION)
+    cells = []
+    pos, probs = -1, []
+    for p, prob in pairs:
+        if p == pos:
+            probs.append(prob)
         else:
-            bucket.append(prob)
-    if missing and N_TOPICS not in by_pos:
-        by_pos[N_TOPICS] = []
-    return tuple(
-        (pos, math.fsum(bucket), len(bucket) + (missing if pos == N_TOPICS else 0))
-        for pos, bucket in sorted(by_pos.items())
-    )
+            if probs:
+                cells.append((pos, math.fsum(probs), len(probs)))
+            pos, probs = p, [prob]
+    if pos == N_TOPICS:  # the unmapped run sorts last
+        cells.append((pos, math.fsum(probs), len(probs) + missing))
+    else:
+        if probs:
+            cells.append((pos, math.fsum(probs), len(probs)))
+        if missing:
+            cells.append((N_TOPICS, 0.0, missing))
+    return tuple(cells)
 
 
 def score_block(
@@ -159,7 +173,10 @@ def score_block(
         user_id=records[0].user_id if records else "",
         image_ids=tuple(rec.image_id for rec in records),
         k=k,
-        rows=tuple(_score_record(rec.predictions, position, k) for rec in records),
+        rows=tuple(
+            _score_record([(position(label), prob) for label, prob in rec.predictions], k)
+            for rec in records
+        ),
     )
 
 
@@ -202,9 +219,9 @@ def load_score_cells(
     The lines, checks, errors and warnings are those of ``load_predictions``,
     and each user's block equals ``score_block`` of that user's records.
     """
-    position = tax.label_index.position
     cells, warnings = group_predictions(
-        source, lambda pairs: _score_record(pairs, position, k_max), k_max, skip_bad, listed
+        source, lambda pairs: _score_record(pairs, k_max), k_max, skip_bad, listed,
+        key=tax.label_index.position,
     )
     return ScoredDataset(k=k_max, cells=cells, warnings=warnings)
 

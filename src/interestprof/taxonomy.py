@@ -171,7 +171,9 @@ class LabelIndex:
     Every instance term is resolved to the position of its nearest topic once,
     when the index is built. Each raw label is normalized on its first lookup
     and remembered, so repeated labels cost one dict probe. Labels with no
-    topic map to N_TOPICS, the unmapped position.
+    topic map to N_TOPICS, the unmapped position. The prediction loader keeps
+    its own per-load memo in front of ``position``, so a load calls it once
+    per distinct label.
     """
 
     def __init__(self, tax: Taxonomy):

@@ -1,11 +1,15 @@
 """Prediction/label ingestion and the external-classifier adapter."""
 
+import contextlib
 import json
+import os
+import signal
 import sys
 import time
 
 import pytest
 
+from interestprof import ingest
 from interestprof.errors import (
     ConfigError,
     DataFormatError,
@@ -81,6 +85,66 @@ def test_prob_out_of_range_names_line():
 def test_malformed_json_aborts_with_line_number():
     with pytest.raises(DataFormatError, match="line 1"):
         load_predictions("{not json")
+
+
+def _outcome(line):
+    """The records load_predictions reads from one line, or its error message."""
+    try:
+        return load_predictions([line]).records
+    except DataFormatError as exc:
+        return str(exc)
+
+
+def _cup(prob):
+    return '{"user_id": "u", "image_id": "i", "predictions": [{"label": "cup", "prob": %s}]}' % prob
+
+
+# Lines at the edges of what the decoder's scanner reads without json.loads.
+SCANNER_LINES = {
+    "plain": WORKED_LINE,
+    "trailing word": WORKED_LINE + " x",
+    "two objects": WORKED_LINE + WORKED_LINE,
+    "leading BOM": "\ufeff" + WORKED_LINE,
+    "trailing BOM": WORKED_LINE + "\ufeff",
+    "non-object": json.dumps([WORKED_LINE]),
+    "bare string": '"u"',
+    "deep nesting": "[" * 100_000,
+    "5000-digit integer": _cup("1" * 5000),
+    "NaN prob": _cup("NaN"),
+    "Infinity prob": _cup("Infinity"),
+    "negative Infinity prob": _cup("-Infinity"),
+    "duplicate keys": '{"user_id": "x", "image_id": "i", "user_id": "u", '
+                      '"predictions": [{"label": "cup", "prob": 0.2, "prob": 0.5}]}',
+    "truncated": WORKED_LINE[:-1],
+}
+
+
+@pytest.mark.parametrize("line", SCANNER_LINES.values(), ids=SCANNER_LINES)
+def test_scanner_gives_what_json_loads_gives(line, monkeypatch):
+    got = _outcome(line)
+    try:
+        json.loads(line)
+    except json.JSONDecodeError as exc:
+        assert got == f"line 1: malformed JSON: {exc.msg}"
+        return
+    except ValueError as exc:
+        assert got == f"line 1: malformed JSON: {exc}"
+        return
+    except RecursionError:
+        assert got == "line 1: malformed JSON: nested too deeply"
+        return
+
+    def no_scan(line, idx):
+        raise StopIteration(idx)
+
+    monkeypatch.setattr(ingest, "_scan_once", no_scan)  # every line through json.loads
+    assert got == _outcome(line)
+
+
+def test_duplicate_keys_keep_the_last_and_nan_is_out_of_range():
+    records = _outcome(SCANNER_LINES["duplicate keys"])
+    assert [(r.user_id, r.predictions) for r in records["u"]] == [("u", (("cup", 0.5),))]
+    assert _outcome(SCANNER_LINES["NaN prob"]) == "line 1: prob nan for 'cup' out of range [0, 1]"
 
 
 def test_skip_bad_collects_warnings():
@@ -333,3 +397,29 @@ def test_external_classifier_timeout_kills_the_command(tmp_path):
         run_external_classifier([("u", "i", "p")], template, k=5, timeout=0.5)
     assert time.monotonic() - started < 4
     assert str(err.value) == "classifier command timed out after 0.5 s"
+
+
+def _gone_or_zombie(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    with open(f"/proc/{pid}/stat") as fh:
+        return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+
+
+def test_external_classifier_timeout_kills_what_the_command_started(tmp_path):
+    pid_file = tmp_path / "sleeper.pid"
+    template = f"sh -c 'sleep 30 & echo $! > {pid_file}; wait' sh {{input}} {{output}}"
+    with pytest.raises(ExternalClassifierError) as err:
+        run_external_classifier([("u", "i", "p")], template, k=5, timeout=0.5)
+    assert str(err.value) == "classifier command timed out after 0.5 s"
+    pid = int(pid_file.read_text())
+    deadline = time.monotonic() + 2
+    while not _gone_or_zombie(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    try:
+        assert _gone_or_zombie(pid)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)

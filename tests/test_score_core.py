@@ -3,8 +3,12 @@
 Random multi-user datasets (k from 1 to 8, unknown labels, case and
 underscore variants of known terms, short records) are scored by the library
 and by ``oracles.bf_image_rows`` / ``oracles.bf_profile``. Image rows, full
-profiles and every sweep point must agree exactly.
+profiles and every sweep point must agree exactly. Prediction lines of the
+same kind, read by the pipeline's loader ``load_score_cells``, must give the
+oracle's image rows bit for bit.
 """
+
+import json
 
 import hypothesis.strategies as st
 import pytest
@@ -15,7 +19,7 @@ from conftest import KNOWN_TERMS, UNKNOWN_TERMS, make_record, starter_taxonomy
 from interestprof.errors import NoPredictionError
 from interestprof.ingest import ProfileDataset
 from interestprof.profiling import profile_user, profile_users, sweep_profiles
-from interestprof.scoring import build_matrices
+from interestprof.scoring import build_matrices, load_score_cells
 from interestprof.taxonomy import TOPICS
 
 VARIANTS = (
@@ -104,3 +108,42 @@ def test_core_matches_oracle(data, mechanism):
             assert p.n_images == len(prefix)
             assert p.mechanism == mechanism
             assert as_tuple(p) == expected_profile(prefix, k, mechanism)
+
+
+LINE_PROBS = st.one_of(PROBS, st.sampled_from([-0.0, 0, 1]))
+
+
+@st.composite
+def prediction_lines(draw):
+    """(k, lines, the (user, predictions) of each line) with labels repeated
+    within and across lines, unmapped labels, short records, -0.0 and int probs."""
+    k = draw(st.integers(min_value=1, max_value=8))
+    vocabulary = draw(st.lists(labels(), min_size=1, max_size=6))
+    lines, images = [], []
+    for i in range(draw(st.integers(min_value=1, max_value=12))):
+        user = draw(st.sampled_from(["u0", "u1", "u2"]))
+        preds = draw(st.lists(st.tuples(st.sampled_from(vocabulary), LINE_PROBS),
+                              min_size=1, max_size=k))
+        lines.append(json.dumps({"user_id": user, "image_id": f"i{i}", "predictions": [
+            {"label": label, "prob": prob} for label, prob in preds]}))
+        images.append((user, [(label, float(prob)) for label, prob in preds]))
+    return k, lines, images
+
+
+@settings(max_examples=150)
+@given(prediction_lines())
+def test_load_score_cells_matches_oracle_rows(data):
+    k, lines, images = data
+    tax = starter_taxonomy()
+    dataset = load_score_cells(lines, tax, k)
+    users = dataset.users()
+    assert users == list(dict.fromkeys(user for user, _ in images))
+    got = []
+    for user in users:
+        m = dataset.pop_block(user).matrices()
+        got += [repr((p.scores, p.unmapped_mass, o.scores, o.unmapped_mass))
+                for p, o in zip(m.prob_rows, m.occ_rows)]
+    # repr tells -0.0 from 0.0
+    want = [repr(oracles.bf_image_rows(tax, TOPICS, preds, k))
+            for user in users for u, preds in images if u == user]
+    assert got == want

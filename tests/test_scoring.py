@@ -1,13 +1,18 @@
 """Image-level scoring mechanisms: probability sums and occurrence counts."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import make_record, prediction_pairs, starter_taxonomy
+from interestprof.fixtures import generate_fixture
+from interestprof.ingest import serialize_predictions
 from interestprof.scoring import (
     TopicDistribution,
     build_matrices,
+    load_score_cells,
     score_image_occ,
     score_image_prob,
 )
@@ -177,3 +182,21 @@ def test_row_mass_accounting(pairs):
     assert occ.total() == pytest.approx(1.0, abs=1e-9)
     prob = score_image_prob(rec, tax)
     assert prob.total() == pytest.approx(sum(p for _, p in pairs), abs=1e-9)
+
+
+def test_load_resolves_each_distinct_label_once(monkeypatch):
+    tax = starter_taxonomy()
+    dataset = generate_fixture(2, 30, 0.6, 7, tax)
+    index = tax.label_index
+    calls = Counter()
+
+    def counting(label, position=index.position):
+        calls[label] += 1
+        return position(label)
+
+    monkeypatch.setattr(index, "position", counting)
+    scored = load_score_cells(serialize_predictions(dataset), tax)
+    labels = [label for rec in dataset.iter_records() for label, _ in rec.predictions]
+    assert scored.n_images() == dataset.n_records() == 1440
+    assert len(labels) > 2 * len(set(labels))
+    assert calls == Counter(set(labels))
