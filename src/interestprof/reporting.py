@@ -17,13 +17,13 @@ does both in one recursive pass. The two fixed-shape records written in bulk
 are filled into precompiled ``%`` templates instead, with the encoder's own
 float rule (``_float_json``): a profile (``_PROFILE``) and a ROC point of
 ``report.json`` (``_ROC_POINT``). ``write_profiles`` renders each distinct
-profile object once, memoized by identity for the call, because the sweep
-repeats the full profile at every point at or past a user's image count. It
-streams ``profiles.json`` and ``profiles_sweep.json``: each profile's text is
-re-indented to where it sits and written to the open file, so neither
-document is ever one string. ``report.json`` and ``roc_points.csv`` are
-streamed one ROC series at a time. The metrics and evaluation payloads are
-the result objects' own values, passed as they are.
+profile object once, keeping a listed profile's text by identity for the
+call, because the sweep repeats the full profile at every point at or past a
+user's image count. It streams ``profiles.json`` and ``profiles_sweep.json``:
+each profile's text is indented once for each file it sits in and written to
+the open file, so neither document is ever one string. ``report.json`` and
+``roc_points.csv`` are streamed one ROC series at a time. The metrics and
+evaluation payloads are the result objects' own values, passed as they are.
 
 Every other CSV artifact (the accuracy sweep, confusion, CMC, precision and
 recall and the three correlation matrices) is text from one helper, ``_csv``.
@@ -191,27 +191,30 @@ def write_profiles(outdir: Path, profiles: Sequence[UserProfile],
                    sweep_map: Mapping[int, Sequence[UserProfile]] | None = None) -> None:
     """profiles.json and, given a sweep map, profiles_sweep.json, streamed.
 
-    The sweep repeats one profile object at every point at or past a user's
-    image count, so each distinct object is rendered once, indented once per
-    depth it is written at, and placed as text.
+    The sweep places a user's full profile, the object listed in
+    profiles.json, at every point at or past the user's image count, and each
+    shorter prefix's profile at one point. So each object is rendered once, a
+    listed profile is indented once for each file, and its sweep text is kept
+    for the points that repeat it.
     """
-    encoded: dict[int, str] = {}
-    swept: dict[int, str] = {}
+    listed: dict[int, str] = {}  # id -> text of a profile in profiles.json
+    swept: dict[int, str] = {}   # id -> a listed profile's text, indented for the sweep
 
-    def text(p: UserProfile) -> str:
-        t = encoded.get(id(p))
-        if t is None:
-            t = encoded[id(p)] = _profile_json(p)
-        return t
+    def listed_text(p: UserProfile) -> str:
+        t = listed[id(p)] = _profile_json(p)
+        return t.replace("\n", "\n  ")
 
     def sweep_text(p: UserProfile) -> str:
         t = swept.get(id(p))
         if t is None:
-            t = swept[id(p)] = text(p).replace("\n", "\n    ")
+            t = listed.pop(id(p), None)
+            if t is None:  # a prefix profile, placed once
+                return _profile_json(p).replace("\n", "\n    ")
+            t = swept[id(p)] = t.replace("\n", "\n    ")
         return t
 
     with open(outdir / "profiles.json", "w", encoding="utf-8") as fh:
-        _write_array(fh, (text(p).replace("\n", "\n  ") for p in profiles), "")
+        _write_array(fh, map(listed_text, profiles), "")
         fh.write("\n")
     if sweep_map is None:
         return

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -220,7 +221,7 @@ def load_score_cells(
     and each user's block equals ``score_block`` of that user's records.
     """
     cells, warnings = group_predictions(
-        source, lambda pairs: _score_record(pairs, k_max), k_max, skip_bad, listed,
+        source, partial(_score_record, k=k_max), k_max, skip_bad, listed,
         key=tax.label_index.position,
     )
     return ScoredDataset(k=k_max, cells=cells, warnings=warnings)
