@@ -80,7 +80,10 @@ class ExternalClassifierError(InterestProfError):
 
 
 def open_input(path: str | Path, what: str, newline: str | None = None) -> TextIO:
-    """Open an input file as text; a missing file is a ConfigError naming ``what``.
+    """Open an input file as text.
+
+    A path that is missing, is a directory or may not be read is a ConfigError
+    naming ``what``.
 
     A leading BOM is dropped. An undecodable byte becomes a lone surrogate,
     which ``check_utf8`` reports with its line. CSV files take ``newline=""``,
@@ -90,6 +93,12 @@ def open_input(path: str | Path, what: str, newline: str | None = None) -> TextI
         return open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline=newline)
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {escape_control(str(path))}") from None
+    except IsADirectoryError:
+        raise ConfigError(f"{what} file is a directory: {escape_control(str(path))}") from None
+    except PermissionError:
+        raise ConfigError(
+            f"{what} file cannot be read (permission denied): {escape_control(str(path))}"
+        ) from None
 
 
 def check_utf8(text: str, what: str, no: int, path: str | None = None) -> None:

@@ -18,7 +18,8 @@ only a line the scanner does not read whole goes through ``json.loads``
 again, so every value and message is that of ``json.loads``. A per-load memo
 maps each label to its key (the label itself for records, its topic position
 for cells): a label is checked and resolved on its first sight, and each
-later occurrence is one dict probe.
+later occurrence is one dict probe. A line nested ``MAX_NESTING`` levels deep
+is rejected before it is decoded, wherever the load is called from.
 
 Labels are CSV with header ``user_id,topic``. The external-classifier adapter
 reads a ``user_id,image_id,image_path`` CSV manifest, invokes a user-supplied
@@ -37,10 +38,7 @@ import csv
 import io
 import json
 import os
-import shlex
-import signal
-import subprocess
-import tempfile
+import re
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from pathlib import Path
@@ -102,6 +100,34 @@ D = TypeVar("D")  # a dataset: ProfileDataset or scoring.ScoredDataset
 # The default decoder's scanner, called without json.loads' two wrapper layers.
 _scan_once = json.JSONDecoder().scan_once
 
+# A line nested this deep is rejected before it is decoded. The decoder
+# recurses once per level, so without a cap whether a line loads would depend
+# on the recursion depth the caller has left.
+MAX_NESTING = 256
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"?')  # an unterminated string runs to the end
+_BRACKET = re.compile(r"[][{}]")
+
+
+def _nests_too_deeply(line: str) -> bool:
+    """Whether the brackets of ``line`` outside its strings open MAX_NESTING levels.
+
+    A well-formed line nested MAX_NESTING deep holds that many openers and as
+    many closers, so the caller skips a line shorter than ``2 * MAX_NESTING``
+    (one that leaves brackets open is malformed and rejected by the decoder),
+    and a line with fewer openers is decided without a scan.
+    """
+    if line.count("[") + line.count("{") < MAX_NESTING:
+        return False
+    depth = 0
+    for bracket in _BRACKET.findall(_STRING.sub("", line)):
+        if bracket in "[{":
+            depth += 1
+            if depth >= MAX_NESTING:
+                return True
+        else:
+            depth -= 1
+    return False
+
 
 def _parse_prediction_line(
     line: str, no: int, k_max: int, strings: dict[str, str], keys: dict[str, K],
@@ -119,6 +145,8 @@ def _parse_prediction_line(
     """
     if not line.isascii():
         check_utf8(line, "line", no)
+    if len(line) >= 2 * MAX_NESTING and _nests_too_deeply(line):
+        raise DataFormatError("malformed JSON: nested too deeply", line=no)
     try:
         # The line has no whitespace left at either end, so json.loads accepts
         # it exactly when the scanner reads one value that ends where the line
@@ -428,6 +456,11 @@ def run_external_classifier(
     than ``timeout`` seconds (None: no limit) and is killed, is an
     ExternalClassifierError.
     """
+    import shlex
+    import signal
+    import subprocess
+    import tempfile
+
     if "{input}" not in command_template or "{output}" not in command_template:
         raise ConfigError("classifier command template needs {input} and {output} placeholders")
     try:

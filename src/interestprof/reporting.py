@@ -44,15 +44,17 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import copysign
 from pathlib import Path
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
-from .correlation import CorrelationMatrix
-from .evaluation import EvalReport
-from .ontometrics import SemioticReport, SizeMetrics, StructuralMetrics
-from .profiling import UserProfile
-from .scoring import ScoreBlock
 from .svgchart import heatmap, line_chart
 from .taxonomy import TOPICS
+
+if TYPE_CHECKING:
+    from .correlation import CorrelationMatrix
+    from .evaluation import EvalReport
+    from .ontometrics import SemioticReport, SizeMetrics, StructuralMetrics
+    from .profiling import UserProfile
+    from .scoring import ScoreBlock
 
 
 def fmt_float(x: float) -> str:

@@ -12,7 +12,7 @@ import pytest
 
 import interestprof
 from conftest import STARTER_PATH, WORKED_EXAMPLE_PATH, make_record
-from interestprof import cli, ingest
+from interestprof import cli, errors, fixtures, ingest
 from interestprof.cli import main
 from interestprof.config import ENV_PREFIX
 from interestprof.ingest import ProfileDataset, load_labels
@@ -58,6 +58,33 @@ def test_validate_ontology_cycle_exits_1(tmp_path, capsys):
 def test_missing_predictions_exits_2(tmp_path):
     assert run("score", "--taxonomy", STARTER_PATH,
                "--predictions", tmp_path / "nope.jsonl", "--out", tmp_path / "out") == 2
+
+
+def test_unreadable_inputs_and_a_file_as_out_exit_2_naming_them(tmp_path, capsys, monkeypatch):
+    pred = tmp_path / "p.jsonl"
+    pred.write_text(WORKED_EXAMPLE_PATH.read_text())
+    assert run("score", "--taxonomy", STARTER_PATH,
+               "--predictions", tmp_path, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"error: predictions file is a directory: {tmp_path}\n"
+
+    def denied(path, *args, **kwargs):
+        if Path(path) == pred:
+            raise PermissionError(13, "Permission denied", str(path))
+        return open(path, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(errors, "open", denied, raising=False)
+        assert run("score", "--taxonomy", STARTER_PATH,
+                   "--predictions", pred, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == (
+        f"error: predictions file cannot be read (permission denied): {pred}\n"
+    )
+
+    for data in (("--predictions", pred), ()):
+        assert run("score" if data else "metrics", "--taxonomy", STARTER_PATH, *data,
+                   "--out", pred, "--force") == 2
+        assert capsys.readouterr().err == f"error: output directory {pred} is not a directory\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_predictions_flag_required(tmp_path):
@@ -598,7 +625,7 @@ def test_fixture_labels_quote_ids_with_commas_and_quotes(tmp_path, monkeypatch):
         records={u: [make_record(u, "i1", [("espresso", 0.5)])] for u in labels},
         labels=labels,
     )
-    monkeypatch.setattr(cli, "generate_fixture", lambda *args: dataset)
+    monkeypatch.setattr(fixtures, "generate_fixture", lambda *args: dataset)
     assert run("fixture", "--taxonomy", STARTER_PATH, "--out", tmp_path / "fix") == 0
     with open(tmp_path / "fix" / "labels.csv", encoding="utf-8", newline="") as fh:
         assert load_labels(fh) == labels
@@ -611,6 +638,48 @@ def test_import_leaves_http_client_unimported():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+def _modules_loaded_by(*args):
+    """The modules a subprocess running ``main(args)`` imports after start-up."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from interestprof.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+        "raise SystemExit(rc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(interestprof.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def _package_modules(modules):
+    return {m for m in modules if m.split(".")[0] == "interestprof"}
+
+
+def test_each_subcommand_imports_only_the_modules_of_its_steps(tmp_path):
+    assert _package_modules(_modules_loaded_by("validate-ontology", "--taxonomy", STARTER_PATH)) \
+        == {"interestprof", "interestprof.cli", "interestprof.config", "interestprof.errors",
+            "interestprof.taxonomy"}
+
+    metrics = _modules_loaded_by("metrics", "--taxonomy", STARTER_PATH, "--out", tmp_path / "m")
+    data_modules = {f"interestprof.{m}" for m in
+                    ("ingest", "scoring", "profiling", "correlation", "evaluation", "fixtures")}
+    assert "interestprof.ontometrics" in metrics and not metrics & data_modules
+
+    fix = tmp_path / "fix"
+    assert run("fixture", "--taxonomy", STARTER_PATH, "--out", fix,
+               "--users-per-topic", 1, "--images", 3) == 0
+    pipeline = _modules_loaded_by(
+        "pipeline", "--taxonomy", STARTER_PATH, "--predictions", fix / "predictions.jsonl",
+        "--labels", fix / "labels.csv", "--out", tmp_path / "p",
+    )
+    assert {"interestprof.correlation", "interestprof.evaluation"} <= pipeline
+    assert "subprocess" not in pipeline and "interestprof.fixtures" not in pipeline
 
 
 def test_gc_is_off_during_a_command_and_on_after_main(tmp_path, monkeypatch):

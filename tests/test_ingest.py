@@ -140,6 +140,27 @@ def test_scanner_gives_what_json_loads_gives(line, monkeypatch):
     assert got == _outcome(line)
 
 
+def _nested_line(depth):
+    """A valid prediction line nested ``depth`` deep, with brackets in a string besides."""
+    lists = depth - 1  # the line's own object is the first level
+    return ('{"user_id": "u", "image_id": "i", "note": "%s", "x": %s%s, '
+            '"predictions": [{"label": "cup", "prob": 0.5}]}'
+            % ("[{" * ingest.MAX_NESTING, "[" * lists, "]" * lists))
+
+
+def _at_depth(frames, fn, *args):
+    """``fn(*args)`` called ``frames`` Python frames deeper than the caller."""
+    return fn(*args) if frames == 0 else _at_depth(frames - 1, fn, *args)
+
+
+@pytest.mark.parametrize("frames", [0, 500])
+def test_nesting_cap_does_not_depend_on_the_callers_depth(frames):
+    at_cap = _nested_line(ingest.MAX_NESTING)
+    below = _nested_line(ingest.MAX_NESTING - 1)
+    assert _at_depth(frames, _outcome, at_cap) == "line 1: malformed JSON: nested too deeply"
+    assert list(_at_depth(frames, _outcome, below)) == ["u"]
+
+
 def test_duplicate_keys_keep_the_last_and_nan_is_out_of_range():
     records = _outcome(SCANNER_LINES["duplicate keys"])
     assert [(r.user_id, r.predictions) for r in records["u"]] == [("u", (("cup", 0.5),))]
