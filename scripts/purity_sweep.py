@@ -13,7 +13,8 @@ from pathlib import Path
 
 from interestprof.evaluation import evaluate
 from interestprof.fixtures import generate_fixture
-from interestprof.profiling import sweep_profiles
+from interestprof.profiling import profile_prefixes
+from interestprof.scoring import score_block
 from interestprof.taxonomy import load_taxonomy
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,7 +36,9 @@ def main() -> None:
     for purity in PURITIES:
         dataset = generate_fixture(args.users_per_topic, args.images, purity,
                                    args.seed, tax)
-        profiles = sweep_profiles(dataset, tax, k=5, sweep=SWEEP, mechanism="occ")
+        per_user = [profile_prefixes(score_block(dataset.records[u], tax, k=5), SWEEP, "occ")
+                    for u in dataset.users()]
+        profiles = {n: [row[j] for row in per_user] for j, n in enumerate(SWEEP)}
         report = evaluate(profiles, dataset.labels, "occ")
         for mech in ("occ", "prob"):
             accs = report.overall_accuracy_by_mechanism[mech]

@@ -7,9 +7,9 @@ Usage: python scripts/run_worked_example.py
 from pathlib import Path
 
 from interestprof.ingest import load_predictions
-from interestprof.profiling import profile_user
-from interestprof.scoring import score_image_occ, score_image_prob
-from interestprof.taxonomy import load_taxonomy, topic_of_instance
+from interestprof.profiling import profile_prefixes
+from interestprof.scoring import score_block
+from interestprof.taxonomy import N_TOPICS, TOPICS, load_taxonomy, topic_of_instance
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,12 +24,12 @@ def main() -> None:
     for label, prob in record.predictions:
         print(f"  {label:<10} p={prob:.2f}  ->  {topic_of_instance(tax, label)}")
 
-    prob_row = score_image_prob(record, tax)
-    occ_row = score_image_occ(record, tax, k=5)
-    print("\nimage-level probability scores:", prob_row.nonzero())
-    print("image-level occurrence scores: ", occ_row.nonzero())
+    block = score_block([record], tax, k=5)
+    topic_cells = [(TOPICS[pos], p, c) for pos, p, c in block.rows[0] if pos < N_TOPICS]
+    print("\nimage-level probability scores:", {t: p for t, p, _ in topic_cells if p > 0})
+    print("image-level occurrence scores: ", {t: c / block.k for t, _, c in topic_cells if c})
 
-    profile = profile_user(dataset.records["u1"], tax, k=5, mechanism="occ")
+    (profile,) = profile_prefixes(block, (1,), mechanism="occ")
     print("\nuser vector (prob):", {t: round(s, 4) for t, s in profile.v_prob.nonzero().items()})
     print("user vector (occ): ", profile.v_occ.nonzero())
     print("predicted topic:   ", profile.predicted_topic)

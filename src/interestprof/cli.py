@@ -108,22 +108,33 @@ def _load_dataset(cfg: RunConfig, tax: Taxonomy) -> ScoredDataset:
 
 
 def _prepare_outdir(cfg: RunConfig) -> Path:
-    """The --out path, refused when it holds files and --force is not given.
+    """The --out path, refused when it holds files and --force is not given,
+    or when its nearest existing ancestor is not a directory.
 
     The directory is not made here: ``_made`` makes it just before the first
     file is written, so a step that fails first leaves no --out behind.
     """
     out = Path(_require(cfg.out, "--out"))
+    shown = escape_control(str(out))
     if out.exists():
         if not out.is_dir():
-            raise ConfigError(f"output directory {out} is not a directory")
+            raise ConfigError(f"output directory {shown} is not a directory")
         if any(out.iterdir()) and not cfg.force:
-            raise ConfigError(f"output directory {out} is not empty (use --force to overwrite)")
+            raise ConfigError(f"output directory {shown} is not empty (use --force to overwrite)")
+    else:
+        ancestor = next(p for p in out.parents if p.exists())
+        if not ancestor.is_dir():
+            raise ConfigError(f"output directory {shown} cannot be created: "
+                              f"{escape_control(str(ancestor))} is not a directory")
     return out
 
 
 def _made(out: Path) -> Path:
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {escape_control(str(out))} cannot be created: "
+                          f"{exc.strerror or exc}") from exc
     return out
 
 

@@ -67,10 +67,6 @@ class EmptyInputError(ValidationFailure):
     """An operation needs a nonempty input it did not get."""
 
 
-class NoPredictionError(ValidationFailure):
-    """A user vector carries no positive topic mass, so no topic can be predicted."""
-
-
 class ConfigError(InterestProfError):
     """Bad configuration value, missing path, or unusable output directory."""
 

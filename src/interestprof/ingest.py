@@ -9,9 +9,9 @@ One per-line validator checks every line, and one loop, ``group_predictions``,
 groups the valid lines per user and image in file order, rejecting duplicates
 and (with ``--skip-bad``) skipping bad lines with a warning. What each image
 becomes is the caller's choice: ``load_predictions`` makes PredictionRecords,
-for the fixture, the scripts and the tests; the pipeline path,
-``scoring.load_score_cells``, makes each image's sparse score cells at once
-and holds no record.
+the form the fixture generator builds and ``serialize_predictions`` writes;
+the pipeline path, ``scoring.load_score_cells``, makes each image's sparse
+score cells at once and holds no record.
 
 Each line is read once. The default JSON decoder's scanner decodes it, and
 only a line the scanner does not read whole goes through ``json.loads``
@@ -414,13 +414,6 @@ def read_manifest(source: str | Iterable[str], path: str | None = None) -> Manif
         rows.append(cells)
         lines.append(no)
     return Manifest(rows, lines, path)
-
-
-def load_manifest(
-    source: str | Iterable[str], path: str | None = None
-) -> list[tuple[str, str, str]]:
-    """The rows of ``read_manifest``."""
-    return read_manifest(source, path).rows
 
 
 def attach_labels(dataset: D, labels: dict[str, str]) -> D:

@@ -13,9 +13,7 @@ one running pass over its sparse rows. The pass keeps each column's nonzero
 probabilities and the integer vote totals so far, and reads off a prefix
 size when it reaches it: ``fsum`` per column (the nonzeros sum exactly to the
 dense column's fsum, zero sums included, which fsum returns as +0.0) and the
-vote totals over ``scale * n``. The dense adapters ``aggregate_prob`` and
-``aggregate_occ`` turn their rows into the same sparse cells and share the
-pass.
+vote totals over ``scale * n``.
 """
 
 from __future__ import annotations
@@ -24,14 +22,11 @@ import math
 from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
-from .errors import EmptyInputError, NoPredictionError, escape_control
-from .ingest import DEFAULT_TOP_K, PredictionRecord, ProfileDataset
-from .scoring import Cell, ImageLevelMatrices, ScoreBlock, TopicDistribution, score_block
-from .taxonomy import N_TOPICS, TOPICS, Taxonomy
+from .errors import EmptyInputError
+from .scoring import Cell, ScoreBlock, TopicDistribution
+from .taxonomy import N_TOPICS, TOPICS
 
 MECHANISMS = ("prob", "occ")
-
-DEFAULT_SWEEP = (5, 10, 50, 75, 100)
 
 
 @dataclass(frozen=True)
@@ -113,48 +108,12 @@ def _occ_vector(votes: Sequence[int], denom: int) -> TopicDistribution:
     )
 
 
-def aggregate_prob(m: ImageLevelMatrices) -> TopicDistribution:
-    """Column-sum of the probability rows, normalized to total mass 1.
-
-    Column sums use math.fsum, so the vector is exactly invariant to the
-    order of the user's images.
-    """
-    n = m.n_images()
-    if n == 0:
-        raise EmptyInputError("cannot aggregate zero images")
-    rows = (
-        [(pos, v, 0) for pos, v in enumerate((*row.scores, row.unmapped_mass)) if v]
-        for row in m.prob_rows
-    )
-    return _prefix_vectors(rows, (n,), _vote_scale(N_TOPICS))[n][0]
-
-
-def aggregate_occ(m: ImageLevelMatrices) -> TopicDistribution:
-    """Per-image argmax voting over the occurrence rows, fractional on ties."""
-    n = m.n_images()
-    if n == 0:
-        raise EmptyInputError("cannot aggregate zero images")
-    rows = (
-        [(pos, 0.0, v) for pos, v in enumerate((*row.scores, row.unmapped_mass)) if v]
-        for row in m.occ_rows
-    )
-    return _prefix_vectors(rows, (n,), _vote_scale(N_TOPICS))[n][1]
-
-
 def argmax_topics(v: TopicDistribution) -> tuple[str, ...]:
     """Topics attaining the maximum score, in canonical order; empty if all zero."""
     peak = max(v.scores)
     if peak <= 0.0:
         return ()
     return tuple(TOPICS[i] for i, s in enumerate(v.scores) if s == peak)
-
-
-def predict_topic(v: TopicDistribution) -> str:
-    """Argmax topic; ties break toward the lowest canonical topic index."""
-    best = argmax_topics(v)
-    if not best:
-        raise NoPredictionError("all topic scores are zero, no topic can be predicted")
-    return best[0]
 
 
 def profile_prefixes(
@@ -186,50 +145,3 @@ def profile_prefixes(
             ties=best if len(best) > 1 else (),
         )
     return [by_size[min(n, total)] for n in sizes]
-
-
-def profile_user(
-    records: Sequence[PredictionRecord],
-    tax: Taxonomy,
-    k: int = DEFAULT_TOP_K,
-    mechanism: str = "occ",
-) -> UserProfile:
-    """Score, aggregate and predict for one user's records (order preserved)."""
-    (profile,) = profile_prefixes(score_block(records, tax, k), (len(records),), mechanism)
-    if profile.predicted_topic is None:
-        raise NoPredictionError(
-            f"user '{escape_control(profile.user_id)}': no prediction label maps to any topic"
-        )
-    return profile
-
-
-def profile_users(
-    dataset: ProfileDataset,
-    tax: Taxonomy,
-    k: int = DEFAULT_TOP_K,
-    mechanism: str = "occ",
-) -> list[UserProfile]:
-    """Profile every user over their full record list, dataset order."""
-    return [profile_user(dataset.records[u], tax, k, mechanism) for u in dataset.users()]
-
-
-def sweep_profiles(
-    dataset: ProfileDataset,
-    tax: Taxonomy,
-    k: int = DEFAULT_TOP_K,
-    sweep: Sequence[int] = DEFAULT_SWEEP,
-    mechanism: str = "occ",
-) -> dict[int, list[UserProfile]]:
-    """Profiles per sweep value, using each user's first n records.
-
-    Users with fewer than n records contribute all their records at that
-    sweep point; a prefix with no mapped mass gets ``predicted_topic`` None.
-    Sweep values must be positive and strictly increasing.
-    """
-    if not sweep or any(s <= 0 for s in sweep) or list(sweep) != sorted(set(sweep)):
-        raise ValueError(f"sweep values must be positive and strictly increasing: {sweep}")
-    per_user = [
-        profile_prefixes(score_block(dataset.records[u], tax, k), sweep, mechanism)
-        for u in dataset.users()
-    ]
-    return {n: [row[j] for row in per_user] for j, n in enumerate(sweep)}

@@ -1,28 +1,29 @@
-"""Image-level topic scoring: probability-based and occurrence-based rows.
+"""Image-level topic scoring: probability-based and occurrence-based cells.
 
-Each prediction record becomes two length-24 rows. The probability row sums
-classifier probabilities per topic; the occurrence row counts how many of the
-top-k labels map to each topic and divides by k (the configured top-k, not the
+Each prediction record is scored under two mechanisms. Its probability scores
+sum classifier probabilities per topic; its occurrence scores count how many
+of the top-k labels map to each topic, over k (the configured top-k, not the
 record length, so short records lose mass to ``unmapped``). Mass belonging to
-labels with no topic ancestor is tracked in ``unmapped_mass`` instead of being
-renormalized away, so coverage gaps of the taxonomy stay visible downstream.
+labels with no topic ancestor is kept at the unmapped position instead of
+being renormalized away, so coverage gaps of the taxonomy stay visible
+downstream.
 
 Each image is scored once into exact sparse cells: an image touches at most
 k + 1 of the 25 positions (24 topics plus unmapped), so it holds one
 ``(position, prob, count)`` cell per position it touches, in position order,
 and every other cell is zero. A user's cell rows form a ScoreBlock, and every
-other view of the image scores (the row objects below, the score CSVs, user
-profiles at every sweep point) is derived from it. An image's cells come from
-its (position, prob) pairs as run-length sums: the pairs are sorted by
-position and each run of one position becomes one cell.
+other view of the image scores (the score CSVs, user profiles at every sweep
+point) is derived from it. An image's cells come from its (position, prob)
+pairs as run-length sums: the pairs are sorted by position and each run of
+one position becomes one cell.
 
 The pipeline path, ``load_score_cells``, scores each prediction line into
 its cells as it is read and keeps no PredictionRecord: the dataset it returns
 holds cells only. The loader's per-load label memo hands it each label's
 position, so ``LabelIndex.position`` runs once per distinct label of a load.
-``score_block`` gives the same blocks from records, for the fixture, the
-scripts and the tests. Cells use ``fsum`` and counts, so they do not depend
-on the order of an image's predictions.
+``score_block`` gives the same block from one user's PredictionRecords. Cells
+use ``fsum`` and counts, so they do not depend on the order of an image's
+predictions.
 """
 
 from __future__ import annotations
@@ -65,22 +66,6 @@ class TopicDistribution:
         return {name: s for name, s in zip(TOPICS, self.scores) if s > 0}
 
 
-@dataclass(frozen=True)
-class ImageLevelMatrices:
-    """Per-image topic rows for one user, aligned with image_ids."""
-
-    image_ids: tuple[str, ...]
-    prob_rows: tuple[TopicDistribution, ...]
-    occ_rows: tuple[TopicDistribution, ...]
-
-    def __post_init__(self):
-        if not (len(self.image_ids) == len(self.prob_rows) == len(self.occ_rows)):
-            raise ValueError("image_ids, prob_rows and occ_rows must have equal length")
-
-    def n_images(self) -> int:
-        return len(self.image_ids)
-
-
 Cell = tuple[int, float, int]  # (position, fsum of probabilities, label count)
 
 
@@ -103,26 +88,6 @@ class ScoreBlock:
 
     def n_images(self) -> int:
         return len(self.image_ids)
-
-    def matrices(self) -> ImageLevelMatrices:
-        """The block as dense TopicDistribution rows; occurrence cells are counts / k."""
-        k = self.k
-        prob_rows, occ_rows = [], []
-        for row in self.rows:
-            prob = [0.0] * (N_TOPICS + 1)
-            occ = [0.0] * (N_TOPICS + 1)
-            for pos, p, c in row:
-                prob[pos] = p
-                occ[pos] = c / k
-            prob_rows.append(_distribution(prob))
-            occ_rows.append(_distribution(occ))
-        return ImageLevelMatrices(
-            image_ids=self.image_ids, prob_rows=tuple(prob_rows), occ_rows=tuple(occ_rows)
-        )
-
-
-def _distribution(cells: list[float]) -> TopicDistribution:
-    return TopicDistribution(scores=tuple(cells[:N_TOPICS]), unmapped_mass=cells[N_TOPICS])
 
 
 _POSITION = itemgetter(0)
@@ -225,20 +190,3 @@ def load_score_cells(
         key=tax.label_index.position,
     )
     return ScoredDataset(k=k_max, cells=cells, warnings=warnings)
-
-
-def score_image_prob(record: PredictionRecord, tax: Taxonomy) -> TopicDistribution:
-    """Probability scoring: per-topic sum of prediction probabilities."""
-    return score_block([record], tax, len(record.predictions)).matrices().prob_rows[0]
-
-
-def score_image_occ(record: PredictionRecord, tax: Taxonomy, k: int = DEFAULT_TOP_K) -> TopicDistribution:
-    """Occurrence scoring: per-topic label counts over a fixed divisor k."""
-    return score_block([record], tax, k).matrices().occ_rows[0]
-
-
-def build_matrices(
-    records: list[PredictionRecord], tax: Taxonomy, k: int = DEFAULT_TOP_K
-) -> ImageLevelMatrices:
-    """Score every record of one user, preserving record order."""
-    return score_block(records, tax, k).matrices()

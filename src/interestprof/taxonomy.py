@@ -169,11 +169,10 @@ class LabelIndex:
     """Classifier label -> canonical topic position, compiled from a taxonomy.
 
     Every instance term is resolved to the position of its nearest topic once,
-    when the index is built. Each raw label is normalized on its first lookup
-    and remembered, so repeated labels cost one dict probe. Labels with no
-    topic map to N_TOPICS, the unmapped position. The prediction loader keeps
-    its own per-load memo in front of ``position``, so a load calls it once
-    per distinct label.
+    when the index is built; ``position`` normalizes a raw label and looks it
+    up. Labels with no topic map to N_TOPICS, the unmapped position. The index
+    keeps no memo of its own: the prediction loader keeps a per-load memo in
+    front of ``position``, so a load calls it once per distinct label.
     """
 
     def __init__(self, tax: Taxonomy):
@@ -189,14 +188,10 @@ class LabelIndex:
                 )
             by_term[term] = _TOPIC_POS[topic]
         self._by_term = by_term
-        self._by_label: dict[str, int] = {}
 
     def position(self, label: str) -> int:
         """Topic position of a label, N_TOPICS when it maps to no topic."""
-        pos = self._by_label.get(label)
-        if pos is None:
-            pos = self._by_label[label] = self._by_term.get(normalize_term(label), N_TOPICS)
-        return pos
+        return self._by_term.get(normalize_term(label), N_TOPICS)
 
 
 def find_cycle(parent: dict[str, str | None]) -> list[str] | None:

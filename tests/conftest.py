@@ -7,8 +7,8 @@ import pytest
 from hypothesis import settings
 
 from interestprof.ingest import PredictionRecord
-from interestprof.profiling import UserProfile
-from interestprof.scoring import TopicDistribution
+from interestprof.profiling import UserProfile, profile_prefixes
+from interestprof.scoring import ScoreBlock, TopicDistribution, score_block
 from interestprof.taxonomy import N_TOPICS, TOPICS, Taxonomy, load_taxonomy
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -80,6 +80,54 @@ def profile_from_scores(user_id: str, scores, unmapped: float = 0.0,
         mechanism=mechanism,
         predicted_topic=predicted,
     )
+
+
+def dense_rows(block: ScoreBlock) -> list[tuple[TopicDistribution, TopicDistribution]]:
+    """(probability, occurrence) rows of each image; occurrence cells are counts / k."""
+    rows = []
+    for cells in block.rows:
+        prob = [0.0] * (N_TOPICS + 1)
+        occ = [0.0] * (N_TOPICS + 1)
+        for pos, p, c in cells:
+            prob[pos] = p
+            occ[pos] = c / block.k
+        rows.append(tuple(TopicDistribution(scores=tuple(v[:N_TOPICS]), unmapped_mass=v[N_TOPICS])
+                          for v in (prob, occ)))
+    return rows
+
+
+def image_rows(record: PredictionRecord, tax: Taxonomy, k: int = 5):
+    """(probability, occurrence) rows of one record."""
+    return dense_rows(score_block([record], tax, k))[0]
+
+
+def block_from_rows(rows) -> ScoreBlock:
+    """ScoreBlock (k = N_TOPICS) of user "u" from dense (scores, unmapped) rows.
+
+    Each nonzero value v is a cell's probability and round(5 * v) its count,
+    so on multiples of 0.2 the counts tie and order like the values.
+    """
+    return ScoreBlock(
+        user_id="u",
+        image_ids=tuple(f"i{n}" for n in range(len(rows))),
+        k=N_TOPICS,
+        rows=tuple(
+            tuple((pos, v, round(5 * v)) for pos, v in enumerate((*scores, unmapped)) if v)
+            for scores, unmapped in rows
+        ),
+    )
+
+
+def profile_of(records, tax: Taxonomy, k: int = 5, mechanism: str = "occ") -> UserProfile:
+    """Profile of one user over all of their records."""
+    return profile_prefixes(score_block(records, tax, k), (len(records),), mechanism)[0]
+
+
+def sweep_of(dataset, tax: Taxonomy, k: int, sweep, mechanism: str = "occ"):
+    """Profiles per sweep value over each user's first n records, dataset order."""
+    per_user = [profile_prefixes(score_block(dataset.records[u], tax, k), sweep, mechanism)
+                for u in dataset.users()]
+    return {n: [row[j] for row in per_user] for j, n in enumerate(sweep)}
 
 
 def vector(**topic_scores) -> tuple[float, ...]:

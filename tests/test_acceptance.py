@@ -10,26 +10,24 @@ from contextlib import contextmanager
 import pytest
 
 import oracles
-from conftest import COUNTS_PATH, STARTER_PATH, WORKED_EXAMPLE_PATH, make_record, starter_taxonomy
+from conftest import (
+    COUNTS_PATH,
+    STARTER_PATH,
+    WORKED_EXAMPLE_PATH,
+    block_from_rows,
+    image_rows,
+    make_record,
+    profile_of,
+    starter_taxonomy,
+    sweep_of,
+)
 from interestprof.cli import main
 from interestprof.correlation import pearson_matrix
 from interestprof.evaluation import evaluate
 from interestprof.fixtures import generate_fixture
 from interestprof.ingest import ProfileDataset, load_predictions
 from interestprof.ontometrics import size_metrics, structural_metrics
-from interestprof.profiling import (
-    aggregate_occ,
-    aggregate_prob,
-    profile_user,
-    sweep_profiles,
-)
-from interestprof.scoring import (
-    ImageLevelMatrices,
-    TopicDistribution,
-    build_matrices,
-    score_image_occ,
-    score_image_prob,
-)
+from interestprof.profiling import profile_prefixes
 from interestprof.taxonomy import N_TOPICS, TOPICS, parse_taxonomy
 
 # Committed reference for criterion 6, measured once at first build from the
@@ -59,8 +57,7 @@ def test_c1_worked_example_image_scores():
         with open(WORKED_EXAMPLE_PATH, encoding="utf-8") as fh:
             ds = load_predictions(fh)
         (record,) = ds.records["u1"]
-        prob = score_image_prob(record, tax)
-        occ = score_image_occ(record, tax, k=5)
+        prob, occ = image_rows(record, tax, k=5)
         for topic, expected in (("Drink", 0.20), ("Food", 0.06), ("Fashion", 0.04)):
             assert abs(prob.topic_score(topic) - expected) <= 1e-12
         for topic, expected in (("Drink", 0.6), ("Food", 0.2), ("Fashion", 0.2)):
@@ -81,7 +78,7 @@ def test_c2_five_image_majority_user():
             make_record("u1", f"img{n}", [(t, 0.1) for t in outdoors]) for n in range(4)
         ]
         records.append(make_record("u1", "img4", [(t, 0.1) for t in places]))
-        prof = profile_user(records, tax, k=5, mechanism="occ")
+        prof = profile_of(records, tax, k=5, mechanism="occ")
         assert abs(prof.v_occ.topic_score("Outdoors") - 0.8) <= 1e-12
         assert abs(prof.v_occ.topic_score("Places") - 0.2) <= 1e-12
         assert prof.predicted_topic == "Outdoors"
@@ -112,8 +109,8 @@ def test_c3_normalization_over_random_datasets():
         for _ in range(1000):
             ds = _random_dataset(rng)
             for user in ds.users():
-                m = build_matrices(ds.records[user], tax, k=5)
-                for v in (aggregate_prob(m), aggregate_occ(m)):
+                prof = profile_of(ds.records[user], tax, k=5)
+                for v in (prof.v_prob, prof.v_occ):
                     assert abs(v.total() - 1.0) <= 1e-9
 
 
@@ -146,14 +143,8 @@ def test_c4_oracle_equivalence():
 
         for _ in range(220):
             rows = _random_occ_rows(rng)
-            dists = tuple(TopicDistribution(scores=s, unmapped_mass=u) for s, u in rows)
-            got = aggregate_occ(
-                ImageLevelMatrices(
-                    image_ids=tuple(f"i{n}" for n in range(len(rows))),
-                    prob_rows=dists,
-                    occ_rows=dists,
-                )
-            )
+            # k = N_TOPICS, so a tie of up to 24 topics splits its votes exactly
+            got = profile_prefixes(block_from_rows(rows), (len(rows),), "occ")[0].v_occ
             want_scores, want_unmapped = oracles.bf_aggregate_occ(rows)
             assert all(
                 abs(g - w) <= 1e-12 for g, w in zip(got.scores, want_scores)
@@ -194,7 +185,7 @@ def test_c5_noiseless_synthetic_recovery():
         ds = generate_fixture(10, 100, 1.0, seed=500, tax=tax)
         assert len(ds.labels) == 240
         sweep = (5, 10, 50, 75, 100)
-        profs = sweep_profiles(ds, tax, k=5, sweep=sweep, mechanism="occ")
+        profs = sweep_of(ds, tax, k=5, sweep=sweep, mechanism="occ")
         report = evaluate(profs, ds.labels, "occ")
         for k in sweep:
             assert report.overall_accuracy[k] == 1.0
@@ -208,7 +199,7 @@ def test_c6_frozen_fixture_regression_bound():
     with criterion("6 (frozen fixture regression bound)"):
         tax = starter_taxonomy()
         ds = generate_fixture(10, 50, 0.8, seed=REGRESSION_SEED, tax=tax)
-        profs = sweep_profiles(ds, tax, k=5, sweep=(5, 10, 50), mechanism="occ")
+        profs = sweep_of(ds, tax, k=5, sweep=(5, 10, 50), mechanism="occ")
         report = evaluate(profs, ds.labels, "occ")
         accuracy = report.overall_accuracy[50]
         assert abs(accuracy - REGRESSION_REFERENCE_ACCURACY) <= 0.02
@@ -249,7 +240,7 @@ def test_c8_cmc_and_micro_average_properties():
             )
             sweep = tuple(sorted({1, max(1, images // 2), images}))
             report = evaluate(
-                sweep_profiles(ds, tax, k=5, sweep=sweep, mechanism="occ"),
+                sweep_of(ds, tax, k=5, sweep=sweep, mechanism="occ"),
                 ds.labels,
                 "occ",
             )

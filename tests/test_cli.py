@@ -87,6 +87,35 @@ def test_unreadable_inputs_and_a_file_as_out_exit_2_naming_them(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+def test_out_under_a_file_exits_2_naming_it(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    out = afile / "sub" / "deeper"
+    for command, args in (
+        ("score", ("--predictions", WORKED_EXAMPLE_PATH)),
+        ("fixture", ("--users-per-topic", "1", "--images", "2")),
+    ):
+        assert run(command, "--taxonomy", STARTER_PATH, *args, "--out", out) == 2
+        assert capsys.readouterr() == (
+            "", f"error: output directory {out} cannot be created: {afile} is not a directory\n"
+        )
+    assert sorted(tmp_path.iterdir()) == [afile] and afile.read_text() == "keep"
+
+
+def test_out_that_mkdir_refuses_exits_2_naming_it(tmp_path, capsys, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    out = tmp_path / "out\x1b"
+    assert run("fixture", "--taxonomy", STARTER_PATH, "--users-per-topic", "1",
+               "--images", "2", "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"error: output directory {tmp_path}/out\\x1b cannot be created: Permission denied\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_predictions_flag_required(tmp_path):
     assert run("score", "--taxonomy", STARTER_PATH, "--out", tmp_path / "out") == 2
 

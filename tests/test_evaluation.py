@@ -6,11 +6,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import profile_from_scores, starter_taxonomy, vector
+from conftest import profile_from_scores, starter_taxonomy, sweep_of, vector
 from interestprof.errors import EmptyInputError
 from interestprof.evaluation import cmc_curve, evaluate, label_rank, roc_series
 from interestprof.fixtures import generate_fixture
-from interestprof.profiling import MECHANISMS, UserProfile, sweep_profiles
+from interestprof.profiling import MECHANISMS, UserProfile
 from interestprof.reporting import write_evaluation
 from interestprof.scoring import TopicDistribution
 from interestprof.taxonomy import N_TOPICS, TOPICS
@@ -21,7 +21,7 @@ def small_eval(purity, seed, users=3, images=6, topics=("Drink", "Sport", "Place
     tax = starter_taxonomy()
     ds = generate_fixture({t: users for t in topics}, images, purity, seed, tax)
     sweep = tuple(sorted({2, 4, images}))
-    profs = sweep_profiles(ds, tax, k=5, sweep=sweep, mechanism="occ")
+    profs = sweep_of(ds, tax, k=5, sweep=sweep, mechanism="occ")
     return evaluate(profs, ds.labels, "occ"), ds
 
 

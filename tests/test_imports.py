@@ -1,13 +1,16 @@
 """The library imports only the standard library and itself (pyproject lists no dependencies),
-and its source compiles on every supported Python (3.10 or later)."""
+its source compiles on every supported Python (3.10 or later), and every name imported from
+it anywhere in the repository exists."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
 import interestprof
 
 PACKAGE_DIR = Path(interestprof.__file__).resolve().parent
+REPO_DIR = Path(__file__).resolve().parent.parent
 
 
 def imported_top_levels(path: Path) -> set[str]:
@@ -65,3 +68,38 @@ def test_every_string_constant_encodes_as_utf8():
 def test_every_module_parses_as_python_3_10():
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def names_imported_from_the_package(path: Path) -> list[tuple[str, str, int]]:
+    """(module, name, line) of every ``from interestprof... import name`` in a file, at any
+    depth; a relative import counts as one from the package."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            module = "interestprof" + (f".{node.module}" if node.module else "")
+        elif node.module.split(".")[0] == "interestprof":
+            module = node.module
+        else:
+            continue
+        found += [(module, alias.name, node.lineno) for alias in node.names]
+    return found
+
+
+def test_every_name_imported_from_the_package_exists():
+    # perfbench/workloads.py imports inside a function, where only the benchmark would fail.
+    workloads = REPO_DIR / "perfbench" / "workloads.py"
+    assert ("interestprof.ingest", "serialize_predictions") in {
+        (module, name) for module, name, _ in names_imported_from_the_package(workloads)}
+    missing = []
+    for folder in ("src", "scripts", "tests", "perfbench"):
+        for path in sorted((REPO_DIR / folder).rglob("*.py")):
+            for module, name, line in names_imported_from_the_package(path):
+                if hasattr(importlib.import_module(module), name):
+                    continue
+                try:  # a submodule, such as ``from interestprof import ingest``
+                    importlib.import_module(f"{module}.{name}")
+                except ImportError:
+                    missing.append(f"{path.relative_to(REPO_DIR)}:{line}: {module}.{name}")
+    assert missing == []

@@ -19,7 +19,6 @@ from interestprof.ingest import (
     ProfileDataset,
     attach_labels,
     load_labels,
-    load_manifest,
     load_predictions,
     read_manifest,
     run_external_classifier,
@@ -256,8 +255,8 @@ def test_serialize_labels_round_trips_and_keeps_plain_ids_unquoted():
 def test_load_manifest_header_optional_and_quoted_paths():
     rows = [("u1", "i1", "/img/a,b.jpg"), ("u2", "i2", "/img/c.jpg")]
     body = 'u1,i1,"/img/a,b.jpg"\n\n u2 , i2 ,/img/c.jpg\n'
-    assert load_manifest(body) == rows
-    assert load_manifest("user_id,image_id,image_path\n" + body) == rows
+    assert read_manifest(body).rows == rows
+    assert read_manifest("user_id,image_id,image_path\n" + body).rows == rows
 
 
 @pytest.mark.parametrize("row, message", [
@@ -267,7 +266,7 @@ def test_load_manifest_header_optional_and_quoted_paths():
 ])
 def test_load_manifest_bad_row_names_path_and_line(row, message):
     with pytest.raises(DataFormatError) as err:
-        load_manifest(f"u0,i0,/z.jpg\n{row}\n", path="m.csv")
+        read_manifest(f"u0,i0,/z.jpg\n{row}\n", path="m.csv")
     assert str(err.value) == message
 
 

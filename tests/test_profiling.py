@@ -1,4 +1,4 @@
-"""User-level aggregation, prediction and sweeps."""
+"""User-level aggregation, prediction and sweeps, all through ``profile_prefixes``."""
 
 import math
 
@@ -7,29 +7,25 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import oracles
-from conftest import make_record, prediction_pairs, starter_taxonomy, vector
-from interestprof.errors import EmptyInputError, NoPredictionError
-from interestprof.ingest import ProfileDataset
-from interestprof.profiling import (
-    aggregate_occ,
-    aggregate_prob,
-    argmax_topics,
-    predict_topic,
-    profile_user,
-    sweep_profiles,
+from conftest import (
+    block_from_rows,
+    make_record,
+    prediction_pairs,
+    profile_of,
+    starter_taxonomy,
+    sweep_of,
+    vector,
 )
-from interestprof.scoring import ImageLevelMatrices, TopicDistribution, build_matrices
+from interestprof.errors import EmptyInputError
+from interestprof.ingest import ProfileDataset
+from interestprof.profiling import argmax_topics, profile_prefixes
+from interestprof.scoring import TopicDistribution, score_block
 from interestprof.taxonomy import N_TOPICS, TOPICS
 
 
-def matrices_from_rows(rows):
-    """ImageLevelMatrices whose occurrence and probability rows are the same."""
-    dists = tuple(TopicDistribution(scores=s, unmapped_mass=u) for s, u in rows)
-    return ImageLevelMatrices(
-        image_ids=tuple(f"i{n}" for n in range(len(rows))),
-        prob_rows=dists,
-        occ_rows=dists,
-    )
+def profile_of_rows(rows, mechanism="occ"):
+    """Profile over every row of ``block_from_rows(rows)``."""
+    return profile_prefixes(block_from_rows(rows), (len(rows),), mechanism)[0]
 
 
 OUTDOORS_TERMS = ["alp", "volcano", "cliff", "valley", "lakeside"]
@@ -41,7 +37,7 @@ def five_image_user(mechanism="occ"):
         make_record("u1", f"img{n}", [(t, 0.1) for t in OUTDOORS_TERMS]) for n in range(4)
     ]
     records.append(make_record("u1", "img4", [(t, 0.1) for t in PLACES_TERMS]))
-    return profile_user(records, starter_taxonomy(), k=5, mechanism=mechanism)
+    return profile_of(records, starter_taxonomy(), k=5, mechanism=mechanism)
 
 
 def test_majority_user_occurrence_vector():
@@ -60,68 +56,61 @@ def test_majority_user_probability_vector_with_equal_masses():
 
 
 def test_aggregate_prob_single_topic_mass():
-    m = matrices_from_rows([(vector(Drink=0.3), 0.0), (vector(Drink=0.1), 0.0)])
-    v = aggregate_prob(m)
+    v = profile_of_rows([(vector(Drink=0.3), 0.0), (vector(Drink=0.1), 0.0)]).v_prob
     assert v.topic_score("Drink") == pytest.approx(1.0, abs=1e-12)
     assert v.total() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_aggregate_prob_uniform_rows_stay_uniform():
     row = tuple(1.0 / N_TOPICS for _ in range(N_TOPICS))
-    m = matrices_from_rows([(row, 0.0)] * 3)
-    v = aggregate_prob(m)
+    v = profile_of_rows([(row, 0.0)] * 3).v_prob
     assert all(s == pytest.approx(1.0 / N_TOPICS, abs=1e-12) for s in v.scores)
 
 
 def test_aggregate_prob_zero_mass_goes_unmapped():
-    m = matrices_from_rows([((0.0,) * N_TOPICS, 0.0)])
-    v = aggregate_prob(m)
-    assert v.unmapped_mass == 1.0
-    with pytest.raises(NoPredictionError):
-        predict_topic(v)
+    prof = profile_of_rows([((0.0,) * N_TOPICS, 0.0)], "prob")
+    assert prof.v_prob.unmapped_mass == 1.0
+    assert prof.predicted_topic is None
 
 
 def test_aggregate_occ_fractional_tie_credit():
-    m = matrices_from_rows(
+    v = profile_of_rows(
         [
             (vector(Drink=0.4, Food=0.4), 0.2),
             (vector(Drink=1.0), 0.0),
         ]
-    )
-    v = aggregate_occ(m)
+    ).v_occ
     assert v.topic_score("Drink") == pytest.approx(0.75, abs=1e-12)
     assert v.topic_score("Food") == pytest.approx(0.25, abs=1e-12)
 
 
 def test_aggregate_occ_unanimous():
-    m = matrices_from_rows([(vector(Food=0.6), 0.4)] * 7)
-    assert aggregate_occ(m).topic_score("Food") == 1.0
+    assert profile_of_rows([(vector(Food=0.6), 0.4)] * 7).v_occ.topic_score("Food") == 1.0
 
 
 def test_aggregate_occ_all_zero_rows_go_unmapped():
-    m = matrices_from_rows([((0.0,) * N_TOPICS, 1.0), (vector(Food=0.2), 0.8)])
-    v = aggregate_occ(m)
+    v = profile_of_rows([((0.0,) * N_TOPICS, 1.0), (vector(Food=0.2), 0.8)]).v_occ
     assert v.unmapped_mass == pytest.approx(0.5, abs=1e-12)
     assert v.topic_score("Food") == pytest.approx(0.5, abs=1e-12)
 
 
 def test_aggregate_empty_matrices_error():
-    m = matrices_from_rows([])
-    with pytest.raises(EmptyInputError):
-        aggregate_prob(m)
-    with pytest.raises(EmptyInputError):
-        aggregate_occ(m)
+    for block in (block_from_rows([]), score_block([], starter_taxonomy(), 5)):
+        for mechanism in ("prob", "occ"):
+            with pytest.raises(EmptyInputError):
+                profile_prefixes(block, (1,), mechanism)
 
 
 def test_predict_topic_tie_breaks_by_canonical_order():
-    v = TopicDistribution(scores=vector(Food=0.5, Drink=0.5))
-    assert predict_topic(v) == "Drink"  # Drink precedes Food in canonical order
-    assert argmax_topics(v) == ("Drink", "Food")
+    prof = profile_of_rows([(vector(Food=0.5, Drink=0.5), 0.0)], "prob")
+    assert prof.predicted_topic == "Drink"  # Drink precedes Food in canonical order
+    assert prof.ties == argmax_topics(prof.v_prob) == ("Drink", "Food")
 
 
-def test_predict_topic_all_zero_errors():
-    with pytest.raises(NoPredictionError):
-        predict_topic(TopicDistribution(scores=(0.0,) * N_TOPICS))
+def test_predict_topic_all_zero_is_none():
+    assert argmax_topics(TopicDistribution(scores=(0.0,) * N_TOPICS)) == ()
+    for mechanism in ("prob", "occ"):
+        assert profile_of_rows([((0.0,) * N_TOPICS, 0.2)], mechanism).predicted_topic is None
 
 
 @given(st.sampled_from([0.25, 0.5, 2.0, 4.0]),
@@ -132,11 +121,11 @@ def test_predict_topic_scale_invariant(c, raw):
         raw[0] = 0.5
     v = TopicDistribution(scores=tuple(raw))
     scaled = TopicDistribution(scores=tuple(s * c for s in raw))
-    assert predict_topic(v) == predict_topic(scaled)
+    assert argmax_topics(v) == argmax_topics(scaled)
 
 
 def test_profile_user_worked_example(worked_example_record):
-    prof = profile_user([worked_example_record], starter_taxonomy(), k=5, mechanism="occ")
+    prof = profile_of([worked_example_record], starter_taxonomy(), k=5, mechanism="occ")
     assert prof.predicted_topic == "Drink"
     assert prof.n_images == 1
     # Single image whose row argmax is Drink: argmax voting puts the whole
@@ -152,37 +141,31 @@ def test_profile_user_records_ties():
         make_record("u", "a", [("espresso", 0.5)]),
         make_record("u", "b", [("dough", 0.5)]),
     ]
-    prof = profile_user(records, starter_taxonomy(), k=5, mechanism="occ")
+    prof = profile_of(records, starter_taxonomy(), k=5, mechanism="occ")
     assert prof.predicted_topic == "Drink"
     assert prof.ties == ("Drink", "Food")
 
 
 def test_profile_user_zero_records():
     with pytest.raises(EmptyInputError):
-        profile_user([], starter_taxonomy())
+        profile_of([], starter_taxonomy())
 
 
-def test_profile_user_unmappable_raises():
+def test_profile_user_unmappable_has_no_prediction():
     records = [make_record("u", "a", [("zzz_unknown", 0.9)])]
-    with pytest.raises(NoPredictionError):
-        profile_user(records, starter_taxonomy())
+    prof = profile_of(records, starter_taxonomy())
+    assert prof.predicted_topic is None
+    assert prof.v_occ.unmapped_mass == 1.0
 
 
 def test_sweep_uses_record_prefixes():
     records = [make_record("u", f"i{n}", [("espresso", 0.5)]) for n in range(7)]
     ds = ProfileDataset(records={"u": records})
-    out = sweep_profiles(ds, starter_taxonomy(), k=5, sweep=(2, 3, 100), mechanism="occ")
+    out = sweep_of(ds, starter_taxonomy(), k=5, sweep=(2, 3, 100), mechanism="occ")
     assert sorted(out) == [2, 3, 100]
     assert out[2][0].n_images == 2
     assert out[3][0].n_images == 3
     assert out[100][0].n_images == 7  # fewer records than the sweep point
-
-
-def test_sweep_validates_values():
-    ds = ProfileDataset(records={"u": [make_record("u", "i", [("espresso", 0.5)])]})
-    for bad in ((), (0, 5), (5, 5), (10, 5)):
-        with pytest.raises(ValueError):
-            sweep_profiles(ds, starter_taxonomy(), sweep=bad)
 
 
 @settings(max_examples=60)
@@ -190,8 +173,8 @@ def test_sweep_validates_values():
 def test_user_vectors_sum_to_one(pair_lists):
     tax = starter_taxonomy()
     records = [make_record("u", f"i{n}", pairs) for n, pairs in enumerate(pair_lists)]
-    m = build_matrices(records, tax, k=5)
-    for v in (aggregate_prob(m), aggregate_occ(m)):
+    prof = profile_of(records, tax, k=5)
+    for v in (prof.v_prob, prof.v_occ):
         assert v.total() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -203,10 +186,10 @@ def test_image_permutation_invariance(pair_lists, rng):
     records = [make_record("u", f"i{n}", pairs) for n, pairs in enumerate(pair_lists)]
     shuffled = list(records)
     rng.shuffle(shuffled)
-    a = build_matrices(records, tax, k=5)
-    b = build_matrices(shuffled, tax, k=5)
-    assert aggregate_prob(a) == aggregate_prob(b)
-    assert aggregate_occ(a) == aggregate_occ(b)
+    a = profile_of(records, tax, k=5)
+    b = profile_of(shuffled, tax, k=5)
+    assert a.v_prob == b.v_prob
+    assert a.v_occ == b.v_occ
 
 
 @settings(max_examples=60)
@@ -214,9 +197,9 @@ def test_image_permutation_invariance(pair_lists, rng):
 def test_adding_pure_image_increases_occ_score(pair_lists):
     tax = starter_taxonomy()
     records = [make_record("u", f"i{n}", pairs) for n, pairs in enumerate(pair_lists)]
-    before = aggregate_occ(build_matrices(records, tax, k=5))
+    before = profile_of(records, tax, k=5).v_occ
     pure = make_record("u", "pure", [("dough", 0.2)] * 5)
-    after = aggregate_occ(build_matrices(records + [pure], tax, k=5))
+    after = profile_of(records + [pure], tax, k=5).v_occ
     food = TOPICS.index("Food")
     if before.scores[food] == 1.0:
         assert after.scores[food] == 1.0
@@ -235,7 +218,8 @@ def test_adding_pure_image_increases_occ_score(pair_lists):
 ))
 def test_aggregate_occ_matches_brute_force(raw_rows):
     rows = [(tuple(scores), unmapped) for scores, unmapped in raw_rows]
-    got = aggregate_occ(matrices_from_rows(rows))
+    # block_from_rows sets k = N_TOPICS, so a tie of up to 24 topics splits its votes exactly
+    got = profile_of_rows(rows).v_occ
     want_scores, want_unmapped = oracles.bf_aggregate_occ(rows)
     for g, w in zip(got.scores, want_scores):
         assert math.isclose(g, w, abs_tol=1e-12)

@@ -11,15 +11,20 @@ oracle's image rows bit for bit.
 import json
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import given, settings
 
 import oracles
-from conftest import KNOWN_TERMS, UNKNOWN_TERMS, make_record, starter_taxonomy
-from interestprof.errors import NoPredictionError
+from conftest import (
+    KNOWN_TERMS,
+    UNKNOWN_TERMS,
+    dense_rows,
+    make_record,
+    profile_of,
+    starter_taxonomy,
+    sweep_of,
+)
 from interestprof.ingest import ProfileDataset
-from interestprof.profiling import profile_user, profile_users, sweep_profiles
-from interestprof.scoring import build_matrices, load_score_cells
+from interestprof.scoring import load_score_cells, score_block
 from interestprof.taxonomy import TOPICS
 
 VARIANTS = (
@@ -79,27 +84,18 @@ def as_tuple(profile):
 def test_core_matches_oracle(data, mechanism):
     dataset, k, sweep = data
     tax = starter_taxonomy()
-    full = []
     for user, records in dataset.records.items():
-        m = build_matrices(records, tax, k)
-        for record, prob_row, occ_row in zip(records, m.prob_rows, m.occ_rows):
+        rows = dense_rows(score_block(records, tax, k))
+        for record, (prob_row, occ_row) in zip(records, rows):
             want = oracles.bf_image_rows(tax, TOPICS, record.predictions, k)
             assert (prob_row.scores, prob_row.unmapped_mass,
                     occ_row.scores, occ_row.unmapped_mass) == want
 
-        want = expected_profile(records, k, mechanism)
-        if want[4] is None:
-            with pytest.raises(NoPredictionError):
-                profile_user(records, tax, k, mechanism)
-        else:
-            got = profile_user(records, tax, k, mechanism)
-            assert got.n_images == len(records)
-            assert as_tuple(got) == want
-            full.append(got)
-    if len(full) == len(dataset.records):
-        assert profile_users(dataset, tax, k, mechanism) == full
+        got = profile_of(records, tax, k, mechanism)
+        assert got.n_images == len(records)
+        assert as_tuple(got) == expected_profile(records, k, mechanism)
 
-    swept = sweep_profiles(dataset, tax, k, sweep, mechanism)
+    swept = sweep_of(dataset, tax, k, sweep, mechanism)
     assert list(swept) == list(sweep)
     for n, profiles in swept.items():
         assert [p.user_id for p in profiles] == dataset.users()
@@ -140,9 +136,8 @@ def test_load_score_cells_matches_oracle_rows(data):
     assert users == list(dict.fromkeys(user for user, _ in images))
     got = []
     for user in users:
-        m = dataset.pop_block(user).matrices()
         got += [repr((p.scores, p.unmapped_mass, o.scores, o.unmapped_mass))
-                for p, o in zip(m.prob_rows, m.occ_rows)]
+                for p, o in dense_rows(dataset.pop_block(user))]
     # repr tells -0.0 from 0.0
     want = [repr(oracles.bf_image_rows(tax, TOPICS, preds, k))
             for user in users for u, preds in images if u == user]

@@ -6,21 +6,23 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from conftest import make_record, prediction_pairs, starter_taxonomy
+from conftest import dense_rows, image_rows, make_record, prediction_pairs, starter_taxonomy
 from interestprof.fixtures import generate_fixture
 from interestprof.ingest import serialize_predictions
-from interestprof.scoring import (
-    TopicDistribution,
-    build_matrices,
-    load_score_cells,
-    score_image_occ,
-    score_image_prob,
-)
+from interestprof.scoring import TopicDistribution, load_score_cells, score_block
 from interestprof.taxonomy import TOPICS, topic_of_instance
 
 
+def prob_row(record, tax):
+    return image_rows(record, tax)[0]
+
+
+def occ_row(record, tax, k=5):
+    return image_rows(record, tax, k)[1]
+
+
 def test_worked_example_probability_scores(worked_example_record):
-    dist = score_image_prob(worked_example_record, starter_taxonomy())
+    dist = prob_row(worked_example_record, starter_taxonomy())
     assert dist.topic_score("Drink") == pytest.approx(0.20, abs=1e-12)
     assert dist.topic_score("Food") == pytest.approx(0.06, abs=1e-12)
     assert dist.topic_score("Fashion") == pytest.approx(0.04, abs=1e-12)
@@ -30,7 +32,7 @@ def test_worked_example_probability_scores(worked_example_record):
 
 
 def test_worked_example_occurrence_scores(worked_example_record):
-    dist = score_image_occ(worked_example_record, starter_taxonomy(), k=5)
+    dist = occ_row(worked_example_record, starter_taxonomy(), k=5)
     assert dist.topic_score("Drink") == pytest.approx(0.6, abs=1e-12)
     assert dist.topic_score("Food") == pytest.approx(0.2, abs=1e-12)
     assert dist.topic_score("Fashion") == pytest.approx(0.2, abs=1e-12)
@@ -39,14 +41,14 @@ def test_worked_example_occurrence_scores(worked_example_record):
 
 def test_all_unmapped_labels():
     rec = make_record("u", "i", [("zzz_a", 0.4), ("zzz_b", 0.3)])
-    dist = score_image_prob(rec, starter_taxonomy())
+    dist = prob_row(rec, starter_taxonomy())
     assert all(s == 0.0 for s in dist.scores)
     assert dist.unmapped_mass == pytest.approx(0.7, abs=1e-12)
 
 
 def test_single_full_probability_prediction():
     rec = make_record("u", "i", [("espresso", 1.0)])
-    dist = score_image_prob(rec, starter_taxonomy())
+    dist = prob_row(rec, starter_taxonomy())
     assert dist.topic_score("Drink") == 1.0
     assert dist.total() == 1.0
 
@@ -54,14 +56,14 @@ def test_single_full_probability_prediction():
 def test_occ_all_predictions_one_topic():
     rec = make_record("u", "i", [("groom", 0.5), ("crowd", 0.2), ("portrait", 0.1),
                                  ("selfie", 0.05), ("pedestrian", 0.01)])
-    dist = score_image_occ(rec, starter_taxonomy(), k=5)
+    dist = occ_row(rec, starter_taxonomy(), k=5)
     assert dist.topic_score("People") == 1.0
     assert dist.unmapped_mass == 0.0
 
 
 def test_occ_short_record_loses_mass_to_unmapped():
     rec = make_record("u", "i", [("dough", 0.3), ("pizza", 0.2), ("zzz_x", 0.1)])
-    dist = score_image_occ(rec, starter_taxonomy(), k=5)
+    dist = occ_row(rec, starter_taxonomy(), k=5)
     assert dist.topic_score("Food") == pytest.approx(0.4, abs=1e-12)
     assert dist.unmapped_mass == pytest.approx(0.6, abs=1e-12)
 
@@ -69,27 +71,18 @@ def test_occ_short_record_loses_mass_to_unmapped():
 def test_occ_divisor_must_cover_record():
     rec = make_record("u", "i", [("dough", 0.3), ("pizza", 0.2)])
     with pytest.raises(ValueError, match="divisor"):
-        score_image_occ(rec, starter_taxonomy(), k=1)
-
-
-def test_build_matrices_composition(worked_example_record):
-    tax = starter_taxonomy()
-    m = build_matrices([worked_example_record], tax, k=5)
-    assert m.n_images() == 1
-    assert m.image_ids == ("img1",)
-    assert m.prob_rows[0] == score_image_prob(worked_example_record, tax)
-    assert m.occ_rows[0] == score_image_occ(worked_example_record, tax, 5)
+        occ_row(rec, starter_taxonomy(), k=1)
 
 
 def test_build_matrices_rejects_mixed_users(worked_example_record):
     other = make_record("someone_else", "img9", [("cup", 0.5)])
     with pytest.raises(ValueError, match="multiple users"):
-        build_matrices([worked_example_record, other], starter_taxonomy(), k=5)
+        score_block([worked_example_record, other], starter_taxonomy(), k=5)
 
 
 def test_build_matrices_empty_is_valid():
-    m = build_matrices([], starter_taxonomy(), k=5)
-    assert m.n_images() == 0
+    block = score_block([], starter_taxonomy(), k=5)
+    assert block.n_images() == 0 and block.rows == ()
 
 
 def test_topic_pure_records_give_permutation_style_rows():
@@ -99,8 +92,7 @@ def test_topic_pure_records_give_permutation_style_rows():
         make_record("u", f"i{n}", [(term, 0.5)])
         for n, term in enumerate(pure_terms.values())
     ]
-    m = build_matrices(records, tax, k=1)
-    for row, topic in zip(m.occ_rows, pure_terms):
+    for (_, row), topic in zip(dense_rows(score_block(records, tax, k=1)), pure_terms):
         assert row.topic_score(topic) == 1.0
         assert sum(row.scores) == 1.0
 
@@ -121,8 +113,8 @@ def test_permutation_invariance(pairs, rng):
     shuffled = list(rec.predictions)
     rng.shuffle(shuffled)
     twin = rec.__class__(user_id="u", image_id="i", predictions=tuple(shuffled))
-    assert score_image_prob(rec, tax) == score_image_prob(twin, tax)
-    assert score_image_occ(rec, tax, k=5) == score_image_occ(twin, tax, k=5)
+    assert prob_row(rec, tax) == prob_row(twin, tax)
+    assert occ_row(rec, tax, k=5) == occ_row(twin, tax, k=5)
 
 
 @given(prediction_pairs(), st.sampled_from([0.25, 0.5, 2.0, 4.0]))
@@ -131,8 +123,8 @@ def test_probability_scoring_is_homogeneous(pairs, c):
     tax = starter_taxonomy()
     if any(p * c > 1.0 for _, p in pairs):
         c = 0.5
-    base = score_image_prob(make_record("u", "i", pairs), tax)
-    scaled = score_image_prob(
+    base = prob_row(make_record("u", "i", pairs), tax)
+    scaled = prob_row(
         make_record("u", "i", [(l, p * c) for l, p in pairs]), tax
     )
     for got, expect in zip(scaled.scores, base.scores):
@@ -145,8 +137,8 @@ def test_occurrence_scoring_ignores_prob_rescaling(pairs, c):
     tax = starter_taxonomy()
     if any(p * c > 1.0 for _, p in pairs):
         c = 0.25
-    base = score_image_occ(make_record("u", "i", pairs), tax, k=5)
-    scaled = score_image_occ(make_record("u", "i", [(l, p * c) for l, p in pairs]), tax, k=5)
+    base = occ_row(make_record("u", "i", pairs), tax, k=5)
+    scaled = occ_row(make_record("u", "i", [(l, p * c) for l, p in pairs]), tax, k=5)
     assert base == scaled
 
 
@@ -156,8 +148,8 @@ def test_argmax_agreement_on_pure_images(term, n_preds):
     tax = starter_taxonomy()
     topic = topic_of_instance(tax, term)
     rec = make_record("u", "i", [(term, 0.1 * (j + 1)) for j in range(n_preds)])
-    prob = score_image_prob(rec, tax)
-    occ = score_image_occ(rec, tax, k=5)
+    prob = prob_row(rec, tax)
+    occ = occ_row(rec, tax, k=5)
     assert sum(prob.scores) == pytest.approx(prob.topic_score(topic), abs=1e-12)
     assert sum(occ.scores) == pytest.approx(occ.topic_score(topic), abs=1e-12)
 
@@ -167,7 +159,7 @@ def test_argmax_agreement_on_pure_images(term, n_preds):
 def test_full_mapped_occ_rows_lie_on_simplex(terms):
     tax = starter_taxonomy()
     rec = make_record("u", "i", [(t, 0.1) for t in terms])
-    dist = score_image_occ(rec, tax, k=5)
+    dist = occ_row(rec, tax, k=5)
     assert dist.unmapped_mass == 0.0
     assert sum(dist.scores) == pytest.approx(1.0, abs=1e-9)
 
@@ -178,9 +170,9 @@ def test_row_mass_accounting(pairs):
     # record's total input probability, unmapped mass included.
     tax = starter_taxonomy()
     rec = make_record("u", "i", pairs)
-    occ = score_image_occ(rec, tax, k=5)
+    occ = occ_row(rec, tax, k=5)
     assert occ.total() == pytest.approx(1.0, abs=1e-9)
-    prob = score_image_prob(rec, tax)
+    prob = prob_row(rec, tax)
     assert prob.total() == pytest.approx(sum(p for _, p in pairs), abs=1e-9)
 
 
