@@ -5,9 +5,10 @@ fixture, pipeline. Exit status is 0 on success, 1 on validation failure and
 2 on I/O or configuration errors. Given identical inputs, seed and flags,
 every subcommand writes byte-identical artifacts.
 
-The data subcommands run one chain, ``_run_chain``: load the taxonomy, load
-the dataset, check ``--out``, make one pass over the users, then write; the
-directory is made just before its first file. Each subcommand is a row of
+The data subcommands run one chain, ``_run_chain``: load the taxonomy, check
+``--out``, load the dataset, make one pass over the users, then write; the
+directory is made just before its first file, and a bad ``--out`` fails before
+the dataset is loaded or the classifier is run. Each subcommand is a row of
 ``_CHAINS``, the steps it runs in chain order (metrics, scores, profiles,
 correlation, evaluation) and its summary line, so ``score`` writes the same
 bytes as the score tables of ``pipeline``. The dataset holds score cells, not
@@ -204,8 +205,8 @@ def _run_chain(cfg: RunConfig, command: str) -> int:
         tax.label_index  # compiled on first access, so a bad topic fails before any output
     if single and "evaluation" in steps:
         _require(cfg.labels, "--labels")
-    dataset = _load_dataset(cfg, tax) if data else None
     out = _prepare_outdir(cfg)
+    dataset = _load_dataset(cfg, tax) if data else None
 
     if "metrics" in steps:
         from .ontometrics import semiotic_report, size_metrics, structural_metrics

@@ -9,11 +9,14 @@ into ``unmapped``. Both vectors therefore sum to 1 including unmapped mass.
 
 Every view is derived from one ScoreBlock per user: ``profile_prefixes``
 builds the full profile and each sweep point from prefixes of the block, in
-one running pass over its sparse rows. The pass keeps each column's nonzero
-probabilities and the integer vote totals so far, and reads off a prefix
-size when it reaches it: ``fsum`` per column (the nonzeros sum exactly to the
-dense column's fsum, zero sums included, which fsum returns as +0.0) and the
-vote totals over ``scale * n``.
+one running pass over its sparse rows, reading each row's flat
+``(pos, prob, count, ...)`` cells three at a time. The pass keeps each
+column's nonzero probabilities and the integer vote totals so far, and reads
+off a prefix size when it reaches it: ``fsum`` per column (the nonzeros sum
+exactly to the dense column's fsum, zero sums included, which fsum returns as
++0.0) and the vote totals over ``scale * n``. A topic with no mass reads the
+one shared ``0.0`` instead of a new float from dividing: it would be +0.0
+either way, and most of a profile's topics are zero.
 """
 
 from __future__ import annotations
@@ -23,13 +26,13 @@ from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
 from .errors import EmptyInputError
-from .scoring import Cell, ScoreBlock, TopicDistribution
+from .scoring import Cells, ScoreBlock, TopicDistribution
 from .taxonomy import N_TOPICS, TOPICS
 
 MECHANISMS = ("prob", "occ")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UserProfile:
     user_id: str
     n_images: int
@@ -52,11 +55,11 @@ def _vote_scale(max_ties: int) -> int:
 
 
 def _prefix_vectors(
-    rows: Iterable[Sequence[Cell]], sizes: Collection[int], scale: int
+    rows: Iterable[Cells], sizes: Collection[int], scale: int
 ) -> dict[int, tuple[TopicDistribution, TopicDistribution]]:
     """(v_prob, v_occ) over the first n rows for each n in sizes, in one pass.
 
-    Rows hold sparse ``(position, prob, count)`` cells. Probability columns
+    Rows hold sparse ``(position, prob, count)`` cells, flat. Probability columns
     are fsums normalized by their grand fsum; with no mass at all, the whole
     unit is unmapped. Each image casts ``scale`` occurrence votes, split
     evenly over the topics where its count peaks, or to unmapped when no
@@ -71,7 +74,8 @@ def _prefix_vectors(
     for n, row in enumerate(rows, start=1):
         peak = 0
         tied: list[int] = []
-        for pos, prob, count in row:
+        it = iter(row)
+        for pos, prob, count in zip(it, it, it):
             if prob:
                 columns[pos].append(prob)
             if count and pos < N_TOPICS:
@@ -98,13 +102,15 @@ def _prob_vector(columns: Sequence[Sequence[float]]) -> TopicDistribution:
     if grand == 0.0:
         return TopicDistribution(scores=(0.0,) * N_TOPICS, unmapped_mass=1.0)
     return TopicDistribution(
-        scores=tuple(c / grand for c in sums[:N_TOPICS]), unmapped_mass=sums[N_TOPICS] / grand
+        scores=tuple([c / grand if c else 0.0 for c in sums[:N_TOPICS]]),
+        unmapped_mass=sums[N_TOPICS] / grand,
     )
 
 
 def _occ_vector(votes: Sequence[int], denom: int) -> TopicDistribution:
     return TopicDistribution(
-        scores=tuple(v / denom for v in votes[:N_TOPICS]), unmapped_mass=votes[N_TOPICS] / denom
+        scores=tuple([v / denom if v else 0.0 for v in votes[:N_TOPICS]]),
+        unmapped_mass=votes[N_TOPICS] / denom,
     )
 
 

@@ -5,11 +5,14 @@ that round-trips the rounded value), which keeps repeated runs byte-identical.
 
 The image score tables are plain text. Score blocks are sparse, so each row
 is a copy of an all-"0" template with only the cells the image touches
-formatted into it, joined with commas; each user's rows go to a table as one
-string. A user id is quoted once per user and an image id once per row, by
-``_csv_field``: an id holding a comma, a quote or a line break is quoted by
-the csv module itself, so it reads back as one cell instead of shifting
-columns, and every other id is written as it is.
+formatted into it, joined with commas; the cells are read from the row's flat
+``(pos, prob, count, ...)`` tuple three at a time. An occurrence cell's text,
+count / k, is formatted the first time its count is seen, so the memory it
+takes follows the counts in the data, not k. Each user's rows go to a table
+as one string. A user id is quoted once per user and an image id once per
+row, by ``_csv_field``: an id holding a comma, a quote or a line break is
+quoted by the csv module itself, so it reads back as one cell instead of
+shifting columns, and every other id is written as it is.
 
 JSON artifacts are laid out exactly as ``json.dumps(..., indent=2)`` would lay
 out the payload with its floats rounded. The general encoder, ``to_json``,
@@ -263,13 +266,25 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-1]
 
 
+class _OccCells(dict):
+    """count -> the formatted count / k, filled in on a count's first lookup."""
+
+    def __init__(self, k: int):
+        super().__init__()
+        self.k = k
+
+    def __missing__(self, count: int) -> str:
+        text = self[count] = fmt_float(count / self.k)
+        return text
+
+
 @dataclass(frozen=True)
 class ScoreTables:
     """The open image_scores_prob.csv and image_scores_occ.csv."""
 
     prob: TextIO
     occ: TextIO
-    occ_cells: tuple[str, ...]  # formatted count / k for every count 0..k
+    occ_cells: Mapping[int, str]  # count -> formatted count / k, see _OccCells
 
 
 @contextmanager
@@ -280,7 +295,7 @@ def open_score_tables(outdir: Path, k: int) -> Iterator[ScoreTables]:
             open(outdir / "image_scores_occ.csv", "w", encoding="utf-8", newline="") as occ_fh:
         prob_fh.write(header)
         occ_fh.write(header)
-        yield ScoreTables(prob_fh, occ_fh, tuple(fmt_float(c / k) for c in range(k + 1)))
+        yield ScoreTables(prob_fh, occ_fh, _OccCells(k))
 
 
 def write_score_rows(tables: ScoreTables, block: ScoreBlock) -> None:
@@ -301,7 +316,8 @@ def write_score_rows(tables: ScoreTables, block: ScoreBlock) -> None:
         prob_row = template.copy()
         prob_row[1] = image_id
         occ_row = prob_row.copy()
-        for pos, prob, count in cells:
+        it = iter(cells)
+        for pos, prob, count in zip(it, it, it):
             if prob:
                 prob_row[pos + 2] = fmt_float(prob)
             occ_row[pos + 2] = occ_cells[count]

@@ -11,11 +11,15 @@ downstream.
 Each image is scored once into exact sparse cells: an image touches at most
 k + 1 of the 25 positions (24 topics plus unmapped), so it holds one
 ``(position, prob, count)`` cell per position it touches, in position order,
-and every other cell is zero. A user's cell rows form a ScoreBlock, and every
-other view of the image scores (the score CSVs, user profiles at every sweep
-point) is derived from it. An image's cells come from its (position, prob)
-pairs as run-length sums: the pairs are sorted by position and each run of
-one position becomes one cell.
+and every other cell is zero. The cells are stored flat, as one tuple
+``(pos, prob, count, pos, prob, count, ...)`` per image: one object per image
+instead of one per cell, which is most of the memory a loaded dataset holds.
+Readers take the cells three at a time, ``it = iter(cells)`` and
+``zip(it, it, it)``. A user's cell rows form a ScoreBlock, and every other
+view of the image scores (the score CSVs, user profiles at every sweep point)
+is derived from it. An image's cells come from its (position, prob) pairs as
+run-length sums: the pairs are sorted by position and each run of one
+position becomes one cell.
 
 The pipeline path, ``load_score_cells``, scores each prediction line into
 its cells as it is read and keeps no PredictionRecord: the dataset it returns
@@ -38,7 +42,7 @@ from .ingest import DEFAULT_TOP_K, PredictionRecord, group_predictions
 from .taxonomy import N_TOPICS, TOPICS, Taxonomy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TopicDistribution:
     """Nonnegative scores indexed by the canonical topic order."""
 
@@ -66,7 +70,8 @@ class TopicDistribution:
         return {name: s for name, s in zip(TOPICS, self.scores) if s > 0}
 
 
-Cell = tuple[int, float, int]  # (position, fsum of probabilities, label count)
+# One image's cells, flat: (position, fsum of probabilities, label count) per cell.
+Cells = tuple[int | float, ...]
 
 
 @dataclass(frozen=True)
@@ -75,16 +80,17 @@ class ScoreBlock:
 
     ``rows[j]`` describes image j over N_TOPICS + 1 positions, the last one
     for unmapped mass, by one ``(position, prob, count)`` cell per position
-    its labels touch, in position order; all other cells are zero. ``prob``
-    is the math.fsum of those labels' probabilities and ``count`` their
-    number. The labels a short record lacks (k minus its length) count as
-    unmapped.
+    its labels touch, in position order, laid out flat in one tuple
+    ``(pos, prob, count, pos, prob, count, ...)``; all other cells are zero.
+    ``prob`` is the math.fsum of those labels' probabilities and ``count``
+    their number. The labels a short record lacks (k minus its length) count
+    as unmapped.
     """
 
     user_id: str
     image_ids: tuple[str, ...]
     k: int
-    rows: tuple[tuple[Cell, ...], ...]
+    rows: tuple[Cells, ...]
 
     def n_images(self) -> int:
         return len(self.image_ids)
@@ -93,8 +99,8 @@ class ScoreBlock:
 _POSITION = itemgetter(0)
 
 
-def _score_record(pairs: list[tuple[int, float]], k: int) -> tuple[Cell, ...]:
-    """Sparse cells of one image from its (position, prob) pairs; see ScoreBlock.
+def _score_record(pairs: list[tuple[int, float]], k: int) -> Cells:
+    """Flat sparse cells of one image from its (position, prob) pairs; see ScoreBlock.
 
     Sorts ``pairs`` by position in place and fsums each run of one position.
     The sort is stable, so every run keeps its line order.
@@ -105,23 +111,23 @@ def _score_record(pairs: list[tuple[int, float]], k: int) -> tuple[Cell, ...]:
             f"divisor k={k} is smaller than the record's {len(pairs)} predictions"
         )
     pairs.sort(key=_POSITION)
-    cells = []
+    flat: list[int | float] = []
     pos, probs = -1, []
     for p, prob in pairs:
         if p == pos:
             probs.append(prob)
         else:
             if probs:
-                cells.append((pos, math.fsum(probs), len(probs)))
+                flat += (pos, math.fsum(probs), len(probs))
             pos, probs = p, [prob]
     if pos == N_TOPICS:  # the unmapped run sorts last
-        cells.append((pos, math.fsum(probs), len(probs) + missing))
+        flat += (pos, math.fsum(probs), len(probs) + missing)
     else:
         if probs:
-            cells.append((pos, math.fsum(probs), len(probs)))
+            flat += (pos, math.fsum(probs), len(probs))
         if missing:
-            cells.append((N_TOPICS, 0.0, missing))
-    return tuple(cells)
+            flat += (N_TOPICS, 0.0, missing)
+    return tuple(flat)
 
 
 def score_block(
@@ -150,13 +156,13 @@ def score_block(
 class ScoredDataset:
     """Each image's cells grouped per user (file order), plus optional labels.
 
-    ``cells[user]`` maps each image id to its cells, in file order.
+    ``cells[user]`` maps each image id to its flat cells, in file order.
     ``pop_block`` takes a user's cells out as a ScoreBlock, so a pass over the
     users frees each user's cells once it is done with them.
     """
 
     k: int
-    cells: dict[str, dict[str, tuple[Cell, ...]]] = field(default_factory=dict)
+    cells: dict[str, dict[str, Cells]] = field(default_factory=dict)
     labels: dict[str, str] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 

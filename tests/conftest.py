@@ -88,7 +88,8 @@ def dense_rows(block: ScoreBlock) -> list[tuple[TopicDistribution, TopicDistribu
     for cells in block.rows:
         prob = [0.0] * (N_TOPICS + 1)
         occ = [0.0] * (N_TOPICS + 1)
-        for pos, p, c in cells:
+        it = iter(cells)
+        for pos, p, c in zip(it, it, it):
             prob[pos] = p
             occ[pos] = c / block.k
         rows.append(tuple(TopicDistribution(scores=tuple(v[:N_TOPICS]), unmapped_mass=v[N_TOPICS])
@@ -112,7 +113,8 @@ def block_from_rows(rows) -> ScoreBlock:
         image_ids=tuple(f"i{n}" for n in range(len(rows))),
         k=N_TOPICS,
         rows=tuple(
-            tuple((pos, v, round(5 * v)) for pos, v in enumerate((*scores, unmapped)) if v)
+            tuple(x for pos, v in enumerate((*scores, unmapped)) if v
+                  for x in (pos, v, round(5 * v)))
             for scores, unmapped in rows
         ),
     )

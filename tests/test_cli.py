@@ -102,6 +102,31 @@ def test_out_under_a_file_exits_2_naming_it(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == [afile] and afile.read_text() == "keep"
 
 
+def test_bad_out_exits_2_before_the_dataset_is_loaded(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("the dataset was loaded before --out was checked")
+
+    monkeypatch.setattr(cli, "_load_dataset", never)
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    full = tmp_path / "full"
+    full.mkdir()
+    (full / "existing.txt").write_text("keep")
+    bad_outs = {
+        afile / "sub": f"{afile / 'sub'} cannot be created: {afile} is not a directory",
+        afile: f"{afile} is not a directory",
+        full: f"{full} is not empty (use --force to overwrite)",
+    }
+    for inputs in (("--predictions", WORKED_EXAMPLE_PATH),
+                   ("--classifier-cmd", "classify {input} {output}",
+                    "--manifest", tmp_path / "manifest.csv")):
+        for command in ("score", "pipeline"):
+            for out, why in bad_outs.items():
+                assert run(command, "--taxonomy", STARTER_PATH, *inputs, "--out", out) == 2
+                assert capsys.readouterr() == ("", f"error: output directory {why}\n")
+    assert sorted(tmp_path.iterdir()) == [afile, full]
+
+
 def test_out_that_mkdir_refuses_exits_2_naming_it(tmp_path, capsys, monkeypatch):
     def refuse(self, *args, **kwargs):
         raise PermissionError(13, "Permission denied", str(self))

@@ -5,6 +5,11 @@ user's cells once the user is written and profiled, and streams the profile
 files, so Python's traced peak stays within a small multiple of the input.
 Holding every record, or building ``profiles_sweep.json`` as one string,
 puts the peak near 3x the file on the tall fixture and near 9x on the wide one.
+Each image's cells are one flat tuple and a profile's zero topics share one
+float. Measured after a first run, so that no module is imported while the
+peak is traced, that puts the peak near 0.6x the file on the tall fixture and
+1.3x on the wide one; a tuple per cell and a float per zero put it near 1.1x
+and 1.9x.
 """
 
 import contextlib
@@ -22,21 +27,27 @@ def quiet_main(args):
         return main([str(a) for a in args])
 
 
-@pytest.mark.parametrize("users_per_topic, images, bound", [
-    (2, 100, 2.0),  # 48 users x 100 images, 1.6 MB: cells at about 1.4x
-    (20, 10, 3.5),  # 480 users x 10 images, 1.6 MB: the profile files at about 2.2x
+@pytest.mark.parametrize("users_per_topic, images, bound, warm", [
+    (2, 100, 2.0, False),  # 48 users x 100 images, 1.6 MB: cells at about 1.4x
+    (20, 10, 3.5, False),  # 480 users x 10 images, 1.6 MB: the profile files at about 2.2x
+    # After a first run has imported every module, the peak is the data's own:
+    (2, 100, 0.85, True),  # flat cells at about 0.6x; a tuple per cell, 1.1x
+    (20, 10, 1.6, True),  # shared zeros at about 1.3x; a float per zero, 1.9x
 ])
 def test_pipeline_traced_peak_stays_near_the_input_size(tmp_path, users_per_topic, images,
-                                                        bound):
+                                                        bound, warm):
     fix = tmp_path / "fix"
     assert quiet_main(["fixture", "--taxonomy", STARTER_PATH, "--out", fix, "--seed", 3,
                        "--users-per-topic", users_per_topic, "--images", images,
                        "--purity", 0.6]) == 0
     predictions = fix / "predictions.jsonl"
+    args = ["pipeline", "--taxonomy", STARTER_PATH, "--predictions", predictions,
+            "--labels", fix / "labels.csv"]
+    if warm:
+        assert quiet_main([*args, "--out", tmp_path / "warm"]) == 0
     tracemalloc.start()
     try:
-        rc = quiet_main(["pipeline", "--taxonomy", STARTER_PATH, "--predictions", predictions,
-                         "--labels", fix / "labels.csv", "--out", tmp_path / "out"])
+        rc = quiet_main([*args, "--out", tmp_path / "out"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

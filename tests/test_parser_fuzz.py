@@ -7,7 +7,8 @@ must turn rejected input files, arbitrary bytes included, into exit 1 with a
 line-numbered message and no traceback. The pipeline's loader,
 ``load_score_cells``, must agree with ``load_predictions`` followed by
 ``score_block`` on every input: the same blocks and warnings, or the same
-error.
+error. Every row it gives is flat cells, three values a cell, with strictly
+increasing positions up to N_TOPICS (unmapped) and counts summing to k.
 """
 
 import contextlib
@@ -26,7 +27,7 @@ from interestprof.cli import main
 from interestprof.errors import DataFormatError
 from interestprof.ingest import load_labels, load_predictions
 from interestprof.scoring import load_score_cells, score_block
-from interestprof.taxonomy import TOPICS
+from interestprof.taxonomy import N_TOPICS, TOPICS
 
 chars = st.one_of(st.characters(), st.characters(categories=["Cs"]))
 texts = st.text(chars, max_size=12)
@@ -114,6 +115,12 @@ def test_load_score_cells_matches_records_then_score_block(lines, k_max, skip_ba
         assert blocks == [score_block(expected.records[user], tax, k_max)
                           for user in expected.users()]
         assert dataset.cells == {}
+        for row in (row for block in blocks for row in block.rows):
+            assert len(row) % 3 == 0
+            positions, counts = row[0::3], row[2::3]
+            assert all(a < b for a, b in zip(positions, positions[1:]))
+            assert all(0 <= pos <= N_TOPICS for pos in positions)
+            assert sum(counts) == k_max
 
 
 @given(st.lists(label_lines, max_size=5))

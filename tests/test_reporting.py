@@ -4,6 +4,7 @@ against it, and the sparse score tables against the dense reference writer."""
 import csv
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -169,6 +170,28 @@ def test_score_rows_quote_ids_as_csv_writer_does(tmp_path_factory, data):
     expected = dense_score_tables(tax, TOPICS, records, k)
     got = tuple((out / f"image_scores_{m}.csv").read_bytes() for m in ("prob", "occ"))
     assert got == tuple(text.encode("utf-8") for text in expected)
+
+
+def test_score_tables_format_only_the_counts_they_write(tmp_path):
+    """A huge --topk costs no memory of its own: occurrence cells are
+    formatted per count met, not for every count 0..k."""
+    k = 10**6
+    tax = starter_taxonomy()
+    records = {"u1": [make_record("u1", "img1", [("espresso", 0.5), ("cup", 0.25),
+                                                 ("zzz_unknown", 0.125)]),
+                      make_record("u1", "img2", [("sandal", 0.5)])]}
+    block = score_block(records["u1"], tax, k)
+    tracemalloc.start()
+    try:
+        with open_score_tables(tmp_path, k) as tables:
+            write_score_rows(tables, block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = dense_score_tables(tax, TOPICS, records, k)
+    got = tuple((tmp_path / f"image_scores_{m}.csv").read_bytes() for m in ("prob", "occ"))
+    assert got == tuple(text.encode("utf-8") for text in expected)
+    assert peak < 2**20
 
 
 _csv_writer = csv.writer
