@@ -20,6 +20,7 @@ from typing import Mapping
 from .errors import ConfigError, DataFormatError, check_utf8, escape_control, open_input
 
 ENV_PREFIX = "INTERESTPROF_"
+MAX_TOPK = 2**32 - 1  # a loaded image's label counts are packed as unsigned 32-bit ints
 
 
 @dataclass
@@ -54,6 +55,8 @@ class RunConfig:
 
         if self.topk < 1:
             fail("topk", f"topk must be >= 1, got {self.topk}")
+        if self.topk > MAX_TOPK:
+            fail("topk", f"topk must be <= {MAX_TOPK}, got {self.topk}")
         if self.mechanism not in ("prob", "occ"):
             fail("mechanism",
                  f"mechanism must be 'prob' or 'occ', got '{escape_control(self.mechanism)}'")

@@ -115,11 +115,22 @@ def evaluate(
         raise EmptyInputError("no sweep profiles to evaluate")
     ks = sorted(profiles_by_k)
 
+    # A profile past its user's image count is one object at every later
+    # sweep point, so each vector's guess is computed once, keyed by the
+    # vector's id: profiles_by_k keeps every vector alive for this call.
+    guess_of: dict[int, str | None] = {}
+
+    def guess(v: TopicDistribution) -> str | None:
+        key = id(v)
+        if key not in guess_of:
+            guess_of[key] = _predicted_or_none(v)
+        return guess_of[key]
+
     per_topic: dict[str, dict[int, float | None]] = {t: {} for t in TOPICS}
     overall_by_mech: dict[str, dict[int, float]] = {m: {} for m in MECHANISMS}
     for k in ks:
         rows = [(p, labels[p.user_id]) for p in profiles_by_k[k] if p.user_id in labels]
-        guesses = {m: [_predicted_or_none(p.vector(m)) for p, _ in rows] for m in MECHANISMS}
+        guesses = {m: [guess(p.vector(m)) for p, _ in rows] for m in MECHANISMS}
         for mech, guessed in guesses.items():
             hits = sum(g == label for g, (_, label) in zip(guessed, rows))
             overall_by_mech[mech][k] = hits / len(rows) if rows else 0.0

@@ -11,23 +11,28 @@ downstream.
 Each image is scored once into exact sparse cells: an image touches at most
 k + 1 of the 25 positions (24 topics plus unmapped), so it holds one
 ``(position, prob, count)`` cell per position it touches, in position order,
-and every other cell is zero. The cells are stored flat, as one tuple
-``(pos, prob, count, pos, prob, count, ...)`` per image: one object per image
-instead of one per cell, which is most of the memory a loaded dataset holds.
-Readers take the cells three at a time, ``it = iter(cells)`` and
-``zip(it, it, it)``. A user's cell rows form a ScoreBlock, and every other
-view of the image scores (the score CSVs, user profiles at every sweep point)
-is derived from it. An image's cells come from its (position, prob) pairs as
-run-length sums: the pairs are sorted by position and each run of one
-position becomes one cell.
+and every other cell is zero. A ScoreBlock holds the cells flat, as one tuple
+``(pos, prob, count, pos, prob, count, ...)`` per image, and readers take
+them three at a time, ``it = iter(cells)`` and ``zip(it, it, it)``. A user's
+cell rows form a ScoreBlock, and every other view of the image scores (the
+score CSVs, user profiles at every sweep point) is derived from it. An
+image's cells come from its (position, prob) pairs as run-length sums: the
+pairs are sorted by position and each run of one position becomes one cell.
 
 The pipeline path, ``load_score_cells``, scores each prediction line into
 its cells as it is read and keeps no PredictionRecord: the dataset it returns
-holds cells only. The loader's per-load label memo hands it each label's
-position, so ``LabelIndex.position`` runs once per distinct label of a load.
-``score_block`` gives the same block from one user's PredictionRecords. Cells
-use ``fsum`` and counts, so they do not depend on the order of an image's
-predictions.
+holds cells only, each image's packed into one ``bytes`` record of 13 bytes
+a cell (``struct`` ``"<BdI"``: the position as one byte, the probability as
+an IEEE double, the count as an unsigned 32-bit int, so k must stay below
+2**32). That is one object per image and no float object at all, about 72
+bytes for an image of three cells where the flat tuple and its floats take
+about 180. ``ScoredDataset.pop_block`` unpacks a user's records into flat
+tuples once, and ``"d"`` keeps every bit of a double, -0.0 and subnormals
+included, so the blocks are those of ``score_block``. The loader's per-load
+label memo hands it each label's position, so ``LabelIndex.position`` runs
+once per distinct label of a load. ``score_block`` gives the same block from
+one user's PredictionRecords. Cells use ``fsum`` and counts, so they do not
+depend on the order of an image's predictions.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
+from struct import Struct
 from typing import Iterable, Sequence
 
 from .ingest import DEFAULT_TOP_K, PredictionRecord, group_predictions
@@ -99,7 +105,7 @@ class ScoreBlock:
 _POSITION = itemgetter(0)
 
 
-def _score_record(pairs: list[tuple[int, float]], k: int) -> Cells:
+def _score_record(pairs: list[tuple[int, float]], k: int) -> list[int | float]:
     """Flat sparse cells of one image from its (position, prob) pairs; see ScoreBlock.
 
     Sorts ``pairs`` by position in place and fsums each run of one position.
@@ -127,7 +133,7 @@ def _score_record(pairs: list[tuple[int, float]], k: int) -> Cells:
             flat += (pos, math.fsum(probs), len(probs))
         if missing:
             flat += (N_TOPICS, 0.0, missing)
-    return tuple(flat)
+    return flat
 
 
 def score_block(
@@ -146,23 +152,37 @@ def score_block(
         image_ids=tuple(rec.image_id for rec in records),
         k=k,
         rows=tuple(
-            _score_record([(position(label), prob) for label, prob in rec.predictions], k)
+            tuple(_score_record([(position(label), prob) for label, prob in rec.predictions], k))
             for rec in records
         ),
     )
+
+
+# One image's cells packed as "<BdI" per cell, by cell count; an image touches
+# at most N_TOPICS + 1 positions.
+_PACKED = tuple(Struct("<" + "BdI" * n) for n in range(N_TOPICS + 2))
+_CELL_BYTES = _PACKED[1].size
+
+
+def _packed_record(pairs: list[tuple[int, float]], k: int) -> bytes:
+    """One image's cells (see ``_score_record``) packed into one bytes record."""
+    flat = _score_record(pairs, k)
+    return _PACKED[len(flat) // 3].pack(*flat)
 
 
 @dataclass
 class ScoredDataset:
     """Each image's cells grouped per user (file order), plus optional labels.
 
-    ``cells[user]`` maps each image id to its flat cells, in file order.
-    ``pop_block`` takes a user's cells out as a ScoreBlock, so a pass over the
-    users frees each user's cells once it is done with them.
+    ``cells[user]`` maps each image id to its cells packed into one bytes
+    record (see the module docstring), in file order. ``pop_block`` takes a
+    user's cells out as a ScoreBlock of flat tuples, unpacking each record
+    once, so a pass over the users frees each user's cells once it is done
+    with them.
     """
 
     k: int
-    cells: dict[str, dict[str, Cells]] = field(default_factory=dict)
+    cells: dict[str, dict[str, bytes]] = field(default_factory=dict)
     labels: dict[str, str] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
@@ -175,7 +195,8 @@ class ScoredDataset:
     def pop_block(self, user_id: str) -> ScoreBlock:
         images = self.cells.pop(user_id)
         return ScoreBlock(
-            user_id=user_id, image_ids=tuple(images), k=self.k, rows=tuple(images.values())
+            user_id=user_id, image_ids=tuple(images), k=self.k,
+            rows=tuple([_PACKED[len(b) // _CELL_BYTES].unpack(b) for b in images.values()]),
         )
 
 
@@ -192,7 +213,7 @@ def load_score_cells(
     and each user's block equals ``score_block`` of that user's records.
     """
     cells, warnings = group_predictions(
-        source, partial(_score_record, k=k_max), k_max, skip_bad, listed,
+        source, partial(_packed_record, k=k_max), k_max, skip_bad, listed,
         key=tax.label_index.position,
     )
     return ScoredDataset(k=k_max, cells=cells, warnings=warnings)

@@ -328,6 +328,9 @@ def test_bad_config_values_exit_2(tmp_path, capsys, monkeypatch):
          "--sweep: sweep values must be positive and strictly increasing: [5, 5]"),
         (data_args + ["--tau", "5"], "--tau: tau must be in (0, 1], got 5.0"),
         (data_args + ["--topk", "0"], "--topk: topk must be >= 1, got 0"),
+        # Counts are packed as unsigned 32-bit ints.
+        (data_args + ["--topk", "4294967296"],
+         "--topk: topk must be <= 4294967295, got 4294967296"),
         (fixture_args + ["--images", "0"], "--images: fixture sizes must be positive"),
         (fixture_args + ["--purity", "2"], "--purity: purity must be in [0, 1], got 2.0"),
         # Typed flags are converted inside main: one line, no usage block.

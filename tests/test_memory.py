@@ -5,14 +5,17 @@ user's cells once the user is written and profiled, and streams the profile
 files, so Python's traced peak stays within a small multiple of the input.
 Holding every record, or building ``profiles_sweep.json`` as one string,
 puts the peak near 3x the file on the tall fixture and near 9x on the wide one.
-Each image's cells are one flat tuple and a profile's zero topics share one
-float. Measured after a first run, so that no module is imported while the
-peak is traced, that puts the peak near 0.6x the file on the tall fixture and
-1.3x on the wide one; a tuple per cell and a float per zero put it near 1.1x
-and 1.9x.
+A loaded image's cells are one packed bytes record, a block's rows are flat
+tuples and a profile's zero topics share one float. Measured after a first
+run, so that no module is imported while the peak is traced, and after a full
+collection, which empties the interpreter's free lists (the first run leaves
+thousands of tuples there, which the traced run would take back unseen), that
+puts the peak near 0.62x the file on the tall fixture and 1.37x on the wide
+one. Flat tuples with a float object per cell put it near 0.93x and 1.69x.
 """
 
 import contextlib
+import gc
 import io
 import tracemalloc
 
@@ -38,6 +41,7 @@ def traced_peak_ratio(tmp_path, users_per_topic, images, warm):
             "--labels", fix / "labels.csv"]
     if warm:
         assert quiet_main([*args, "--out", tmp_path / "warm"]) == 0
+        gc.collect()
     tracemalloc.start()
     try:
         rc = quiet_main([*args, "--out", tmp_path / "out"])
@@ -59,8 +63,9 @@ def test_pipeline_traced_peak_stays_near_the_input_size(tmp_path, users_per_topi
 
 # After a first run has imported every module, the peak is the data's own.
 @pytest.mark.parametrize("users_per_topic, images, bound", [
-    (2, 100, 0.85),  # flat cells at about 0.6x; a tuple per cell, 1.1x
-    (20, 10, 1.6),  # shared zeros at about 1.3x; a float per zero, 1.9x
+    (2, 100, 0.85),  # about 0.62x
+    (20, 10, 1.6),  # about 1.37x; flat tuples with their floats, 1.69x
+    (2, 100, 0.72),  # a packed record per image; flat tuples with their floats, 0.93x
 ])
 def test_warm_pipeline_traced_peak_is_the_data_s_own(tmp_path, users_per_topic, images, bound):
     assert traced_peak_ratio(tmp_path, users_per_topic, images, warm=True) < bound

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 import oracles
@@ -119,6 +119,8 @@ def test_predict_topic_all_zero_is_none():
 def test_predict_topic_scale_invariant(c, raw):
     if max(raw) == 0.0:
         raw[0] = 0.5
+    # Only exact scalings keep the order; a subnormal can round or underflow.
+    assume(all(s * c / c == s for s in raw))
     v = TopicDistribution(scores=tuple(raw))
     scaled = TopicDistribution(scores=tuple(s * c for s in raw))
     assert argmax_topics(v) == argmax_topics(scaled)

@@ -1,5 +1,6 @@
 """Image-level scoring mechanisms: probability sums and occurrence counts."""
 
+import json
 from collections import Counter
 
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import dense_rows, image_rows, make_record, prediction_pairs, starter_taxonomy
+from interestprof.config import MAX_TOPK
 from interestprof.fixtures import generate_fixture
-from interestprof.ingest import serialize_predictions
+from interestprof.ingest import load_predictions, serialize_predictions
 from interestprof.scoring import TopicDistribution, load_score_cells, score_block
-from interestprof.taxonomy import TOPICS, topic_of_instance
+from interestprof.taxonomy import N_TOPICS, TOPICS, topic_of_instance
 
 
 def prob_row(record, tax):
@@ -192,3 +194,41 @@ def test_load_resolves_each_distinct_label_once(monkeypatch):
     assert scored.n_images() == dataset.n_records() == 1440
     assert len(labels) > 2 * len(set(labels))
     assert calls == Counter(set(labels))
+
+
+def test_loaded_cells_unpack_bit_for_bit_to_score_block():
+    """A loaded image's packed record unpacks to score_block's cells exactly.
+
+    The lines hold -0.0, a subnormal, int and float ones, a repeated label, an
+    all-unmapped image and an image touching every position, and k reaches
+    the largest value the configuration accepts. ``repr`` tells -0.0 from
+    0.0, ``==`` does not.
+    """
+    tax = starter_taxonomy()
+    one_per_topic = {}
+    for term in tax.instances:
+        one_per_topic.setdefault(topic_of_instance(tax, term), term)
+    every_position = [(one_per_topic[t], 0.5) for t in TOPICS] + [("zzz_unknown", 0.5)]
+    images = [
+        ("u1", [("espresso", -0.0), ("dough", 5e-324)]),
+        ("u1", [("espresso", 0), ("cup", 1), ("sandal", 1.0), ("zzz_unknown", -0.0)]),
+        ("u2", [("espresso", 0.25), ("espresso", 5e-324), ("espresso", 0.5)]),
+        ("u2", [("zzz_unknown", 0.3), ("not_a_label", -0.0)]),
+        ("u1", [("sandal", 5e-324), ("sandal", -0.0)]),
+        ("u3", every_position),
+    ]
+    assert len(every_position) == N_TOPICS + 1
+    lines = [json.dumps({"user_id": user, "image_id": f"i{n}",
+                         "predictions": [{"label": l, "prob": p} for l, p in preds]})
+             for n, (user, preds) in enumerate(images)]
+    assert '"prob": -0.0' in lines[0] and '"prob": 5e-324' in lines[0]
+    assert '"prob": 0}' in lines[1] and '"prob": 1}' in lines[1]
+    for k in (N_TOPICS + 1, MAX_TOPK):
+        records = load_predictions(lines, k_max=k)
+        dataset = load_score_cells(lines, tax, k)
+        blocks = {user: dataset.pop_block(user) for user in ("u1", "u2", "u3")}
+        for user, block in blocks.items():
+            assert repr(block) == repr(score_block(records.records[user], tax, k))
+        assert dataset.cells == {}
+    # The all-unmapped image counts k labels: its own two and the k - 2 it lacks.
+    assert blocks["u2"].rows[1] == (N_TOPICS, 0.3, MAX_TOPK)
