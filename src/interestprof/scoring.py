@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from operator import itemgetter
 from struct import Struct
 from typing import Iterable, Sequence
@@ -164,12 +163,6 @@ _PACKED = tuple(Struct("<" + "BdI" * n) for n in range(N_TOPICS + 2))
 _CELL_BYTES = _PACKED[1].size
 
 
-def _packed_record(pairs: list[tuple[int, float]], k: int) -> bytes:
-    """One image's cells (see ``_score_record``) packed into one bytes record."""
-    flat = _score_record(pairs, k)
-    return _PACKED[len(flat) // 3].pack(*flat)
-
-
 @dataclass
 class ScoredDataset:
     """Each image's cells grouped per user (file order), plus optional labels.
@@ -212,8 +205,11 @@ def load_score_cells(
     The lines, checks, errors and warnings are those of ``load_predictions``,
     and each user's block equals ``score_block`` of that user's records.
     """
+    def packed_record(pairs: list[tuple[int, float]]) -> bytes:
+        flat = _score_record(pairs, k_max)
+        return _PACKED[len(flat) // 3].pack(*flat)
+
     cells, warnings = group_predictions(
-        source, partial(_packed_record, k=k_max), k_max, skip_bad, listed,
-        key=tax.label_index.position,
+        source, packed_record, k_max, skip_bad, listed, key=tax.label_index.position
     )
     return ScoredDataset(k=k_max, cells=cells, warnings=warnings)
