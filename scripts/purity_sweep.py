@@ -13,8 +13,9 @@ from pathlib import Path
 
 from interestprof.evaluation import evaluate
 from interestprof.fixtures import generate_fixture
+from interestprof.ingest import serialize_predictions
 from interestprof.profiling import profile_prefixes
-from interestprof.scoring import score_block
+from interestprof.scoring import load_score_cells
 from interestprof.taxonomy import load_taxonomy
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,8 +37,8 @@ def main() -> None:
     for purity in PURITIES:
         dataset = generate_fixture(args.users_per_topic, args.images, purity,
                                    args.seed, tax)
-        per_user = [profile_prefixes(score_block(dataset.records[u], tax, k=5), SWEEP, "occ")
-                    for u in dataset.users()]
+        scored = load_score_cells(serialize_predictions(dataset), tax)
+        per_user = [profile_prefixes(scored.pop_block(u), SWEEP, "occ") for u in scored.users()]
         profiles = {n: [row[j] for row in per_user] for j, n in enumerate(SWEEP)}
         report = evaluate(profiles, dataset.labels, "occ")
         for mech in ("occ", "prob"):

@@ -4,11 +4,11 @@
 Usage: python scripts/run_worked_example.py
 """
 
+import json
 from pathlib import Path
 
-from interestprof.ingest import load_predictions
 from interestprof.profiling import profile_prefixes
-from interestprof.scoring import score_block
+from interestprof.scoring import load_score_cells
 from interestprof.taxonomy import N_TOPICS, TOPICS, load_taxonomy, topic_of_instance
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -16,15 +16,15 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def main() -> None:
     tax = load_taxonomy(ROOT / "data" / "uio-starter.taxonomy")
-    with open(ROOT / "data" / "worked-example.jsonl", encoding="utf-8") as fh:
-        dataset = load_predictions(fh)
-    (record,) = dataset.records["u1"]
+    line = (ROOT / "data" / "worked-example.jsonl").read_text(encoding="utf-8")
+    record = json.loads(line)
 
-    print(f"user {record.user_id}, image {record.image_id}")
-    for label, prob in record.predictions:
-        print(f"  {label:<10} p={prob:.2f}  ->  {topic_of_instance(tax, label)}")
+    print(f"user {record['user_id']}, image {record['image_id']}")
+    for pred in record["predictions"]:
+        label = pred["label"]
+        print(f"  {label:<10} p={pred['prob']:.2f}  ->  {topic_of_instance(tax, label)}")
 
-    block = score_block([record], tax, k=5)
+    block = load_score_cells(line, tax, 5).pop_block(record["user_id"])
     cells = iter(block.rows[0])
     topic_cells = [(TOPICS[pos], p, c) for pos, p, c in zip(cells, cells, cells) if pos < N_TOPICS]
     print("\nimage-level probability scores:", {t: p for t, p, _ in topic_cells if p > 0})

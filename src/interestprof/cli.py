@@ -11,14 +11,14 @@ directory is made just before its first file, and a bad ``--out`` fails before
 the dataset is loaded or the classifier is run. Each subcommand is a row of
 ``_CHAINS``, the steps it runs in chain order (metrics, scores, profiles,
 correlation, evaluation) and its summary line, so ``score`` writes the same
-bytes as the score tables of ``pipeline``. The dataset holds score cells, not
-records: ``scoring.load_score_cells`` scores each prediction line (or each
-record of the classifier's output) as it is read; ``--classifier-cmd`` is
-killed after ``classifier_timeout`` seconds (default 600). The pass takes each
-user's cells out of the dataset as a ScoreBlock, writes its score rows (text
-from a row template, one write per table per user) and derives the full
-profile and every sweep point from it, so the cells are freed user by user
-before the profile files are streamed. A subcommand named for one step fails
+bytes as the score tables of ``pipeline``. Prediction records are only what
+``fixture`` writes; every load reads score cells: ``scoring.load_score_cells``
+scores each prediction line (or line of the classifier's output) as it is
+read; ``--classifier-cmd`` is killed after ``classifier_timeout`` seconds
+(default 600). The pass takes each user's cells out of the dataset as a
+ScoreBlock, writes its score rows (text from a row template, one write per
+table per user) and derives the full profile and every sweep point from it,
+so the cells are freed user by user before the profile files are streamed. A subcommand named for one step fails
 (exit 1) when that step has no input, such as fewer than 2 profiles to
 correlate or no labeled profile to evaluate; ``pipeline`` skips the step with a
 note instead.
@@ -41,7 +41,6 @@ import argparse
 import gc
 import sys
 from contextlib import nullcontext
-from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -92,8 +91,7 @@ def _load_dataset(cfg: RunConfig, tax: Taxonomy) -> ScoredDataset:
         with open_input(manifest_path, "manifest", newline="") as fh:
             manifest = read_manifest(fh, path=manifest_path)
         dataset = run_external_classifier(
-            manifest, cfg.classifier_cmd, k=cfg.topk, load=partial(load_score_cells, tax=tax),
-            timeout=cfg.classifier_timeout,
+            manifest, cfg.classifier_cmd, tax, cfg.topk, cfg.classifier_timeout
         )
     else:
         raise ConfigError("missing required setting: --predictions (or --classifier-cmd)")

@@ -17,7 +17,9 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping
 
-from .errors import ConfigError, DataFormatError, check_utf8, escape_control, open_input
+from .errors import (
+    ConfigError, DataFormatError, check_utf8, escape_control, input_lines, open_input,
+)
 
 ENV_PREFIX = "INTERESTPROF_"
 MAX_TOPK = 2**32 - 1  # a loaded image's label counts are packed as unsigned 32-bit ints
@@ -127,7 +129,7 @@ def parse_config_file(path: str | Path) -> Layer:
     with open_input(path, "config") as fh:
         text = fh.read()
     values = {}
-    for no, raw in enumerate(text.splitlines(), start=1):
+    for no, raw in enumerate(input_lines(text), start=1):
         try:  # an undecodable byte is a configuration error, like any bad line here
             check_utf8(raw, "line", no, str(path))
         except DataFormatError as exc:

@@ -7,13 +7,15 @@ from input files go through ``escape_control`` before they are quoted in one.
 
 Every input file is opened through ``open_input``: a leading BOM is dropped,
 and an undecodable byte is kept as a lone surrogate, which the parsers reject
-through ``check_utf8`` with the line it is on.
+through ``check_utf8`` with the line it is on. ``input_lines`` cuts a string
+into the lines a file read gives, so both give the same line numbers.
 """
 
 from __future__ import annotations
 
+import io
 from pathlib import Path
-from typing import TextIO
+from typing import Iterable, TextIO
 
 # C0 controls, DEL and C1 controls, each spelled as its Python escape (\n, \x1b, \x9b).
 _CONTROL_ESCAPES = {c: repr(chr(c))[1:-1] for c in (*range(0x20), *range(0x7F, 0xA0))}
@@ -95,6 +97,13 @@ def open_input(path: str | Path, what: str, newline: str | None = None) -> TextI
         raise ConfigError(
             f"{what} file cannot be read (permission denied): {escape_control(str(path))}"
         ) from None
+
+
+def input_lines(source: str | Iterable[str]) -> Iterable[str]:
+    """``source`` as lines: a string is cut where a file read cuts it, at ``\\n``,
+    ``\\r\\n`` and ``\\r`` only (``str.splitlines`` also cuts at ``\\v``, ``\\f``,
+    ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028`` and ``\\u2029``)."""
+    return io.StringIO(source, newline=None) if isinstance(source, str) else source
 
 
 def check_utf8(text: str, what: str, no: int, path: str | None = None) -> None:

@@ -5,26 +5,25 @@ Prediction wire format is one JSON object per line:
     {"user_id": "u1", "image_id": "img1",
      "predictions": [{"label": "espresso", "prob": 0.08}, ...]}
 
-One per-line validator checks every line, and one loop, ``group_predictions``,
-groups the valid lines per user and image in file order, rejecting duplicates
-and (with ``--skip-bad``) skipping bad lines with a warning. What each image
-becomes is the caller's choice: ``load_predictions`` makes PredictionRecords,
-the form the fixture generator builds and ``serialize_predictions`` writes;
-the pipeline path, ``scoring.load_score_cells``, makes each image's sparse
-score cells at once and holds no record.
+PredictionRecords are what the fixture generator builds and
+``serialize_predictions`` writes; every load reads the lines as score cells,
+through ``scoring.load_score_cells``, and builds no record. One per-line
+validator checks every line, and one loop, ``group_predictions``, groups the
+valid lines per user and image in file order, rejecting duplicates and (with
+``--skip-bad``) skipping bad lines with a warning.
 
 Each line is read once. The default JSON decoder's scanner decodes it, and
 only a line the scanner does not read whole goes through ``json.loads``
 again, so every value and message is that of ``json.loads``. A per-load memo
-maps each label to its key (the label itself for records, its topic position
-for cells): a label is checked and resolved on its first sight, and each
-later occurrence is one dict probe. A line nested ``MAX_NESTING`` levels deep
-is rejected before it is decoded, wherever the load is called from.
+maps each label to its key, the label's topic position: a label is checked
+and resolved on its first sight, and each later occurrence is one dict probe.
+A line nested ``MAX_NESTING`` levels deep is rejected before it is decoded,
+wherever the load is called from.
 
 Labels are CSV with header ``user_id,topic``. The external-classifier adapter
 reads a ``user_id,image_id,image_path`` CSV manifest, invokes a user-supplied
 command once per batch with ``{input}`` and ``{output}`` placeholders and
-ingests what it wrote, which must be one record per manifest row.
+loads what it wrote, which must be one line per manifest row.
 
 Every parse error is a DataFormatError naming the line. Text that cannot be
 written back as UTF-8 is rejected here, before any output exists: open input
@@ -40,9 +39,8 @@ import json
 import os
 import re
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     ConfigError,
@@ -50,16 +48,20 @@ from .errors import (
     ExternalClassifierError,
     check_utf8,
     escape_control,
+    input_lines,
     open_input,
 )
-from .taxonomy import TOPICS, resolve_compound
+from .taxonomy import TOPICS, Taxonomy, resolve_compound
+
+if TYPE_CHECKING:
+    from .scoring import ScoredDataset
 
 DEFAULT_TOP_K = 5
 
 
 @dataclass(frozen=True, slots=True)
 class PredictionRecord:
-    """Top-k classifier output for one image, probabilities nonincreasing."""
+    """Top-k classifier output for one image, as the fixture generator builds it."""
 
     user_id: str
     image_id: str
@@ -85,17 +87,7 @@ class ProfileDataset:
             yield from recs
 
 
-def _lines(source: str | Iterable[str]) -> Iterator[str]:
-    if isinstance(source, str):
-        yield from source.splitlines()
-    else:
-        yield from source
-
-
-K = TypeVar("K")  # what a load makes of each label
-Pairs = list[tuple[K, float]]  # (key of the label, prob) in line order
-T = TypeVar("T")
-D = TypeVar("D")  # a dataset: ProfileDataset or scoring.ScoredDataset
+Pairs = list[tuple[int, float]]  # (topic position of the label, prob) in line order
 
 # The default decoder's scanner, called without json.loads' two wrapper layers.
 _scan_once = json.JSONDecoder().scan_once
@@ -130,15 +122,15 @@ def _nests_too_deeply(line: str) -> bool:
 
 
 def _parse_prediction_line(
-    line: str, no: int, k_max: int, strings: dict[str, str], keys: dict[str, K],
-    key: Callable[[str], K] | None,
+    line: str, no: int, k_max: int, strings: dict[str, str], keys: dict[str, int],
+    key: Callable[[str], int],
 ) -> tuple[str, str, Pairs]:
     """(user_id, image_id, pairs) of one stripped line.
 
     ``strings`` interns user ids across a load. ``keys`` memoizes each label's
-    key across a load (``key(label)``, or the label itself when ``key`` is
-    None): a label is type-checked, UTF-8-checked and resolved on its first
-    sight only, and each later occurrence costs one dict probe.
+    ``key(label)`` across a load: a label is type-checked, UTF-8-checked and
+    resolved on its first sight only, and each later occurrence costs one
+    dict probe.
 
     ``json`` yields only exact dict/list/str/int/float/bool/None, so exact
     type checks suffice (and keep bool out of the numbers).
@@ -201,7 +193,7 @@ def _parse_prediction_line(
                 raise DataFormatError("prediction missing a 'label' string", line=no) from None
             if not label.isascii():
                 check_utf8(label, "'label'", no)
-            label_key = keys[label] = label if key is None else key(label)
+            label_key = keys[label] = key(label)
         if type(prob) is float:
             if not 0.0 <= prob <= 1.0:
                 raise DataFormatError(
@@ -222,28 +214,28 @@ def _parse_prediction_line(
 
 def group_predictions(
     source: str | Iterable[str],
-    image: Callable[[Pairs], T],
-    k_max: int = DEFAULT_TOP_K,
-    skip_bad: bool = False,
-    listed: dict[tuple[str, str], int] | None = None,
-    key: Callable[[str], K] | None = None,
-) -> tuple[dict[str, dict[str, T]], list[str]]:
+    image: Callable[[Pairs], bytes],
+    key: Callable[[str], int],
+    k_max: int,
+    skip_bad: bool,
+    listed: dict[tuple[str, str], int] | None,
+) -> tuple[dict[str, dict[str, bytes]], list[str]]:
     """Valid prediction lines as user -> image_id -> ``image(pairs)``, file order,
     and the warnings for skipped lines.
 
-    Each pair holds ``key(label)``, or the label itself when ``key`` is None;
-    ``key`` runs once per distinct label of a load, on its first valid sight.
+    Each pair holds ``key(label)``, which runs once per distinct label of a
+    load, on its first valid sight.
     Any malformed or invalid line, or a second record of one image, aborts the
     load unless ``skip_bad`` is set, in which case it is skipped and reported.
     ``listed`` maps every expected (user_id, image_id) to its manifest line:
     each record takes its pair out of it, a record whose pair is not there is
     an error, and the pairs left over had no record.
     """
-    groups: dict[str, dict[str, T]] = {}
+    groups: dict[str, dict[str, bytes]] = {}
     strings: dict[str, str] = {}
-    keys: dict[str, K] = {}
+    keys: dict[str, int] = {}
     warnings: list[str] = []
-    for no, raw in enumerate(_lines(source), start=1):
+    for no, raw in enumerate(input_lines(source), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -275,37 +267,8 @@ def group_predictions(
     return groups, warnings
 
 
-_BY_PROB = itemgetter(1)
-
-
-def _by_prob(pairs: Pairs) -> tuple[tuple[str, float], ...]:
-    # Classifiers normally emit descending scores already; sorting makes the
-    # nonincreasing invariant hold by construction (stable, also in reverse,
-    # so equal probs keep their input order).
-    pairs.sort(key=_BY_PROB, reverse=True)
-    return tuple(pairs)
-
-
-def load_predictions(
-    source: str | Iterable[str],
-    k_max: int = DEFAULT_TOP_K,
-    skip_bad: bool = False,
-    listed: dict[tuple[str, str], int] | None = None,
-) -> ProfileDataset:
-    """Read prediction lines into records grouped by user, preserving file order.
-
-    Checks, errors and warnings are those of ``group_predictions``.
-    """
-    groups, warnings = group_predictions(source, _by_prob, k_max, skip_bad, listed)
-    records = {
-        user_id: [PredictionRecord(user_id, image_id, preds) for image_id, preds in images.items()]
-        for user_id, images in groups.items()
-    }
-    return ProfileDataset(records=records, labels={}, warnings=warnings)
-
-
 def serialize_predictions(dataset: ProfileDataset) -> str:
-    """Inverse of load_predictions: one JSON line per record, load order."""
+    """One prediction line per record, in dataset order."""
     out = []
     for rec in dataset.iter_records():
         out.append(
@@ -327,7 +290,7 @@ def _csv_rows(
 
     A csv error or a cell that is not valid UTF-8 raises DataFormatError.
     """
-    reader = csv.reader(_lines(source))
+    reader = csv.reader(input_lines(source))
     try:
         for row in reader:
             for cell in row:
@@ -393,16 +356,22 @@ class Manifest:
 
 
 def read_manifest(source: str | Iterable[str], path: str | None = None) -> Manifest:
-    """Read a ``user_id,image_id,image_path`` CSV (header optional).
+    """Read a ``user_id,image_id,image_path`` CSV; a header, optional, is its
+    first non-blank row.
 
     Errors name ``path:line`` when ``path`` is given.
     """
     rows: list[tuple[str, str, str]] = []
     lines: list[int] = []
+    header_possible = True  # until the first non-blank row
     for no, row in _csv_rows(source, path):
         cells = tuple(cell.strip() for cell in row)
-        if not any(cells) or (no == 1 and cells == MANIFEST_HEADER):
+        if not any(cells):
             continue
+        if header_possible:
+            header_possible = False
+            if cells == MANIFEST_HEADER:
+                continue
         if len(cells) != 3:
             raise DataFormatError(
                 f"expected user_id,image_id,image_path, got {len(cells)} columns",
@@ -416,7 +385,7 @@ def read_manifest(source: str | Iterable[str], path: str | None = None) -> Manif
     return Manifest(rows, lines, path)
 
 
-def attach_labels(dataset: D, labels: dict[str, str]) -> D:
+def attach_labels(dataset: ScoredDataset, labels: dict[str, str]) -> ScoredDataset:
     """Dataset with labels attached; labels for absent users become warnings."""
     users = set(dataset.users())
     warnings = list(dataset.warnings)
@@ -431,17 +400,17 @@ def attach_labels(dataset: D, labels: dict[str, str]) -> D:
 def run_external_classifier(
     manifest: Manifest | Sequence[tuple[str, str, str]],
     command_template: str,
+    tax: Taxonomy,
     k: int = DEFAULT_TOP_K,
-    load: Callable[..., D] = load_predictions,
     timeout: float | None = None,
-) -> D:
-    """Run a classifier command over a batch manifest and ingest its output.
+) -> ScoredDataset:
+    """Run a classifier command over a batch manifest and load its output as score cells.
 
     ``manifest`` rows are (user_id, image_id, image_path); a plain sequence of
     rows numbers them from 1. The command template must contain ``{input}``
     (manifest CSV path) and ``{output}`` (path where the command writes
-    prediction lines) and is invoked exactly once. ``load(lines, k_max=k,
-    listed=...)`` reads its output. Errors in the output name
+    prediction lines) and is invoked exactly once. ``scoring.load_score_cells``
+    reads its output with top-k ``k``. Errors in the output name
     ``classifier output:<line>``, a record of a (user_id, image_id) pair the
     manifest does not list included; a manifest row with no record names its
     own line. The tail of the command's stderr is quoted with control
@@ -454,6 +423,8 @@ def run_external_classifier(
     import subprocess
     import tempfile
 
+    from .scoring import load_score_cells  # scoring imports this module
+
     if "{input}" not in command_template or "{output}" not in command_template:
         raise ConfigError("classifier command template needs {input} and {output} placeholders")
     try:
@@ -463,7 +434,7 @@ def run_external_classifier(
     if not isinstance(manifest, Manifest):
         manifest = Manifest(list(manifest), list(range(1, len(manifest) + 1)))
     if not manifest.rows:
-        return load([], k_max=k)
+        return load_score_cells([], tax, k)
 
     listed: dict[tuple[str, str], int] = {}
     for (user_id, image_id, _), no in zip(manifest.rows, manifest.lines):
@@ -509,7 +480,7 @@ def run_external_classifier(
             raise ExternalClassifierError("classifier command wrote no output file")
         with open_input(out_path, "classifier output") as fh:
             try:
-                dataset = load(fh, k_max=k, listed=listed)
+                dataset = load_score_cells(fh, tax, k, listed=listed)
             except DataFormatError as exc:
                 raise DataFormatError(exc.detail, exc.line, "classifier output") from None
     if listed:

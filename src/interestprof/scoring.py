@@ -1,12 +1,12 @@
 """Image-level topic scoring: probability-based and occurrence-based cells.
 
-Each prediction record is scored under two mechanisms. Its probability scores
-sum classifier probabilities per topic; its occurrence scores count how many
-of the top-k labels map to each topic, over k (the configured top-k, not the
-record length, so short records lose mass to ``unmapped``). Mass belonging to
-labels with no topic ancestor is kept at the unmapped position instead of
-being renormalized away, so coverage gaps of the taxonomy stay visible
-downstream.
+Each image is scored under two mechanisms. Its probability scores sum
+classifier probabilities per topic; its occurrence scores count how many of
+the top-k labels map to each topic, over k (the configured top-k, not the
+number of predictions, so short lines lose mass to ``unmapped``). Mass
+belonging to labels with no topic ancestor is kept at the unmapped position
+instead of being renormalized away, so coverage gaps of the taxonomy stay
+visible downstream.
 
 Each image is scored once into exact sparse cells: an image touches at most
 k + 1 of the 25 positions (24 topics plus unmapped), so it holds one
@@ -19,20 +19,20 @@ score CSVs, user profiles at every sweep point) is derived from it. An
 image's cells come from its (position, prob) pairs as run-length sums: the
 pairs are sorted by position and each run of one position becomes one cell.
 
-The pipeline path, ``load_score_cells``, scores each prediction line into
-its cells as it is read and keeps no PredictionRecord: the dataset it returns
-holds cells only, each image's packed into one ``bytes`` record of 13 bytes
-a cell (``struct`` ``"<BdI"``: the position as one byte, the probability as
-an IEEE double, the count as an unsigned 32-bit int, so k must stay below
-2**32). That is one object per image and no float object at all, about 72
-bytes for an image of three cells where the flat tuple and its floats take
-about 180. ``ScoredDataset.pop_block`` unpacks a user's records into flat
-tuples once, and ``"d"`` keeps every bit of a double, -0.0 and subnormals
-included, so the blocks are those of ``score_block``. The loader's per-load
-label memo hands it each label's position, so ``LabelIndex.position`` runs
-once per distinct label of a load. ``score_block`` gives the same block from
-one user's PredictionRecords. Cells use ``fsum`` and counts, so they do not
-depend on the order of an image's predictions.
+Prediction lines come in one way, ``load_score_cells``, which scores each
+line into its cells as it is read; PredictionRecords are only what the
+fixture generator writes. The dataset it returns holds cells only, each
+image's packed into one ``bytes`` record of 13 bytes a cell (``struct``
+``"<BdI"``: the position as one byte, the probability as an IEEE double, the
+count as an unsigned 32-bit int, so k is at most ``config.MAX_TOPK``). That
+is one object per image and no float object at all, about 72 bytes for an
+image of three cells where the flat tuple and its floats take about 180.
+``ScoredDataset.pop_block`` unpacks a user's records into flat tuples once,
+and ``"d"`` keeps every bit of a double, -0.0 and subnormals included. The
+loader's per-load label memo hands it each label's position, so
+``LabelIndex.position`` runs once per distinct label of a load. Cells use
+``fsum`` and counts, so they do not depend on the order of an image's
+predictions.
 """
 
 from __future__ import annotations
@@ -41,9 +41,10 @@ import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from struct import Struct
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .ingest import DEFAULT_TOP_K, PredictionRecord, group_predictions
+from .config import MAX_TOPK
+from .ingest import DEFAULT_TOP_K, group_predictions
 from .taxonomy import N_TOPICS, TOPICS, Taxonomy
 
 
@@ -81,15 +82,15 @@ Cells = tuple[int | float, ...]
 
 @dataclass(frozen=True)
 class ScoreBlock:
-    """Exact image-level scores of one user's records, in record order.
+    """Exact image-level scores of one user's images, in file order.
 
     ``rows[j]`` describes image j over N_TOPICS + 1 positions, the last one
     for unmapped mass, by one ``(position, prob, count)`` cell per position
     its labels touch, in position order, laid out flat in one tuple
     ``(pos, prob, count, pos, prob, count, ...)``; all other cells are zero.
     ``prob`` is the math.fsum of those labels' probabilities and ``count``
-    their number. The labels a short record lacks (k minus its length) count
-    as unmapped.
+    their number. The labels a short line lacks (k minus its predictions)
+    count as unmapped.
     """
 
     user_id: str
@@ -107,14 +108,10 @@ _POSITION = itemgetter(0)
 def _score_record(pairs: list[tuple[int, float]], k: int) -> list[int | float]:
     """Flat sparse cells of one image from its (position, prob) pairs; see ScoreBlock.
 
-    Sorts ``pairs`` by position in place and fsums each run of one position.
-    The sort is stable, so every run keeps its line order.
+    Sorts ``pairs``, at most k of them, by position in place and fsums each
+    run of one position. The sort is stable, so every run keeps its line order.
     """
     missing = k - len(pairs)
-    if missing < 0:
-        raise ValueError(
-            f"divisor k={k} is smaller than the record's {len(pairs)} predictions"
-        )
     pairs.sort(key=_POSITION)
     flat: list[int | float] = []
     pos, probs = -1, []
@@ -133,28 +130,6 @@ def _score_record(pairs: list[tuple[int, float]], k: int) -> list[int | float]:
         if missing:
             flat += (N_TOPICS, 0.0, missing)
     return flat
-
-
-def score_block(
-    records: Sequence[PredictionRecord], tax: Taxonomy, k: int = DEFAULT_TOP_K
-) -> ScoreBlock:
-    """Score every record of one user once, preserving record order.
-
-    Sums use math.fsum, so each cell is exactly invariant to prediction order.
-    """
-    users = {rec.user_id for rec in records}
-    if len(users) > 1:
-        raise ValueError(f"records span multiple users: {sorted(users)}")
-    position = tax.label_index.position
-    return ScoreBlock(
-        user_id=records[0].user_id if records else "",
-        image_ids=tuple(rec.image_id for rec in records),
-        k=k,
-        rows=tuple(
-            tuple(_score_record([(position(label), prob) for label, prob in rec.predictions], k))
-            for rec in records
-        ),
-    )
 
 
 # One image's cells packed as "<BdI" per cell, by cell count; an image touches
@@ -202,14 +177,17 @@ def load_score_cells(
 ) -> ScoredDataset:
     """Prediction lines scored straight into cells, with k = ``k_max``.
 
-    The lines, checks, errors and warnings are those of ``load_predictions``,
-    and each user's block equals ``score_block`` of that user's records.
+    Checks, errors and warnings are those of ``ingest.group_predictions``.
+    A ``k_max`` outside 1 to ``MAX_TOPK`` is a ValueError before any line is read.
     """
+    if not 1 <= k_max <= MAX_TOPK:
+        raise ValueError(f"k_max must be in 1 to {MAX_TOPK}, got {k_max}")
+
     def packed_record(pairs: list[tuple[int, float]]) -> bytes:
         flat = _score_record(pairs, k_max)
         return _PACKED[len(flat) // 3].pack(*flat)
 
     cells, warnings = group_predictions(
-        source, packed_record, k_max, skip_bad, listed, key=tax.label_index.position
+        source, packed_record, tax.label_index.position, k_max, skip_bad, listed
     )
     return ScoredDataset(k=k_max, cells=cells, warnings=warnings)

@@ -28,6 +28,7 @@ from .errors import (
     UnknownTopicError,
     check_utf8,
     escape_control,
+    input_lines,
     open_input,
 )
 
@@ -226,8 +227,6 @@ def parse_taxonomy(source: str | Iterable[str]) -> Taxonomy:
     CycleError when the is-a graph is cyclic, and DataFormatError (with the
     line) on text that is not valid UTF-8.
     """
-    lines = source.splitlines() if isinstance(source, str) else [str(l) for l in source]
-
     root: str | None = None
     decl: dict[str, tuple[str, bool, int]] = {}  # concept -> (parent, topic?, line)
     order: list[str] = []
@@ -237,7 +236,7 @@ def parse_taxonomy(source: str | Iterable[str]) -> Taxonomy:
     relations: list[tuple[str, str, str]] = []
     ref_checks: list[tuple[str, str, int]] = []  # (what, concept name, line)
 
-    for no, raw in enumerate(lines, start=1):
+    for no, raw in enumerate(input_lines(source), start=1):
         if not raw.isascii():
             check_utf8(raw, "line", no)
         text = raw.split("#", 1)[0].strip()

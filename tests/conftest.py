@@ -6,9 +6,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import settings
 
-from interestprof.ingest import PredictionRecord
+from interestprof.ingest import PredictionRecord, ProfileDataset, serialize_predictions
 from interestprof.profiling import UserProfile, profile_prefixes
-from interestprof.scoring import ScoreBlock, TopicDistribution, score_block
+from interestprof.scoring import ScoreBlock, TopicDistribution, load_score_cells
 from interestprof.taxonomy import N_TOPICS, TOPICS, Taxonomy, load_taxonomy
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -97,9 +97,19 @@ def dense_rows(block: ScoreBlock) -> list[tuple[TopicDistribution, TopicDistribu
     return rows
 
 
+def block_of(records, tax: Taxonomy, k: int = 5) -> ScoreBlock:
+    """ScoreBlock of one user's records, written as prediction lines and read
+    back the one way the program reads them; no records give an empty block."""
+    if not records:
+        return ScoreBlock(user_id="", image_ids=(), k=k, rows=())
+    (user_id,) = {rec.user_id for rec in records}
+    lines = serialize_predictions(ProfileDataset(records={user_id: list(records)}))
+    return load_score_cells(lines, tax, k).pop_block(user_id)
+
+
 def image_rows(record: PredictionRecord, tax: Taxonomy, k: int = 5):
     """(probability, occurrence) rows of one record."""
-    return dense_rows(score_block([record], tax, k))[0]
+    return dense_rows(block_of([record], tax, k))[0]
 
 
 def block_from_rows(rows) -> ScoreBlock:
@@ -122,12 +132,12 @@ def block_from_rows(rows) -> ScoreBlock:
 
 def profile_of(records, tax: Taxonomy, k: int = 5, mechanism: str = "occ") -> UserProfile:
     """Profile of one user over all of their records."""
-    return profile_prefixes(score_block(records, tax, k), (len(records),), mechanism)[0]
+    return profile_prefixes(block_of(records, tax, k), (len(records),), mechanism)[0]
 
 
 def sweep_of(dataset, tax: Taxonomy, k: int, sweep, mechanism: str = "occ"):
     """Profiles per sweep value over each user's first n records, dataset order."""
-    per_user = [profile_prefixes(score_block(dataset.records[u], tax, k), sweep, mechanism)
+    per_user = [profile_prefixes(block_of(dataset.records[u], tax, k), sweep, mechanism)
                 for u in dataset.users()]
     return {n: [row[j] for row in per_user] for j, n in enumerate(sweep)}
 

@@ -15,7 +15,7 @@ from conftest import (
     STARTER_PATH,
     WORKED_EXAMPLE_PATH,
     block_from_rows,
-    image_rows,
+    dense_rows,
     make_record,
     profile_of,
     starter_taxonomy,
@@ -25,9 +25,10 @@ from interestprof.cli import main
 from interestprof.correlation import pearson_matrix
 from interestprof.evaluation import evaluate
 from interestprof.fixtures import generate_fixture
-from interestprof.ingest import ProfileDataset, load_predictions
+from interestprof.ingest import ProfileDataset
 from interestprof.ontometrics import size_metrics, structural_metrics
 from interestprof.profiling import profile_prefixes
+from interestprof.scoring import load_score_cells
 from interestprof.taxonomy import N_TOPICS, TOPICS, parse_taxonomy
 
 # Committed reference for criterion 6, measured once at first build from the
@@ -55,9 +56,8 @@ def test_c1_worked_example_image_scores():
     with criterion("1 (worked-example image scores)"):
         tax = starter_taxonomy()
         with open(WORKED_EXAMPLE_PATH, encoding="utf-8") as fh:
-            ds = load_predictions(fh)
-        (record,) = ds.records["u1"]
-        prob, occ = image_rows(record, tax, k=5)
+            ds = load_score_cells(fh, tax, 5)
+        ((prob, occ),) = dense_rows(ds.pop_block("u1"))
         for topic, expected in (("Drink", 0.20), ("Food", 0.06), ("Fashion", 0.04)):
             assert abs(prob.topic_score(topic) - expected) <= 1e-12
         for topic, expected in (("Drink", 0.6), ("Food", 0.2), ("Fashion", 0.2)):

@@ -661,19 +661,20 @@ def test_classifier_timeout_is_set_like_every_other_key(tmp_path, capsys, monkey
 
 def test_pipeline_builds_no_prediction_record(tmp_path, monkeypatch, capsys):
     built = []
-    record = ingest.PredictionRecord
+    init = ingest.PredictionRecord.__init__
 
-    def counting(*args, **kwargs):
+    def counting(self, *args, **kwargs):
         built.append(args)
-        return record(*args, **kwargs)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(ingest, "PredictionRecord", counting)
+    monkeypatch.setattr(ingest.PredictionRecord, "__init__", counting)
     assert run("pipeline", "--taxonomy", STARTER_PATH, "--predictions", WORKED_EXAMPLE_PATH,
                "--out", tmp_path / "out") == 0
     assert built == []
-    # The patch does see the records that load_predictions builds.
-    ingest.load_predictions(WORKED_EXAMPLE_PATH.read_text())
-    assert built
+    # The patch does see the records that the fixture generator builds.
+    assert run("fixture", "--taxonomy", STARTER_PATH, "--out", tmp_path / "fix",
+               "--users-per-topic", 1, "--images", 1) == 0
+    assert len(built) == 24
 
 
 def test_fixture_labels_quote_ids_with_commas_and_quotes(tmp_path, monkeypatch):

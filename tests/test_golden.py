@@ -5,11 +5,15 @@ of scoring: labels the taxonomy does not know, records shorter than top-k,
 case and underscore variants of known terms, per-image occurrence ties and a
 user-level tie, and a user with no mappable label at all. The digests were
 computed once and are pinned here, so any change to the bytes of any artifact
-under either mechanism fails this test.
+under either mechanism fails this test, whether the lines are read from
+``--predictions`` or written by a ``--classifier-cmd``.
 """
 
+import csv
 import hashlib
 import json
+import shlex
+import sys
 
 import pytest
 
@@ -105,16 +109,37 @@ def _write_inputs(tmp_path):
     return predictions, labels
 
 
-@pytest.mark.parametrize("mechanism", ["occ", "prob"])
-def test_pipeline_artifacts_match_golden_digests(tmp_path, mechanism):
-    predictions, labels = _write_inputs(tmp_path)
-    out = tmp_path / "out"
+def _pipeline_digests(out, labels, mechanism, *inputs):
     assert main([
-        "pipeline", "--taxonomy", str(STARTER_PATH), "--predictions", str(predictions),
+        "pipeline", "--taxonomy", str(STARTER_PATH), *map(str, inputs),
         "--labels", str(labels), "--out", str(out), "--sweep", "2,5,20",
         "--mechanism", mechanism,
     ]) == 0
-    digests = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())
-    }
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("mechanism", ["occ", "prob"])
+def test_pipeline_artifacts_match_golden_digests(tmp_path, mechanism):
+    predictions, labels = _write_inputs(tmp_path)
+    digests = _pipeline_digests(tmp_path / "out", labels, mechanism, "--predictions", predictions)
+    assert digests == GOLDEN[mechanism]
+
+
+@pytest.mark.parametrize("mechanism", ["occ", "prob"])
+def test_classifier_artifacts_match_golden_digests(tmp_path, mechanism):
+    """A classifier that writes the same lines for a manifest of their (user,
+    image) pairs gives the same artifacts."""
+    predictions, labels = _write_inputs(tmp_path)
+    manifest = tmp_path / "manifest.csv"
+    with open(manifest, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("user_id", "image_id", "image_path"))
+        for line in predictions.read_text().splitlines():
+            ids = json.loads(line)
+            writer.writerow((ids["user_id"], ids["image_id"], f"/img/{ids['image_id']}.jpg"))
+    stub = tmp_path / "classify.py"
+    stub.write_text(f"import shutil, sys\nshutil.copyfile({str(predictions)!r}, sys.argv[2])\n")
+    command = f"{shlex.quote(sys.executable)} {shlex.quote(str(stub))} {{input}} {{output}}"
+    digests = _pipeline_digests(tmp_path / "out", labels, mechanism,
+                                "--manifest", manifest, "--classifier-cmd", command)
     assert digests == GOLDEN[mechanism]

@@ -1,6 +1,7 @@
 """Prediction/label ingestion and the external-classifier adapter."""
 
 import json
+import math
 import os
 import signal
 import sys
@@ -8,25 +9,30 @@ import time
 
 import pytest
 
+from conftest import make_record, starter_taxonomy
 from interestprof import ingest
+from interestprof.config import parse_config_file
 from interestprof.errors import (
     ConfigError,
     DataFormatError,
     ExternalClassifierError,
+    TaxonomyError,
     escape_control,
+    open_input,
 )
 from interestprof.ingest import (
     ProfileDataset,
     attach_labels,
     load_labels,
-    load_predictions,
     read_manifest,
     run_external_classifier,
     serialize_labels,
     serialize_predictions,
 )
-from interestprof.taxonomy import TOPICS
+from interestprof.scoring import ScoredDataset, load_score_cells
+from interestprof.taxonomy import N_TOPICS, TOPICS, load_taxonomy, parse_taxonomy
 
+TAX = starter_taxonomy()
 WORKED_LINE = json.dumps(
     {
         "user_id": "u1",
@@ -43,32 +49,19 @@ WORKED_LINE = json.dumps(
 
 
 def test_load_single_record():
-    ds = load_predictions(WORKED_LINE)
+    ds = load_score_cells(WORKED_LINE, TAX)
     assert ds.users() == ["u1"]
-    rec = ds.records["u1"][0]
-    assert rec.image_id == "img1"
-    assert [l for l, _ in rec.predictions] == ["espresso", "cup", "dough", "ladle", "sandal"]
+    block = ds.pop_block("u1")
+    assert block.image_ids == ("img1",)
+    drink, fashion, food = map(TOPICS.index, ("Drink", "Fashion", "Food"))
+    assert block.rows == ((drink, math.fsum([0.08, 0.07, 0.05]), 3,
+                           fashion, 0.04, 1, food, 0.06, 1),)
 
 
 def test_empty_stream_gives_empty_dataset():
-    ds = load_predictions("")
+    ds = load_score_cells("", TAX)
     assert ds.users() == []
-    assert ds.n_records() == 0
-
-
-def test_predictions_sorted_descending():
-    line = json.dumps(
-        {
-            "user_id": "u",
-            "image_id": "i",
-            "predictions": [
-                {"label": "cup", "prob": 0.1},
-                {"label": "espresso", "prob": 0.9},
-            ],
-        }
-    )
-    rec = load_predictions(line).records["u"][0]
-    assert rec.predictions == (("espresso", 0.9), ("cup", 0.1))
+    assert ds.n_images() == 0
 
 
 def test_prob_out_of_range_names_line():
@@ -76,19 +69,19 @@ def test_prob_out_of_range_names_line():
         {"user_id": "u2", "image_id": "i", "predictions": [{"label": "x", "prob": 1.3}]}
     )
     with pytest.raises(DataFormatError, match="line 2") as err:
-        load_predictions(bad)
+        load_score_cells(bad, TAX)
     assert "1.3" in str(err.value)
 
 
 def test_malformed_json_aborts_with_line_number():
     with pytest.raises(DataFormatError, match="line 1"):
-        load_predictions("{not json")
+        load_score_cells("{not json", TAX)
 
 
-def _outcome(line):
-    """The records load_predictions reads from one line, or its error message."""
+def _outcome(source):
+    """The cells load_score_cells reads from ``source``, or its error message."""
     try:
-        return load_predictions([line]).records
+        return load_score_cells(source, TAX).cells
     except DataFormatError as exc:
         return str(exc)
 
@@ -161,14 +154,13 @@ def test_nesting_cap_does_not_depend_on_the_callers_depth(frames):
 
 
 def test_duplicate_keys_keep_the_last_and_nan_is_out_of_range():
-    records = _outcome(SCANNER_LINES["duplicate keys"])
-    assert [(r.user_id, r.predictions) for r in records["u"]] == [("u", (("cup", 0.5),))]
+    assert _outcome(SCANNER_LINES["duplicate keys"]) == _outcome(_cup(0.5))
     assert _outcome(SCANNER_LINES["NaN prob"]) == "line 1: prob nan for 'cup' out of range [0, 1]"
 
 
 def test_skip_bad_collects_warnings():
     text = "{broken\n" + WORKED_LINE + "\n"
-    ds = load_predictions(text, skip_bad=True)
+    ds = load_score_cells(text, TAX, skip_bad=True)
     assert ds.users() == ["u1"]
     assert len(ds.warnings) == 1
     assert "line 1" in ds.warnings[0]
@@ -176,13 +168,13 @@ def test_skip_bad_collects_warnings():
 
 def test_duplicate_user_image_rejected():
     with pytest.raises(DataFormatError, match="duplicate record"):
-        load_predictions(WORKED_LINE + "\n" + WORKED_LINE)
+        load_score_cells(WORKED_LINE + "\n" + WORKED_LINE, TAX)
 
 
 def test_record_length_bounds():
     empty = json.dumps({"user_id": "u", "image_id": "i", "predictions": []})
     with pytest.raises(DataFormatError, match="nonempty"):
-        load_predictions(empty)
+        load_score_cells(empty, TAX)
     six = json.dumps(
         {
             "user_id": "u",
@@ -191,8 +183,8 @@ def test_record_length_bounds():
         }
     )
     with pytest.raises(DataFormatError, match="top-k"):
-        load_predictions(six)
-    assert load_predictions(six, k_max=6).n_records() == 1
+        load_score_cells(six, TAX)
+    assert load_score_cells(six, TAX, k_max=6).n_images() == 1
 
 
 def test_round_trip_serialize_load():
@@ -205,10 +197,16 @@ def test_round_trip_serialize_load():
             {"user_id": "u1", "image_id": "img2", "predictions": [{"label": "cup", "prob": 0.25}]}
         ),
     ]
-    ds = load_predictions("\n".join(lines))
-    again = load_predictions(serialize_predictions(ds))
+    worked = [(p["label"], p["prob"]) for p in json.loads(WORKED_LINE)["predictions"]]
+    records = ProfileDataset(records={
+        "u1": [make_record("u1", "img1", worked), make_record("u1", "img2", [("cup", 0.25)])],
+        "u2": [make_record("u2", "a", [("alp", 0.5)])],
+    })
+    ds = load_score_cells("\n".join(lines), TAX)
+    again = load_score_cells(serialize_predictions(records), TAX)
     assert again == ds
-    assert again.n_records() == 3  # grouping preserves multiplicity
+    assert [list(images) for images in again.cells.values()] == [["img1", "img2"], ["a"]]
+    assert again.n_images() == 3  # grouping preserves multiplicity
 
 
 def test_load_labels_basic():
@@ -257,6 +255,8 @@ def test_load_manifest_header_optional_and_quoted_paths():
     body = 'u1,i1,"/img/a,b.jpg"\n\n u2 , i2 ,/img/c.jpg\n'
     assert read_manifest(body).rows == rows
     assert read_manifest("user_id,image_id,image_path\n" + body).rows == rows
+    # The header is the first non-blank row, wherever that is.
+    assert read_manifest("\n , ,\nuser_id,image_id,image_path\n" + body).rows == rows
 
 
 @pytest.mark.parametrize("row, message", [
@@ -271,7 +271,7 @@ def test_load_manifest_bad_row_names_path_and_line(row, message):
 
 
 def test_attach_labels_warns_on_missing_users():
-    ds = load_predictions(WORKED_LINE)
+    ds = load_score_cells(WORKED_LINE, TAX)
     out = attach_labels(ds, {"u1": "Drink", "ghost": "Sport"})
     assert out.labels["u1"] == "Drink"
     assert any("ghost" in w for w in out.warnings)
@@ -302,6 +302,39 @@ def _stub(tmp_path, body, name="stub.py"):
     return f"{sys.executable} {path} {{input}} {{output}}"
 
 
+# Characters str.splitlines breaks at and a file read keeps inside the line.
+NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=ascii)
+def test_text_and_file_break_lines_at_the_same_places(tmp_path, char):
+    taxonomy = f"root R\n# note {char} here\nconcept A parent Nope\n"
+    (tmp_path / "t.taxonomy").write_text(taxonomy, encoding="utf-8")
+    for load, source in ((parse_taxonomy, taxonomy), (load_taxonomy, tmp_path / "t.taxonomy")):
+        with pytest.raises(TaxonomyError) as err:
+            load(source)
+        assert str(err.value) == "line 3: concept 'A' references unknown parent 'Nope'"
+
+    config = tmp_path / "c.cfg"
+    config.write_text(f"# c {char} x\ntopk = abc\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        parse_config_file(config)
+    assert str(err.value) == f"{config}:2: topk: expected an integer, got 'abc'"
+
+    lines = [json.dumps({"user_id": "u", "image_id": f"i{n}",
+                         "predictions": [{"label": "cup", "prob": 0.5}]}) for n in range(3)]
+    lines[1] = lines[1].replace("cup", f"cup{char}")  # raw, as json.dumps would not write it
+    predictions = tmp_path / "p.jsonl"
+    predictions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open_input(predictions, "predictions") as fh:
+        from_file = _outcome(fh)
+    assert _outcome("\n".join(lines)) == from_file
+    if char in "\x85\u2028\u2029":
+        assert list(from_file["u"]) == ["i0", "i1", "i2"]
+    else:  # a raw control character is not valid inside a JSON string
+        assert from_file == "line 2: malformed JSON: Invalid control character at"
+
+
 def test_escape_control_spells_out_c0_del_and_c1():
     controls = "".join(map(chr, (*range(0x20), 0x7F, *range(0x80, 0xA0))))
     escaped = escape_control(controls)
@@ -316,26 +349,26 @@ def test_messages_quote_ids_as_before_and_escape_controls():
     line = json.dumps({"user_id": "u1", "image_id": "img1",
                        "predictions": [{"label": "cup", "prob": 0.5}]})
     with pytest.raises(DataFormatError) as plain:
-        load_predictions(line + "\n" + line)
+        load_score_cells(line + "\n" + line, TAX)
     assert str(plain.value) == "line 2: duplicate record for user 'u1' image 'img1'"
     bad = json.dumps({"user_id": "u\x1b[2J", "image_id": "i\r1",
                       "predictions": [{"label": "c\x9bup", "prob": 1.5}]})
     with pytest.raises(DataFormatError) as escaped:
-        load_predictions(bad)
+        load_score_cells(bad, TAX)
     assert str(escaped.value) == "line 1: prob 1.5 for 'c\\x9bup' out of range [0, 1]"
     with pytest.raises(DataFormatError) as dup:
-        load_predictions(bad.replace("1.5", "0.5") + "\n" + bad.replace("1.5", "0.5"))
+        load_score_cells(bad.replace("1.5", "0.5") + "\n" + bad.replace("1.5", "0.5"), TAX)
     assert str(dup.value) == "line 2: duplicate record for user 'u\\x1b[2J' image 'i\\r1'"
 
 
 def test_external_classifier_identity(tmp_path):
     template = _stub(tmp_path, STUB_OK)
     manifest = [("u1", "i1", "/tmp/a.jpg"), ("u1", "i2", "/tmp/b.jpg"), ("u2", "i1", "/tmp/c.jpg")]
-    ds = run_external_classifier(manifest, template, k=5)
+    ds = run_external_classifier(manifest, template, TAX, k=5)
     assert ds.users() == ["u1", "u2"]
-    assert ds.n_records() == 3
-    for rec in ds.iter_records():
-        assert rec.predictions == (("espresso", 0.5), ("dough", 0.25))
+    assert ds.n_images() == 3
+    cells = (TOPICS.index("Drink"), 0.5, 1, TOPICS.index("Food"), 0.25, 1, N_TOPICS, 0.0, 3)
+    assert [ds.pop_block(u).rows for u in ("u1", "u2")] == [(cells, cells), (cells,)]
 
 
 def _writing_stub(tmp_path, pairs, name="writer.py"):
@@ -357,7 +390,7 @@ def _writing_stub(tmp_path, pairs, name="writer.py"):
 def test_external_classifier_output_must_match_the_manifest(tmp_path, listed, written, message):
     manifest = [(u, i, f"/img/{u}-{i}.jpg") for u, i in listed]
     with pytest.raises(DataFormatError) as err:
-        run_external_classifier(manifest, _writing_stub(tmp_path, written), k=5)
+        run_external_classifier(manifest, _writing_stub(tmp_path, written), TAX, k=5)
     assert str(err.value) == message
 
 
@@ -366,7 +399,7 @@ def test_missing_classifier_output_names_the_manifest_line(tmp_path):
                              path="m.csv")
     assert manifest.lines == [2, 4]
     with pytest.raises(DataFormatError) as err:
-        run_external_classifier(manifest, _writing_stub(tmp_path, [("u1", "i1")]), k=5)
+        run_external_classifier(manifest, _writing_stub(tmp_path, [("u1", "i1")]), TAX, k=5)
     assert str(err.value) == "m.csv:4: no classifier output for user 'u1' image 'i2'"
 
 
@@ -375,7 +408,7 @@ def test_unlisted_record_skipped_under_skip_bad_leaves_no_empty_user():
                          "predictions": [{"label": "cup", "prob": 0.5}]})
              for u, i in (("u1", "i1"), ("ghost", "zzz"))]
     listed = {("u1", "i1"): 2, ("u1", "i2"): 3}
-    ds = load_predictions(lines, skip_bad=True, listed=listed)
+    ds = load_score_cells(lines, TAX, skip_bad=True, listed=listed)
     assert ds.users() == ["u1"]
     assert ds.warnings == ["skipped line 2: user 'ghost' image 'zzz' is not listed in the manifest"]
     assert listed == {("u1", "i2"): 3}
@@ -384,7 +417,7 @@ def test_unlisted_record_skipped_under_skip_bad_leaves_no_empty_user():
 def test_external_classifier_failure_carries_exit_code(tmp_path):
     template = _stub(tmp_path, STUB_FAIL)
     with pytest.raises(ExternalClassifierError) as err:
-        run_external_classifier([("u", "i", "p")], template, k=5)
+        run_external_classifier([("u", "i", "p")], template, TAX, k=5)
     assert str(err.value) == "classifier command exited with status 3: boom"
 
 
@@ -394,26 +427,26 @@ def test_external_classifier_output_errors_name_the_output(tmp_path):
         '"image_id": r["image_id"],', '"image_id": r["image_id"] if r["user_id"] == "u1" else "",'))
     manifest = [("u1", "i1", "/tmp/a.jpg"), ("u2", "i1", "/tmp/b.jpg")]
     with pytest.raises(DataFormatError) as err:
-        run_external_classifier(manifest, template, k=5)
+        run_external_classifier(manifest, template, TAX, k=5)
     assert str(err.value) == "classifier output:2: missing or empty 'image_id'"
 
 
 def test_external_classifier_empty_manifest_not_invoked():
     # The binary does not exist; if the adapter invoked it this would blow up.
-    ds = run_external_classifier([], "/nonexistent/classifier {input} {output}", k=5)
-    assert ds == ProfileDataset()
+    ds = run_external_classifier([], "/nonexistent/classifier {input} {output}", TAX, k=5)
+    assert ds == ScoredDataset(k=5)
 
 
 def test_external_classifier_template_needs_placeholders():
     with pytest.raises(ConfigError, match="placeholder"):
-        run_external_classifier([("u", "i", "p")], "classify --fast", k=5)
+        run_external_classifier([("u", "i", "p")], "classify --fast", TAX, k=5)
 
 
 def test_external_classifier_timeout_kills_the_command(tmp_path):
     template = _stub(tmp_path, "import time\ntime.sleep(5)\n")
     started = time.monotonic()
     with pytest.raises(ExternalClassifierError) as err:
-        run_external_classifier([("u", "i", "p")], template, k=5, timeout=0.5)
+        run_external_classifier([("u", "i", "p")], template, TAX, k=5, timeout=0.5)
     assert time.monotonic() - started < 4
     assert str(err.value) == "classifier command timed out after 0.5 s"
 
@@ -431,7 +464,7 @@ def test_external_classifier_timeout_kills_what_the_command_started(tmp_path):
     pid_file = tmp_path / "sleeper.pid"
     template = f"sh -c 'sleep 30 & echo $! > {pid_file}; wait' sh {{input}} {{output}}"
     with pytest.raises(ExternalClassifierError) as err:
-        run_external_classifier([("u", "i", "p")], template, k=5, timeout=0.5)
+        run_external_classifier([("u", "i", "p")], template, TAX, k=5, timeout=0.5)
     assert str(err.value) == "classifier command timed out after 0.5 s"
     pid = int(pid_file.read_text())
     deadline = time.monotonic() + 2

@@ -1,14 +1,15 @@
 """Parser fuzzing: arbitrary input either loads or raises DataFormatError.
 
 Arbitrary text lines (lone surrogates included) and JSON-shaped lines with
-random values go to ``load_predictions`` and ``load_labels``; any other
-exception is a parser bug. Whatever loads must be writable as UTF-8. The CLI
-must turn rejected input files, arbitrary bytes included, into exit 1 with a
-line-numbered message and no traceback. The pipeline's loader,
-``load_score_cells``, must agree with ``load_predictions`` followed by
-``score_block`` on every input: the same blocks and warnings, or the same
-error. Every row it gives is flat cells, three values a cell, with strictly
-increasing positions up to N_TOPICS (unmapped) and counts summing to k.
+random values go to ``load_score_cells`` and ``load_labels``; any other
+exception is a parser bug. Whatever loads must be writable as UTF-8, and
+every row ``load_score_cells`` gives is flat cells, three values a cell, with
+strictly increasing positions up to N_TOPICS (unmapped) and counts summing to
+k. On well-formed lines it must give the rows of ``oracles.bf_image_rows``,
+and skip or reject, naming the line, exactly the lines with more than k
+predictions or a repeated (user, image) pair. The CLI must turn rejected input
+files, arbitrary bytes included, into exit 1 with a line-numbered message and
+no traceback.
 """
 
 import contextlib
@@ -22,11 +23,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
-from conftest import KNOWN_TERMS, STARTER_PATH, UNKNOWN_TERMS, WORKED_EXAMPLE_PATH, starter_taxonomy
+import oracles
+from conftest import (
+    KNOWN_TERMS, STARTER_PATH, UNKNOWN_TERMS, WORKED_EXAMPLE_PATH, dense_rows, starter_taxonomy,
+)
 from interestprof.cli import main
 from interestprof.errors import DataFormatError
-from interestprof.ingest import load_labels, load_predictions
-from interestprof.scoring import load_score_cells, score_block
+from interestprof.ingest import load_labels
+from interestprof.scoring import load_score_cells
 from interestprof.taxonomy import N_TOPICS, TOPICS
 
 chars = st.one_of(st.characters(), st.characters(categories=["Cs"]))
@@ -60,7 +64,7 @@ odd_lines = st.sampled_from([
     "\udcff",
 ])
 prediction_lines = st.one_of(texts, json_lines, odd_lines)
-# Well-formed lines, so that a differential run also compares loads that succeed.
+# Well-formed lines: only a count over k or a repeated (user, image) pair is bad.
 valid_lines = st.builds(
     lambda user, image, preds: json.dumps({"user_id": user, "image_id": image, "predictions": [
         {"label": label, "prob": prob} for label, prob in preds]}),
@@ -83,44 +87,56 @@ def assert_utf8(*strings):
         s.encode("utf-8")
 
 
-@given(st.lists(prediction_lines, max_size=5), st.integers(min_value=1, max_value=7))
-def test_load_predictions_raises_only_data_format_errors(lines, k_max):
-    for source in (lines, "\n".join(lines)):
-        try:
-            dataset = load_predictions(source, k_max=k_max)
-        except DataFormatError:
-            dataset = load_predictions(source, k_max=k_max, skip_bad=True)
-        for rec in dataset.iter_records():
-            assert_utf8(rec.user_id, rec.image_id, *(label for label, _ in rec.predictions))
-            assert 0 < len(rec.predictions) <= k_max
-
-
 @given(st.lists(st.one_of(prediction_lines, valid_lines), max_size=6),
-       st.integers(min_value=1, max_value=7), st.booleans())
-def test_load_score_cells_matches_records_then_score_block(lines, k_max, skip_bad):
+       st.integers(min_value=1, max_value=7))
+def test_load_score_cells_raises_only_data_format_errors(lines, k_max):
     tax = starter_taxonomy()
     for source in (lines, "\n".join(lines)):
         try:
-            expected = load_predictions(source, k_max=k_max, skip_bad=skip_bad)
-        except DataFormatError as exc:
+            dataset = load_score_cells(source, tax, k_max)
+        except DataFormatError:
+            dataset = load_score_cells(source, tax, k_max, skip_bad=True)
+        n_images = dataset.n_images()
+        blocks = [dataset.pop_block(user) for user in dataset.users()]
+        assert dataset.cells == {}
+        assert sum(block.n_images() for block in blocks) == n_images
+        for block in blocks:
+            assert_utf8(block.user_id, *block.image_ids)
+            for row in block.rows:
+                assert len(row) % 3 == 0
+                positions, counts = row[0::3], row[2::3]
+                assert all(a < b for a, b in zip(positions, positions[1:]))
+                assert all(0 <= pos <= N_TOPICS for pos in positions)
+                assert sum(counts) == k_max
+
+
+@given(st.lists(valid_lines, max_size=6), st.integers(min_value=1, max_value=7), st.booleans())
+def test_load_score_cells_matches_the_oracle(lines, k_max, skip_bad):
+    tax = starter_taxonomy()
+    images, bad = {}, []
+    for no, line in enumerate(lines, start=1):
+        obj = json.loads(line)
+        pair = (obj["user_id"], obj["image_id"])
+        if len(obj["predictions"]) > k_max or pair in images:
+            bad.append(no)
+        else:
+            images[pair] = [(p["label"], p["prob"]) for p in obj["predictions"]]
+    for source in (lines, "\n".join(lines)):
+        if bad and not skip_bad:
             with pytest.raises(DataFormatError) as err:
-                load_score_cells(source, tax, k_max, skip_bad)
-            assert (str(err.value), err.value.line) == (str(exc), exc.line)
+                load_score_cells(source, tax, k_max)
+            assert err.value.line == bad[0]
             continue
         dataset = load_score_cells(source, tax, k_max, skip_bad)
-        assert dataset.warnings == expected.warnings
-        assert dataset.users() == expected.users()
-        assert dataset.n_images() == expected.n_records()
-        blocks = [dataset.pop_block(user) for user in expected.users()]
-        assert blocks == [score_block(expected.records[user], tax, k_max)
-                          for user in expected.users()]
-        assert dataset.cells == {}
-        for row in (row for block in blocks for row in block.rows):
-            assert len(row) % 3 == 0
-            positions, counts = row[0::3], row[2::3]
-            assert all(a < b for a, b in zip(positions, positions[1:]))
-            assert all(0 <= pos <= N_TOPICS for pos in positions)
-            assert sum(counts) == k_max
+        assert [int(w.split()[2].rstrip(":")) for w in dataset.warnings] == bad
+        assert dataset.users() == list(dict.fromkeys(user for user, _ in images))
+        for user in dataset.users():
+            block = dataset.pop_block(user)
+            assert block.image_ids == tuple(i for u, i in images if u == user)
+            got = [(p.scores, p.unmapped_mass, o.scores, o.unmapped_mass)
+                   for p, o in dense_rows(block)]
+            assert got == [oracles.bf_image_rows(tax, TOPICS, preds, k_max)
+                           for (u, _), preds in images.items() if u == user]
 
 
 @given(st.lists(label_lines, max_size=5))
@@ -162,7 +178,7 @@ def test_cli_exits_1_on_rejected_input_without_traceback(content, which):
         bad = Path(tmp) / "input"
         bad.write_bytes(content)
         if which == "predictions":
-            assume(_rejected(bad, load_predictions))
+            assume(_rejected(bad, lambda fh: load_score_cells(fh, starter_taxonomy())))
             inputs = ["--predictions", bad]
         else:
             assume(_rejected(bad, load_labels, newline=""))

@@ -19,7 +19,7 @@ from conftest import (
 from interestprof.errors import EmptyInputError
 from interestprof.ingest import ProfileDataset
 from interestprof.profiling import argmax_topics, profile_prefixes
-from interestprof.scoring import TopicDistribution, score_block
+from interestprof.scoring import TopicDistribution
 from interestprof.taxonomy import N_TOPICS, TOPICS
 
 
@@ -95,10 +95,9 @@ def test_aggregate_occ_all_zero_rows_go_unmapped():
 
 
 def test_aggregate_empty_matrices_error():
-    for block in (block_from_rows([]), score_block([], starter_taxonomy(), 5)):
-        for mechanism in ("prob", "occ"):
-            with pytest.raises(EmptyInputError):
-                profile_prefixes(block, (1,), mechanism)
+    for mechanism in ("prob", "occ"):
+        with pytest.raises(EmptyInputError):
+            profile_prefixes(block_from_rows([]), (1,), mechanism)
 
 
 def test_predict_topic_tie_breaks_by_canonical_order():

@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
-from conftest import KNOWN_TERMS, UNKNOWN_TERMS, make_record, starter_taxonomy
+from conftest import KNOWN_TERMS, UNKNOWN_TERMS, block_of, make_record, starter_taxonomy
 from interestprof import reporting
 from interestprof.evaluation import EvalReport
 from interestprof.profiling import UserProfile, profile_prefixes
@@ -19,7 +19,7 @@ from interestprof.reporting import (
     open_score_tables, profile_payload, to_json, write_evaluation, write_profiles,
     write_score_rows,
 )
-from interestprof.scoring import TopicDistribution, score_block
+from interestprof.scoring import TopicDistribution
 from interestprof.taxonomy import N_TOPICS, TOPICS
 from oracles import dense_score_tables, json_ready
 
@@ -73,7 +73,7 @@ def _profiles(user_ids, sweep):
     for user in user_ids:
         records = [make_record(user, f"img{j}", pairs) for j, pairs in enumerate(images)]
         full, *swept = profile_prefixes(
-            score_block(records, tax, 5), (len(records), *sweep), "occ"
+            block_of(records, tax, 5), (len(records), *sweep), "occ"
         )
         profiles.append(full)
         for n, p in zip(sweep, swept):
@@ -145,7 +145,7 @@ def test_sparse_score_rows_match_dense_reference(tmp_path_factory, data):
     out = tmp_path_factory.mktemp("scores")
     with open_score_tables(out, k) as tables:
         for user_records in records.values():
-            write_score_rows(tables, score_block(user_records, tax, k))
+            write_score_rows(tables, block_of(user_records, tax, k))
     expected = dense_score_tables(tax, TOPICS, records, k)
     got = tuple((out / f"image_scores_{m}.csv").read_bytes() for m in ("prob", "occ"))
     assert got == tuple(text.encode("utf-8") for text in expected)
@@ -166,7 +166,7 @@ def test_score_rows_quote_ids_as_csv_writer_does(tmp_path_factory, data):
     out = tmp_path_factory.mktemp("scores")
     with open_score_tables(out, k) as tables:
         for user_records in records.values():
-            write_score_rows(tables, score_block(user_records, tax, k))
+            write_score_rows(tables, block_of(user_records, tax, k))
     expected = dense_score_tables(tax, TOPICS, records, k)
     got = tuple((out / f"image_scores_{m}.csv").read_bytes() for m in ("prob", "occ"))
     assert got == tuple(text.encode("utf-8") for text in expected)
@@ -180,7 +180,7 @@ def test_score_tables_format_only_the_counts_they_write(tmp_path):
     records = {"u1": [make_record("u1", "img1", [("espresso", 0.5), ("cup", 0.25),
                                                  ("zzz_unknown", 0.125)]),
                       make_record("u1", "img2", [("sandal", 0.5)])]}
-    block = score_block(records["u1"], tax, k)
+    block = block_of(records["u1"], tax, k)
     tracemalloc.start()
     try:
         with open_score_tables(tmp_path, k) as tables:
@@ -219,10 +219,10 @@ def test_writers_make_no_call_per_record(tmp_path, monkeypatch):
     records = [make_record("u1", f"img{j}", [("espresso", 0.5), ("sandal", 0.25)])
                for j in range(20)]
     with open_score_tables(tmp_path, 5) as tables:
-        write_score_rows(tables, score_block(records, tax, 5))
+        write_score_rows(tables, block_of(records, tax, 5))
         assert CountingWriter.calls == 0
         # An id the csv module quotes goes through it, once per id.
-        write_score_rows(tables, score_block([make_record("u,2", "i1", [("cup", 0.5)])], tax, 5))
+        write_score_rows(tables, block_of([make_record("u,2", "i1", [("cup", 0.5)])], tax, 5))
     assert CountingWriter.calls == 1
 
     encoded = []

@@ -1,8 +1,9 @@
 """Differential test of the scoring core against the brute-force oracle.
 
 Random multi-user datasets (k from 1 to 8, unknown labels, case and
-underscore variants of known terms, short records) are scored by the library
-and by ``oracles.bf_image_rows`` / ``oracles.bf_profile``. Image rows, full
+underscore variants of known terms, short records) are written as prediction
+lines and scored by the library, which reads them back the one way it reads
+any lines, and by ``oracles.bf_image_rows`` / ``oracles.bf_profile``. Image rows, full
 profiles and every sweep point must agree exactly. Prediction lines of the
 same kind, read by the pipeline's loader ``load_score_cells``, must give the
 oracle's image rows bit for bit.
@@ -17,6 +18,7 @@ import oracles
 from conftest import (
     KNOWN_TERMS,
     UNKNOWN_TERMS,
+    block_of,
     dense_rows,
     make_record,
     profile_of,
@@ -24,7 +26,7 @@ from conftest import (
     sweep_of,
 )
 from interestprof.ingest import ProfileDataset
-from interestprof.scoring import load_score_cells, score_block
+from interestprof.scoring import load_score_cells
 from interestprof.taxonomy import TOPICS
 
 VARIANTS = (
@@ -85,7 +87,7 @@ def test_core_matches_oracle(data, mechanism):
     dataset, k, sweep = data
     tax = starter_taxonomy()
     for user, records in dataset.records.items():
-        rows = dense_rows(score_block(records, tax, k))
+        rows = dense_rows(block_of(records, tax, k))
         for record, (prob_row, occ_row) in zip(records, rows):
             want = oracles.bf_image_rows(tax, TOPICS, record.predictions, k)
             assert (prob_row.scores, prob_row.unmapped_mass,

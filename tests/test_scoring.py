@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from conftest import dense_rows, image_rows, make_record, prediction_pairs, starter_taxonomy
+import oracles
+from conftest import (
+    block_of, dense_rows, image_rows, make_record, prediction_pairs, starter_taxonomy,
+)
 from interestprof.config import MAX_TOPK
 from interestprof.fixtures import generate_fixture
-from interestprof.ingest import load_predictions, serialize_predictions
-from interestprof.scoring import TopicDistribution, load_score_cells, score_block
+from interestprof.ingest import serialize_predictions
+from interestprof.scoring import TopicDistribution, load_score_cells
 from interestprof.taxonomy import N_TOPICS, TOPICS, topic_of_instance
 
 
@@ -70,23 +73,6 @@ def test_occ_short_record_loses_mass_to_unmapped():
     assert dist.unmapped_mass == pytest.approx(0.6, abs=1e-12)
 
 
-def test_occ_divisor_must_cover_record():
-    rec = make_record("u", "i", [("dough", 0.3), ("pizza", 0.2)])
-    with pytest.raises(ValueError, match="divisor"):
-        occ_row(rec, starter_taxonomy(), k=1)
-
-
-def test_build_matrices_rejects_mixed_users(worked_example_record):
-    other = make_record("someone_else", "img9", [("cup", 0.5)])
-    with pytest.raises(ValueError, match="multiple users"):
-        score_block([worked_example_record, other], starter_taxonomy(), k=5)
-
-
-def test_build_matrices_empty_is_valid():
-    block = score_block([], starter_taxonomy(), k=5)
-    assert block.n_images() == 0 and block.rows == ()
-
-
 def test_topic_pure_records_give_permutation_style_rows():
     tax = starter_taxonomy()
     pure_terms = {"Drink": "espresso", "Food": "dough", "Sport": "racket"}
@@ -94,7 +80,7 @@ def test_topic_pure_records_give_permutation_style_rows():
         make_record("u", f"i{n}", [(term, 0.5)])
         for n, term in enumerate(pure_terms.values())
     ]
-    for (_, row), topic in zip(dense_rows(score_block(records, tax, k=1)), pure_terms):
+    for (_, row), topic in zip(dense_rows(block_of(records, tax, k=1)), pure_terms):
         assert row.topic_score(topic) == 1.0
         assert sum(row.scores) == 1.0
 
@@ -178,6 +164,16 @@ def test_row_mass_accounting(pairs):
     assert prob.total() == pytest.approx(sum(p for _, p in pairs), abs=1e-9)
 
 
+@pytest.mark.parametrize("k_max", [0, MAX_TOPK + 1])
+def test_load_rejects_a_k_its_counts_cannot_pack(k_max):
+    def lines():
+        raise AssertionError("a line was read")
+        yield
+
+    with pytest.raises(ValueError, match=f"^k_max must be in 1 to {MAX_TOPK}, got {k_max}$"):
+        load_score_cells(lines(), starter_taxonomy(), k_max)
+
+
 def test_load_resolves_each_distinct_label_once(monkeypatch):
     tax = starter_taxonomy()
     dataset = generate_fixture(2, 30, 0.6, 7, tax)
@@ -196,8 +192,8 @@ def test_load_resolves_each_distinct_label_once(monkeypatch):
     assert calls == Counter(set(labels))
 
 
-def test_loaded_cells_unpack_bit_for_bit_to_score_block():
-    """A loaded image's packed record unpacks to score_block's cells exactly.
+def test_loaded_cells_unpack_bit_for_bit():
+    """A loaded image's packed record unpacks to the oracle's rows exactly.
 
     The lines hold -0.0, a subnormal, int and float ones, a repeated label, an
     all-unmapped image and an image touching every position, and k reaches
@@ -224,11 +220,14 @@ def test_loaded_cells_unpack_bit_for_bit_to_score_block():
     assert '"prob": -0.0' in lines[0] and '"prob": 5e-324' in lines[0]
     assert '"prob": 0}' in lines[1] and '"prob": 1}' in lines[1]
     for k in (N_TOPICS + 1, MAX_TOPK):
-        records = load_predictions(lines, k_max=k)
         dataset = load_score_cells(lines, tax, k)
         blocks = {user: dataset.pop_block(user) for user in ("u1", "u2", "u3")}
         for user, block in blocks.items():
-            assert repr(block) == repr(score_block(records.records[user], tax, k))
+            assert block.image_ids == tuple(f"i{n}" for n, (u, _) in enumerate(images) if u == user)
+            got = [repr((p.scores, p.unmapped_mass, o.scores, o.unmapped_mass))
+                   for p, o in dense_rows(block)]
+            assert got == [repr(oracles.bf_image_rows(tax, TOPICS, preds, k))
+                           for u, preds in images if u == user]
         assert dataset.cells == {}
     # The all-unmapped image counts k labels: its own two and the k - 2 it lacks.
     assert blocks["u2"].rows[1] == (N_TOPICS, 0.3, MAX_TOPK)
