@@ -13,9 +13,8 @@ from pathlib import Path
 
 from interestprof.evaluation import evaluate
 from interestprof.fixtures import generate_fixture
-from interestprof.ingest import serialize_predictions
+from interestprof.ingest import load_score_cells, serialize_predictions
 from interestprof.profiling import profile_prefixes
-from interestprof.scoring import load_score_cells
 from interestprof.taxonomy import load_taxonomy
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -7,8 +7,8 @@ Usage: python scripts/run_worked_example.py
 import json
 from pathlib import Path
 
+from interestprof.ingest import load_score_cells
 from interestprof.profiling import profile_prefixes
-from interestprof.scoring import load_score_cells
 from interestprof.taxonomy import N_TOPICS, TOPICS, load_taxonomy, topic_of_instance
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -1,9 +1,10 @@
 """Command-line entry point orchestrating the profiling pipeline.
 
 Subcommands: validate-ontology, metrics, score, profile, correlate, evaluate,
-fixture, pipeline. Exit status is 0 on success, 1 on validation failure and
-2 on I/O or configuration errors. Given identical inputs, seed and flags,
-every subcommand writes byte-identical artifacts.
+fixture, pipeline. Exit status is 0 on success, 1 on validation failure,
+2 on I/O or configuration errors and 130 on an interrupt (SIGINT). Given
+identical inputs, seed and flags, every subcommand writes byte-identical
+artifacts.
 
 The data subcommands run one chain, ``_run_chain``: load the taxonomy, check
 ``--out``, load the dataset, make one pass over the users, then write; the
@@ -12,16 +13,17 @@ the dataset is loaded or the classifier is run. Each subcommand is a row of
 ``_CHAINS``, the steps it runs in chain order (metrics, scores, profiles,
 correlation, evaluation) and its summary line, so ``score`` writes the same
 bytes as the score tables of ``pipeline``. Prediction records are only what
-``fixture`` writes; every load reads score cells: ``scoring.load_score_cells``
-scores each prediction line (or line of the classifier's output) as it is
-read; ``--classifier-cmd`` is killed after ``classifier_timeout`` seconds
-(default 600). The pass takes each user's cells out of the dataset as a
-ScoreBlock, writes its score rows (text from a row template, one write per
-table per user) and derives the full profile and every sweep point from it,
-so the cells are freed user by user before the profile files are streamed. A subcommand named for one step fails
-(exit 1) when that step has no input, such as fewer than 2 profiles to
-correlate or no labeled profile to evaluate; ``pipeline`` skips the step with a
-note instead.
+``fixture`` writes; every load is one ``ingest.load_score_cells`` call, which
+scores each prediction line as it is read, from the ``--predictions`` file or
+from the output file ``--classifier-cmd`` wrote for ``--manifest``, and
+``--skip-bad`` applies to both. ``--classifier-cmd`` is killed after
+``classifier_timeout`` seconds (default 600). The pass takes each user's cells
+out of the dataset as a ScoreBlock, writes its score rows (text from a row
+template, one write per table per user) and derives the full profile and every
+sweep point from it, so the cells are freed user by user before the profile
+files are streamed. A subcommand named for one step fails (exit 1) when that
+step has no input, such as fewer than 2 profiles to correlate or no labeled
+profile to evaluate; ``pipeline`` skips the step with a note instead.
 
 A step's modules are imported where the step runs, in ``_run_chain``,
 ``_load_dataset`` or ``cmd_fixture``; ``reporting``, which every step of the
@@ -79,26 +81,28 @@ def _load_tax(cfg: RunConfig) -> Taxonomy:
 
 def _load_dataset(cfg: RunConfig, tax: Taxonomy) -> ScoredDataset:
     """Score cells of the predictions (or classifier output), labels attached."""
-    from .scoring import load_score_cells
+    from .ingest import (
+        attach_labels,
+        load_labels,
+        load_score_cells,
+        read_manifest,
+        run_external_classifier,
+    )
 
+    manifest = None
     if cfg.predictions is not None:
-        with open_input(cfg.predictions, "predictions") as fh:
-            dataset = load_score_cells(fh, tax, cfg.topk, cfg.skip_bad)
+        source = open_input(cfg.predictions, "predictions")
     elif cfg.classifier_cmd is not None:
-        from .ingest import read_manifest, run_external_classifier
-
         manifest_path = _require(cfg.manifest, "--manifest")
         with open_input(manifest_path, "manifest", newline="") as fh:
             manifest = read_manifest(fh, path=manifest_path)
-        dataset = run_external_classifier(
-            manifest, cfg.classifier_cmd, tax, cfg.topk, cfg.classifier_timeout
-        )
+        source = run_external_classifier(manifest, cfg.classifier_cmd, cfg.classifier_timeout)
     else:
         raise ConfigError("missing required setting: --predictions (or --classifier-cmd)")
+    with source as lines:
+        dataset = load_score_cells(lines, tax, cfg.topk, cfg.skip_bad, manifest)
 
     if cfg.labels is not None:
-        from .ingest import attach_labels, load_labels
-
         with open_input(cfg.labels, "labels", newline="") as fh:
             dataset = attach_labels(dataset, load_labels(fh))
     for w in dataset.warnings:
@@ -361,6 +365,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ExternalClassifierError, OSError) as exc:
         _note(f"error: {exc}")
         return 2
+    except KeyboardInterrupt:
+        _note("error: interrupted")
+        return 130
     finally:
         if gc_was_enabled:
             gc.enable()

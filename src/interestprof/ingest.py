@@ -6,11 +6,12 @@ Prediction wire format is one JSON object per line:
      "predictions": [{"label": "espresso", "prob": 0.08}, ...]}
 
 PredictionRecords are what the fixture generator builds and
-``serialize_predictions`` writes; every load reads the lines as score cells,
-through ``scoring.load_score_cells``, and builds no record. One per-line
-validator checks every line, and one loop, ``group_predictions``, groups the
+``serialize_predictions`` writes. Every load, from a predictions file or from
+a classifier's output, goes through ``load_score_cells``, which builds no
+record: one per-line validator checks every line, and one loop groups the
 valid lines per user and image in file order, rejecting duplicates and (with
-``--skip-bad``) skipping bad lines with a warning.
+``--skip-bad``) skipping bad lines with a warning, and hands each image's
+pairs to ``scoring.pack_cells``.
 
 Each line is read once. The default JSON decoder's scanner decodes it, and
 only a line the scanner does not read whole goes through ``json.loads``
@@ -23,7 +24,8 @@ wherever the load is called from.
 Labels are CSV with header ``user_id,topic``. The external-classifier adapter
 reads a ``user_id,image_id,image_path`` CSV manifest, invokes a user-supplied
 command once per batch with ``{input}`` and ``{output}`` placeholders and
-loads what it wrote, which must be one line per manifest row.
+hands back what it wrote, which ``load_score_cells`` checks against the
+manifest: one line per manifest row.
 
 Every parse error is a DataFormatError naming the line. Text that cannot be
 written back as UTF-8 is rejected here, before any output exists: open input
@@ -38,10 +40,12 @@ import io
 import json
 import os
 import re
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
+from .config import MAX_TOPK
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -51,10 +55,8 @@ from .errors import (
     input_lines,
     open_input,
 )
+from .scoring import ScoredDataset, pack_cells
 from .taxonomy import TOPICS, Taxonomy, resolve_compound
-
-if TYPE_CHECKING:
-    from .scoring import ScoredDataset
 
 DEFAULT_TOP_K = 5
 
@@ -212,61 +214,6 @@ def _parse_prediction_line(
     return user_id, image_id, pairs
 
 
-def group_predictions(
-    source: str | Iterable[str],
-    image: Callable[[Pairs], bytes],
-    key: Callable[[str], int],
-    k_max: int,
-    skip_bad: bool,
-    listed: dict[tuple[str, str], int] | None,
-) -> tuple[dict[str, dict[str, bytes]], list[str]]:
-    """Valid prediction lines as user -> image_id -> ``image(pairs)``, file order,
-    and the warnings for skipped lines.
-
-    Each pair holds ``key(label)``, which runs once per distinct label of a
-    load, on its first valid sight.
-    Any malformed or invalid line, or a second record of one image, aborts the
-    load unless ``skip_bad`` is set, in which case it is skipped and reported.
-    ``listed`` maps every expected (user_id, image_id) to its manifest line:
-    each record takes its pair out of it, a record whose pair is not there is
-    an error, and the pairs left over had no record.
-    """
-    groups: dict[str, dict[str, bytes]] = {}
-    strings: dict[str, str] = {}
-    keys: dict[str, int] = {}
-    warnings: list[str] = []
-    for no, raw in enumerate(input_lines(source), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            user_id, image_id, pairs = _parse_prediction_line(
-                line, no, k_max, strings, keys, key
-            )
-            images = groups.get(user_id)
-            if images is not None and image_id in images:
-                raise DataFormatError(
-                    f"duplicate record for user '{escape_control(user_id)}' "
-                    f"image '{escape_control(image_id)}'",
-                    line=no,
-                )
-            if listed is not None and listed.pop((user_id, image_id), None) is None:
-                raise DataFormatError(
-                    f"user '{escape_control(user_id)}' image '{escape_control(image_id)}' "
-                    "is not listed in the manifest",
-                    line=no,
-                )
-        except DataFormatError as exc:
-            if skip_bad:
-                warnings.append(f"skipped {exc}")
-                continue
-            raise
-        if images is None:
-            images = groups[user_id] = {}
-        images[image_id] = image(pairs)
-    return groups, warnings
-
-
 def serialize_predictions(dataset: ProfileDataset) -> str:
     """One prediction line per record, in dataset order."""
     out = []
@@ -385,6 +332,79 @@ def read_manifest(source: str | Iterable[str], path: str | None = None) -> Manif
     return Manifest(rows, lines, path)
 
 
+def load_score_cells(
+    source: str | Iterable[str],
+    tax: Taxonomy,
+    k_max: int = DEFAULT_TOP_K,
+    skip_bad: bool = False,
+    manifest: Manifest | None = None,
+) -> ScoredDataset:
+    """Valid prediction lines as packed score cells with k = ``k_max``, grouped per
+    user and image in file order, and the warnings for skipped lines.
+
+    ``tax.label_index.position`` runs once per distinct label of a load, on its
+    first valid sight. Any malformed or invalid line, or a second record of one
+    image, aborts the load unless ``skip_bad`` is set, in which case it is
+    skipped with a warning. With a ``manifest`` the lines are a classifier's
+    output for its rows: errors name ``classifier output:<line>``, a record of
+    a (user_id, image_id) pair the manifest does not list is one of them, and a
+    row left with no record is an error naming the manifest line (a warning
+    under ``skip_bad``). A ``k_max`` outside 1 to ``MAX_TOPK`` is a ValueError
+    before any line is read.
+    """
+    if not 1 <= k_max <= MAX_TOPK:
+        raise ValueError(f"k_max must be in 1 to {MAX_TOPK}, got {k_max}")
+    key = tax.label_index.position
+    listed: dict[tuple[str, str], int] | None = None  # pair -> manifest line, until seen
+    if manifest is not None:
+        listed = {}
+        for (user_id, image_id, _), no in zip(manifest.rows, manifest.lines):
+            listed.setdefault((user_id, image_id), no)
+    groups: dict[str, dict[str, bytes]] = {}
+    strings: dict[str, str] = {}
+    keys: dict[str, int] = {}
+    warnings: list[str] = []
+    for no, raw in enumerate(input_lines(source), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            user_id, image_id, pairs = _parse_prediction_line(line, no, k_max, strings, keys, key)
+            images = groups.get(user_id)
+            if images is not None and image_id in images:
+                raise DataFormatError(
+                    f"duplicate record for user '{escape_control(user_id)}' "
+                    f"image '{escape_control(image_id)}'",
+                    line=no,
+                )
+            if listed is not None and listed.pop((user_id, image_id), None) is None:
+                raise DataFormatError(
+                    f"user '{escape_control(user_id)}' image '{escape_control(image_id)}' "
+                    "is not listed in the manifest",
+                    line=no,
+                )
+        except DataFormatError as exc:
+            if listed is not None:
+                exc = DataFormatError(exc.detail, no, "classifier output")
+            if not skip_bad:
+                raise exc from None
+            warnings.append(f"skipped {exc}")
+            continue
+        if images is None:
+            images = groups[user_id] = {}
+        images[image_id] = pack_cells(pairs, k_max)
+    for (user_id, image_id), no in (listed or {}).items():
+        missing = DataFormatError(
+            f"no classifier output for user '{escape_control(user_id)}' "
+            f"image '{escape_control(image_id)}'",
+            line=no, path=manifest.path,
+        )
+        if not skip_bad:
+            raise missing
+        warnings.append(str(missing))
+    return ScoredDataset(k=k_max, cells=groups, warnings=warnings)
+
+
 def attach_labels(dataset: ScoredDataset, labels: dict[str, str]) -> ScoredDataset:
     """Dataset with labels attached; labels for absent users become warnings."""
     users = set(dataset.users())
@@ -397,33 +417,27 @@ def attach_labels(dataset: ScoredDataset, labels: dict[str, str]) -> ScoredDatas
     return replace(dataset, labels=dict(labels), warnings=warnings)
 
 
+@contextmanager
 def run_external_classifier(
-    manifest: Manifest | Sequence[tuple[str, str, str]],
-    command_template: str,
-    tax: Taxonomy,
-    k: int = DEFAULT_TOP_K,
-    timeout: float | None = None,
-) -> ScoredDataset:
-    """Run a classifier command over a batch manifest and load its output as score cells.
+    manifest: Manifest, command_template: str, timeout: float | None = None
+) -> Iterator[Iterable[str]]:
+    """Run a classifier command once over the manifest's rows and yield its output
+    file, open; load it with ``load_score_cells(..., manifest)``.
 
-    ``manifest`` rows are (user_id, image_id, image_path); a plain sequence of
-    rows numbers them from 1. The command template must contain ``{input}``
-    (manifest CSV path) and ``{output}`` (path where the command writes
-    prediction lines) and is invoked exactly once. ``scoring.load_score_cells``
-    reads its output with top-k ``k``. Errors in the output name
-    ``classifier output:<line>``, a record of a (user_id, image_id) pair the
-    manifest does not list included; a manifest row with no record names its
-    own line. The tail of the command's stderr is quoted with control
-    characters escaped. A command that cannot be started, or that runs longer
-    than ``timeout`` seconds (None: no limit) and is killed, is an
-    ExternalClassifierError.
+    The command template must contain ``{input}`` (manifest CSV path) and
+    ``{output}`` (path where the command writes prediction lines). An empty
+    manifest yields no lines and starts no command. The tail of the command's
+    stderr is quoted with control characters escaped. A command that cannot be
+    started, exits non-zero, writes no output or runs longer than ``timeout``
+    seconds (None: no limit) is an ExternalClassifierError. The command leads a
+    process group of its own, which is killed on a timeout and on any other
+    exception, such as KeyboardInterrupt, that interrupts the wait, so nothing
+    it started outlives the run.
     """
     import shlex
     import signal
     import subprocess
     import tempfile
-
-    from .scoring import load_score_cells  # scoring imports this module
 
     if "{input}" not in command_template or "{output}" not in command_template:
         raise ConfigError("classifier command template needs {input} and {output} placeholders")
@@ -431,14 +445,10 @@ def run_external_classifier(
         tokens = shlex.split(command_template)
     except ValueError as exc:
         raise ConfigError(f"classifier command template: {exc}") from None
-    if not isinstance(manifest, Manifest):
-        manifest = Manifest(list(manifest), list(range(1, len(manifest) + 1)))
     if not manifest.rows:
-        return load_score_cells([], tax, k)
+        yield ()
+        return
 
-    listed: dict[tuple[str, str], int] = {}
-    for (user_id, image_id, _), no in zip(manifest.rows, manifest.lines):
-        listed.setdefault((user_id, image_id), no)
     with tempfile.TemporaryDirectory(prefix="interestprof-") as tmp:
         in_path = Path(tmp) / "manifest.csv"
         out_path = Path(tmp) / "predictions.jsonl"
@@ -451,8 +461,6 @@ def run_external_classifier(
             tok.replace("{input}", str(in_path)).replace("{output}", str(out_path))
             for tok in tokens
         ]
-        # The command leads a process group of its own, so a timeout kills
-        # whatever it started as well.
         try:
             proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                                     text=True, errors="backslashreplace",
@@ -465,29 +473,28 @@ def run_external_classifier(
         with proc:
             try:
                 _, stderr = proc.communicate(timeout=timeout)
-            except subprocess.TimeoutExpired:
-                os.killpg(proc.pid, signal.SIGKILL)
+            except BaseException as exc:  # a timeout, or an interrupt such as SIGINT
+                with suppress(ProcessLookupError):  # the whole group has exited
+                    os.killpg(proc.pid, signal.SIGKILL)
                 proc.communicate()
-                raise ExternalClassifierError(
-                    f"classifier command timed out after {timeout:g} s"
-                ) from None
-        if proc.returncode != 0:
+                if isinstance(exc, subprocess.TimeoutExpired):
+                    raise ExternalClassifierError(
+                        f"classifier command timed out after {timeout:g} s"
+                    ) from None
+                raise
+        status = proc.returncode
+        if status:
+            if status > 0:
+                failure = f"exited with status {status}"
+            else:
+                failure = f"killed by signal {-status}"
+                with suppress(ValueError):  # a signal without a name
+                    failure += f" ({signal.Signals(-status).name})"
+            tail = escape_control(stderr.strip()[-500:])
             raise ExternalClassifierError(
-                f"classifier command exited with status {proc.returncode}: "
-                f"{escape_control(stderr.strip()[-500:])}"
+                f"classifier command {failure}" + (f": {tail}" if tail else "")
             )
         if not out_path.exists():
             raise ExternalClassifierError("classifier command wrote no output file")
         with open_input(out_path, "classifier output") as fh:
-            try:
-                dataset = load_score_cells(fh, tax, k, listed=listed)
-            except DataFormatError as exc:
-                raise DataFormatError(exc.detail, exc.line, "classifier output") from None
-    if listed:
-        (user_id, image_id), no = next(iter(listed.items()))
-        raise DataFormatError(
-            f"no classifier output for user '{escape_control(user_id)}' "
-            f"image '{escape_control(image_id)}'",
-            line=no, path=manifest.path,
-        )
-    return dataset
+            yield fh

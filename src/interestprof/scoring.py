@@ -19,20 +19,17 @@ score CSVs, user profiles at every sweep point) is derived from it. An
 image's cells come from its (position, prob) pairs as run-length sums: the
 pairs are sorted by position and each run of one position becomes one cell.
 
-Prediction lines come in one way, ``load_score_cells``, which scores each
-line into its cells as it is read; PredictionRecords are only what the
-fixture generator writes. The dataset it returns holds cells only, each
-image's packed into one ``bytes`` record of 13 bytes a cell (``struct``
-``"<BdI"``: the position as one byte, the probability as an IEEE double, the
-count as an unsigned 32-bit int, so k is at most ``config.MAX_TOPK``). That
-is one object per image and no float object at all, about 72 bytes for an
-image of three cells where the flat tuple and its floats take about 180.
-``ScoredDataset.pop_block`` unpacks a user's records into flat tuples once,
-and ``"d"`` keeps every bit of a double, -0.0 and subnormals included. The
-loader's per-load label memo hands it each label's position, so
-``LabelIndex.position`` runs once per distinct label of a load. Cells use
-``fsum`` and counts, so they do not depend on the order of an image's
-predictions.
+This module holds the cell format only. ``ingest.load_score_cells`` reads
+prediction lines and hands each image's (position, prob) pairs to
+``pack_cells``, which scores them into cells and packs them into one ``bytes``
+record of 13 bytes a cell (``struct`` ``"<BdI"``: the position as one byte,
+the probability as an IEEE double, the count as an unsigned 32-bit int, so k
+is at most ``config.MAX_TOPK``). That is one object per image and no float
+object at all, about 72 bytes for an image of three cells where the flat
+tuple and its floats take about 180. ``ScoredDataset.pop_block`` unpacks a
+user's records into flat tuples once, and ``"d"`` keeps every bit of a
+double, -0.0 and subnormals included. Cells use ``fsum`` and counts, so they
+do not depend on the order of an image's predictions.
 """
 
 from __future__ import annotations
@@ -41,11 +38,8 @@ import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from struct import Struct
-from typing import Iterable
 
-from .config import MAX_TOPK
-from .ingest import DEFAULT_TOP_K, group_predictions
-from .taxonomy import N_TOPICS, TOPICS, Taxonomy
+from .taxonomy import N_TOPICS, TOPICS
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,8 +99,8 @@ class ScoreBlock:
 _POSITION = itemgetter(0)
 
 
-def _score_record(pairs: list[tuple[int, float]], k: int) -> list[int | float]:
-    """Flat sparse cells of one image from its (position, prob) pairs; see ScoreBlock.
+def pack_cells(pairs: list[tuple[int, float]], k: int) -> bytes:
+    """The packed cells of one image from its (position, prob) pairs; see ScoreBlock.
 
     Sorts ``pairs``, at most k of them, by position in place and fsums each
     run of one position. The sort is stable, so every run keeps its line order.
@@ -129,7 +123,7 @@ def _score_record(pairs: list[tuple[int, float]], k: int) -> list[int | float]:
             flat += (pos, math.fsum(probs), len(probs))
         if missing:
             flat += (N_TOPICS, 0.0, missing)
-    return flat
+    return _PACKED[len(flat) // 3].pack(*flat)
 
 
 # One image's cells packed as "<BdI" per cell, by cell count; an image touches
@@ -167,27 +161,3 @@ class ScoredDataset:
             rows=tuple([_PACKED[len(b) // _CELL_BYTES].unpack(b) for b in images.values()]),
         )
 
-
-def load_score_cells(
-    source: str | Iterable[str],
-    tax: Taxonomy,
-    k_max: int = DEFAULT_TOP_K,
-    skip_bad: bool = False,
-    listed: dict[tuple[str, str], int] | None = None,
-) -> ScoredDataset:
-    """Prediction lines scored straight into cells, with k = ``k_max``.
-
-    Checks, errors and warnings are those of ``ingest.group_predictions``.
-    A ``k_max`` outside 1 to ``MAX_TOPK`` is a ValueError before any line is read.
-    """
-    if not 1 <= k_max <= MAX_TOPK:
-        raise ValueError(f"k_max must be in 1 to {MAX_TOPK}, got {k_max}")
-
-    def packed_record(pairs: list[tuple[int, float]]) -> bytes:
-        flat = _score_record(pairs, k_max)
-        return _PACKED[len(flat) // 3].pack(*flat)
-
-    cells, warnings = group_predictions(
-        source, packed_record, tax.label_index.position, k_max, skip_bad, listed
-    )
-    return ScoredDataset(k=k_max, cells=cells, warnings=warnings)

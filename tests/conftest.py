@@ -6,9 +6,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import settings
 
-from interestprof.ingest import PredictionRecord, ProfileDataset, serialize_predictions
+from interestprof.ingest import (
+    PredictionRecord,
+    ProfileDataset,
+    load_score_cells,
+    serialize_predictions,
+)
 from interestprof.profiling import UserProfile, profile_prefixes
-from interestprof.scoring import ScoreBlock, TopicDistribution, load_score_cells
+from interestprof.scoring import ScoreBlock, TopicDistribution
 from interestprof.taxonomy import N_TOPICS, TOPICS, Taxonomy, load_taxonomy
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"

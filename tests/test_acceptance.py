@@ -25,10 +25,9 @@ from interestprof.cli import main
 from interestprof.correlation import pearson_matrix
 from interestprof.evaluation import evaluate
 from interestprof.fixtures import generate_fixture
-from interestprof.ingest import ProfileDataset
+from interestprof.ingest import ProfileDataset, load_score_cells
 from interestprof.ontometrics import size_metrics, structural_metrics
 from interestprof.profiling import profile_prefixes
-from interestprof.scoring import load_score_cells
 from interestprof.taxonomy import N_TOPICS, TOPICS, parse_taxonomy
 
 # Committed reference for criterion 6, measured once at first build from the

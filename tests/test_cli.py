@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ from interestprof import cli, errors, fixtures, ingest
 from interestprof.cli import main
 from interestprof.config import ENV_PREFIX
 from interestprof.ingest import ProfileDataset, load_labels
-from test_ingest import STUB_OK, _stub, _writing_stub
+from test_ingest import STUB_OK, _gone_or_zombie, _stub, _writing_stub
 
 BOM = "\ufeff"
 
@@ -657,6 +658,73 @@ def test_classifier_timeout_is_set_like_every_other_key(tmp_path, capsys, monkey
     monkeypatch.delenv(ENV_PREFIX + "CLASSIFIER_TIMEOUT")
     assert run("score", "--taxonomy", STARTER_PATH, "--manifest", manifest,
                "--classifier-cmd", _stub(tmp_path, STUB_OK), "--out", tmp_path / "out") == 0
+
+
+@pytest.mark.parametrize("stub, shown", [
+    ("import sys\nsys.exit(1)\n", "classifier command exited with status 1"),
+    ("import os, signal\nos.kill(os.getpid(), signal.SIGKILL)\n",
+     "classifier command killed by signal 9 (SIGKILL)"),
+])
+def test_classifier_failure_without_stderr_names_status_or_signal(tmp_path, capsys, stub, shown):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(MANIFEST)
+    assert run("score", "--taxonomy", STARTER_PATH, "--manifest", manifest,
+               "--classifier-cmd", _stub(tmp_path, stub), "--out", tmp_path / "out") == 2
+    assert capsys.readouterr() == ("", f"error: {shown}\n")
+
+
+def test_skip_bad_applies_to_classifier_output(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("user_id,image_id,image_path\nu1,i1,/img/a.jpg\nu1,i2,/img/b.jpg\n")
+    good = json.dumps({"user_id": "u1", "image_id": "i1",
+                       "predictions": [{"label": "espresso", "prob": 0.5}]}) + "\n"
+    written = good + "{broken\n"
+    stub = _stub(tmp_path, f"import sys\nopen(sys.argv[2], 'w').write({written!r})\n")
+    args = ["score", "--taxonomy", STARTER_PATH, "--manifest", manifest, "--classifier-cmd", stub]
+    malformed = ("classifier output:2: malformed JSON: "
+                 "Expecting property name enclosed in double quotes")
+    assert run(*args, "--out", tmp_path / "strict") == 1
+    assert capsys.readouterr() == ("", f"error: {malformed}\n")
+    assert not (tmp_path / "strict").exists()
+
+    assert run(*args, "--skip-bad", "--out", tmp_path / "classified") == 0
+    out, err = capsys.readouterr()
+    assert err == (f"warning: skipped {malformed}\n"
+                   f"warning: {manifest}:3: no classifier output for user 'u1' image 'i2'\n")
+    predictions = tmp_path / "p.jsonl"
+    predictions.write_text(good)
+    assert run("score", "--taxonomy", STARTER_PATH, "--predictions", predictions,
+               "--out", tmp_path / "read") == 0
+    assert _artifacts(tmp_path / "classified") == _artifacts(tmp_path / "read")
+
+
+def test_sigint_during_a_classifier_run_exits_130_and_kills_the_command(tmp_path):
+    pid_file = tmp_path / "classifier.pid"
+    stub = _stub(tmp_path, "import os, time\n"
+                           f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+                           "time.sleep(30)\n")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(MANIFEST)
+    env = dict(os.environ, PYTHONPATH=str(Path(interestprof.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "interestprof.cli", "score", "--taxonomy", STARTER_PATH,
+         "--manifest", manifest, "--classifier-cmd", stub, "--out", tmp_path / "out"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    deadline = time.monotonic() + 30
+    while not (pid_file.exists() and pid_file.read_text()) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    pid = int(pid_file.read_text())
+    time.sleep(0.2)  # the CLI waits on the command by now
+    proc.send_signal(signal.SIGINT)
+    try:
+        out, err = proc.communicate(timeout=30)
+    finally:
+        survived = not _gone_or_zombie(pid)
+        if survived:  # do not leave it running past the test
+            os.kill(pid, signal.SIGKILL)
+    assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
+    assert not survived
 
 
 def test_pipeline_builds_no_prediction_record(tmp_path, monkeypatch, capsys):

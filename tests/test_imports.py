@@ -103,3 +103,66 @@ def test_every_name_imported_from_the_package_exists():
                 except ImportError:
                     missing.append(f"{path.relative_to(REPO_DIR)}:{line}: {module}.{name}")
     assert missing == []
+
+
+def package_import_graph(package_dir: Path) -> dict[str, set[str]]:
+    """Module -> the package modules it imports relatively, at any depth: top-level,
+    in a function or under ``TYPE_CHECKING``. ``from . import x`` names module x when
+    there is one, else the package's ``__init__``."""
+    graph = {}
+    for path in sorted(package_dir.glob("*.py")):
+        targets = graph[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom) or not node.level:
+                continue
+            if node.module:
+                targets.add(node.module.split(".")[0])
+            else:
+                targets.update(alias.name if (package_dir / f"{alias.name}.py").exists()
+                               else "__init__" for alias in node.names)
+    return graph
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One cycle of the graph as [a, b, ..., a], or [] when there is none."""
+    done: set[str] = set()
+    path: list[str] = []
+
+    def visit(module):
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in done or module not in graph:
+            return []
+        path.append(module)
+        for target in sorted(graph[module]):
+            cycle = visit(target)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(module)
+        return []
+
+    for module in sorted(graph):
+        cycle = visit(module)
+        if cycle:
+            return cycle
+    return []
+
+
+def test_package_modules_import_each_other_without_a_cycle():
+    graph = package_import_graph(PACKAGE_DIR)
+    assert "scoring" in graph["ingest"] and "taxonomy" in graph["__init__"]
+    assert import_cycle(graph) == []
+
+
+def test_import_cycle_scan_sees_function_level_and_type_checking_imports(tmp_path):
+    (tmp_path / "a.py").write_text("def f():\n    from .b import g\n")
+    (tmp_path / "b.py").write_text(
+        "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from . import c\n")
+    (tmp_path / "c.py").write_text("from . import a, __version__\n")
+    (tmp_path / "__init__.py").write_text("__version__ = '0'\n")
+    graph = package_import_graph(tmp_path)
+    assert graph == {"__init__": set(), "a": {"b"}, "b": {"c"}, "c": {"a", "__init__"}}
+    assert import_cycle(graph) == ["a", "b", "c", "a"]
+    (tmp_path / "c.py").write_text("from . import __version__\n")
+    assert import_cycle(package_import_graph(tmp_path)) == []

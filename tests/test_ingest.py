@@ -21,15 +21,17 @@ from interestprof.errors import (
     open_input,
 )
 from interestprof.ingest import (
+    Manifest,
     ProfileDataset,
     attach_labels,
     load_labels,
+    load_score_cells,
     read_manifest,
     run_external_classifier,
     serialize_labels,
     serialize_predictions,
 )
-from interestprof.scoring import ScoredDataset, load_score_cells
+from interestprof.scoring import ScoredDataset
 from interestprof.taxonomy import N_TOPICS, TOPICS, load_taxonomy, parse_taxonomy
 
 TAX = starter_taxonomy()
@@ -302,6 +304,15 @@ def _stub(tmp_path, body, name="stub.py"):
     return f"{sys.executable} {path} {{input}} {{output}}"
 
 
+def classify(manifest, template, timeout=None, skip_bad=False):
+    """What the command writes for ``manifest`` (a Manifest, or rows numbered from 1),
+    loaded as the CLI loads it."""
+    if not isinstance(manifest, Manifest):
+        manifest = Manifest(list(manifest), list(range(1, len(manifest) + 1)))
+    with run_external_classifier(manifest, template, timeout) as lines:
+        return load_score_cells(lines, TAX, 5, skip_bad, manifest)
+
+
 # Characters str.splitlines breaks at and a file read keeps inside the line.
 NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
@@ -364,7 +375,7 @@ def test_messages_quote_ids_as_before_and_escape_controls():
 def test_external_classifier_identity(tmp_path):
     template = _stub(tmp_path, STUB_OK)
     manifest = [("u1", "i1", "/tmp/a.jpg"), ("u1", "i2", "/tmp/b.jpg"), ("u2", "i1", "/tmp/c.jpg")]
-    ds = run_external_classifier(manifest, template, TAX, k=5)
+    ds = classify(manifest, template)
     assert ds.users() == ["u1", "u2"]
     assert ds.n_images() == 3
     cells = (TOPICS.index("Drink"), 0.5, 1, TOPICS.index("Food"), 0.25, 1, N_TOPICS, 0.0, 3)
@@ -390,7 +401,7 @@ def _writing_stub(tmp_path, pairs, name="writer.py"):
 def test_external_classifier_output_must_match_the_manifest(tmp_path, listed, written, message):
     manifest = [(u, i, f"/img/{u}-{i}.jpg") for u, i in listed]
     with pytest.raises(DataFormatError) as err:
-        run_external_classifier(manifest, _writing_stub(tmp_path, written), TAX, k=5)
+        classify(manifest, _writing_stub(tmp_path, written))
     assert str(err.value) == message
 
 
@@ -399,7 +410,7 @@ def test_missing_classifier_output_names_the_manifest_line(tmp_path):
                              path="m.csv")
     assert manifest.lines == [2, 4]
     with pytest.raises(DataFormatError) as err:
-        run_external_classifier(manifest, _writing_stub(tmp_path, [("u1", "i1")]), TAX, k=5)
+        classify(manifest, _writing_stub(tmp_path, [("u1", "i1")]))
     assert str(err.value) == "m.csv:4: no classifier output for user 'u1' image 'i2'"
 
 
@@ -407,17 +418,19 @@ def test_unlisted_record_skipped_under_skip_bad_leaves_no_empty_user():
     lines = [json.dumps({"user_id": u, "image_id": i,
                          "predictions": [{"label": "cup", "prob": 0.5}]})
              for u, i in (("u1", "i1"), ("ghost", "zzz"))]
-    listed = {("u1", "i1"): 2, ("u1", "i2"): 3}
-    ds = load_score_cells(lines, TAX, skip_bad=True, listed=listed)
+    manifest = Manifest([("u1", "i1", "/a.jpg"), ("u1", "i2", "/b.jpg")], [2, 3], "m.csv")
+    ds = load_score_cells(lines, TAX, skip_bad=True, manifest=manifest)
     assert ds.users() == ["u1"]
-    assert ds.warnings == ["skipped line 2: user 'ghost' image 'zzz' is not listed in the manifest"]
-    assert listed == {("u1", "i2"): 3}
+    assert ds.warnings == [
+        "skipped classifier output:2: user 'ghost' image 'zzz' is not listed in the manifest",
+        "m.csv:3: no classifier output for user 'u1' image 'i2'",
+    ]
 
 
 def test_external_classifier_failure_carries_exit_code(tmp_path):
     template = _stub(tmp_path, STUB_FAIL)
     with pytest.raises(ExternalClassifierError) as err:
-        run_external_classifier([("u", "i", "p")], template, TAX, k=5)
+        classify([("u", "i", "p")], template)
     assert str(err.value) == "classifier command exited with status 3: boom"
 
 
@@ -427,26 +440,28 @@ def test_external_classifier_output_errors_name_the_output(tmp_path):
         '"image_id": r["image_id"],', '"image_id": r["image_id"] if r["user_id"] == "u1" else "",'))
     manifest = [("u1", "i1", "/tmp/a.jpg"), ("u2", "i1", "/tmp/b.jpg")]
     with pytest.raises(DataFormatError) as err:
-        run_external_classifier(manifest, template, TAX, k=5)
+        classify(manifest, template)
     assert str(err.value) == "classifier output:2: missing or empty 'image_id'"
 
 
 def test_external_classifier_empty_manifest_not_invoked():
     # The binary does not exist; if the adapter invoked it this would blow up.
-    ds = run_external_classifier([], "/nonexistent/classifier {input} {output}", TAX, k=5)
+    ds = classify([], "/nonexistent/classifier {input} {output}")
     assert ds == ScoredDataset(k=5)
+    with pytest.raises(ConfigError, match="placeholder"):
+        classify([], "/nonexistent/classifier")
 
 
 def test_external_classifier_template_needs_placeholders():
     with pytest.raises(ConfigError, match="placeholder"):
-        run_external_classifier([("u", "i", "p")], "classify --fast", TAX, k=5)
+        classify([("u", "i", "p")], "classify --fast")
 
 
 def test_external_classifier_timeout_kills_the_command(tmp_path):
     template = _stub(tmp_path, "import time\ntime.sleep(5)\n")
     started = time.monotonic()
     with pytest.raises(ExternalClassifierError) as err:
-        run_external_classifier([("u", "i", "p")], template, TAX, k=5, timeout=0.5)
+        classify([("u", "i", "p")], template, timeout=0.5)
     assert time.monotonic() - started < 4
     assert str(err.value) == "classifier command timed out after 0.5 s"
 
@@ -464,7 +479,7 @@ def test_external_classifier_timeout_kills_what_the_command_started(tmp_path):
     pid_file = tmp_path / "sleeper.pid"
     template = f"sh -c 'sleep 30 & echo $! > {pid_file}; wait' sh {{input}} {{output}}"
     with pytest.raises(ExternalClassifierError) as err:
-        run_external_classifier([("u", "i", "p")], template, TAX, k=5, timeout=0.5)
+        classify([("u", "i", "p")], template, timeout=0.5)
     assert str(err.value) == "classifier command timed out after 0.5 s"
     pid = int(pid_file.read_text())
     deadline = time.monotonic() + 2

@@ -12,15 +12,22 @@ collection, which empties the interpreter's free lists (the first run leaves
 thousands of tuples there, which the traced run would take back unseen), that
 puts the peak near 0.62x the file on the tall fixture and 1.37x on the wide
 one. Flat tuples with a float object per cell put it near 0.93x and 1.69x.
+The cold cases run in a fresh interpreter, whose first pipeline run imports
+the modules of the later steps while the peak is traced.
 """
 
 import contextlib
 import gc
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import interestprof
 from conftest import STARTER_PATH
 from interestprof.cli import main
 
@@ -53,12 +60,20 @@ def traced_peak_ratio(tmp_path, users_per_topic, images, warm):
 
 
 @pytest.mark.parametrize("users_per_topic, images, bound", [
-    (2, 100, 2.0),  # 48 users x 100 images, 1.6 MB: cells at about 1.4x
-    (20, 10, 3.5),  # 480 users x 10 images, 1.6 MB: the profile files at about 2.2x
+    (2, 100, 2.0),  # 48 users x 100 images, 1.6 MB: cells and imports at about 0.75x
+    (20, 10, 3.5),  # 480 users x 10 images, 1.6 MB: the profile files at about 1.38x
 ])
 def test_pipeline_traced_peak_stays_near_the_input_size(tmp_path, users_per_topic, images,
                                                         bound):
-    assert traced_peak_ratio(tmp_path, users_per_topic, images, warm=False) < bound
+    code = ("import sys\nfrom pathlib import Path\nfrom test_memory import traced_peak_ratio\n"
+            "print(traced_peak_ratio(Path(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3]),"
+            " warm=False))\n")
+    paths = (Path(__file__).resolve().parent, Path(interestprof.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path), str(users_per_topic),
+                           str(images)], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < bound
 
 
 # After a first run has imported every module, the peak is the data's own.

@@ -29,8 +29,7 @@ from conftest import (
 )
 from interestprof.cli import main
 from interestprof.errors import DataFormatError
-from interestprof.ingest import load_labels
-from interestprof.scoring import load_score_cells
+from interestprof.ingest import load_labels, load_score_cells
 from interestprof.taxonomy import N_TOPICS, TOPICS
 
 chars = st.one_of(st.characters(), st.characters(categories=["Cs"]))

@@ -25,8 +25,7 @@ from conftest import (
     starter_taxonomy,
     sweep_of,
 )
-from interestprof.ingest import ProfileDataset
-from interestprof.scoring import load_score_cells
+from interestprof.ingest import ProfileDataset, load_score_cells
 from interestprof.taxonomy import TOPICS
 
 VARIANTS = (

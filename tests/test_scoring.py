@@ -13,8 +13,8 @@ from conftest import (
 )
 from interestprof.config import MAX_TOPK
 from interestprof.fixtures import generate_fixture
-from interestprof.ingest import serialize_predictions
-from interestprof.scoring import TopicDistribution, load_score_cells
+from interestprof.ingest import load_score_cells, serialize_predictions
+from interestprof.scoring import TopicDistribution
 from interestprof.taxonomy import N_TOPICS, TOPICS, topic_of_instance
 
 
