@@ -25,8 +25,7 @@ def main() -> None:
         print(f"  {label:<10} p={pred['prob']:.2f}  ->  {topic_of_instance(tax, label)}")
 
     block = load_score_cells(line, tax, 5).pop_block(record["user_id"])
-    cells = iter(block.rows[0])
-    topic_cells = [(TOPICS[pos], p, c) for pos, p, c in zip(cells, cells, cells) if pos < N_TOPICS]
+    topic_cells = [(TOPICS[pos], p, c) for pos, p, c in block.rows[0] if pos < N_TOPICS]
     print("\nimage-level probability scores:", {t: p for t, p, _ in topic_cells if p > 0})
     print("image-level occurrence scores: ", {t: c / block.k for t, _, c in topic_cells if c})
 

@@ -22,6 +22,7 @@ from .errors import (
 )
 
 ENV_PREFIX = "INTERESTPROF_"
+DEFAULT_TOP_K = 5
 MAX_TOPK = 2**32 - 1  # a loaded image's label counts are packed as unsigned 32-bit ints
 
 
@@ -34,7 +35,7 @@ class RunConfig:
     classifier_timeout: float = 600.0  # seconds the classifier command may run
     manifest: str | None = None
     out: str | None = None
-    topk: int = 5
+    topk: int = DEFAULT_TOP_K
     mechanism: str = "occ"
     sweep: tuple[int, ...] = (5, 10, 50, 75, 100)
     tau: float = 0.1

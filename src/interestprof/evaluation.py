@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 from .errors import EmptyInputError
 from .profiling import MECHANISMS, UserProfile, argmax_topics
 from .scoring import TopicDistribution
-from .taxonomy import N_TOPICS, TOPICS
+from .taxonomy import N_TOPICS, TOPICS, topic_index
 
 
 @dataclass
@@ -47,7 +47,7 @@ def _predicted_or_none(v: TopicDistribution) -> str | None:
 
 def label_rank(v: TopicDistribution, topic: str) -> int:
     """1-based rank of a topic by descending score; tied topics share the best rank."""
-    own = v.scores[TOPICS.index(topic)]
+    own = v.scores[topic_index(topic)]
     return 1 + sum(1 for s in v.scores if s > own)
 
 
@@ -145,7 +145,7 @@ def evaluate(
     confusion = [[0] * N_TOPICS for _ in range(N_TOPICS)]
     predicted = [(p, g) for (p, _), g in zip(rows, guesses[mechanism]) if g is not None]
     for p, g in predicted:
-        confusion[TOPICS.index(labels[p.user_id])][TOPICS.index(g)] += 1
+        confusion[topic_index(labels[p.user_id])][topic_index(g)] += 1
 
     precision: dict[str, float] = {}
     recall: dict[str, float] = {}

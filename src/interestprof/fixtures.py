@@ -12,7 +12,8 @@ import random
 from typing import Mapping
 
 from .errors import ValidationFailure
-from .ingest import DEFAULT_TOP_K, PredictionRecord, ProfileDataset
+from .config import DEFAULT_TOP_K
+from .ingest import PredictionRecord, ProfileDataset
 from .taxonomy import TOPICS, Taxonomy, topic_of_instance
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .config import MAX_TOPK
+from .config import DEFAULT_TOP_K, MAX_TOPK
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -57,8 +57,6 @@ from .errors import (
 )
 from .scoring import ScoredDataset, pack_cells
 from .taxonomy import TOPICS, Taxonomy, resolve_compound
-
-DEFAULT_TOP_K = 5
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,15 +122,13 @@ def _nests_too_deeply(line: str) -> bool:
 
 
 def _parse_prediction_line(
-    line: str, no: int, k_max: int, strings: dict[str, str], keys: dict[str, int],
-    key: Callable[[str], int],
+    line: str, no: int, k_max: int, keys: dict[str, int], key: Callable[[str], int],
 ) -> tuple[str, str, Pairs]:
     """(user_id, image_id, pairs) of one stripped line.
 
-    ``strings`` interns user ids across a load. ``keys`` memoizes each label's
-    ``key(label)`` across a load: a label is type-checked, UTF-8-checked and
-    resolved on its first sight only, and each later occurrence costs one
-    dict probe.
+    ``keys`` memoizes each label's ``key(label)`` across a load: a label is
+    type-checked, UTF-8-checked and resolved on its first sight only, and each
+    later occurrence costs one dict probe.
 
     ``json`` yields only exact dict/list/str/int/float/bool/None, so exact
     type checks suffice (and keep bool out of the numbers).
@@ -167,12 +163,8 @@ def _parse_prediction_line(
         raise DataFormatError("missing or empty 'user_id'", line=no)
     if type(image_id) is not str or not image_id:
         raise DataFormatError("missing or empty 'image_id'", line=no)
-    known = strings.get(user_id)
-    if known is None:
-        if not user_id.isascii():
-            check_utf8(user_id, "'user_id'", no)
-        known = strings[user_id] = user_id
-    user_id = known
+    if not user_id.isascii():
+        check_utf8(user_id, "'user_id'", no)
     if not image_id.isascii():
         check_utf8(image_id, "'image_id'", no)
     if type(preds) is not list or not preds:
@@ -361,7 +353,6 @@ def load_score_cells(
         for (user_id, image_id, _), no in zip(manifest.rows, manifest.lines):
             listed.setdefault((user_id, image_id), no)
     groups: dict[str, dict[str, bytes]] = {}
-    strings: dict[str, str] = {}
     keys: dict[str, int] = {}
     warnings: list[str] = []
     for no, raw in enumerate(input_lines(source), start=1):
@@ -369,7 +360,7 @@ def load_score_cells(
         if not line:
             continue
         try:
-            user_id, image_id, pairs = _parse_prediction_line(line, no, k_max, strings, keys, key)
+            user_id, image_id, pairs = _parse_prediction_line(line, no, k_max, keys, key)
             images = groups.get(user_id)
             if images is not None and image_id in images:
                 raise DataFormatError(

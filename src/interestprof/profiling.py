@@ -9,14 +9,14 @@ into ``unmapped``. Both vectors therefore sum to 1 including unmapped mass.
 
 Every view is derived from one ScoreBlock per user: ``profile_prefixes``
 builds the full profile and each sweep point from prefixes of the block, in
-one running pass over its sparse rows, reading each row's flat
-``(pos, prob, count, ...)`` cells three at a time. The pass keeps each
-column's nonzero probabilities and the integer vote totals so far, and reads
-off a prefix size when it reaches it: ``fsum`` per column (the nonzeros sum
-exactly to the dense column's fsum, zero sums included, which fsum returns as
-+0.0) and the vote totals over ``scale * n``. A topic with no mass reads the
-one shared ``0.0`` instead of a new float from dividing: it would be +0.0
-either way, and most of a profile's topics are zero.
+one running pass over its sparse rows of ``(position, prob, count)`` cells.
+The pass keeps each column's nonzero probabilities and the integer vote
+totals so far, and reads off a prefix size when it reaches it: ``fsum`` per
+column (the nonzeros sum exactly to the dense column's fsum, zero sums
+included, which fsum returns as +0.0) and the vote totals over ``scale * n``.
+A topic with no mass reads the one shared ``0.0`` instead of a new float from
+dividing: it would be +0.0 either way, and most of a profile's topics are
+zero.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def _prefix_vectors(
 ) -> dict[int, tuple[TopicDistribution, TopicDistribution]]:
     """(v_prob, v_occ) over the first n rows for each n in sizes, in one pass.
 
-    Rows hold sparse ``(position, prob, count)`` cells, flat. Probability columns
+    Rows hold sparse ``(position, prob, count)`` cells. Probability columns
     are fsums normalized by their grand fsum; with no mass at all, the whole
     unit is unmapped. Each image casts ``scale`` occurrence votes, split
     evenly over the topics where its count peaks, or to unmapped when no
@@ -74,8 +74,7 @@ def _prefix_vectors(
     for n, row in enumerate(rows, start=1):
         peak = 0
         tied: list[int] = []
-        it = iter(row)
-        for pos, prob, count in zip(it, it, it):
+        for pos, prob, count in row:
             if prob:
                 columns[pos].append(prob)
             if count and pos < N_TOPICS:

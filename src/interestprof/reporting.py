@@ -4,15 +4,15 @@ Floats are emitted with at most 9 significant digits (shortest representation
 that round-trips the rounded value), which keeps repeated runs byte-identical.
 
 The image score tables are plain text. Score blocks are sparse, so each row
-is a copy of an all-"0" template with only the cells the image touches
-formatted into it, joined with commas; the cells are read from the row's flat
-``(pos, prob, count, ...)`` tuple three at a time. An occurrence cell's text,
-count / k, is formatted the first time its count is seen, so the memory it
-takes follows the counts in the data, not k. Each user's rows go to a table
-as one string. A user id is quoted once per user and an image id once per
-row, by ``_csv_field``: an id holding a comma, a quote or a line break is
-quoted by the csv module itself, so it reads back as one cell instead of
-shifting columns, and every other id is written as it is.
+is a copy of an all-"0" template with only the cells the image touches, the
+row's ``(position, prob, count)`` cells, formatted into it, joined with
+commas. An occurrence cell's text, count / k, is formatted the first time its
+count is seen, so the memory it takes follows the counts in the data, not k.
+Each user's rows go to a table as one string. A user id is quoted once per
+user and an image id once per row, by ``_csv_field``: an id holding a comma,
+a quote or a line break is quoted by the csv module itself, so it reads back
+as one cell instead of shifting columns, and every other id is written as it
+is.
 
 JSON artifacts are laid out exactly as ``json.dumps(..., indent=2)`` would lay
 out the payload with its floats rounded. The general encoder, ``to_json``,
@@ -316,8 +316,7 @@ def write_score_rows(tables: ScoreTables, block: ScoreBlock) -> None:
         prob_row = template.copy()
         prob_row[1] = image_id
         occ_row = prob_row.copy()
-        it = iter(cells)
-        for pos, prob, count in zip(it, it, it):
+        for pos, prob, count in cells:
             if prob:
                 prob_row[pos + 2] = fmt_float(prob)
             occ_row[pos + 2] = occ_cells[count]
@@ -413,8 +412,6 @@ def write_evaluation(outdir: Path, report: EvalReport) -> None:
             title="Cumulative match characteristic",
             x_label="rank",
             y_label="fraction matched",
-            y_min=0.0,
-            y_max=1.0,
         ),
     )
     sweep_series = [
@@ -431,7 +428,5 @@ def write_evaluation(outdir: Path, report: EvalReport) -> None:
             title="Overall accuracy vs images per user",
             x_label="images per user",
             y_label="accuracy",
-            y_min=0.0,
-            y_max=1.0,
         ),
     )

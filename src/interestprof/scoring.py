@@ -11,13 +11,11 @@ visible downstream.
 Each image is scored once into exact sparse cells: an image touches at most
 k + 1 of the 25 positions (24 topics plus unmapped), so it holds one
 ``(position, prob, count)`` cell per position it touches, in position order,
-and every other cell is zero. A ScoreBlock holds the cells flat, as one tuple
-``(pos, prob, count, pos, prob, count, ...)`` per image, and readers take
-them three at a time, ``it = iter(cells)`` and ``zip(it, it, it)``. A user's
-cell rows form a ScoreBlock, and every other view of the image scores (the
-score CSVs, user profiles at every sweep point) is derived from it. An
-image's cells come from its (position, prob) pairs as run-length sums: the
-pairs are sorted by position and each run of one position becomes one cell.
+and every other cell is zero. A user's cell rows form a ScoreBlock, and every
+other view of the image scores (the score CSVs, user profiles at every sweep
+point) is derived from it. An image's cells come from its (position, prob)
+pairs as run-length sums: the pairs are sorted by position and each run of
+one position becomes one cell.
 
 This module holds the cell format only. ``ingest.load_score_cells`` reads
 prediction lines and hands each image's (position, prob) pairs to
@@ -25,11 +23,11 @@ prediction lines and hands each image's (position, prob) pairs to
 record of 13 bytes a cell (``struct`` ``"<BdI"``: the position as one byte,
 the probability as an IEEE double, the count as an unsigned 32-bit int, so k
 is at most ``config.MAX_TOPK``). That is one object per image and no float
-object at all, about 72 bytes for an image of three cells where the flat
-tuple and its floats take about 180. ``ScoredDataset.pop_block`` unpacks a
-user's records into flat tuples once, and ``"d"`` keeps every bit of a
-double, -0.0 and subnormals included. Cells use ``fsum`` and counts, so they
-do not depend on the order of an image's predictions.
+object at all, about 72 bytes for an image of three cells.
+``ScoredDataset.pop_block`` unpacks a user's records into cell tuples once,
+and ``"d"`` keeps every bit of a double, -0.0 and subnormals included. Cells
+use ``fsum`` and counts, so they do not depend on the order of an image's
+predictions.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from struct import Struct
 
-from .taxonomy import N_TOPICS, TOPICS
+from .taxonomy import N_TOPICS, TOPICS, topic_index
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,7 +57,7 @@ class TopicDistribution:
         return sum(self.scores) + self.unmapped_mass
 
     def topic_score(self, topic: str) -> float:
-        return self.scores[TOPICS.index(topic)]
+        return self.scores[topic_index(topic)]
 
     def as_dict(self) -> dict[str, float]:
         d = {name: self.scores[i] for i, name in enumerate(TOPICS)}
@@ -70,8 +68,8 @@ class TopicDistribution:
         return {name: s for name, s in zip(TOPICS, self.scores) if s > 0}
 
 
-# One image's cells, flat: (position, fsum of probabilities, label count) per cell.
-Cells = tuple[int | float, ...]
+# One image's cells: (position, fsum of probabilities, label count) each.
+Cells = tuple[tuple[int, float, int], ...]
 
 
 @dataclass(frozen=True)
@@ -80,8 +78,7 @@ class ScoreBlock:
 
     ``rows[j]`` describes image j over N_TOPICS + 1 positions, the last one
     for unmapped mass, by one ``(position, prob, count)`` cell per position
-    its labels touch, in position order, laid out flat in one tuple
-    ``(pos, prob, count, pos, prob, count, ...)``; all other cells are zero.
+    its labels touch, in position order; all other cells are zero.
     ``prob`` is the math.fsum of those labels' probabilities and ``count``
     their number. The labels a short line lacks (k minus its predictions)
     count as unmapped.
@@ -129,7 +126,7 @@ def pack_cells(pairs: list[tuple[int, float]], k: int) -> bytes:
 # One image's cells packed as "<BdI" per cell, by cell count; an image touches
 # at most N_TOPICS + 1 positions.
 _PACKED = tuple(Struct("<" + "BdI" * n) for n in range(N_TOPICS + 2))
-_CELL_BYTES = _PACKED[1].size
+_unpack_cells = _PACKED[1].iter_unpack
 
 
 @dataclass
@@ -138,7 +135,7 @@ class ScoredDataset:
 
     ``cells[user]`` maps each image id to its cells packed into one bytes
     record (see the module docstring), in file order. ``pop_block`` takes a
-    user's cells out as a ScoreBlock of flat tuples, unpacking each record
+    user's cells out as a ScoreBlock of cell tuples, unpacking each record
     once, so a pass over the users frees each user's cells once it is done
     with them.
     """
@@ -158,6 +155,6 @@ class ScoredDataset:
         images = self.cells.pop(user_id)
         return ScoreBlock(
             user_id=user_id, image_ids=tuple(images), k=self.k,
-            rows=tuple([_PACKED[len(b) // _CELL_BYTES].unpack(b) for b in images.values()]),
+            rows=tuple([tuple(_unpack_cells(b)) for b in images.values()]),
         )
 

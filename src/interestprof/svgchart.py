@@ -13,6 +13,9 @@ PALETTE = (
 )
 
 _FONT = 'font-family="Helvetica,Arial,sans-serif"'
+WIDTH, HEIGHT = 720, 440  # a line chart's size in px
+CELL = 22  # a heatmap cell's side in px
+N_TICKS = 5  # intervals between an axis' ticks
 
 
 def _escape(text: str) -> str:
@@ -24,11 +27,9 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}".rstrip("0").rstrip(".")
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    step = (hi - lo) / n
-    return [lo + i * step for i in range(n + 1)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    step = (hi - lo) / N_TICKS
+    return [lo + i * step for i in range(N_TICKS + 1)]
 
 
 def line_chart(
@@ -36,38 +37,29 @@ def line_chart(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    width: int = 720,
-    height: int = 440,
-    y_min: float | None = None,
-    y_max: float | None = None,
 ) -> str:
-    """SVG line chart for (name, [(x, y), ...]) series."""
+    """SVG line chart for (name, [(x, y), ...]) series, on a y axis from 0 to 1."""
     left, right, top, bottom = 64, 170, 40, 52
-    pw, ph = width - left - right, height - top - bottom
+    pw, ph = WIDTH - left - right, HEIGHT - top - bottom
     xs = [x for _, pts in series for x, _ in pts]
-    ys = [y for _, pts in series for _, y in pts]
     x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
-    y_lo = y_min if y_min is not None else (min(ys) if ys else 0.0)
-    y_hi = y_max if y_max is not None else (max(ys) if ys else 1.0)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
 
     def px(x: float) -> float:
         return left + (x - x_lo) / (x_hi - x_lo) * pw
 
     def py(y: float) -> float:
-        return top + ph - (y - y_lo) / (y_hi - y_lo) * ph
+        return top + ph - y * ph
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     if title:
         out.append(
-            f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" {_FONT} '
+            f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" {_FONT} '
             f'font-size="16">{_escape(title)}</text>'
         )
     for tx in _ticks(x_lo, x_hi):
@@ -79,7 +71,7 @@ def line_chart(
             f'<text x="{_fmt(px(tx))}" y="{top + ph + 18}" text-anchor="middle" '
             f'{_FONT} font-size="11">{_fmt(tx)}</text>'
         )
-    for ty in _ticks(y_lo, y_hi):
+    for ty in _ticks(0.0, 1.0):
         out.append(
             f'<line x1="{left}" y1="{_fmt(py(ty))}" x2="{left + pw}" '
             f'y2="{_fmt(py(ty))}" stroke="#e0e0e0"/>'
@@ -93,7 +85,7 @@ def line_chart(
     )
     if x_label:
         out.append(
-            f'<text x="{left + pw / 2:.0f}" y="{height - 12}" text-anchor="middle" '
+            f'<text x="{left + pw / 2:.0f}" y="{HEIGHT - 12}" text-anchor="middle" '
             f'{_FONT} font-size="12">{_escape(x_label)}</text>'
         )
     if y_label:
@@ -140,13 +132,12 @@ def heatmap(
     values: Sequence[Sequence[float | None]],
     labels: Sequence[str],
     title: str = "",
-    cell: int = 22,
 ) -> str:
     """Square heatmap for values in [-1, 1]; None cells render gray."""
     n = len(labels)
     left, top = 110, 120
-    width = left + n * cell + 30
-    height = top + n * cell + 30
+    width = left + n * CELL + 30
+    height = top + n * CELL + 30
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -158,21 +149,21 @@ def heatmap(
             f'font-size="15">{_escape(title)}</text>'
         )
     for j, name in enumerate(labels):
-        x = left + j * cell + cell / 2
+        x = left + j * CELL + CELL / 2
         out.append(
             f'<text x="{_fmt(x)}" y="{top - 6}" text-anchor="start" {_FONT} font-size="10" '
             f'transform="rotate(-60 {_fmt(x)} {top - 6})">{_escape(name)}</text>'
         )
     for i, name in enumerate(labels):
-        y = top + i * cell
+        y = top + i * CELL
         out.append(
-            f'<text x="{left - 6}" y="{y + cell / 2 + 4:.1f}" text-anchor="end" '
+            f'<text x="{left - 6}" y="{y + CELL / 2 + 4:.1f}" text-anchor="end" '
             f'{_FONT} font-size="10">{_escape(name)}</text>'
         )
         for j in range(n):
             v = values[i][j]
             out.append(
-                f'<rect x="{left + j * cell}" y="{y}" width="{cell}" height="{cell}" '
+                f'<rect x="{left + j * CELL}" y="{y}" width="{CELL}" height="{CELL}" '
                 f'fill="{_heat_color(v)}" stroke="#f5f5f5"/>'
             )
     out.append("</svg>")

@@ -93,8 +93,7 @@ def dense_rows(block: ScoreBlock) -> list[tuple[TopicDistribution, TopicDistribu
     for cells in block.rows:
         prob = [0.0] * (N_TOPICS + 1)
         occ = [0.0] * (N_TOPICS + 1)
-        it = iter(cells)
-        for pos, p, c in zip(it, it, it):
+        for pos, p, c in cells:
             prob[pos] = p
             occ[pos] = c / block.k
         rows.append(tuple(TopicDistribution(scores=tuple(v[:N_TOPICS]), unmapped_mass=v[N_TOPICS])
@@ -128,8 +127,7 @@ def block_from_rows(rows) -> ScoreBlock:
         image_ids=tuple(f"i{n}" for n in range(len(rows))),
         k=N_TOPICS,
         rows=tuple(
-            tuple(x for pos, v in enumerate((*scores, unmapped)) if v
-                  for x in (pos, v, round(5 * v)))
+            tuple((pos, v, round(5 * v)) for pos, v in enumerate((*scores, unmapped)) if v)
             for scores, unmapped in rows
         ),
     )

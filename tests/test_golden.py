@@ -6,19 +6,25 @@ case and underscore variants of known terms, per-image occurrence ties and a
 user-level tie, and a user with no mappable label at all. The digests were
 computed once and are pinned here, so any change to the bytes of any artifact
 under either mechanism fails this test, whether the lines are read from
-``--predictions`` or written by a ``--classifier-cmd``.
+``--predictions`` or written by a ``--classifier-cmd``, and whichever CPython
+3.10 or later runs the pipeline.
 """
 
 import csv
 import hashlib
 import json
+import os
 import shlex
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import interestprof
 from conftest import STARTER_PATH
 from interestprof.cli import main
+from interestprof.config import ENV_PREFIX
 
 HAND_USERS = {
     "edge_short": [
@@ -109,13 +115,19 @@ def _write_inputs(tmp_path):
     return predictions, labels
 
 
-def _pipeline_digests(out, labels, mechanism, *inputs):
-    assert main([
-        "pipeline", "--taxonomy", str(STARTER_PATH), *map(str, inputs),
-        "--labels", str(labels), "--out", str(out), "--sweep", "2,5,20",
-        "--mechanism", mechanism,
-    ]) == 0
+def _pipeline_args(out, labels, mechanism, *inputs):
+    return ["pipeline", "--taxonomy", str(STARTER_PATH), *map(str, inputs),
+            "--labels", str(labels), "--out", str(out), "--sweep", "2,5,20",
+            "--mechanism", mechanism]
+
+
+def _digests(out):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+def _pipeline_digests(out, labels, mechanism, *inputs):
+    assert main(_pipeline_args(out, labels, mechanism, *inputs)) == 0
+    return _digests(out)
 
 
 @pytest.mark.parametrize("mechanism", ["occ", "prob"])
@@ -143,3 +155,52 @@ def test_classifier_artifacts_match_golden_digests(tmp_path, mechanism):
     digests = _pipeline_digests(tmp_path / "out", labels, mechanism,
                                 "--manifest", manifest, "--classifier-cmd", command)
     assert digests == GOLDEN[mechanism]
+
+
+def _other_interpreters():
+    """Every CPython 3.10 or later installed by pyenv or miniconda in the home
+    directory, other than the one running the tests."""
+    running = Path(sys.executable).resolve()
+    found = {}
+    home = Path.home()
+    for path in [*home.glob(".pyenv/versions/3.1*/bin/python3"),
+                 *home.glob("miniconda*/bin/python3")]:
+        real = path.resolve()
+        if real == running or real in found:
+            continue
+        probe = subprocess.run(
+            [str(path), "-c", "import sys; print(sys.implementation.name == 'cpython'"
+             " and sys.version_info >= (3, 10), sys.version.split()[0])"],
+            capture_output=True, text=True, timeout=60,
+        )
+        if probe.returncode == 0 and probe.stdout.split()[0] == "True":
+            found[real] = probe.stdout.split()[1]
+    return sorted(found.items(), key=lambda item: str(item[0]))
+
+
+@pytest.mark.parametrize("mechanism", ["occ", "prob"])
+def test_other_interpreters_match_golden_digests(tmp_path, mechanism):
+    """The pipeline run as a command under each other CPython writes the
+    golden bytes for inputs this interpreter wrote."""
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other CPython 3.10 or later found")
+    predictions, labels = _write_inputs(tmp_path)
+    env = {k: v for k, v in os.environ.items() if not k.startswith(ENV_PREFIX)}
+    env["PYTHONPATH"] = str(Path(interestprof.__file__).resolve().parents[1])
+    mismatched = {}
+    for n, (python, version) in enumerate(interpreters):
+        out = tmp_path / f"out{n}"
+        proc = subprocess.run(
+            [str(python), "-m", "interestprof.cli",
+             *_pipeline_args(out, labels, mechanism, "--predictions", predictions)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, f"{python} ({version}): {proc.stderr}"
+        digests = _digests(out)
+        if digests != GOLDEN[mechanism]:
+            mismatched[version] = sorted(
+                name for name in GOLDEN[mechanism].keys() | digests.keys()
+                if digests.get(name) != GOLDEN[mechanism].get(name)
+            )
+    assert mismatched == {}

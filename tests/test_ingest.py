@@ -56,8 +56,8 @@ def test_load_single_record():
     block = ds.pop_block("u1")
     assert block.image_ids == ("img1",)
     drink, fashion, food = map(TOPICS.index, ("Drink", "Fashion", "Food"))
-    assert block.rows == ((drink, math.fsum([0.08, 0.07, 0.05]), 3,
-                           fashion, 0.04, 1, food, 0.06, 1),)
+    assert block.rows == (((drink, math.fsum([0.08, 0.07, 0.05]), 3),
+                           (fashion, 0.04, 1), (food, 0.06, 1)),)
 
 
 def test_empty_stream_gives_empty_dataset():
@@ -378,7 +378,7 @@ def test_external_classifier_identity(tmp_path):
     ds = classify(manifest, template)
     assert ds.users() == ["u1", "u2"]
     assert ds.n_images() == 3
-    cells = (TOPICS.index("Drink"), 0.5, 1, TOPICS.index("Food"), 0.25, 1, N_TOPICS, 0.0, 3)
+    cells = ((TOPICS.index("Drink"), 0.5, 1), (TOPICS.index("Food"), 0.25, 1), (N_TOPICS, 0.0, 3))
     assert [ds.pop_block(u).rows for u in ("u1", "u2")] == [(cells, cells), (cells,)]
 
 

@@ -5,13 +5,14 @@ user's cells once the user is written and profiled, and streams the profile
 files, so Python's traced peak stays within a small multiple of the input.
 Holding every record, or building ``profiles_sweep.json`` as one string,
 puts the peak near 3x the file on the tall fixture and near 9x on the wide one.
-A loaded image's cells are one packed bytes record, a block's rows are flat
-tuples and a profile's zero topics share one float. Measured after a first
-run, so that no module is imported while the peak is traced, and after a full
-collection, which empties the interpreter's free lists (the first run leaves
-thousands of tuples there, which the traced run would take back unseen), that
-puts the peak near 0.62x the file on the tall fixture and 1.37x on the wide
-one. Flat tuples with a float object per cell put it near 0.93x and 1.69x.
+A loaded image's cells are one packed bytes record, a block's rows are tuples
+of (position, prob, count) cells and a profile's zero topics share one float.
+Measured after a first run, so that no module is imported while the peak is
+traced, and after a full collection, which empties the interpreter's free
+lists (the first run leaves thousands of tuples there, which the traced run
+would take back unseen), that puts the peak near 0.62x the file on the tall
+fixture and 1.37x on the wide one. Holding every image's cells as tuples with
+a float object per cell put it near 0.93x and 1.69x.
 The cold cases run in a fresh interpreter, whose first pipeline run imports
 the modules of the later steps while the peak is traced.
 """
@@ -62,6 +63,8 @@ def traced_peak_ratio(tmp_path, users_per_topic, images, warm):
 @pytest.mark.parametrize("users_per_topic, images, bound", [
     (2, 100, 2.0),  # 48 users x 100 images, 1.6 MB: cells and imports at about 0.75x
     (20, 10, 3.5),  # 480 users x 10 images, 1.6 MB: the profile files at about 1.38x
+    (2, 100, 1.0),  # a packed record per image, with the headroom the warm cases keep
+    (20, 10, 1.7),
 ])
 def test_pipeline_traced_peak_stays_near_the_input_size(tmp_path, users_per_topic, images,
                                                         bound):
@@ -79,8 +82,8 @@ def test_pipeline_traced_peak_stays_near_the_input_size(tmp_path, users_per_topi
 # After a first run has imported every module, the peak is the data's own.
 @pytest.mark.parametrize("users_per_topic, images, bound", [
     (2, 100, 0.85),  # about 0.62x
-    (20, 10, 1.6),  # about 1.37x; flat tuples with their floats, 1.69x
-    (2, 100, 0.72),  # a packed record per image; flat tuples with their floats, 0.93x
+    (20, 10, 1.6),  # about 1.37x; every image's cells as tuples with their floats, 1.69x
+    (2, 100, 0.72),  # a packed record per image; cells as tuples with their floats, 0.93x
 ])
 def test_warm_pipeline_traced_peak_is_the_data_s_own(tmp_path, users_per_topic, images, bound):
     assert traced_peak_ratio(tmp_path, users_per_topic, images, warm=True) < bound

@@ -102,8 +102,8 @@ def test_load_score_cells_raises_only_data_format_errors(lines, k_max):
         for block in blocks:
             assert_utf8(block.user_id, *block.image_ids)
             for row in block.rows:
-                assert len(row) % 3 == 0
-                positions, counts = row[0::3], row[2::3]
+                assert all(len(cell) == 3 for cell in row)
+                positions, _, counts = zip(*row)
                 assert all(a < b for a, b in zip(positions, positions[1:]))
                 assert all(0 <= pos <= N_TOPICS for pos in positions)
                 assert sum(counts) == k_max

@@ -230,4 +230,4 @@ def test_loaded_cells_unpack_bit_for_bit():
                            for u, preds in images if u == user]
         assert dataset.cells == {}
     # The all-unmapped image counts k labels: its own two and the k - 2 it lacks.
-    assert blocks["u2"].rows[1] == (N_TOPICS, 0.3, MAX_TOPK)
+    assert blocks["u2"].rows[1] == ((N_TOPICS, 0.3, MAX_TOPK),)
