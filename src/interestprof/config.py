@@ -77,7 +77,7 @@ class RunConfig:
         if not 0.0 <= self.purity <= 1.0:
             fail("purity", f"purity must be in [0, 1], got {self.purity}")
         if self.users_per_topic < 0:
-            fail("users_per_topic", "fixture sizes must be positive")
+            fail("users_per_topic", f"users_per_topic must be >= 0, got {self.users_per_topic}")
         if self.images < 1:
             fail("images", "fixture sizes must be positive")
         return self

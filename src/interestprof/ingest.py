@@ -296,12 +296,13 @@ class Manifest:
 
 def read_manifest(source: str | Iterable[str], path: str | None = None) -> Manifest:
     """Read a ``user_id,image_id,image_path`` CSV; a header, optional, is its
-    first non-blank row.
+    first non-blank row. A (user_id, image_id) pair may be listed once.
 
     Errors name ``path:line`` when ``path`` is given.
     """
     rows: list[tuple[str, str, str]] = []
     lines: list[int] = []
+    first: dict[tuple[str, str], int] = {}  # (user_id, image_id) -> line
     header_possible = True  # until the first non-blank row
     for no, row in _csv_rows(source, path):
         cells = tuple(cell.strip() for cell in row)
@@ -319,6 +320,13 @@ def read_manifest(source: str | Iterable[str], path: str | None = None) -> Manif
         for name, cell in zip(MANIFEST_HEADER, cells):
             if not cell:
                 raise DataFormatError(f"empty {name}", line=no, path=path)
+        seen = first.setdefault(cells[:2], no)
+        if seen != no:
+            raise DataFormatError(
+                f"duplicate row for user '{escape_control(cells[0])}' "
+                f"image '{escape_control(cells[1])}' (first on line {seen})",
+                line=no, path=path,
+            )
         rows.append(cells)
         lines.append(no)
     return Manifest(rows, lines, path)
@@ -349,9 +357,7 @@ def load_score_cells(
     key = tax.label_index.position
     listed: dict[tuple[str, str], int] | None = None  # pair -> manifest line, until seen
     if manifest is not None:
-        listed = {}
-        for (user_id, image_id, _), no in zip(manifest.rows, manifest.lines):
-            listed.setdefault((user_id, image_id), no)
+        listed = {row[:2]: no for row, no in zip(manifest.rows, manifest.lines)}
     groups: dict[str, dict[str, bytes]] = {}
     keys: dict[str, int] = {}
     warnings: list[str] = []

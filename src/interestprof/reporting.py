@@ -14,19 +14,19 @@ a quote or a line break is quoted by the csv module itself, so it reads back
 as one cell instead of shifting columns, and every other id is written as it
 is.
 
-JSON artifacts are laid out exactly as ``json.dumps(..., indent=2)`` would lay
-out the payload with its floats rounded. The general encoder, ``to_json``,
-does both in one recursive pass. The two fixed-shape records written in bulk
-are filled into precompiled ``%`` templates instead, with the encoder's own
-float rule (``_float_json``): a profile (``_PROFILE``) and a ROC point of
-``report.json`` (``_ROC_POINT``). ``write_profiles`` renders each distinct
-profile object once, keeping a listed profile's text by identity for the
-call, because the sweep repeats the full profile at every point at or past a
-user's image count. It streams ``profiles.json`` and ``profiles_sweep.json``:
-each profile's text is indented once for each file it sits in and written to
-the open file, so neither document is ever one string. ``report.json`` and
-``roc_points.csv`` are streamed one ROC series at a time. The metrics and
-evaluation payloads are the result objects' own values, passed as they are.
+JSON artifacts are laid out by ``json.dumps(..., indent=2)``: ``to_json``
+rounds a payload's floats (``_plain``) and hands it to the stdlib encoder. The
+two fixed-shape records written in bulk, a profile (``_PROFILE``) and a ROC
+point of ``report.json`` (``_ROC_POINT``), are ``%`` templates taken at import
+from the stdlib's layout of a placeholder payload and filled with the same
+float rule (``_float_json``). ``json.dumps`` runs a fixed number of times per
+command, never per record: each call leaves a reference cycle, and commands
+run with the cyclic collector off (see ``cli.main``). ``write_profiles``
+renders each distinct profile object once and keeps a listed profile's sweep
+text by identity, because the sweep repeats the full profile at every point
+at or past a user's image count. It streams ``profiles.json`` and
+``profiles_sweep.json``, so neither document is ever one string.
+``report.json`` and ``roc_points.csv`` are streamed one ROC series at a time.
 
 Every other CSV artifact (the accuracy sweep, confusion, CMC, precision and
 recall and the three correlation matrices) is text from one helper, ``_csv``.
@@ -39,13 +39,14 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from math import copysign
+from math import copysign, isnan
 from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
 
@@ -89,39 +90,18 @@ def _floats_json(xs: Iterable[float]) -> list[str]:
     return [_float_json(x) if x else _ZERO_JSON[copysign(1.0, x)] for x in xs]
 
 
-def _encode(obj, indent: str) -> str:
-    """JSON text of ``obj`` as it sits at ``indent`` inside an indent-2 document."""
+def _plain(obj):
+    """``obj`` for ``json.dumps``: a float rounded to 9 significant digits (NaN
+    to None), a Fraction as its string and a mapping key as its str()."""
     if isinstance(obj, float):
-        return _float_json(obj)
-    if isinstance(obj, str):
-        return _quote(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
+        return None if isnan(obj) else float(f"{obj:.9g}")
     if isinstance(obj, Fraction):
-        return _quote(str(obj))
+        return str(obj)
     if isinstance(obj, Mapping):
-        if not obj:
-            return "{}"
-        inner = indent + "  "
-        # str() first, as json.dumps would see the keys: colliding keys keep one entry.
-        items = {str(k): v for k, v in obj.items()}.items()
-        return "{\n" + inner + (",\n" + inner).join(
-            [_quote(k) + ": " + _encode(v, inner) for k, v in items]
-        ) + "\n" + indent + "}"
+        return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = indent + "  "
-        return "[\n" + inner + (",\n" + inner).join(
-            [_encode(v, inner) for v in obj]
-        ) + "\n" + indent + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        return [_plain(v) for v in obj]
+    return obj
 
 
 def to_json(obj) -> str:
@@ -129,15 +109,16 @@ def to_json(obj) -> str:
 
     NaN becomes null, a Fraction its string and a mapping key its str().
     """
-    return _encode(obj, "")
+    return json.dumps(_plain(obj), indent=2)
+
+
+def _template(payload) -> str:
+    """``json.dumps(payload, indent=2)`` as a ``%`` template, a hole for each None."""
+    return json.dumps(payload, indent=2).replace("%", "%%").replace("null", "%s")
 
 
 def write_text(path: Path, content: str) -> None:
     path.write_text(content, encoding="utf-8")
-
-
-def write_json(path: Path, payload) -> None:
-    write_text(path, to_json(payload) + "\n")
 
 
 def profile_payload(p: UserProfile) -> dict:
@@ -152,21 +133,12 @@ def profile_payload(p: UserProfile) -> dict:
     }
 
 
-def _vector_holes(indent: str) -> str:
-    """A topic vector's object, one float hole per topic and one for unmapped."""
-    inner = indent + "  "
-    return "{\n" + inner + (",\n" + inner).join(
-        [_quote(name).replace("%", "%%") + ": %s" for name in (*TOPICS, "unmapped")]
-    ) + "\n" + indent + "}"
-
-
+_VECTOR_HOLES = dict.fromkeys((*TOPICS, "unmapped"))
 # The text of profile_payload(p) as to_json lays it out, with a hole per value.
-_PROFILE = (
-    '{\n  "user_id": %s,\n  "n_images": %s,\n  "mechanism": %s,\n'
-    '  "v_prob": ' + _vector_holes("  ") + ',\n'
-    '  "v_occ": ' + _vector_holes("  ") + ',\n'
-    '  "predicted_topic": %s,\n  "ties": %s\n}'
-)
+_PROFILE = _template({
+    "user_id": None, "n_images": None, "mechanism": None,
+    "v_prob": _VECTOR_HOLES, "v_occ": _VECTOR_HOLES, "predicted_topic": None, "ties": None,
+})
 
 
 def _profile_json(p: UserProfile) -> str:
@@ -202,21 +174,17 @@ def write_profiles(outdir: Path, profiles: Sequence[UserProfile],
     listed profile is indented once for each file, and its sweep text is kept
     for the points that repeat it.
     """
-    listed: dict[int, str] = {}  # id -> text of a profile in profiles.json
-    swept: dict[int, str] = {}   # id -> a listed profile's text, indented for the sweep
+    swept: dict[int, str] = {}  # id -> a listed profile's text, indented for the sweep
 
     def listed_text(p: UserProfile) -> str:
-        t = listed[id(p)] = _profile_json(p)
-        return t.replace("\n", "\n  ")
+        t = _profile_json(p).replace("\n", "\n  ")
+        if sweep_map is not None:
+            swept[id(p)] = t.replace("\n", "\n  ")
+        return t
 
     def sweep_text(p: UserProfile) -> str:
-        t = swept.get(id(p))
-        if t is None:
-            t = listed.pop(id(p), None)
-            if t is None:  # a prefix profile, placed once
-                return _profile_json(p).replace("\n", "\n    ")
-            t = swept[id(p)] = t.replace("\n", "\n    ")
-        return t
+        # A prefix profile is placed once, so only listed ones are kept.
+        return swept.get(id(p)) or _profile_json(p).replace("\n", "\n    ")
 
     with open(outdir / "profiles.json", "w", encoding="utf-8") as fh:
         _write_array(fh, map(listed_text, profiles), "")
@@ -235,7 +203,7 @@ def write_profiles(outdir: Path, profiles: Sequence[UserProfile],
 def write_metrics(outdir: Path, size: SizeMetrics, structural: StructuralMetrics,
                   semiotic: SemioticReport) -> None:
     payload = {"size": vars(size), "structural": vars(structural), "semiotic": vars(semiotic)}
-    write_json(outdir / "ontology_metrics.json", payload)
+    write_text(outdir / "ontology_metrics.json", to_json(payload) + "\n")
     write_text(outdir / "ontology_metrics.txt", metrics_table(payload))
 
 
@@ -361,7 +329,7 @@ _REPORT_KEYS = ("mechanism", "sweep", "n_labeled", "overall_accuracy",
 
 
 # A (threshold, fpr, tpr) point as to_json lays it out in report.json's "roc".
-_ROC_POINT = "[\n        %s,\n        %s,\n        %s\n      ]"
+_ROC_POINT = _template([None] * 3).replace("\n", "\n      ")
 
 
 def _write_roc(fh: TextIO, roc_points: Mapping[str, Sequence[tuple[float, float, float]]]

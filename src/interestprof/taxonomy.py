@@ -214,9 +214,10 @@ def find_cycle(parent: dict[str, str | None]) -> list[str] | None:
     return None
 
 
-def _syntax(msg: str, no: int, raw: str, token: str | None = None) -> TaxonomyError:
-    col = raw.index(token) + 1 if token is not None and token in raw else 1
-    return TaxonomyError(msg, line=no, column=col)
+def _syntax(msg: str, no: int, raw: str, field: int = 0) -> TaxonomyError:
+    """An error at the start of the line's ``field``-th whitespace-delimited token."""
+    rest = raw.split(None, field)[-1]  # the line from that token on
+    return TaxonomyError(msg, line=no, column=len(raw) - len(rest) + 1)
 
 
 def parse_taxonomy(source: str | Iterable[str]) -> Taxonomy:
@@ -246,53 +247,53 @@ def parse_taxonomy(source: str | Iterable[str]) -> Taxonomy:
         kw = tok[0]
         if kw == "root":
             if len(tok) != 2:
-                raise _syntax("root statement takes exactly one name", no, raw, kw)
+                raise _syntax("root statement takes exactly one name", no, raw)
             if root is not None:
                 raise _syntax(f"duplicate root statement (root is '{escape_control(root)}')",
-                              no, raw, tok[1])
+                              no, raw, 1)
             root = tok[1]
         elif kw == "concept":
             if len(tok) not in (4, 5) or tok[2] != "parent" or (len(tok) == 5 and tok[4] != "topic"):
-                raise _syntax("expected: concept <name> parent <name> [topic]", no, raw, kw)
+                raise _syntax("expected: concept <name> parent <name> [topic]", no, raw)
             name, parent_name = tok[1], tok[3]
             if name in decl:
                 raise _syntax(
                     f"duplicate concept '{escape_control(name)}' "
                     f"(first declared on line {decl[name][2]})",
-                    no, raw, name,
+                    no, raw, 1,
                 )
             decl[name] = (parent_name, len(tok) == 5, no)
             order.append(name)
         elif kw == "instance":
             if len(tok) != 4 or tok[2] != "concept":
-                raise _syntax("expected: instance <term> concept <name>", no, raw, kw)
+                raise _syntax("expected: instance <term> concept <name>", no, raw)
             term = normalize_term(tok[1])
             if not term:
                 raise _syntax(f"instance term '{escape_control(tok[1])}' is empty after "
-                              "normalization", no, raw, tok[1])
+                              "normalization", no, raw, 1)
             if term in instances:
                 raise _syntax(
                     f"duplicate instance '{escape_control(term)}' "
                     f"(first declared on line {inst_lines[term]})",
-                    no, raw, tok[1],
+                    no, raw, 1,
                 )
             instances[term] = tok[3]
             inst_lines[term] = no
             ref_checks.append((f"instance '{escape_control(term)}'", tok[3], no))
         elif kw == "relation":
             if len(tok) != 4:
-                raise _syntax("expected: relation <name> <conceptA> <conceptB>", no, raw, kw)
+                raise _syntax("expected: relation <name> <conceptA> <conceptB>", no, raw)
             relations.append((tok[1], tok[2], tok[3]))
             what = f"relation '{escape_control(tok[1])}'"
             ref_checks.append((what, tok[2], no))
             ref_checks.append((what, tok[3], no))
         elif kw == "attribute":
             if len(tok) != 4:
-                raise _syntax("expected: attribute <concept> <attr-name> <value-type>", no, raw, kw)
+                raise _syntax("expected: attribute <concept> <attr-name> <value-type>", no, raw)
             attributes.setdefault(tok[1], []).append((tok[2], tok[3]))
             ref_checks.append(("attribute", tok[1], no))
         else:
-            raise _syntax(f"unknown statement '{escape_control(kw)}'", no, raw, kw)
+            raise _syntax(f"unknown statement '{escape_control(kw)}'", no, raw)
 
     if root is None:
         raise TaxonomyError("missing root statement")

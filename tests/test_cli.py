@@ -333,6 +333,8 @@ def test_bad_config_values_exit_2(tmp_path, capsys, monkeypatch):
         (data_args + ["--topk", "4294967296"],
          "--topk: topk must be <= 4294967295, got 4294967296"),
         (fixture_args + ["--images", "0"], "--images: fixture sizes must be positive"),
+        (fixture_args + ["--users-per-topic", "-1"],
+         "--users-per-topic: users_per_topic must be >= 0, got -1"),
         (fixture_args + ["--purity", "2"], "--purity: purity must be in [0, 1], got 2.0"),
         # Typed flags are converted inside main: one line, no usage block.
         (data_args + ["--topk", "abc"], "--topk: expected an integer, got 'abc'"),
@@ -583,6 +585,22 @@ def test_bad_manifest_row_exits_1_naming_path_and_line(tmp_path, capsys):
     assert run("score", "--taxonomy", STARTER_PATH, "--manifest", manifest,
                "--classifier-cmd", _stub(tmp_path, STUB_OK), "--out", tmp_path / "out") == 1
     assert f"{manifest}:3: expected user_id,image_id,image_path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["echo", "dedupe"])
+@pytest.mark.parametrize("skip_bad", [[], ["--skip-bad"]])
+def test_duplicate_manifest_row_exits_1_naming_the_manifest(tmp_path, capsys, command, skip_bad):
+    """A repeated (user, image) row is the manifest's error, not the classifier's,
+    whether the classifier writes a record per row or one per pair."""
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("user_id,image_id,image_path\nu1,img1,/a.jpg\nu1,img1,/b.jpg\n")
+    stub = {"echo": _stub(tmp_path, STUB_OK),
+            "dedupe": _writing_stub(tmp_path, [("u1", "img1")])}[command]
+    assert run("score", "--taxonomy", STARTER_PATH, "--manifest", manifest,
+               "--classifier-cmd", stub, *skip_bad, "--out", tmp_path / "out") == 1
+    assert capsys.readouterr() == (
+        "", f"error: {manifest}:3: duplicate row for user 'u1' image 'img1' (first on line 2)\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("case", ["extra image", "missing image", "unknown user"])

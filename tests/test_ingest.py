@@ -265,6 +265,8 @@ def test_load_manifest_header_optional_and_quoted_paths():
     ("u1,i1", "m.csv:2: expected user_id,image_id,image_path, got 2 columns"),
     ("u1,i1,/a.jpg,extra", "m.csv:2: expected user_id,image_id,image_path, got 4 columns"),
     ("u1,,/a.jpg", "m.csv:2: empty image_id"),
+    # A pair listed twice is the second row's error, whatever its path.
+    (" u0 , i0 ,/other.jpg", "m.csv:2: duplicate row for user 'u0' image 'i0' (first on line 1)"),
 ])
 def test_load_manifest_bad_row_names_path_and_line(row, message):
     with pytest.raises(DataFormatError) as err:

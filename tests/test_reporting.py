@@ -14,10 +14,11 @@ from hypothesis import example, given
 from conftest import KNOWN_TERMS, UNKNOWN_TERMS, block_of, make_record, starter_taxonomy
 from interestprof import reporting
 from interestprof.evaluation import EvalReport
+from interestprof.ontometrics import semiotic_report, size_metrics, structural_metrics
 from interestprof.profiling import UserProfile, profile_prefixes
 from interestprof.reporting import (
-    open_score_tables, profile_payload, to_json, write_evaluation, write_profiles,
-    write_score_rows,
+    open_score_tables, profile_payload, to_json, write_evaluation, write_metrics,
+    write_profiles, write_score_rows,
 )
 from interestprof.scoring import TopicDistribution
 from interestprof.taxonomy import N_TOPICS, TOPICS
@@ -211,8 +212,9 @@ class CountingWriter:
 
 
 def test_writers_make_no_call_per_record(tmp_path, monkeypatch):
-    """Score rows with plain ids make no csv.writer call, and write_profiles
-    renders every profile without the general JSON encoder."""
+    """Score rows with plain ids make no csv.writer call, write_profiles renders
+    every profile without the general JSON encoder, and each JSON document other
+    than the profile files takes one json.dumps call."""
     CountingWriter.calls = 0
     monkeypatch.setattr(csv, "writer", CountingWriter)
     tax = starter_taxonomy()
@@ -227,18 +229,34 @@ def test_writers_make_no_call_per_record(tmp_path, monkeypatch):
 
     encoded = []
 
-    def counting_encode(obj, indent=""):
+    def counting_encode(obj):
         encoded.append(obj)
         return "null"
 
-    monkeypatch.setattr(reporting, "_encode", counting_encode)
+    # json.dumps(..., indent=2) leaves a reference cycle per call, and commands
+    # run with the cyclic collector off: a fixed few calls, none per record.
+    dumps, dumped = json.dumps, []
+
+    def counting_dumps(obj, **kwargs):
+        dumped.append(obj)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(reporting, "_plain", counting_encode)
     profiles, sweep_map = _profiles(["u1", "u2"], (1, 2, 50))
     monkeypatch.setattr(reporting, "to_json", counting_encode)
+    monkeypatch.setattr(json, "dumps", counting_dumps)
     write_profiles(tmp_path, profiles, sweep_map)
     assert encoded == []
+    assert dumped == []
     monkeypatch.undo()
     assert (tmp_path / "profiles_sweep.json").read_text(encoding="utf-8") == \
         _reference_files(profiles, sweep_map)[1]
+
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    write_evaluation(tmp_path, _report({t: ((0.5, 0.25, 0.75),) * 50 for t in TOPICS}))
+    assert len(dumped) == 1
+    write_metrics(tmp_path, size_metrics(tax), structural_metrics(tax), semiotic_report(tax))
+    assert len(dumped) == 2
 
 
 # Profile values are nonnegative: the edge floats without -0.0 and -inf.

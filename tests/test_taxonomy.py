@@ -89,6 +89,20 @@ def test_syntax_error_carries_line_and_column():
     assert err.value.column is not None
 
 
+@pytest.mark.parametrize("source, line, column", [
+    ("root oo\nroot oo\n", 2, 6),
+    ("root R\nconcept nce parent R\nconcept nce parent R\n", 3, 9),
+    ("root R\nconcept C parent R topic\ninstance nst concept C\ninstance nst concept C\n",
+     4, 10),
+])
+def test_duplicate_name_column_is_the_names_own_token(source, line, column):
+    """The column is where the name's token starts, even when the name is a
+    substring of the keyword before it."""
+    with pytest.raises(TaxonomyError) as err:
+        parse_taxonomy(source)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_unknown_statement_keyword():
     with pytest.raises(TaxonomyError, match="unknown statement"):
         parse_taxonomy("root R\nfrobnicate A\n")
