@@ -79,7 +79,7 @@ class RunConfig:
         if self.users_per_topic < 0:
             fail("users_per_topic", f"users_per_topic must be >= 0, got {self.users_per_topic}")
         if self.images < 1:
-            fail("images", "fixture sizes must be positive")
+            fail("images", f"images must be >= 1, got {self.images}")
         return self
 
 

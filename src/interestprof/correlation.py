@@ -70,7 +70,7 @@ def pearson_matrix(profiles: Sequence[UserProfile], mechanism: str = "occ") -> C
     """
     n = len(profiles)
     if n < 2:
-        raise EmptyInputError("pearson_matrix needs at least 2 profiles")
+        raise EmptyInputError(f"correlation needs at least 2 profiled users, got {n}")
     columns = _columns(profiles, mechanism)
     m = len(columns)
     varying = [j for j, col in enumerate(columns) if col.count(col[0]) != n]
@@ -106,7 +106,7 @@ def co_interest_matrix(
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
     if not profiles:
-        raise EmptyInputError("co_interest_matrix needs at least 1 profile")
+        raise EmptyInputError("co-interest needs at least 1 profiled user, got 0")
     masks = []
     for col in _columns(profiles, mechanism):
         mask = 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .taxonomy import Taxonomy, find_cycle
+from .taxonomy import Taxonomy
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,12 @@ class StructuralMetrics:
 
 @dataclass(frozen=True)
 class SemioticReport:
+    # A parsed taxonomy always passes lawfulness, interpretability and consistency.
     lawfulness: bool        # file parsed
     richness: int           # distinct statement kinds used (1..5)
     interpretability: bool  # names nonempty and unique
     consistency: bool       # acyclic is-a, single-owner instances
-    clarity: bool           # no two concepts differ only by case
+    clarity: bool           # no two concepts differ only by case; may fail
     comprehensiveness: int  # equals SizeMetrics.size_total
     accuracy: bool          # operator attestation, never computed
 
@@ -46,54 +47,35 @@ def size_metrics(tax: Taxonomy) -> SizeMetrics:
     return SizeMetrics(size_c, size_i, size_a, size_r, size_c + size_i + size_a + size_r)
 
 
-def _longest_depths(children: dict[str, list[str]], roots: list[str]) -> dict[str, int]:
-    # Iterative post-order; the is-a graph is acyclic by validation.
-    depth: dict[str, int] = {}
-    for root in roots:
-        stack: list[tuple[str, bool]] = [(root, False)]
-        while stack:
-            node, ready = stack.pop()
-            if ready:
-                kids = children.get(node, [])
-                depth[node] = 1 + max(depth[k] for k in kids) if kids else 0
-                continue
-            if node in depth:
-                continue
-            stack.append((node, True))
-            for kid in children.get(node, []):
-                if kid not in depth:
-                    stack.append((kid, False))
-    return depth
-
-
 def structural_metrics(tax: Taxonomy) -> StructuralMetrics:
-    children = tax.children_map()
-    roots = [c for c, p in tax.parent.items() if p is None]
-    n_rn = len(roots)
-    n_ln = sum(1 for c in tax.parent if not children.get(c))
+    """Structural cohesion of a parsed taxonomy, read as the tree it is.
 
-    depth = _longest_depths(children, roots)
-    max_spl = max((depth[r] for r in roots), default=0)
+    ``parse_taxonomy`` accepts exactly one ``root`` statement, rejects a
+    concept whose parent is undeclared and rejects any is-a cycle, so every
+    concept lies on a parent chain that ends at the root. Hence there is one
+    root node (n_rn 1), no isolated concept (n_ic 0), every concept is
+    reachable from the root (tnrnr, anrnr), and the longest root-to-leaf path
+    is the largest depth (max_spl). A leaf is a concept that is nobody's parent.
+    """
+    depth: dict[str, int] = {tax.root: 0}
+    for concept in tax.parent:
+        # Walk up to a concept of known depth, then number the path back down;
+        # a child may be declared before its parent.
+        path: list[str] = []
+        node = concept
+        while node not in depth:
+            path.append(node)
+            node = tax.parent[node]
+        d = depth[node]
+        for node in reversed(path):
+            d += 1
+            depth[node] = d
 
-    reachable: set[str] = set()
-    frontier = list(roots)
-    while frontier:
-        node = frontier.pop()
-        if node in reachable:
-            continue
-        reachable.add(node)
-        frontier.extend(children.get(node, []))
-    tnrnr = len(reachable)
-
-    has_instances = set(tax.instances.values())
-    n_ic = sum(
-        1
-        for c, p in tax.parent.items()
-        if p is None and not children.get(c) and c not in has_instances and c != tax.root
-    )
-
-    anrnr = Fraction(tnrnr, n_rn) if n_rn else Fraction(0)
-    return StructuralMetrics(n_rn, n_ln, max_spl, n_ic, tnrnr, anrnr)
+    parents = set(tax.parent.values())
+    n_ln = sum(1 for c in tax.parent if c not in parents)
+    n = len(tax.parent)
+    return StructuralMetrics(n_rn=1, n_ln=n_ln, max_spl=max(depth.values()), n_ic=0,
+                             tnrnr=n, anrnr=Fraction(n))
 
 
 def semiotic_report(tax: Taxonomy, accuracy_attested: bool = False) -> SemioticReport:
@@ -112,18 +94,15 @@ def semiotic_report(tax: Taxonomy, accuracy_attested: bool = False) -> SemioticR
     if tax.attributes:
         richness += 1
 
-    names = list(tax.parent) + list(tax.instances)
-    interpretability = all(n.strip() for n in names) and len(set(tax.parent)) == len(tax.parent)
-    consistency = find_cycle(tax.parent) is None  # instance single-ownership holds by construction
-    clarity = len({c.casefold() for c in tax.parent}) == len(tax.parent)
-    total = size_metrics(tax).size_total
-
     return SemioticReport(
         lawfulness=True,
         richness=richness,
-        interpretability=interpretability,
-        consistency=consistency,
-        clarity=clarity,
-        comprehensiveness=total,
+        # parse_taxonomy takes names as whitespace-split tokens, rejects an
+        # instance term empty after normalization, a duplicate concept or
+        # instance and any is-a cycle, and gives each instance one owner.
+        interpretability=True,
+        consistency=True,
+        clarity=len({c.casefold() for c in tax.parent}) == len(tax.parent),
+        comprehensiveness=size_metrics(tax).size_total,
         accuracy=accuracy_attested,
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     CycleError,
@@ -126,8 +126,9 @@ class Taxonomy:
 
     ``parent`` maps every concept to its is-a parent; the root maps to None.
     Insertion order is declaration order (root first), which serialization
-    preserves. All query helpers are pure reads; ``label_index`` is built on
-    first use and afterwards only memoizes lookups.
+    preserves. Every concept's parent chain ends at the root, so the is-a
+    graph is one tree. ``label_index`` is built on first use; the prediction
+    loader, not the index, memoizes label lookups.
     """
 
     root: str
@@ -137,24 +138,6 @@ class Taxonomy:
     attributes: dict[str, tuple[tuple[str, str], ...]]
     relations: tuple[tuple[str, str, str], ...]
     warnings: tuple[str, ...] = field(default=(), compare=False)
-
-    @property
-    def concepts(self) -> tuple[str, ...]:
-        return tuple(self.parent)
-
-    def children_map(self) -> dict[str, list[str]]:
-        kids: dict[str, list[str]] = {}
-        for c, p in self.parent.items():
-            if p is not None:
-                kids.setdefault(p, []).append(c)
-        return kids
-
-    def ancestry(self, concept: str) -> Iterator[str]:
-        """Concept itself first, then each is-a parent up to the root."""
-        node: str | None = concept
-        while node is not None:
-            yield node
-            node = self.parent[node]
 
     @cached_property
     def label_index(self) -> LabelIndex:
@@ -230,7 +213,6 @@ def parse_taxonomy(source: str | Iterable[str]) -> Taxonomy:
     """
     root: str | None = None
     decl: dict[str, tuple[str, bool, int]] = {}  # concept -> (parent, topic?, line)
-    order: list[str] = []
     instances: dict[str, str] = {}
     inst_lines: dict[str, int] = {}
     attributes: dict[str, list[tuple[str, str]]] = {}
@@ -263,7 +245,6 @@ def parse_taxonomy(source: str | Iterable[str]) -> Taxonomy:
                     no, raw, 1,
                 )
             decl[name] = (parent_name, len(tok) == 5, no)
-            order.append(name)
         elif kw == "instance":
             if len(tok) != 4 or tok[2] != "concept":
                 raise _syntax("expected: instance <term> concept <name>", no, raw)
@@ -316,8 +297,7 @@ def parse_taxonomy(source: str | Iterable[str]) -> Taxonomy:
             )
 
     parent: dict[str, str | None] = {root: None}
-    for name in order:
-        parent[name] = decl[name][0]
+    parent.update((name, parent_name) for name, (parent_name, _, _) in decl.items())
 
     cycle = find_cycle(parent)
     if cycle is not None:
@@ -334,7 +314,7 @@ def parse_taxonomy(source: str | Iterable[str]) -> Taxonomy:
             node = parent[node]
     warnings = tuple(
         f"topic '{escape_control(name)}' is not on the ancestry path of any instance"
-        for name in order
+        for name in decl
         if name in topics and name not in covered
     )
 
@@ -379,10 +359,7 @@ def topic_of_instance(tax: Taxonomy, term: str) -> str | None:
     Returns None when the term is not a known instance or no ancestor
     (including the owning concept itself) is topic-flagged.
     """
-    concept = tax.instances.get(normalize_term(term))
-    if concept is None:
-        return None
-    for anc in tax.ancestry(concept):
-        if anc in tax.topics:
-            return anc
-    return None
+    node = tax.instances.get(normalize_term(term))
+    while node is not None and node not in tax.topics:
+        node = tax.parent[node]
+    return node

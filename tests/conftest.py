@@ -155,14 +155,18 @@ def vector(**topic_scores) -> tuple[float, ...]:
 
 @st.composite
 def taxonomy_sources(draw, max_concepts: int = 10, max_instances: int = 8) -> str:
-    """Source text of a random valid taxonomy (tree rooted at R)."""
+    """Source text of a random valid taxonomy (tree rooted at R).
+
+    Concept lines come in any order, so a child may precede its parent.
+    """
     n = draw(st.integers(min_value=1, max_value=max_concepts))
     names = [f"C{i}" for i in range(n)]
-    lines = ["root R"]
+    concepts = []
     for i, name in enumerate(names):
         parent = "R" if i == 0 else draw(st.sampled_from(["R"] + names[:i]))
         flag = " topic" if draw(st.booleans()) else ""
-        lines.append(f"concept {name} parent {parent}{flag}")
+        concepts.append(f"concept {name} parent {parent}{flag}")
+    lines = ["root R"] + draw(st.permutations(concepts))
     n_inst = draw(st.integers(min_value=0, max_value=max_instances))
     for j in range(n_inst):
         owner = draw(st.sampled_from(["R"] + names))

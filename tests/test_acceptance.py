@@ -123,7 +123,7 @@ def _random_occ_rows(rng, max_rows=10):
 
 def _random_taxonomy_source(rng, max_concepts=12):
     n = rng.randint(1, max_concepts)
-    lines = ["root R"]
+    lines = []
     names = []
     for i in range(n):
         parent = "R" if not names or rng.random() < 0.3 else rng.choice(names)
@@ -131,6 +131,8 @@ def _random_taxonomy_source(rng, max_concepts=12):
         flag = " topic" if rng.random() < 0.5 else ""
         lines.append(f"concept {name} parent {parent}{flag}")
         names.append(name)
+    rng.shuffle(lines)  # a child may come before its parent
+    lines.insert(0, "root R")
     for j in range(rng.randint(0, 6)):
         lines.append(f"instance t{j} concept {rng.choice(['R'] + names)}")
     return "\n".join(lines)

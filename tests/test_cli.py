@@ -332,7 +332,7 @@ def test_bad_config_values_exit_2(tmp_path, capsys, monkeypatch):
         # Counts are packed as unsigned 32-bit ints.
         (data_args + ["--topk", "4294967296"],
          "--topk: topk must be <= 4294967295, got 4294967296"),
-        (fixture_args + ["--images", "0"], "--images: fixture sizes must be positive"),
+        (fixture_args + ["--images", "0"], "--images: images must be >= 1, got 0"),
         (fixture_args + ["--users-per-topic", "-1"],
          "--users-per-topic: users_per_topic must be >= 0, got -1"),
         (fixture_args + ["--purity", "2"], "--purity: purity must be in [0, 1], got 2.0"),
@@ -925,7 +925,8 @@ def test_each_subcommand_writes_the_pipeline_bytes(tmp_path, small_fixture, mech
 
 
 @pytest.mark.parametrize("command, records, label_rows, rc, err, files", [
-    ("correlate", "worked", None, 1, "error: pearson_matrix needs at least 2 profiles\n", {}),
+    ("correlate", "worked", None, 1,
+     "error: correlation needs at least 2 profiled users, got 1\n", {}),
     ("evaluate", "worked+ghost", "ghost,Drink\n", 1,
      SKIP_GHOST + "error: no labeled users present in the profiles\n", {}),
     ("score", "ghost", None, 0, "", None),

@@ -126,8 +126,12 @@ def test_underflowing_spread_divides_as_ieee():
 
 
 def test_needs_two_profiles():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(EmptyInputError) as err:
         pearson_matrix([profile_from_scores("u", vector(Drink=0.5))])
+    assert str(err.value) == "correlation needs at least 2 profiled users, got 1"
+    with pytest.raises(EmptyInputError) as err:
+        co_interest_matrix([])
+    assert str(err.value) == "co-interest needs at least 1 profiled user, got 0"
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,12 @@ from hypothesis import given
 
 import oracles
 from conftest import taxonomy_sources
-from interestprof.ontometrics import semiotic_report, size_metrics, structural_metrics
+from interestprof.ontometrics import (
+    StructuralMetrics,
+    semiotic_report,
+    size_metrics,
+    structural_metrics,
+)
 from interestprof.taxonomy import parse_taxonomy
 
 CHAIN = """\
@@ -95,11 +100,22 @@ def test_richness_counts_statement_kinds():
 
 @given(taxonomy_sources(max_concepts=11))
 def test_structural_matches_brute_force(src):
+    # Every field against its definition for any parent map, not just a tree.
     tax = parse_taxonomy(src)
-    s = structural_metrics(tax)
-    assert s.max_spl == oracles.bf_max_spl(tax.parent)
-    assert s.tnrnr == len(oracles.bf_reachable(tax.parent))
-    assert s.anrnr * s.n_rn == s.tnrnr
+    roots = [c for c, p in tax.parent.items() if p is None]
+    with_children = set(tax.parent.values())
+    leaves = [c for c in tax.parent if c not in with_children]
+    owners = set(tax.instances.values())
+    isolated = [c for c in leaves if c in roots and c not in owners and c != tax.root]
+    reachable = len(oracles.bf_reachable(tax.parent))
+    assert structural_metrics(tax) == StructuralMetrics(
+        n_rn=len(roots),
+        n_ln=len(leaves),
+        max_spl=oracles.bf_max_spl(tax.parent),
+        n_ic=len(isolated),
+        tnrnr=reachable,
+        anrnr=Fraction(reachable, len(roots)),
+    )
 
 
 def test_flat_topic_files_have_no_isolated_nodes():

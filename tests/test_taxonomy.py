@@ -33,7 +33,7 @@ def test_minimal_file():
 
 def test_comments_and_blank_lines_ignored():
     tax = parse_taxonomy("# header\n\nroot R  # trailing\n\nconcept A parent R topic\n")
-    assert tax.concepts == ("R", "A")
+    assert tuple(tax.parent) == ("R", "A")
 
 
 def test_cycle_error_names_the_cycle():
