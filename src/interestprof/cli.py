@@ -7,9 +7,11 @@ identical inputs, seed and flags, every subcommand writes byte-identical
 artifacts.
 
 The data subcommands run one chain, ``_run_chain``: load the taxonomy, check
-``--out``, load the dataset, make one pass over the users, then write; the
-directory is made just before its first file, and a bad ``--out`` fails before
-the dataset is loaded or the classifier is run. Each subcommand is a row of
+``--out``, read the ``--labels``, load the dataset, make one pass over the
+users, then write; the directory is made just before its first file, and a bad
+``--out`` or labels file fails before the dataset is loaded or the classifier
+is run. The labels stay a table of the chain's own, apart from the loaded
+dataset. Each subcommand is a row of
 ``_CHAINS``, the steps it runs in chain order (metrics, scores, profiles,
 correlation, evaluation) and its summary line, so ``score`` writes the same
 bytes as the score tables of ``pipeline``. Prediction records are only what
@@ -47,7 +49,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .config import RunConfig, build_config, env_overrides, flag_overrides, parse_config_file
+from .config import (
+    MECHANISMS, RunConfig, build_config, env_overrides, flag_overrides, parse_config_file,
+)
 from .errors import (
     ConfigError,
     ExternalClassifierError,
@@ -80,14 +84,8 @@ def _load_tax(cfg: RunConfig) -> Taxonomy:
 
 
 def _load_dataset(cfg: RunConfig, tax: Taxonomy) -> ScoredDataset:
-    """Score cells of the predictions (or classifier output), labels attached."""
-    from .ingest import (
-        attach_labels,
-        load_labels,
-        load_score_cells,
-        read_manifest,
-        run_external_classifier,
-    )
+    """Score cells of the predictions (or classifier output)."""
+    from .ingest import load_score_cells, read_manifest, run_external_classifier
 
     manifest = None
     if cfg.predictions is not None:
@@ -101,10 +99,6 @@ def _load_dataset(cfg: RunConfig, tax: Taxonomy) -> ScoredDataset:
         raise ConfigError("missing required setting: --predictions (or --classifier-cmd)")
     with source as lines:
         dataset = load_score_cells(lines, tax, cfg.topk, cfg.skip_bad, manifest)
-
-    if cfg.labels is not None:
-        with open_input(cfg.labels, "labels", newline="") as fh:
-            dataset = attach_labels(dataset, load_labels(fh))
     for w in dataset.warnings:
         _note(f"warning: {w}")
     return dataset
@@ -208,7 +202,19 @@ def _run_chain(cfg: RunConfig, command: str) -> int:
     if single and "evaluation" in steps:
         _require(cfg.labels, "--labels")
     out = _prepare_outdir(cfg)
+    # Labels are read before the load, so a bad labels file fails before any
+    # classifier runs; a label with no prediction records is a warning after it.
+    labels: dict[str, str] = {}
+    if data and cfg.labels is not None:
+        from .ingest import load_labels
+
+        with open_input(cfg.labels, "labels", newline="") as fh:
+            labels = load_labels(fh)
     dataset = _load_dataset(cfg, tax) if data else None
+    for user_id in labels:
+        if user_id not in dataset.cells:
+            _note(f"warning: label for user '{escape_control(user_id)}' "
+                  "matches no prediction records")
 
     if "metrics" in steps:
         from .ontometrics import semiotic_report, size_metrics, structural_metrics
@@ -266,10 +272,10 @@ def _run_chain(cfg: RunConfig, command: str) -> int:
         else:
             _note("note: fewer than 2 profiles, correlation step skipped")
     if "evaluation" in steps:
-        if single or any(p.user_id in dataset.labels for p in profiles):
+        if single or any(p.user_id in labels for p in profiles):
             from .evaluation import evaluate
 
-            report = evaluate(sweep_map, dataset.labels, cfg.mechanism)
+            report = evaluate(sweep_map, labels, cfg.mechanism)
             write_evaluation(_made(out), report)
             facts["labeled"] = report.n_labeled
         else:
@@ -293,9 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output directory")
     common.add_argument("--force", action="store_true", help="allow writing into a non-empty output directory")
     common.add_argument("--topk", help="top-k predictions per image (default 5)")
-    common.add_argument("--mechanism", choices=("prob", "occ"), help="scoring mechanism (default occ)")
-    common.add_argument("--jobs",
-                        help="accepted for compatibility; has no effect (runs are single-threaded)")
+    common.add_argument("--mechanism", choices=MECHANISMS, help="scoring mechanism (default occ)")
     common.add_argument("--seed", help="seed for fixture generation")
 
     data = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)

@@ -24,6 +24,7 @@ from .errors import (
 ENV_PREFIX = "INTERESTPROF_"
 DEFAULT_TOP_K = 5
 MAX_TOPK = 2**32 - 1  # a loaded image's label counts are packed as unsigned 32-bit ints
+MECHANISMS = ("prob", "occ")
 
 
 @dataclass
@@ -40,7 +41,6 @@ class RunConfig:
     sweep: tuple[int, ...] = (5, 10, 50, 75, 100)
     tau: float = 0.1
     seed: int = 0
-    jobs: int = 1
     skip_bad: bool = False
     force: bool = False
     attest_accuracy: bool = False
@@ -60,7 +60,7 @@ class RunConfig:
             fail("topk", f"topk must be >= 1, got {self.topk}")
         if self.topk > MAX_TOPK:
             fail("topk", f"topk must be <= {MAX_TOPK}, got {self.topk}")
-        if self.mechanism not in ("prob", "occ"):
+        if self.mechanism not in MECHANISMS:
             fail("mechanism",
                  f"mechanism must be 'prob' or 'occ', got '{escape_control(self.mechanism)}'")
         if not self.sweep or any(s <= 0 for s in self.sweep) or \
@@ -72,8 +72,6 @@ class RunConfig:
                  f"seconds > 0, got {self.classifier_timeout}")
         if not 0.0 < self.tau <= 1.0:
             fail("tau", f"tau must be in (0, 1], got {self.tau}")
-        if self.jobs < 1:
-            fail("jobs", f"jobs must be >= 1, got {self.jobs}")
         if not 0.0 <= self.purity <= 1.0:
             fail("purity", f"purity must be in [0, 1], got {self.purity}")
         if self.users_per_topic < 0:

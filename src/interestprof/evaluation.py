@@ -25,12 +25,14 @@ from .taxonomy import N_TOPICS, TOPICS, topic_index
 
 @dataclass
 class EvalReport:
+    """report.json's values, as its keys in its order; ``roc_points`` closes it as "roc"."""
+
     mechanism: str
     sweep: tuple[int, ...]
     n_labeled: int
-    per_topic_accuracy: dict[str, dict[int, float | None]]
     overall_accuracy: dict[int, float]
     overall_accuracy_by_mechanism: dict[str, dict[int, float]]
+    per_topic_accuracy: dict[str, dict[int, float | None]]
     precision: dict[str, float]
     recall: dict[str, float]
     undefined_precision: tuple[str, ...]
@@ -179,9 +181,9 @@ def evaluate(
         mechanism=mechanism,
         sweep=tuple(ks),
         n_labeled=len(predicted),
-        per_topic_accuracy=per_topic,
         overall_accuracy=dict(overall_by_mech[mechanism]),
         overall_accuracy_by_mechanism=overall_by_mech,
+        per_topic_accuracy=per_topic,
         precision=precision,
         recall=recall,
         undefined_precision=tuple(undefined_p),

@@ -21,11 +21,13 @@ and resolved on its first sight, and each later occurrence is one dict probe.
 A line nested ``MAX_NESTING`` levels deep is rejected before it is decoded,
 wherever the load is called from.
 
-Labels are CSV with header ``user_id,topic``. The external-classifier adapter
-reads a ``user_id,image_id,image_path`` CSV manifest, invokes a user-supplied
+Labels are CSV with header ``user_id,topic``, read by ``load_labels`` into a
+table of their own; no load carries them. The external-classifier adapter
+reads a ``user_id,image_id,image_path`` CSV manifest into one map from each
+(user_id, image_id) pair to its image path and line, invokes a user-supplied
 command once per batch with ``{input}`` and ``{output}`` placeholders and
-hands back what it wrote, which ``load_score_cells`` checks against the
-manifest: one line per manifest row.
+hands back what it wrote, which ``load_score_cells`` checks against that map:
+one line per manifest row.
 
 Every parse error is a DataFormatError naming the line. Text that cannot be
 written back as UTF-8 is rejected here, before any output exists: open input
@@ -41,7 +43,7 @@ import json
 import os
 import re
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -287,10 +289,10 @@ MANIFEST_HEADER = ("user_id", "image_id", "image_path")
 
 @dataclass(frozen=True)
 class Manifest:
-    """Rows of a ``user_id,image_id,image_path`` CSV, the line of each, and its path."""
+    """A ``user_id,image_id,image_path`` CSV as (user_id, image_id) -> (image_path,
+    line), in file order, and its path."""
 
-    rows: list[tuple[str, str, str]]
-    lines: list[int]
+    rows: dict[tuple[str, str], tuple[str, int]]
     path: str | None = None
 
 
@@ -300,9 +302,7 @@ def read_manifest(source: str | Iterable[str], path: str | None = None) -> Manif
 
     Errors name ``path:line`` when ``path`` is given.
     """
-    rows: list[tuple[str, str, str]] = []
-    lines: list[int] = []
-    first: dict[tuple[str, str], int] = {}  # (user_id, image_id) -> line
+    rows: dict[tuple[str, str], tuple[str, int]] = {}
     header_possible = True  # until the first non-blank row
     for no, row in _csv_rows(source, path):
         cells = tuple(cell.strip() for cell in row)
@@ -320,16 +320,16 @@ def read_manifest(source: str | Iterable[str], path: str | None = None) -> Manif
         for name, cell in zip(MANIFEST_HEADER, cells):
             if not cell:
                 raise DataFormatError(f"empty {name}", line=no, path=path)
-        seen = first.setdefault(cells[:2], no)
-        if seen != no:
+        user_id, image_id, image_path = cells
+        first = rows.get((user_id, image_id))
+        if first is not None:
             raise DataFormatError(
-                f"duplicate row for user '{escape_control(cells[0])}' "
-                f"image '{escape_control(cells[1])}' (first on line {seen})",
+                f"duplicate row for user '{escape_control(user_id)}' "
+                f"image '{escape_control(image_id)}' (first on line {first[1]})",
                 line=no, path=path,
             )
-        rows.append(cells)
-        lines.append(no)
-    return Manifest(rows, lines, path)
+        rows[user_id, image_id] = (image_path, no)
+    return Manifest(rows, path)
 
 
 def load_score_cells(
@@ -355,9 +355,6 @@ def load_score_cells(
     if not 1 <= k_max <= MAX_TOPK:
         raise ValueError(f"k_max must be in 1 to {MAX_TOPK}, got {k_max}")
     key = tax.label_index.position
-    listed: dict[tuple[str, str], int] | None = None  # pair -> manifest line, until seen
-    if manifest is not None:
-        listed = {row[:2]: no for row, no in zip(manifest.rows, manifest.lines)}
     groups: dict[str, dict[str, bytes]] = {}
     keys: dict[str, int] = {}
     warnings: list[str] = []
@@ -374,14 +371,14 @@ def load_score_cells(
                     f"image '{escape_control(image_id)}'",
                     line=no,
                 )
-            if listed is not None and listed.pop((user_id, image_id), None) is None:
+            if manifest is not None and (user_id, image_id) not in manifest.rows:
                 raise DataFormatError(
                     f"user '{escape_control(user_id)}' image '{escape_control(image_id)}' "
                     "is not listed in the manifest",
                     line=no,
                 )
         except DataFormatError as exc:
-            if listed is not None:
+            if manifest is not None:
                 exc = DataFormatError(exc.detail, no, "classifier output")
             if not skip_bad:
                 raise exc from None
@@ -390,7 +387,9 @@ def load_score_cells(
         if images is None:
             images = groups[user_id] = {}
         images[image_id] = pack_cells(pairs, k_max)
-    for (user_id, image_id), no in (listed or {}).items():
+    for (user_id, image_id), (_, no) in (manifest.rows if manifest else {}).items():
+        if image_id in groups.get(user_id, ()):
+            continue
         missing = DataFormatError(
             f"no classifier output for user '{escape_control(user_id)}' "
             f"image '{escape_control(image_id)}'",
@@ -400,18 +399,6 @@ def load_score_cells(
             raise missing
         warnings.append(str(missing))
     return ScoredDataset(k=k_max, cells=groups, warnings=warnings)
-
-
-def attach_labels(dataset: ScoredDataset, labels: dict[str, str]) -> ScoredDataset:
-    """Dataset with labels attached; labels for absent users become warnings."""
-    users = set(dataset.users())
-    warnings = list(dataset.warnings)
-    for user_id in labels:
-        if user_id not in users:
-            warnings.append(
-                f"label for user '{escape_control(user_id)}' matches no prediction records"
-            )
-    return replace(dataset, labels=dict(labels), warnings=warnings)
 
 
 @contextmanager
@@ -452,7 +439,8 @@ def run_external_classifier(
         with open(in_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(MANIFEST_HEADER)
-            writer.writerows(manifest.rows)
+            writer.writerows((user_id, image_id, image_path)
+                             for (user_id, image_id), (image_path, _) in manifest.rows.items())
 
         argv = [
             tok.replace("{input}", str(in_path)).replace("{output}", str(out_path))

@@ -25,11 +25,10 @@ import math
 from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
+from .config import MECHANISMS
 from .errors import EmptyInputError
 from .scoring import Cells, ScoreBlock, TopicDistribution
 from .taxonomy import N_TOPICS, TOPICS
-
-MECHANISMS = ("prob", "occ")
 
 
 @dataclass(frozen=True, slots=True)

@@ -165,8 +165,8 @@ def _write_array(fh: TextIO, texts: Iterable[str], indent: str) -> None:
 
 
 def write_profiles(outdir: Path, profiles: Sequence[UserProfile],
-                   sweep_map: Mapping[int, Sequence[UserProfile]] | None = None) -> None:
-    """profiles.json and, given a sweep map, profiles_sweep.json, streamed.
+                   sweep_map: Mapping[int, Sequence[UserProfile]]) -> None:
+    """profiles.json and profiles_sweep.json, streamed.
 
     The sweep places a user's full profile, the object listed in
     profiles.json, at every point at or past the user's image count, and each
@@ -178,8 +178,7 @@ def write_profiles(outdir: Path, profiles: Sequence[UserProfile],
 
     def listed_text(p: UserProfile) -> str:
         t = _profile_json(p).replace("\n", "\n  ")
-        if sweep_map is not None:
-            swept[id(p)] = t.replace("\n", "\n  ")
+        swept[id(p)] = t.replace("\n", "\n  ")
         return t
 
     def sweep_text(p: UserProfile) -> str:
@@ -189,8 +188,6 @@ def write_profiles(outdir: Path, profiles: Sequence[UserProfile],
     with open(outdir / "profiles.json", "w", encoding="utf-8") as fh:
         _write_array(fh, map(listed_text, profiles), "")
         fh.write("\n")
-    if sweep_map is None:
-        return
     with open(outdir / "profiles_sweep.json", "w", encoding="utf-8") as fh:
         sep = "{\n  "
         for n, ps in sweep_map.items():
@@ -322,12 +319,6 @@ def write_correlation(outdir: Path, corr: CorrelationMatrix,
     write_text(outdir / "co_interest.csv", _csv(_topic_matrix(co_interest)))
 
 
-# report.json keys, in file order; each holds the EvalReport field of that name.
-_REPORT_KEYS = ("mechanism", "sweep", "n_labeled", "overall_accuracy",
-                "overall_accuracy_by_mechanism", "per_topic_accuracy", "precision", "recall",
-                "undefined_precision", "undefined_recall", "confusion", "cmc")
-
-
 # A (threshold, fpr, tpr) point as to_json lays it out in report.json's "roc".
 _ROC_POINT = _template([None] * 3).replace("\n", "\n      ")
 
@@ -347,7 +338,9 @@ def _write_roc(fh: TextIO, roc_points: Mapping[str, Sequence[tuple[float, float,
 
 
 def write_evaluation(outdir: Path, report: EvalReport) -> None:
-    head = to_json({key: getattr(report, key) for key in _REPORT_KEYS})
+    # report.json holds EvalReport's fields in their order, the ROC series
+    # last under "roc".
+    head = to_json({key: value for key, value in vars(report).items() if key != "roc_points"})
     with open(outdir / "report.json", "w", encoding="utf-8") as fh:
         # The "roc" series close the document, in place of the last "\n}".
         fh.write(head[:-2] + ',\n  "roc": ')

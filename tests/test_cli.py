@@ -340,7 +340,6 @@ def test_bad_config_values_exit_2(tmp_path, capsys, monkeypatch):
         (data_args + ["--topk", "abc"], "--topk: expected an integer, got 'abc'"),
         (data_args + ["--tau", "abc"], "--tau: expected a number, got 'abc'"),
         (data_args + ["--seed", "1.5"], "--seed: expected an integer, got '1.5'"),
-        (data_args + ["--jobs", "two"], "--jobs: expected an integer, got 'two'"),
         (fixture_args + ["--users-per-topic", "x"],
          "--users-per-topic: expected an integer, got 'x'"),
         (fixture_args + ["--images", "x"], "--images: expected an integer, got 'x'"),
@@ -349,6 +348,32 @@ def test_bad_config_values_exit_2(tmp_path, capsys, monkeypatch):
         assert run(*args) == 2
         assert capsys.readouterr() == ("", f"error: {shown}\n")
     assert not (tmp_path / "m").exists()
+
+
+def test_jobs_is_no_setting(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("jobs = 2\n")
+    assert run("validate-ontology", "--config", config, "--taxonomy", STARTER_PATH) == 2
+    assert capsys.readouterr() == ("", f"error: {config}:1: unknown config key 'jobs'\n")
+    with pytest.raises(SystemExit) as exc:
+        run("validate-ontology", "--taxonomy", STARTER_PATH, "--jobs", "2")
+    assert exc.value.code == 2
+
+
+def test_label_warnings_follow_the_load_warnings(tmp_path, capsys):
+    predictions = tmp_path / "p.jsonl"
+    predictions.write_text(WORKED_EXAMPLE_PATH.read_text() + "{broken\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("user_id,topic\nghost,Sport\nu1,Drink\n")
+    assert run("pipeline", "--taxonomy", STARTER_PATH, "--predictions", predictions,
+               "--labels", labels, "--skip-bad", "--out", tmp_path / "out") == 0
+    assert capsys.readouterr().err == (
+        "warning: skipped line 2: malformed JSON: "
+        "Expecting property name enclosed in double quotes\n"
+        "warning: label for user 'ghost' matches no prediction records\n"
+        "note: fewer than 2 profiles, correlation step skipped\n"
+    )
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["n_labeled"] == 1
 
 
 def test_unmappable_user_skipped_with_warning(tmp_path, capsys):
@@ -689,6 +714,25 @@ def test_classifier_failure_without_stderr_names_status_or_signal(tmp_path, caps
     assert run("score", "--taxonomy", STARTER_PATH, "--manifest", manifest,
                "--classifier-cmd", _stub(tmp_path, stub), "--out", tmp_path / "out") == 2
     assert capsys.readouterr() == ("", f"error: {shown}\n")
+
+
+def test_bad_labels_fail_before_the_classifier_runs(tmp_path, capsys):
+    marker = tmp_path / "classifier-ran"
+    stub = _stub(tmp_path, f"open({str(marker)!r}, 'w').close()\n" + STUB_OK)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(MANIFEST)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("user_id,topic\nu1,Drink\nu2,Sports\n")
+    args = ["pipeline", "--taxonomy", STARTER_PATH, "--manifest", manifest,
+            "--classifier-cmd", stub, "--labels", labels, "--out", tmp_path / "out"]
+    assert run(*args) == 1
+    assert capsys.readouterr() == ("", "error: line 3: unknown topic 'Sports'\n")
+    assert not marker.exists()
+    assert not (tmp_path / "out").exists()
+    # With the row mended the same command runs the classifier.
+    labels.write_text("user_id,topic\nu1,Drink\nu2,Sport\n")
+    assert run(*args) == 0
+    assert marker.exists()
 
 
 def test_skip_bad_applies_to_classifier_output(tmp_path, capsys):

@@ -23,7 +23,6 @@ from interestprof.errors import (
 from interestprof.ingest import (
     Manifest,
     ProfileDataset,
-    attach_labels,
     load_labels,
     load_score_cells,
     read_manifest,
@@ -253,12 +252,16 @@ def test_serialize_labels_round_trips_and_keeps_plain_ids_unquoted():
 
 
 def test_load_manifest_header_optional_and_quoted_paths():
-    rows = [("u1", "i1", "/img/a,b.jpg"), ("u2", "i2", "/img/c.jpg")]
     body = 'u1,i1,"/img/a,b.jpg"\n\n u2 , i2 ,/img/c.jpg\n'
-    assert read_manifest(body).rows == rows
-    assert read_manifest("user_id,image_id,image_path\n" + body).rows == rows
+
+    def rows(first_line):
+        return {("u1", "i1"): ("/img/a,b.jpg", first_line),
+                ("u2", "i2"): ("/img/c.jpg", first_line + 2)}
+
+    assert read_manifest(body).rows == rows(1)
+    assert read_manifest("user_id,image_id,image_path\n" + body).rows == rows(2)
     # The header is the first non-blank row, wherever that is.
-    assert read_manifest("\n , ,\nuser_id,image_id,image_path\n" + body).rows == rows
+    assert read_manifest("\n , ,\nuser_id,image_id,image_path\n" + body).rows == rows(4)
 
 
 @pytest.mark.parametrize("row, message", [
@@ -272,13 +275,6 @@ def test_load_manifest_bad_row_names_path_and_line(row, message):
     with pytest.raises(DataFormatError) as err:
         read_manifest(f"u0,i0,/z.jpg\n{row}\n", path="m.csv")
     assert str(err.value) == message
-
-
-def test_attach_labels_warns_on_missing_users():
-    ds = load_score_cells(WORKED_LINE, TAX)
-    out = attach_labels(ds, {"u1": "Drink", "ghost": "Sport"})
-    assert out.labels["u1"] == "Drink"
-    assert any("ghost" in w for w in out.warnings)
 
 
 STUB_OK = """\
@@ -310,7 +306,7 @@ def classify(manifest, template, timeout=None, skip_bad=False):
     """What the command writes for ``manifest`` (a Manifest, or rows numbered from 1),
     loaded as the CLI loads it."""
     if not isinstance(manifest, Manifest):
-        manifest = Manifest(list(manifest), list(range(1, len(manifest) + 1)))
+        manifest = Manifest({(u, i): (p, no) for no, (u, i, p) in enumerate(manifest, 1)})
     with run_external_classifier(manifest, template, timeout) as lines:
         return load_score_cells(lines, TAX, 5, skip_bad, manifest)
 
@@ -410,7 +406,7 @@ def test_external_classifier_output_must_match_the_manifest(tmp_path, listed, wr
 def test_missing_classifier_output_names_the_manifest_line(tmp_path):
     manifest = read_manifest("user_id,image_id,image_path\nu1,i1,/a.jpg\n\nu1,i2,/b.jpg\n",
                              path="m.csv")
-    assert manifest.lines == [2, 4]
+    assert manifest.rows == {("u1", "i1"): ("/a.jpg", 2), ("u1", "i2"): ("/b.jpg", 4)}
     with pytest.raises(DataFormatError) as err:
         classify(manifest, _writing_stub(tmp_path, [("u1", "i1")]))
     assert str(err.value) == "m.csv:4: no classifier output for user 'u1' image 'i2'"
@@ -420,7 +416,7 @@ def test_unlisted_record_skipped_under_skip_bad_leaves_no_empty_user():
     lines = [json.dumps({"user_id": u, "image_id": i,
                          "predictions": [{"label": "cup", "prob": 0.5}]})
              for u, i in (("u1", "i1"), ("ghost", "zzz"))]
-    manifest = Manifest([("u1", "i1", "/a.jpg"), ("u1", "i2", "/b.jpg")], [2, 3], "m.csv")
+    manifest = Manifest({("u1", "i1"): ("/a.jpg", 2), ("u1", "i2"): ("/b.jpg", 3)}, "m.csv")
     ds = load_score_cells(lines, TAX, skip_bad=True, manifest=manifest)
     assert ds.users() == ["u1"]
     assert ds.warnings == [
