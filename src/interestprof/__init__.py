@@ -7,8 +7,6 @@ from .taxonomy import (  # noqa: F401
     Taxonomy,
     load_taxonomy,
     parse_taxonomy,
-    serialize_taxonomy,
-    topic_at,
     topic_index,
     topic_of_instance,
 )

@@ -10,8 +10,8 @@ The data subcommands run one chain, ``_run_chain``: load the taxonomy, check
 ``--out``, read the ``--labels``, load the dataset, make one pass over the
 users, then write; the directory is made just before its first file, and a bad
 ``--out`` or labels file fails before the dataset is loaded or the classifier
-is run. The labels stay a table of the chain's own, apart from the loaded
-dataset. Each subcommand is a row of
+is run. Only ``evaluate`` and ``pipeline`` read ``--labels``, into a table of
+the chain's own; their labels errors name the file. Each subcommand is a row of
 ``_CHAINS``, the steps it runs in chain order (metrics, scores, profiles,
 correlation, evaluation) and its summary line, so ``score`` writes the same
 bytes as the score tables of ``pipeline``. Prediction records are only what
@@ -181,8 +181,8 @@ _CHAINS = {
 
 def _run_chain(cfg: RunConfig, command: str) -> int:
     # Every step writes through reporting. It is imported before the dataset
-    # is loaded: imported after the load, it raised the peak RSS of a
-    # paper-480x100 pipeline from 37.3 to 37.9 MiB.
+    # is loaded: imported after the load, it raised the in-process peak RSS of
+    # a paper-480x100 (seed 1) pipeline from 26.0-26.2 to 26.2-26.3 MiB (4 runs each).
     from .reporting import (
         open_score_tables,
         write_correlation,
@@ -199,17 +199,18 @@ def _run_chain(cfg: RunConfig, command: str) -> int:
     data = steps != ("metrics",)
     if data:
         tax.label_index  # compiled on first access, so a bad topic fails before any output
-    if single and "evaluation" in steps:
+    evaluating = "evaluation" in steps
+    if single and evaluating:
         _require(cfg.labels, "--labels")
     out = _prepare_outdir(cfg)
-    # Labels are read before the load, so a bad labels file fails before any
-    # classifier runs; a label with no prediction records is a warning after it.
+    # Only evaluation reads the labels, before the load, so a bad labels file
+    # fails before any classifier runs; a label with no records warns after it.
     labels: dict[str, str] = {}
-    if data and cfg.labels is not None:
+    if evaluating and cfg.labels is not None:
         from .ingest import load_labels
 
         with open_input(cfg.labels, "labels", newline="") as fh:
-            labels = load_labels(fh)
+            labels = load_labels(fh, cfg.labels)
     dataset = _load_dataset(cfg, tax) if data else None
     for user_id in labels:
         if user_id not in dataset.cells:
@@ -271,7 +272,7 @@ def _run_chain(cfg: RunConfig, command: str) -> int:
             write_correlation(_made(out), corr, co)
         else:
             _note("note: fewer than 2 profiles, correlation step skipped")
-    if "evaluation" in steps:
+    if evaluating:
         if single or any(p.user_id in labels for p in profiles):
             from .evaluation import evaluate
 

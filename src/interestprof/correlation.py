@@ -60,7 +60,7 @@ def _ratio(cross: float, denom: float) -> float:
     return math.copysign(1.0, cross) if cross else math.nan
 
 
-def pearson_matrix(profiles: Sequence[UserProfile], mechanism: str = "occ") -> CorrelationMatrix:
+def pearson_matrix(profiles: Sequence[UserProfile], mechanism: str) -> CorrelationMatrix:
     """Sample Pearson coefficients between topic score columns across users.
 
     Columns that are exactly constant have no variance; their rows and columns
@@ -94,7 +94,7 @@ def pearson_matrix(profiles: Sequence[UserProfile], mechanism: str = "occ") -> C
 
 
 def co_interest_matrix(
-    profiles: Sequence[UserProfile], tau: float = 0.1, mechanism: str = "occ"
+    profiles: Sequence[UserProfile], tau: float, mechanism: str
 ) -> list[list[float]]:
     """Jaccard-style ratio of users interested in both topics over either.
 

@@ -61,7 +61,8 @@ class DataFormatError(ValidationFailure):
         self.line = line
         self.detail = message  # without the line prefix
         if line is not None:
-            message = f"{path}:{line}: {message}" if path else f"line {line}: {message}"
+            where = f"{escape_control(path)}:{line}" if path else f"line {line}"
+            message = f"{where}: {message}"
         super().__init__(message)
 
 

@@ -18,8 +18,8 @@ from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import EmptyInputError
-from .profiling import MECHANISMS, UserProfile, argmax_topics
-from .scoring import TopicDistribution
+from .config import MECHANISMS
+from .profiling import TopicDistribution, UserProfile, argmax_topics
 from .taxonomy import N_TOPICS, TOPICS, topic_index
 
 
@@ -56,7 +56,7 @@ def label_rank(v: TopicDistribution, topic: str) -> int:
 def cmc_curve(
     profiles: Sequence[UserProfile],
     labels: Mapping[str, str],
-    mechanism: str = "occ",
+    mechanism: str,
 ) -> tuple[tuple[int, float], ...]:
     """Fraction of labeled users whose true topic ranks within the top r, r=1..24."""
     ranks = [
@@ -101,7 +101,7 @@ def roc_series(
 def evaluate(
     profiles_by_k: Mapping[int, Sequence[UserProfile]],
     labels: Mapping[str, str],
-    mechanism: str = "occ",
+    mechanism: str,
 ) -> EvalReport:
     """Full report over sweep profiles and a self-assessed label table.
 

@@ -81,9 +81,6 @@ class ProfileDataset:
     def users(self) -> list[str]:
         return list(self.records)
 
-    def n_records(self) -> int:
-        return sum(len(recs) for recs in self.records.values())
-
     def iter_records(self) -> Iterator[PredictionRecord]:
         for recs in self.records.values():
             yield from recs
@@ -242,36 +239,38 @@ def _csv_rows(
         raise DataFormatError(f"malformed CSV: {exc}", line=reader.line_num, path=path) from None
 
 
-def load_labels(source: str | Iterable[str]) -> dict[str, str]:
-    """Read a ``user_id,topic`` CSV into a user -> canonical topic table."""
+def load_labels(source: str | Iterable[str], path: str | None = None) -> dict[str, str]:
+    """A ``user_id,topic`` CSV as a user -> canonical topic table; errors name ``path:line``."""
     labels: dict[str, str] = {}
     header_seen = False
-    for no, row in _csv_rows(source):
+    for no, row in _csv_rows(source, path):
         if not row or not any(cell.strip() for cell in row):
             continue
         if not header_seen:
             if [c.strip() for c in row] != ["user_id", "topic"]:
-                raise DataFormatError("expected header 'user_id,topic'", line=no)
+                raise DataFormatError("expected header 'user_id,topic'", line=no, path=path)
             header_seen = True
             continue
         if len(row) != 2:
-            raise DataFormatError(f"expected 2 columns, got {len(row)}", line=no)
+            raise DataFormatError(f"expected 2 columns, got {len(row)}", line=no, path=path)
         user_id, topic = row[0].strip(), row[1].strip()
         if not user_id:
-            raise DataFormatError("empty user_id", line=no)
+            raise DataFormatError("empty user_id", line=no, path=path)
         if topic not in TOPICS:
             atoms = resolve_compound(topic)
             if atoms is not None:
                 raise DataFormatError(
                     f"compound topic '{escape_control(topic)}': use {' or '.join(atoms)}",
-                    line=no,
+                    line=no, path=path,
                 )
-            raise DataFormatError(f"unknown topic '{escape_control(topic)}'", line=no)
+            raise DataFormatError(f"unknown topic '{escape_control(topic)}'", line=no, path=path)
         if user_id in labels:
-            raise DataFormatError(f"duplicate label for user '{escape_control(user_id)}'", line=no)
+            raise DataFormatError(f"duplicate label for user '{escape_control(user_id)}'",
+                                  line=no, path=path)
         labels[user_id] = topic
     if not header_seen:
-        raise DataFormatError("empty labels file: expected header 'user_id,topic'", line=1)
+        raise DataFormatError("empty labels file: expected header 'user_id,topic'",
+                              line=1, path=path)
     return labels
 
 

@@ -1,11 +1,13 @@
 """User-level aggregation of image rows into normalized interest vectors.
 
-The probability mechanism column-sums the per-image probability rows and
-divides by the grand total, so the user vector is a distribution. The
-occurrence mechanism gives each image one unit of mass, split evenly across
-the topics where its occurrence row attains its maximum (fractional credit on
-ties, exact through integer votes); images with all-zero rows push their mass
-into ``unmapped``. Both vectors therefore sum to 1 including unmapped mass.
+A user's vectors are TopicDistributions, one per mechanism, and the run's
+mechanism picks the one a UserProfile's predicted topic comes from. The
+probability mechanism column-sums the per-image probability rows and divides
+by the grand total, so the user vector is a distribution. The occurrence
+mechanism gives each image one unit of mass, split evenly across the topics
+where its occurrence row attains its maximum (fractional credit on ties, exact
+through integer votes); images with all-zero rows push their mass into
+``unmapped``. Both vectors therefore sum to 1 including unmapped mass.
 
 Every view is derived from one ScoreBlock per user: ``profile_prefixes``
 builds the full profile and each sweep point from prefixes of the block, in
@@ -27,8 +29,30 @@ from typing import Collection, Iterable, Sequence
 
 from .config import MECHANISMS
 from .errors import EmptyInputError
-from .scoring import Cells, ScoreBlock, TopicDistribution
+from .scoring import Cells, ScoreBlock
 from .taxonomy import N_TOPICS, TOPICS
+
+
+@dataclass(frozen=True, slots=True)
+class TopicDistribution:
+    """Nonnegative scores indexed by the canonical topic order."""
+
+    scores: tuple[float, ...]
+    unmapped_mass: float = 0.0
+
+    def __post_init__(self):
+        if len(self.scores) != N_TOPICS:
+            raise ValueError(f"expected {N_TOPICS} topic scores, got {len(self.scores)}")
+        if any(s < 0 for s in self.scores) or self.unmapped_mass < 0:
+            raise ValueError("topic scores and unmapped mass must be nonnegative")
+
+    def as_dict(self) -> dict[str, float]:
+        d = {name: self.scores[i] for i, name in enumerate(TOPICS)}
+        d["unmapped"] = self.unmapped_mass
+        return d
+
+    def nonzero(self) -> dict[str, float]:
+        return {name: s for name, s in zip(TOPICS, self.scores) if s > 0}
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,11 +65,10 @@ class UserProfile:
     predicted_topic: str | None  # None only for a sweep prefix with no mapped mass
     ties: tuple[str, ...] = ()  # tied argmax topics, empty when the argmax is unique
 
-    def vector(self, mechanism: str | None = None) -> TopicDistribution:
-        m = mechanism or self.mechanism
-        if m not in MECHANISMS:
-            raise ValueError(f"unknown mechanism '{m}'")
-        return self.v_prob if m == "prob" else self.v_occ
+    def vector(self, mechanism: str) -> TopicDistribution:
+        if mechanism not in MECHANISMS:
+            raise ValueError(f"unknown mechanism '{mechanism}'")
+        return self.v_prob if mechanism == "prob" else self.v_occ
 
 
 def _vote_scale(max_ties: int) -> int:
@@ -121,7 +144,7 @@ def argmax_topics(v: TopicDistribution) -> tuple[str, ...]:
 
 
 def profile_prefixes(
-    block: ScoreBlock, sizes: Sequence[int], mechanism: str = "occ"
+    block: ScoreBlock, sizes: Sequence[int], mechanism: str
 ) -> list[UserProfile]:
     """Profiles of one user over the first n images of a score block, per n in sizes.
 

@@ -17,17 +17,17 @@ point) is derived from it. An image's cells come from its (position, prob)
 pairs as run-length sums: the pairs are sorted by position and each run of
 one position becomes one cell.
 
-This module holds the cell format only. ``ingest.load_score_cells`` reads
+This module holds the cell format only; the user vectors built from cells
+are ``profiling.TopicDistribution``. ``ingest.load_score_cells`` reads
 prediction lines and hands each image's (position, prob) pairs to
 ``pack_cells``, which scores them into cells and packs them into one ``bytes``
 record of 13 bytes a cell (``struct`` ``"<BdI"``: the position as one byte,
 the probability as an IEEE double, the count as an unsigned 32-bit int, so k
-is at most ``config.MAX_TOPK``). That is one object per image and no float
-object at all, about 72 bytes for an image of three cells.
-``ScoredDataset.pop_block`` unpacks a user's records into cell tuples once,
-and ``"d"`` keeps every bit of a double, -0.0 and subnormals included. Cells
-use ``fsum`` and counts, so they do not depend on the order of an image's
-predictions.
+is at most ``config.MAX_TOPK``): one object per image and no float object at
+all, about 72 bytes for an image of three cells. ``ScoredDataset.pop_block``
+unpacks a user's records into cell tuples once, and ``"d"`` keeps every bit of
+a double, -0.0 and subnormals included. Cells use ``fsum`` and counts, so they
+do not depend on the order of an image's predictions.
 """
 
 from __future__ import annotations
@@ -37,35 +37,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from struct import Struct
 
-from .taxonomy import N_TOPICS, TOPICS, topic_index
-
-
-@dataclass(frozen=True, slots=True)
-class TopicDistribution:
-    """Nonnegative scores indexed by the canonical topic order."""
-
-    scores: tuple[float, ...]
-    unmapped_mass: float = 0.0
-
-    def __post_init__(self):
-        if len(self.scores) != N_TOPICS:
-            raise ValueError(f"expected {N_TOPICS} topic scores, got {len(self.scores)}")
-        if any(s < 0 for s in self.scores) or self.unmapped_mass < 0:
-            raise ValueError("topic scores and unmapped mass must be nonnegative")
-
-    def total(self) -> float:
-        return sum(self.scores) + self.unmapped_mass
-
-    def topic_score(self, topic: str) -> float:
-        return self.scores[topic_index(topic)]
-
-    def as_dict(self) -> dict[str, float]:
-        d = {name: self.scores[i] for i, name in enumerate(TOPICS)}
-        d["unmapped"] = self.unmapped_mass
-        return d
-
-    def nonzero(self) -> dict[str, float]:
-        return {name: s for name, s in zip(TOPICS, self.scores) if s > 0}
+from .taxonomy import N_TOPICS
 
 
 # One image's cells: (position, fsum of probabilities, label count) each.

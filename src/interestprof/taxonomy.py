@@ -102,13 +102,6 @@ def topic_index(topic: str) -> int:
         raise UnknownTopicError(f"unknown topic '{escape_control(topic)}'") from None
 
 
-def topic_at(index: int) -> str:
-    """Inverse of topic_index."""
-    if not 0 <= index < N_TOPICS:
-        raise UnknownTopicError(f"topic index {index} out of range [0, {N_TOPICS})")
-    return TOPICS[index]
-
-
 def resolve_compound(name: str) -> tuple[str, ...] | None:
     """Atomic topics behind a compound category name, or None if not a known alias."""
     return _ALIAS_FOLDED.get(" ".join(name.split()).casefold())
@@ -125,10 +118,10 @@ class Taxonomy:
     """Validated, immutable concept hierarchy.
 
     ``parent`` maps every concept to its is-a parent; the root maps to None.
-    Insertion order is declaration order (root first), which serialization
-    preserves. Every concept's parent chain ends at the root, so the is-a
-    graph is one tree. ``label_index`` is built on first use; the prediction
-    loader, not the index, memoizes label lookups.
+    Insertion order is declaration order (root first). Every concept's parent
+    chain ends at the root, so the is-a graph is one tree. ``label_index`` is
+    built on first use; the prediction loader, not the index, memoizes label
+    lookups.
     """
 
     root: str
@@ -333,24 +326,6 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
     """Parse a taxonomy file from disk; a missing file is a ConfigError."""
     with open_input(path, "taxonomy") as fh:
         return parse_taxonomy(fh.read())
-
-
-def serialize_taxonomy(tax: Taxonomy) -> str:
-    """Render a Taxonomy back to the file format (parse-stable)."""
-    out = [f"root {tax.root}"]
-    for name, parent_name in tax.parent.items():
-        if parent_name is None:
-            continue
-        flag = " topic" if name in tax.topics else ""
-        out.append(f"concept {name} parent {parent_name}{flag}")
-    for term, concept in tax.instances.items():
-        out.append(f"instance {term.replace(' ', '_')} concept {concept}")
-    for concept, pairs in tax.attributes.items():
-        for attr_name, value_type in pairs:
-            out.append(f"attribute {concept} {attr_name} {value_type}")
-    for name, a, b in tax.relations:
-        out.append(f"relation {name} {a} {b}")
-    return "\n".join(out) + "\n"
 
 
 def topic_of_instance(tax: Taxonomy, term: str) -> str | None:

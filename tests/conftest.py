@@ -12,8 +12,8 @@ from interestprof.ingest import (
     load_score_cells,
     serialize_predictions,
 )
-from interestprof.profiling import UserProfile, profile_prefixes
-from interestprof.scoring import ScoreBlock, TopicDistribution
+from interestprof.profiling import TopicDistribution, UserProfile, profile_prefixes
+from interestprof.scoring import ScoreBlock
 from interestprof.taxonomy import N_TOPICS, TOPICS, Taxonomy, load_taxonomy
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion lines.
 """
 
 import json
+import math
 import random
 from contextlib import contextmanager
 
@@ -58,14 +59,14 @@ def test_c1_worked_example_image_scores():
             ds = load_score_cells(fh, tax, 5)
         ((prob, occ),) = dense_rows(ds.pop_block("u1"))
         for topic, expected in (("Drink", 0.20), ("Food", 0.06), ("Fashion", 0.04)):
-            assert abs(prob.topic_score(topic) - expected) <= 1e-12
+            assert abs(prob.as_dict()[topic] - expected) <= 1e-12
         for topic, expected in (("Drink", 0.6), ("Food", 0.2), ("Fashion", 0.2)):
-            assert abs(occ.topic_score(topic) - expected) <= 1e-12
+            assert abs(occ.as_dict()[topic] - expected) <= 1e-12
         assert prob.unmapped_mass == 0.0 and occ.unmapped_mass == 0.0
         mapped = {"Drink", "Food", "Fashion"}
         for name in set(TOPICS) - mapped:
-            assert prob.topic_score(name) == 0.0
-            assert occ.topic_score(name) == 0.0
+            assert prob.as_dict()[name] == 0.0
+            assert occ.as_dict()[name] == 0.0
 
 
 def test_c2_five_image_majority_user():
@@ -78,8 +79,8 @@ def test_c2_five_image_majority_user():
         ]
         records.append(make_record("u1", "img4", [(t, 0.1) for t in places]))
         prof = profile_of(records, tax, k=5, mechanism="occ")
-        assert abs(prof.v_occ.topic_score("Outdoors") - 0.8) <= 1e-12
-        assert abs(prof.v_occ.topic_score("Places") - 0.2) <= 1e-12
+        assert abs(prof.v_occ.as_dict()["Outdoors"] - 0.8) <= 1e-12
+        assert abs(prof.v_occ.as_dict()["Places"] - 0.2) <= 1e-12
         assert prof.predicted_topic == "Outdoors"
 
 
@@ -110,7 +111,7 @@ def test_c3_normalization_over_random_datasets():
             for user in ds.users():
                 prof = profile_of(ds.records[user], tax, k=5)
                 for v in (prof.v_prob, prof.v_occ):
-                    assert abs(v.total() - 1.0) <= 1e-9
+                    assert abs(math.fsum(v.as_dict().values()) - 1.0) <= 1e-9
 
 
 def _random_occ_rows(rng, max_rows=10):
@@ -169,7 +170,7 @@ def test_c4_oracle_equivalence():
                 )
                 for r in range(n_users)
             ]
-            corr = pearson_matrix(profiles)
+            corr = pearson_matrix(profiles, "occ")
             x = [[p.v_occ.scores[c] for c in range(N_TOPICS)] for p in profiles]
             want = oracles.bf_pearson(x)
             for i in range(N_TOPICS):

@@ -487,8 +487,8 @@ FORGED = "a\nFAKE: line 9: \u001b[31mred"
 RED, PLAIN = "\x1b[31m", "\x1b[0m"
 
 
-@pytest.mark.parametrize("case", ["bad-prob", "skip-bad", "duplicate", "labels", "unmappable",
-                                  "concept", "instance", "config", "classifier"])
+@pytest.mark.parametrize("case", ["bad-prob", "skip-bad", "duplicate", "labels", "labels-path",
+                                  "unmappable", "concept", "instance", "config", "classifier"])
 def test_quoted_input_text_cannot_forge_stderr_lines(tmp_path, capsys, case):
     def line(user, image, label, prob):
         return json.dumps({"user_id": user, "image_id": image,
@@ -510,7 +510,14 @@ def test_quoted_input_text_cannot_forge_stderr_lines(tmp_path, capsys, case):
         predictions.write_text(line(FORGED, "i1", "espresso", 0.5) * 2)
     elif case == "labels":
         predictions.write_text(good)
-        labels.write_text(f'user_id,topic\n"{FORGED}",Drink\n')
+        labels.write_text(f'user_id,topic\n"{FORGED}",Drink\nu1,Drink\n')
+        args[0] = "evaluate"
+        args += ["--labels", labels]
+    elif case == "labels-path":
+        predictions.write_text(good)
+        labels = tmp_path / f"{FORGED}.csv"
+        labels.write_text("user_id,topic\nu1,Sports\n")
+        args[0] = "evaluate"
         args += ["--labels", labels]
     elif case == "unmappable":
         predictions.write_text(good + line(FORGED, "i1", "no such label", 0.5))
@@ -541,8 +548,8 @@ def test_quoted_input_text_cannot_forge_stderr_lines(tmp_path, capsys, case):
                  "boom \\xff\\x1b[31mRED\\nFAKE: line 9\n")
     rc = run(*args)
     err = capsys.readouterr().err
-    expected_rc = {"bad-prob": 1, "duplicate": 1, "concept": 1, "instance": 1, "config": 2,
-                   "classifier": 2}
+    expected_rc = {"bad-prob": 1, "duplicate": 1, "labels-path": 1, "concept": 1, "instance": 1,
+                   "config": 2, "classifier": 2}
     assert rc == expected_rc.get(case, 0)
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "\x1b" not in err
@@ -726,13 +733,37 @@ def test_bad_labels_fail_before_the_classifier_runs(tmp_path, capsys):
     args = ["pipeline", "--taxonomy", STARTER_PATH, "--manifest", manifest,
             "--classifier-cmd", stub, "--labels", labels, "--out", tmp_path / "out"]
     assert run(*args) == 1
-    assert capsys.readouterr() == ("", "error: line 3: unknown topic 'Sports'\n")
+    assert capsys.readouterr() == ("", f"error: {labels}:3: unknown topic 'Sports'\n")
     assert not marker.exists()
     assert not (tmp_path / "out").exists()
     # With the row mended the same command runs the classifier.
     labels.write_text("user_id,topic\nu1,Drink\nu2,Sport\n")
     assert run(*args) == 0
     assert marker.exists()
+
+
+def test_only_evaluate_and_pipeline_read_the_labels(tmp_path, capsys, small_fixture):
+    predictions, _ = small_fixture
+    capsys.readouterr()
+    labels = tmp_path / "labels.csv"
+    labels.write_text("user_id,topic\nu1,Sports\n")
+    data = ["--taxonomy", STARTER_PATH, "--predictions", predictions]
+    for command in ("score", "profile", "correlate"):
+        plain, labeled = tmp_path / f"{command}-plain", tmp_path / f"{command}-labeled"
+        assert run(command, *data, "--out", plain) == 0
+        without = capsys.readouterr()
+        assert run(command, *data, "--labels", labels, "--out", labeled) == 0
+        out, err = capsys.readouterr()
+        assert (out.replace(str(labeled), str(plain)), err) == without
+        assert "warning: label" not in err
+        assert _artifacts(labeled) == _artifacts(plain)
+    # The labels are read before the predictions, so a missing predictions
+    # file is not reached.
+    missing = ["--taxonomy", STARTER_PATH, "--predictions", tmp_path / "missing.jsonl"]
+    for command in ("evaluate", "pipeline"):
+        assert run(command, *missing, "--labels", labels, "--out", tmp_path / command) == 1
+        assert capsys.readouterr() == ("", f"error: {labels}:2: unknown topic 'Sports'\n")
+        assert not (tmp_path / command).exists()
 
 
 def test_skip_bad_applies_to_classifier_output(tmp_path, capsys):
@@ -940,7 +971,9 @@ def test_non_utf8_byte_exits_1_naming_the_line(tmp_path, capsys, bad_file):
     else:
         taxonomy = b"root R\n# caf\xff\n" + STARTER_PATH.read_bytes()
     err = _pipeline_rejects(tmp_path, capsys, predictions, labels, taxonomy)
-    assert f"error: line {dict(predictions=2, labels=3, taxonomy=2)[bad_file]}: " in err
+    where = {"predictions": "line 2", "labels": f"{tmp_path / 'labels.csv'}:3",
+             "taxonomy": "line 2"}[bad_file]
+    assert f"error: {where}: " in err
     assert "is not valid UTF-8 text" in err
 
 

@@ -20,8 +20,7 @@ from interestprof.correlation import (
     pearson_matrix,
 )
 from interestprof.errors import EmptyInputError
-from interestprof.profiling import UserProfile
-from interestprof.scoring import TopicDistribution
+from interestprof.profiling import TopicDistribution, UserProfile
 from interestprof.taxonomy import N_TOPICS, TOPICS
 
 DRINK = TOPICS.index("Drink")
@@ -43,7 +42,7 @@ def profiles_from_columns(columns: dict[int, list[float]]):
 
 def test_identical_columns_are_perfectly_correlated():
     col = [0.1, 0.5, 0.9, 0.3]
-    corr = pearson_matrix(profiles_from_columns({DRINK: col, FOOD: list(col)}))
+    corr = pearson_matrix(profiles_from_columns({DRINK: col, FOOD: list(col)}), "occ")
     assert corr.value(DRINK, FOOD) == pytest.approx(1.0, abs=1e-12)
     assert corr.bands[DRINK][FOOD] == BAND_HIGH_POSITIVE
 
@@ -51,7 +50,7 @@ def test_identical_columns_are_perfectly_correlated():
 def test_negated_columns_are_anticorrelated():
     col = [0.1, 0.5, 0.9, 0.3]
     flipped = [1.0 - v for v in col]
-    corr = pearson_matrix(profiles_from_columns({DRINK: col, FOOD: flipped}))
+    corr = pearson_matrix(profiles_from_columns({DRINK: col, FOOD: flipped}), "occ")
     assert corr.value(DRINK, FOOD) == pytest.approx(-1.0, abs=1e-12)
     assert corr.bands[DRINK][FOOD] == BAND_HIGH_NEGATIVE
 
@@ -62,7 +61,7 @@ def test_five_profiles_match_two_pass_oracle():
         profile_from_scores(f"u{r}", [rng.random() for _ in range(N_TOPICS)])
         for r in range(5)
     ]
-    corr = pearson_matrix(profiles)
+    corr = pearson_matrix(profiles, "occ")
     x = [[p.v_occ.scores[c] for c in range(N_TOPICS)] for p in profiles]
     want = oracles.bf_pearson(x)
     for i in range(N_TOPICS):
@@ -77,7 +76,7 @@ def test_constant_columns_are_undefined():
     profiles = profiles_from_columns(
         {DRINK: [0.3, 0.3, 0.3], FOOD: [0.1, 0.2, 0.7], SPORT: [0.0, 0.0, 0.0]}
     )
-    corr = pearson_matrix(profiles)
+    corr = pearson_matrix(profiles, "occ")
     assert corr.value(DRINK, FOOD) is None
     assert corr.value(SPORT, FOOD) is None
     assert corr.value(DRINK, DRINK) is None
@@ -90,7 +89,8 @@ def test_rho_is_symmetric():
     rows = [[rng.random() for _ in range(N_TOPICS)] for _ in range(8)]
     with_constant = [[0.25 if c == FOOD else v for c, v in enumerate(row)] for row in rows]
     for data, undefined in ((rows, set()), (with_constant, {FOOD})):
-        rho = pearson_matrix([profile_from_scores(f"u{r}", row) for r, row in enumerate(data)]).rho
+        profiles = [profile_from_scores(f"u{r}", row) for r, row in enumerate(data)]
+        rho = pearson_matrix(profiles, "occ").rho
         assert len(rho) == N_TOPICS and all(len(row) == N_TOPICS for row in rho)
         for i in range(N_TOPICS):
             for j in range(N_TOPICS):
@@ -105,7 +105,7 @@ def test_exact_zero_covariance_is_zero():
     profiles = profiles_from_columns(
         {DRINK: [0.25, 0.75, 0.25, 0.75] * 2, FOOD: [0.5, 0.5, 1.0, 1.0] * 2}
     )
-    corr = pearson_matrix(profiles)
+    corr = pearson_matrix(profiles, "occ")
     assert corr.value(DRINK, FOOD) == 0.0 and corr.value(FOOD, DRINK) == 0.0
     assert corr.bands[DRINK][FOOD] == BAND_NEGATIVE
 
@@ -117,20 +117,20 @@ def test_underflowing_spread_divides_as_ieee():
     profiles = profiles_from_columns(
         {DRINK: [1e-200, 0.0, 0.0], FOOD: [0.5, 0.1, 0.2], SPORT: [0.5, 0.1, 0.2]}
     )
-    corr = pearson_matrix(profiles)
+    corr = pearson_matrix(profiles, "occ")
     assert corr.value(DRINK, DRINK) == 1.0
     assert corr.value(DRINK, FOOD) == corr.value(FOOD, DRINK) == 1.0
     assert corr.bands[DRINK][FOOD] == BAND_HIGH_POSITIVE
     flipped = profiles_from_columns({DRINK: [0.0, 1e-200, 1e-200], FOOD: [0.5, 0.1, 0.2]})
-    assert pearson_matrix(flipped).value(DRINK, FOOD) == -1.0
+    assert pearson_matrix(flipped, "occ").value(DRINK, FOOD) == -1.0
 
 
 def test_needs_two_profiles():
     with pytest.raises(EmptyInputError) as err:
-        pearson_matrix([profile_from_scores("u", vector(Drink=0.5))])
+        pearson_matrix([profile_from_scores("u", vector(Drink=0.5))], "occ")
     assert str(err.value) == "correlation needs at least 2 profiled users, got 1"
     with pytest.raises(EmptyInputError) as err:
-        co_interest_matrix([])
+        co_interest_matrix([], 0.1, "occ")
     assert str(err.value) == "co-interest needs at least 1 profiled user, got 0"
 
 
@@ -155,13 +155,13 @@ def test_band_boundaries(rho, band):
 
 def test_co_interest_all_shared():
     profiles = profiles_from_columns({DRINK: [0.5, 0.8], FOOD: [0.4, 0.9]})
-    m = co_interest_matrix(profiles, tau=0.1)
+    m = co_interest_matrix(profiles, 0.1, "occ")
     assert m[DRINK][FOOD] == 1.0
 
 
 def test_co_interest_disjoint():
     profiles = profiles_from_columns({DRINK: [0.5, 0.0], FOOD: [0.0, 0.9]})
-    m = co_interest_matrix(profiles, tau=0.1)
+    m = co_interest_matrix(profiles, 0.1, "occ")
     assert m[DRINK][FOOD] == 0.0
 
 
@@ -170,7 +170,7 @@ def test_co_interest_half_overlap():
     profiles = profiles_from_columns(
         {DRINK: [0.5, 0.5, 0.5, 0.0], FOOD: [0.5, 0.5, 0.0, 0.5]}
     )
-    m = co_interest_matrix(profiles, tau=0.1)
+    m = co_interest_matrix(profiles, 0.1, "occ")
     assert m[DRINK][FOOD] == pytest.approx(0.5)
 
 
@@ -180,7 +180,7 @@ def test_co_interest_symmetric_with_unit_diagonal():
         profile_from_scores(f"u{r}", [rng.choice([0.0, 0.05, 0.2, 0.6]) for _ in range(N_TOPICS)])
         for r in range(20)
     ]
-    m = co_interest_matrix(profiles, tau=0.1)
+    m = co_interest_matrix(profiles, 0.1, "occ")
     assert len(m) == N_TOPICS and all(len(row) == N_TOPICS for row in m)
     for i in range(N_TOPICS):
         interested = sum(1 for p in profiles if p.v_occ.scores[i] >= 0.1)
@@ -194,12 +194,12 @@ def test_co_interest_tau_validation():
     profiles = profiles_from_columns({DRINK: [0.5]})
     for bad in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError):
-            co_interest_matrix(profiles, tau=bad)
+            co_interest_matrix(profiles, bad, "occ")
 
 
 def test_threshold_is_inclusive():
     profiles = profiles_from_columns({DRINK: [0.1, 0.0], FOOD: [0.1, 0.1]})
-    m = co_interest_matrix(profiles, tau=0.1)
+    m = co_interest_matrix(profiles, 0.1, "occ")
     assert m[DRINK][FOOD] == pytest.approx(0.5)  # one of two FOOD users shares DRINK
 
 

@@ -8,12 +8,12 @@ from hypothesis import given
 
 from conftest import profile_from_scores, starter_taxonomy, sweep_of, vector
 from interestprof import evaluation
+from interestprof.config import MECHANISMS
 from interestprof.errors import EmptyInputError
 from interestprof.evaluation import cmc_curve, evaluate, label_rank, roc_series
 from interestprof.fixtures import generate_fixture
-from interestprof.profiling import MECHANISMS, UserProfile
+from interestprof.profiling import TopicDistribution, UserProfile
 from interestprof.reporting import write_evaluation
-from interestprof.scoring import TopicDistribution
 from interestprof.taxonomy import N_TOPICS, TOPICS
 from oracles import bf_evaluate, json_ready
 
@@ -118,7 +118,7 @@ def test_label_rank_tie_shares_best_rank():
 def test_cmc_curve_requires_labeled_users():
     profile = profile_from_scores("u1", vector(Drink=1.0))
     with pytest.raises(EmptyInputError):
-        cmc_curve([profile], {"someone_else": "Drink"})
+        cmc_curve([profile], {"someone_else": "Drink"}, "occ")
 
 
 def test_evaluate_requires_labeled_users():

@@ -18,8 +18,7 @@ from conftest import (
 )
 from interestprof.errors import EmptyInputError
 from interestprof.ingest import ProfileDataset
-from interestprof.profiling import argmax_topics, profile_prefixes
-from interestprof.scoring import TopicDistribution
+from interestprof.profiling import TopicDistribution, argmax_topics, profile_prefixes
 from interestprof.taxonomy import N_TOPICS, TOPICS
 
 
@@ -42,23 +41,23 @@ def five_image_user(mechanism="occ"):
 
 def test_majority_user_occurrence_vector():
     prof = five_image_user("occ")
-    assert prof.v_occ.topic_score("Outdoors") == pytest.approx(0.8, abs=1e-12)
-    assert prof.v_occ.topic_score("Places") == pytest.approx(0.2, abs=1e-12)
+    assert prof.v_occ.as_dict()["Outdoors"] == pytest.approx(0.8, abs=1e-12)
+    assert prof.v_occ.as_dict()["Places"] == pytest.approx(0.2, abs=1e-12)
     assert prof.predicted_topic == "Outdoors"
     assert prof.ties == ()
 
 
 def test_majority_user_probability_vector_with_equal_masses():
     prof = five_image_user("prob")
-    assert prof.v_prob.topic_score("Outdoors") == pytest.approx(0.8, abs=1e-12)
-    assert prof.v_prob.topic_score("Places") == pytest.approx(0.2, abs=1e-12)
+    assert prof.v_prob.as_dict()["Outdoors"] == pytest.approx(0.8, abs=1e-12)
+    assert prof.v_prob.as_dict()["Places"] == pytest.approx(0.2, abs=1e-12)
     assert prof.predicted_topic == "Outdoors"
 
 
 def test_aggregate_prob_single_topic_mass():
     v = profile_of_rows([(vector(Drink=0.3), 0.0), (vector(Drink=0.1), 0.0)]).v_prob
-    assert v.topic_score("Drink") == pytest.approx(1.0, abs=1e-12)
-    assert v.total() == pytest.approx(1.0, abs=1e-9)
+    assert v.as_dict()["Drink"] == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum(v.as_dict().values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_aggregate_prob_uniform_rows_stay_uniform():
@@ -80,18 +79,18 @@ def test_aggregate_occ_fractional_tie_credit():
             (vector(Drink=1.0), 0.0),
         ]
     ).v_occ
-    assert v.topic_score("Drink") == pytest.approx(0.75, abs=1e-12)
-    assert v.topic_score("Food") == pytest.approx(0.25, abs=1e-12)
+    assert v.as_dict()["Drink"] == pytest.approx(0.75, abs=1e-12)
+    assert v.as_dict()["Food"] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_aggregate_occ_unanimous():
-    assert profile_of_rows([(vector(Food=0.6), 0.4)] * 7).v_occ.topic_score("Food") == 1.0
+    assert profile_of_rows([(vector(Food=0.6), 0.4)] * 7).v_occ.as_dict()["Food"] == 1.0
 
 
 def test_aggregate_occ_all_zero_rows_go_unmapped():
     v = profile_of_rows([((0.0,) * N_TOPICS, 1.0), (vector(Food=0.2), 0.8)]).v_occ
     assert v.unmapped_mass == pytest.approx(0.5, abs=1e-12)
-    assert v.topic_score("Food") == pytest.approx(0.5, abs=1e-12)
+    assert v.as_dict()["Food"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_aggregate_empty_matrices_error():
@@ -131,10 +130,10 @@ def test_profile_user_worked_example(worked_example_record):
     assert prof.n_images == 1
     # Single image whose row argmax is Drink: argmax voting puts the whole
     # unit of mass there. The probability vector keeps the row's proportions.
-    assert prof.v_occ.topic_score("Drink") == pytest.approx(1.0, abs=1e-12)
-    assert prof.v_prob.topic_score("Drink") == pytest.approx(0.20 / 0.30, abs=1e-12)
-    assert prof.v_prob.topic_score("Food") == pytest.approx(0.06 / 0.30, abs=1e-12)
-    assert prof.v_prob.topic_score("Fashion") == pytest.approx(0.04 / 0.30, abs=1e-12)
+    assert prof.v_occ.as_dict()["Drink"] == pytest.approx(1.0, abs=1e-12)
+    assert prof.v_prob.as_dict()["Drink"] == pytest.approx(0.20 / 0.30, abs=1e-12)
+    assert prof.v_prob.as_dict()["Food"] == pytest.approx(0.06 / 0.30, abs=1e-12)
+    assert prof.v_prob.as_dict()["Fashion"] == pytest.approx(0.04 / 0.30, abs=1e-12)
 
 
 def test_profile_user_records_ties():
@@ -176,7 +175,7 @@ def test_user_vectors_sum_to_one(pair_lists):
     records = [make_record("u", f"i{n}", pairs) for n, pairs in enumerate(pair_lists)]
     prof = profile_of(records, tax, k=5)
     for v in (prof.v_prob, prof.v_occ):
-        assert v.total() == pytest.approx(1.0, abs=1e-9)
+        assert math.fsum(v.as_dict().values()) == pytest.approx(1.0, abs=1e-9)
 
 
 @settings(max_examples=60)

@@ -16,12 +16,11 @@ from conftest import KNOWN_TERMS, UNKNOWN_TERMS, block_of, make_record, starter_
 from interestprof import reporting
 from interestprof.evaluation import EvalReport
 from interestprof.ontometrics import semiotic_report, size_metrics, structural_metrics
-from interestprof.profiling import UserProfile, profile_prefixes
+from interestprof.profiling import TopicDistribution, UserProfile, profile_prefixes
 from interestprof.reporting import (
     open_score_tables, profile_payload, to_json, write_evaluation, write_metrics,
     write_profiles, write_score_rows,
 )
-from interestprof.scoring import TopicDistribution
 from interestprof.taxonomy import N_TOPICS, TOPICS
 from oracles import dense_score_tables, json_ready
 
