@@ -11,7 +11,8 @@ The data subcommands run one chain, ``_run_chain``: load the taxonomy, check
 users, then write; the directory is made just before its first file, and a bad
 ``--out`` or labels file fails before the dataset is loaded or the classifier
 is run. Only ``evaluate`` and ``pipeline`` read ``--labels``, into a table of
-the chain's own; their labels errors name the file. Each subcommand is a row of
+the chain's own. An error in the taxonomy, predictions, labels or manifest
+names ``file:line``. Each subcommand is a row of
 ``_CHAINS``, the steps it runs in chain order (metrics, scores, profiles,
 correlation, evaluation) and its summary line, so ``score`` writes the same
 bytes as the score tables of ``pipeline``. Prediction records are only what
@@ -98,7 +99,7 @@ def _load_dataset(cfg: RunConfig, tax: Taxonomy) -> ScoredDataset:
     else:
         raise ConfigError("missing required setting: --predictions (or --classifier-cmd)")
     with source as lines:
-        dataset = load_score_cells(lines, tax, cfg.topk, cfg.skip_bad, manifest)
+        dataset = load_score_cells(lines, tax, cfg.topk, cfg.skip_bad, manifest, cfg.predictions)
     for w in dataset.warnings:
         _note(f"warning: {w}")
     return dataset

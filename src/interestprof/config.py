@@ -5,8 +5,8 @@ BOM is ignored). Every key can also be set through an ``INTERESTPROF_<KEY>``
 environment variable; explicit command-line flags win over both. Every layer
 maps each key to its value and its source (``path:line: key``, the variable's
 name or the flag), and a bad value, unreadable or out of range, is reported
-under the source that set it. Values quoted in messages have their control
-characters escaped.
+under the source that set it. Values quoted in messages, and the config
+file's path, have their control characters escaped.
 """
 
 from __future__ import annotations
@@ -128,6 +128,7 @@ def parse_config_file(path: str | Path) -> Layer:
     with open_input(path, "config") as fh:
         text = fh.read()
     values = {}
+    shown = escape_control(str(path))
     for no, raw in enumerate(input_lines(text), start=1):
         try:  # an undecodable byte is a configuration error, like any bad line here
             check_utf8(raw, "line", no, str(path))
@@ -137,12 +138,12 @@ def parse_config_file(path: str | Path) -> Layer:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{no}: expected key = value")
+            raise ConfigError(f"{shown}:{no}: expected key = value")
         key, _, raw_value = line.partition("=")
         key = key.strip()
         if key not in _KEYS:
-            raise ConfigError(f"{path}:{no}: unknown config key '{escape_control(key)}'")
-        source = f"{path}:{no}: {key}"
+            raise ConfigError(f"{shown}:{no}: unknown config key '{escape_control(key)}'")
+        source = f"{shown}:{no}: {key}"
         values[key] = (_coerce(key, raw_value, source), source)
     return values
 

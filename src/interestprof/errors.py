@@ -4,6 +4,8 @@ The CLI maps ValidationFailure subclasses to exit status 1 and
 ConfigError / ExternalClassifierError / OSError to exit status 2.
 Messages are printed as one line each; ids, labels, names and values read
 from input files go through ``escape_control`` before they are quoted in one.
+An error in an input file's content is an InputError (TaxonomyError or
+DataFormatError), whose message starts with the file and line it is at.
 
 Every input file is opened through ``open_input``: a leading BOM is dropped,
 and an undecodable byte is kept as a lone surrogate, which the parsers reject
@@ -34,16 +36,24 @@ class ValidationFailure(InterestProfError):
     """Input data violates a documented contract."""
 
 
-class TaxonomyError(ValidationFailure):
-    """Taxonomy file cannot be parsed or validated."""
+class InputError(ValidationFailure):
+    """Bad input file content at ``<path>:<line>[:<column>]`` (path escaped), or at
+    ``line <line>[, col <column>]`` with no path; ``detail`` is the bare message."""
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        self.line = line
-        self.column = column
-        if line is not None:
-            where = f"line {line}" + (f", col {column}" if column is not None else "")
-            message = f"{where}: {message}"
+    def __init__(self, message: str, line: int | None = None, path: str | None = None,
+                 column: int | None = None):
+        self.line, self.column, self.detail = line, column, message
+        if path is not None:
+            place = [escape_control(path), *(str(n) for n in (line, column) if n is not None)]
+            message = f"{':'.join(place)}: {message}"
+        elif line is not None:
+            col = f", col {column}" if column is not None else ""
+            message = f"line {line}{col}: {message}"
         super().__init__(message)
+
+
+class TaxonomyError(InputError):
+    """Taxonomy file cannot be parsed or validated."""
 
 
 class CycleError(TaxonomyError):
@@ -54,16 +64,8 @@ class UnknownTopicError(ValidationFailure):
     """A topic name is not one of the canonical topics."""
 
 
-class DataFormatError(ValidationFailure):
+class DataFormatError(InputError):
     """A prediction line, labels row or manifest row is malformed."""
-
-    def __init__(self, message: str, line: int | None = None, path: str | None = None):
-        self.line = line
-        self.detail = message  # without the line prefix
-        if line is not None:
-            where = f"{escape_control(path)}:{line}" if path else f"line {line}"
-            message = f"{where}: {message}"
-        super().__init__(message)
 
 
 class EmptyInputError(ValidationFailure):

@@ -29,10 +29,10 @@ command once per batch with ``{input}`` and ``{output}`` placeholders and
 hands back what it wrote, which ``load_score_cells`` checks against that map:
 one line per manifest row.
 
-Every parse error is a DataFormatError naming the line. Text that cannot be
-written back as UTF-8 is rejected here, before any output exists: open input
-files with ``errors.open_input`` so an undecodable byte reaches the parser as
-a lone surrogate, which is then reported like a ``\\ud800`` escape.
+Every parse error is a DataFormatError naming the file and line. Text that
+cannot be written back as UTF-8 is rejected here, before any output exists:
+open input files with ``errors.open_input`` so an undecodable byte reaches the
+parser as a lone surrogate, which is then reported like a ``\\ud800`` escape.
 """
 
 from __future__ import annotations
@@ -337,6 +337,7 @@ def load_score_cells(
     k_max: int = DEFAULT_TOP_K,
     skip_bad: bool = False,
     manifest: Manifest | None = None,
+    path: str | None = None,
 ) -> ScoredDataset:
     """Valid prediction lines as packed score cells with k = ``k_max``, grouped per
     user and image in file order, and the warnings for skipped lines.
@@ -344,7 +345,8 @@ def load_score_cells(
     ``tax.label_index.position`` runs once per distinct label of a load, on its
     first valid sight. Any malformed or invalid line, or a second record of one
     image, aborts the load unless ``skip_bad`` is set, in which case it is
-    skipped with a warning. With a ``manifest`` the lines are a classifier's
+    skipped with a warning. Errors name ``<path>:<line>`` (``line <line>`` with
+    no ``path``). With a ``manifest`` the lines are a classifier's
     output for its rows: errors name ``classifier output:<line>``, a record of
     a (user_id, image_id) pair the manifest does not list is one of them, and a
     row left with no record is an error naming the manifest line (a warning
@@ -377,8 +379,7 @@ def load_score_cells(
                     line=no,
                 )
         except DataFormatError as exc:
-            if manifest is not None:
-                exc = DataFormatError(exc.detail, no, "classifier output")
+            exc = DataFormatError(exc.detail, no, "classifier output" if manifest else path)
             if not skip_bad:
                 raise exc from None
             warnings.append(f"skipped {exc}")

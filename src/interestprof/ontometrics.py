@@ -55,26 +55,13 @@ def structural_metrics(tax: Taxonomy) -> StructuralMetrics:
     concept lies on a parent chain that ends at the root. Hence there is one
     root node (n_rn 1), no isolated concept (n_ic 0), every concept is
     reachable from the root (tnrnr, anrnr), and the longest root-to-leaf path
-    is the largest depth (max_spl). A leaf is a concept that is nobody's parent.
+    is the largest of the depths the parse recorded (max_spl). A leaf is a
+    concept that is nobody's parent.
     """
-    depth: dict[str, int] = {tax.root: 0}
-    for concept in tax.parent:
-        # Walk up to a concept of known depth, then number the path back down;
-        # a child may be declared before its parent.
-        path: list[str] = []
-        node = concept
-        while node not in depth:
-            path.append(node)
-            node = tax.parent[node]
-        d = depth[node]
-        for node in reversed(path):
-            d += 1
-            depth[node] = d
-
     parents = set(tax.parent.values())
     n_ln = sum(1 for c in tax.parent if c not in parents)
     n = len(tax.parent)
-    return StructuralMetrics(n_rn=1, n_ln=n_ln, max_spl=max(depth.values()), n_ic=0,
+    return StructuralMetrics(n_rn=1, n_ln=n_ln, max_spl=max(tax.depth.values()), n_ic=0,
                              tnrnr=n, anrnr=Fraction(n))
 
 

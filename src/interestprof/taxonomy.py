@@ -13,6 +13,11 @@ Concept names are case-sensitive tokens without whitespace. Instance terms
 are matched case-insensitively, with underscores and spaces treated as equal,
 because classifier vocabularies are inconsistent about both. Names quoted in
 messages have their control characters escaped.
+
+Parsing walks up the is-a chain once from each concept, in declaration order,
+to a concept an earlier walk placed, and records each concept's depth and
+nearest topic on the way back down; a concept met twice on one walk closes an
+is-a cycle. Topic queries and structural metrics read those records.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from typing import Iterable
 
 from .errors import (
     CycleError,
+    DataFormatError,
     TaxonomyError,
     UnknownTopicError,
     check_utf8,
@@ -119,9 +125,9 @@ class Taxonomy:
 
     ``parent`` maps every concept to its is-a parent; the root maps to None.
     Insertion order is declaration order (root first). Every concept's parent
-    chain ends at the root, so the is-a graph is one tree. ``label_index`` is
-    built on first use; the prediction loader, not the index, memoizes label
-    lookups.
+    chain ends at the root, so the is-a graph is one tree, walked once by the
+    parse for ``depth`` and ``nearest_topic``. ``label_index`` is built on first
+    use; the prediction loader, not the index, memoizes label lookups.
     """
 
     root: str
@@ -130,6 +136,8 @@ class Taxonomy:
     instances: dict[str, str]  # normalized term -> owning concept
     attributes: dict[str, tuple[tuple[str, str], ...]]
     relations: tuple[tuple[str, str, str], ...]
+    depth: dict[str, int] = field(compare=False)  # edges from the root
+    nearest_topic: dict[str, str | None] = field(compare=False)  # at or above; None if none
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
     @cached_property
@@ -169,25 +177,6 @@ class LabelIndex:
     def position(self, label: str) -> int:
         """Topic position of a label, N_TOPICS when it maps to no topic."""
         return self._by_term.get(normalize_term(label), N_TOPICS)
-
-
-def find_cycle(parent: dict[str, str | None]) -> list[str] | None:
-    """First is-a cycle found in a parent map, as [a, b, ..., a], else None."""
-    done: set[str] = set()
-    for start in parent:
-        if start in done:
-            continue
-        seen: dict[str, int] = {}
-        path: list[str] = []
-        node: str | None = start
-        while node is not None and node not in done:
-            if node in seen:
-                return path[seen[node]:] + [node]
-            seen[node] = len(path)
-            path.append(node)
-            node = parent.get(node)
-        done.update(path)
-    return None
 
 
 def _syntax(msg: str, no: int, raw: str, field: int = 0) -> TaxonomyError:
@@ -291,20 +280,33 @@ def parse_taxonomy(source: str | Iterable[str]) -> Taxonomy:
 
     parent: dict[str, str | None] = {root: None}
     parent.update((name, parent_name) for name, (parent_name, _, _) in decl.items())
-
-    cycle = find_cycle(parent)
-    if cycle is not None:
-        raise CycleError("is-a cycle: " + escape_control(" -> ".join(cycle)))
-
     topics = frozenset(name for name, (_, is_topic, _) in decl.items() if is_topic)
 
+    depth: dict[str, int] = {root: 0}
+    nearest: dict[str, str | None] = {root: None}  # the root is never a topic
+    for start in parent:
+        path: dict[str, None] = {}  # this walk's concepts, in walk order
+        node = start
+        while node not in depth:
+            if node in path:
+                cycle = [*path, node][list(path).index(node):]
+                raise CycleError("is-a cycle: " + escape_control(" -> ".join(cycle)))
+            path[node] = None
+            node = parent[node]
+        d, topic = depth[node], nearest[node]
+        for node in reversed(path):
+            d += 1
+            topic = node if node in topics else topic
+            depth[node], nearest[node] = d, topic
+
+    # A topic is covered with every topic above it, so each climb stops at the
+    # first topic already covered.
     covered: set[str] = set()
     for concept in instances.values():
-        node: str | None = concept
-        while node is not None:
-            if node in topics:
-                covered.add(node)
-            node = parent[node]
+        topic = nearest[concept]
+        while topic is not None and topic not in covered:
+            covered.add(topic)
+            topic = nearest[parent[topic]]
     warnings = tuple(
         f"topic '{escape_control(name)}' is not on the ancestry path of any instance"
         for name in decl
@@ -318,14 +320,20 @@ def parse_taxonomy(source: str | Iterable[str]) -> Taxonomy:
         instances=instances,
         attributes={c: tuple(pairs) for c, pairs in attributes.items()},
         relations=tuple(relations),
+        depth=depth,
+        nearest_topic=nearest,
         warnings=warnings,
     )
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:
-    """Parse a taxonomy file from disk; a missing file is a ConfigError."""
+    """Parse a taxonomy file from disk; a missing file is a ConfigError, and
+    every parse error names the file."""
     with open_input(path, "taxonomy") as fh:
-        return parse_taxonomy(fh.read())
+        try:
+            return parse_taxonomy(fh.read())
+        except (TaxonomyError, DataFormatError) as exc:
+            raise type(exc)(exc.detail, exc.line, str(path), exc.column) from None
 
 
 def topic_of_instance(tax: Taxonomy, term: str) -> str | None:
@@ -334,7 +342,5 @@ def topic_of_instance(tax: Taxonomy, term: str) -> str | None:
     Returns None when the term is not a known instance or no ancestor
     (including the owning concept itself) is topic-flagged.
     """
-    node = tax.instances.get(normalize_term(term))
-    while node is not None and node not in tax.topics:
-        node = tax.parent[node]
-    return node
+    concept = tax.instances.get(normalize_term(term))
+    return None if concept is None else tax.nearest_topic[concept]

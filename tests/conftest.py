@@ -194,6 +194,24 @@ def cyclic_taxonomy_sources(draw) -> str:
 
 
 @st.composite
+def tangled_taxonomy_sources(draw, max_concepts: int = 10, max_instances: int = 8) -> str:
+    """Source text where each concept's parent is any name, declared before or
+    after it or itself, so one file may hold several is-a cycles, and topic
+    flags and instance owners fall anywhere."""
+    n = draw(st.integers(min_value=1, max_value=max_concepts))
+    names = [f"C{i}" for i in range(n)]
+    concepts = []
+    for name in names:
+        parent = draw(st.sampled_from(["R"] + names))
+        flag = " topic" if draw(st.booleans()) else ""
+        concepts.append(f"concept {name} parent {parent}{flag}")
+    lines = ["root R"] + draw(st.permutations(concepts))
+    for j in range(draw(st.integers(min_value=0, max_value=max_instances))):
+        lines.append(f"instance term_{j} concept {draw(st.sampled_from(['R'] + names))}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
 def prediction_pairs(draw, max_len: int = 5):
     """(label, prob) lists mixing mapped and unmapped vocabulary."""
     terms = st.sampled_from(KNOWN_TERMS + UNKNOWN_TERMS)

@@ -54,6 +54,36 @@ def bf_reachable(parent):
     return reach
 
 
+def _chain(parent, start):
+    """``start`` and its ancestors, up to the first repeat (kept) or the end."""
+    chain = [start]
+    while parent[chain[-1]] is not None and chain.count(chain[-1]) == 1:
+        chain.append(parent[chain[-1]])
+    return chain
+
+
+def bf_first_cycle(parent):
+    """The is-a cycle met first when each concept's chain is followed up in
+    declaration order, as [a, b, ..., a], else None."""
+    for start in parent:
+        chain = _chain(parent, start)
+        if chain.count(chain[-1]) == 2:
+            return chain[chain.index(chain[-1]):]
+    return None
+
+
+def bf_nearest_topics(parent, topics, instances):
+    """term -> first topic on its owner's full ancestor chain, else None."""
+    return {term: next((c for c in _chain(parent, owner) if c in topics), None)
+            for term, owner in instances.items()}
+
+
+def bf_uncovered_topics(parent, topics, instances):
+    """Topics, in declaration order, on no instance owner's ancestor chain."""
+    covered = {c for owner in instances.values() for c in _chain(parent, owner)}
+    return [c for c in parent if c in topics and c not in covered]
+
+
 def bf_aggregate_occ(rows):
     """rows: [(scores tuple, unmapped)] -> (scores list, unmapped float).
 

@@ -368,7 +368,7 @@ def test_label_warnings_follow_the_load_warnings(tmp_path, capsys):
     assert run("pipeline", "--taxonomy", STARTER_PATH, "--predictions", predictions,
                "--labels", labels, "--skip-bad", "--out", tmp_path / "out") == 0
     assert capsys.readouterr().err == (
-        "warning: skipped line 2: malformed JSON: "
+        f"warning: skipped {predictions}:2: malformed JSON: "
         "Expecting property name enclosed in double quotes\n"
         "warning: label for user 'ghost' matches no prediction records\n"
         "note: fewer than 2 profiles, correlation step skipped\n"
@@ -525,13 +525,14 @@ def test_quoted_input_text_cannot_forge_stderr_lines(tmp_path, capsys, case):
     elif case == "concept":
         taxonomy.write_text(f"root R\nconcept A{RED} parent Q\n")
         args = ["validate-ontology", "--taxonomy", taxonomy]
-        shown = "error: line 2: concept 'A\\x1b[31m' references unknown parent 'Q'\n"
+        shown = f"error: {taxonomy}:2: concept 'A\\x1b[31m' references unknown parent 'Q'\n"
     elif case == "instance":
         taxonomy.write_text(
             f"root R\nconcept C parent R topic\ninstance caf{RED}e concept Foo{PLAIN}\n"
         )
         args = ["validate-ontology", "--taxonomy", taxonomy]
-        shown = "error: line 3: instance 'caf\\x1b[31me' references unknown concept 'Foo\\x1b[0m'\n"
+        shown = (f"error: {taxonomy}:3: instance 'caf\\x1b[31me' "
+                 "references unknown concept 'Foo\\x1b[0m'\n")
     elif case == "config":
         config = tmp_path / "run.conf"
         config.write_text(f"topk = 5{RED}\n")
@@ -554,6 +555,40 @@ def test_quoted_input_text_cannot_forge_stderr_lines(tmp_path, capsys, case):
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "\x1b" not in err
     assert shown in err
+
+
+@pytest.mark.parametrize("text, shown", [
+    ("jobs = 2\n", "1: unknown config key 'jobs'"),
+    ("topk = 5\nsweep\n", "2: expected key = value"),
+    ("topk = 0\n", "1: topk: topk must be >= 1, got 0"),
+], ids=["unknown-key", "no-equals", "out-of-range"])
+def test_config_path_is_escaped_in_every_message(tmp_path, capsys, text, shown):
+    config = tmp_path / f"c{RED}.conf"
+    config.write_text(text)
+    assert run("validate-ontology", "--config", config, "--taxonomy", STARTER_PATH) == 2
+    assert capsys.readouterr() == ("", f"error: {tmp_path}/c\\x1b[31m.conf:{shown}\n")
+
+
+@pytest.mark.parametrize("taxonomy_text, shown", [
+    ("root R\nconcept A parent Q\n", ":2: concept 'A' references unknown parent 'Q'"),
+    ("root R\nroot S\n", ":2:6: duplicate root statement (root is 'R')"),
+    ("root R\nconcept A parent A\n", ": is-a cycle: A -> A"),
+    ("concept A parent R\n", ": missing root statement"),
+], ids=["unknown-parent", "syntax", "cycle", "no-root"])
+def test_taxonomy_errors_name_the_escaped_file(tmp_path, capsys, taxonomy_text, shown):
+    taxonomy = tmp_path / f"t{RED}.taxonomy"
+    taxonomy.write_text(taxonomy_text)
+    assert run("validate-ontology", "--taxonomy", taxonomy) == 1
+    assert capsys.readouterr() == ("", f"error: {tmp_path}/t\\x1b[31m.taxonomy{shown}\n")
+
+
+def test_predictions_errors_name_the_escaped_file(tmp_path, capsys):
+    predictions = tmp_path / f"p{RED}.jsonl"
+    predictions.write_text(WORKED_EXAMPLE_PATH.read_text().splitlines()[0] + "\n{broken\n")
+    assert run("score", "--taxonomy", STARTER_PATH, "--predictions", predictions,
+               "--out", tmp_path / "out") == 1
+    assert capsys.readouterr() == ("", f"error: {tmp_path}/p\\x1b[31m.jsonl:2: malformed JSON: "
+                                       "Expecting property name enclosed in double quotes\n")
 
 
 def _artifacts(out):
@@ -945,18 +980,18 @@ def _pipeline_rejects(tmp_path, capsys, predictions: bytes, labels: bytes | None
 def test_prob_integer_beyond_digit_limit_exits_1(tmp_path, capsys):
     huge = GOOD_LINE.replace("0.5", "1" * 5000)
     err = _pipeline_rejects(tmp_path, capsys, f"{GOOD_LINE}\n{huge}\n".encode())
-    assert "error: line 2: malformed JSON: " in err
+    assert f"error: {tmp_path / 'predictions.jsonl'}:2: malformed JSON: " in err
 
 
 def test_deeply_nested_line_exits_1(tmp_path, capsys):
     err = _pipeline_rejects(tmp_path, capsys, b"[" * 100_000 + b"\n")
-    assert "error: line 1: malformed JSON: nested too deeply" in err
+    assert f"error: {tmp_path / 'predictions.jsonl'}:1: malformed JSON: nested too deeply" in err
 
 
 def test_lone_surrogate_user_id_exits_1_before_any_output(tmp_path, capsys):
     line = GOOD_LINE.replace('"u1"', '"\\ud800"')
     err = _pipeline_rejects(tmp_path, capsys, f"{GOOD_LINE}\n{line}\n".encode())
-    assert "error: line 2: 'user_id' is not valid UTF-8 text" in err
+    assert f"error: {tmp_path / 'predictions.jsonl'}:2: 'user_id' is not valid UTF-8 text" in err
 
 
 @pytest.mark.parametrize("bad_file", ["predictions", "labels", "taxonomy"])
@@ -971,8 +1006,9 @@ def test_non_utf8_byte_exits_1_naming_the_line(tmp_path, capsys, bad_file):
     else:
         taxonomy = b"root R\n# caf\xff\n" + STARTER_PATH.read_bytes()
     err = _pipeline_rejects(tmp_path, capsys, predictions, labels, taxonomy)
-    where = {"predictions": "line 2", "labels": f"{tmp_path / 'labels.csv'}:3",
-             "taxonomy": "line 2"}[bad_file]
+    where = {"predictions": f"{tmp_path / 'predictions.jsonl'}:2",
+             "labels": f"{tmp_path / 'labels.csv'}:3",
+             "taxonomy": f"{tmp_path / 't.taxonomy'}:2"}[bad_file]
     assert f"error: {where}: " in err
     assert "is not valid UTF-8 text" in err
 

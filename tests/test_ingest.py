@@ -318,11 +318,13 @@ NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 @pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=ascii)
 def test_text_and_file_break_lines_at_the_same_places(tmp_path, char):
     taxonomy = f"root R\n# note {char} here\nconcept A parent Nope\n"
-    (tmp_path / "t.taxonomy").write_text(taxonomy, encoding="utf-8")
-    for load, source in ((parse_taxonomy, taxonomy), (load_taxonomy, tmp_path / "t.taxonomy")):
+    path = tmp_path / "t.taxonomy"
+    path.write_text(taxonomy, encoding="utf-8")
+    for load, source, where in ((parse_taxonomy, taxonomy, "line 3"),
+                                (load_taxonomy, path, f"{path}:3")):
         with pytest.raises(TaxonomyError) as err:
             load(source)
-        assert str(err.value) == "line 3: concept 'A' references unknown parent 'Nope'"
+        assert str(err.value) == f"{where}: concept 'A' references unknown parent 'Nope'"
 
     config = tmp_path / "c.cfg"
     config.write_text(f"# c {char} x\ntopk = abc\n", encoding="utf-8")

@@ -179,16 +179,14 @@ def test_cli_exits_1_on_rejected_input_without_traceback(content, which):
         if which == "predictions":
             assume(_rejected(bad, lambda fh: load_score_cells(fh, starter_taxonomy())))
             inputs = ["--predictions", bad]
-            where = "line "
         else:
             assume(_rejected(bad, load_labels, newline=""))
             inputs = ["--predictions", WORKED_EXAMPLE_PATH, "--labels", bad]
-            where = f"{bad}:"
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             rc = main(["pipeline", "--taxonomy", str(STARTER_PATH),
                        *map(str, inputs), "--out", str(Path(tmp) / "out")])
         assert rc == 1
         assert "Traceback" not in err.getvalue()
-        assert re.search(rf"error: {re.escape(where)}\d+: ", err.getvalue())
+        assert re.search(rf"error: {re.escape(str(bad))}:\d+: ", err.getvalue())
         assert not (Path(tmp) / "out").exists()

@@ -1,10 +1,15 @@
 """Taxonomy parsing, validation and query behavior."""
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import cyclic_taxonomy_sources, starter_taxonomy
+import oracles
+from conftest import (
+    cyclic_taxonomy_sources, starter_taxonomy, tangled_taxonomy_sources, taxonomy_sources,
+)
 from interestprof.errors import CycleError, TaxonomyError, UnknownTopicError
+from interestprof.ontometrics import structural_metrics
 from interestprof.taxonomy import (
     TOPICS,
     normalize_term,
@@ -203,3 +208,39 @@ def test_normalize_term():
 def test_cycle_detection_rejects_back_edges(src):
     with pytest.raises(CycleError):
         parse_taxonomy(src)
+
+
+def _read_generated(src):
+    """(parent map in declaration order, topics, term -> owner) of a generated source."""
+    parent, topics, instances = {}, set(), {}
+    for tok in map(str.split, src.splitlines()):
+        if tok[0] == "root":
+            parent[tok[1]] = None
+        elif tok[0] == "concept":
+            parent[tok[1]] = tok[3]
+            if len(tok) == 5:
+                topics.add(tok[1])
+        else:
+            instances[tok[1]] = tok[3]
+    return parent, topics, instances
+
+
+@given(st.one_of(taxonomy_sources(), tangled_taxonomy_sources()))
+def test_parse_walk_matches_brute_force(src):
+    parent, topics, instances = _read_generated(src)
+    cycle = oracles.bf_first_cycle(parent)
+    if cycle is not None:
+        with pytest.raises(CycleError) as err:
+            parse_taxonomy(src)
+        assert str(err.value) == "is-a cycle: " + " -> ".join(cycle)
+        return
+    tax = parse_taxonomy(src)
+    assert tax.warnings == tuple(
+        f"topic '{name}' is not on the ancestry path of any instance"
+        for name in oracles.bf_uncovered_topics(parent, topics, instances)
+    )
+    nearest = oracles.bf_nearest_topics(parent, topics, instances)
+    assert {term: topic_of_instance(tax, term) for term in instances} == nearest
+    metrics = structural_metrics(tax)
+    assert metrics.max_spl == oracles.bf_max_spl(parent)
+    assert metrics.tnrnr == len(oracles.bf_reachable(parent)) == len(parent)
