@@ -3,18 +3,22 @@
 Both matrices are 24x24 over a few hundred to a few thousand user vectors, so
 they are computed in plain Python: Pearson from exactly summed (``fsum``)
 cross products of centred columns, co-interest from one integer bitmask of
-interested users per topic.
+interested users per topic. A topic's column is a stride slice of one
+``array("d")`` over the users' packed vectors (``profiling.packed_values``),
+and a centred column is an array too, so no column holds float objects.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import EmptyInputError
-from .profiling import UserProfile
+from .profiling import RECORD_WIDTH, UserProfile, packed_values
+from .taxonomy import N_TOPICS
 
 BAND_HIGH_POSITIVE = "high-positive"
 BAND_POSITIVE = "positive"
@@ -48,9 +52,10 @@ class CorrelationMatrix:
         return None if math.isnan(v) else v
 
 
-def _columns(profiles: Sequence[UserProfile], mechanism: str) -> list[tuple[float, ...]]:
+def _columns(profiles: Sequence[UserProfile], mechanism: str) -> list[array]:
     """Topic score columns of the selected mechanism's vectors, one value per user."""
-    return list(zip(*(p.vector(mechanism).scores for p in profiles)))
+    values = packed_values([p.vector(mechanism) for p in profiles])
+    return [values[j::RECORD_WIDTH] for j in range(N_TOPICS)]
 
 
 def _ratio(cross: float, denom: float) -> float:
@@ -77,7 +82,7 @@ def pearson_matrix(profiles: Sequence[UserProfile], mechanism: str) -> Correlati
     centred, spread = {}, {}
     for j in varying:
         mean = math.fsum(columns[j]) / n
-        cj = centred[j] = [v - mean for v in columns[j]]
+        cj = centred[j] = array("d", [v - mean for v in columns[j]])
         spread[j] = math.sqrt(math.fsum(map(operator.mul, cj, cj)))
 
     rho = [[math.nan] * m for _ in range(m)]

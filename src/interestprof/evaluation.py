@@ -7,20 +7,27 @@ accuracy; confusion, precision/recall, CMC and ROC are computed at the largest
 sweep point. Confusion and precision/recall count only the labeled users with
 a prediction there. CMC and ROC run over the same users, or over every labeled
 user at that point when none has a prediction.
+
+The ROC series are not kept: ``EvalReport.roc_points`` is a read-only mapping
+(``RocPoints``) that holds the population's vectors as one packed array and
+their labels, and computes a topic's series from its column on each lookup,
+so a writer holds one series at a time.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
-from typing import Mapping, Sequence
 
 from .errors import EmptyInputError
 from .config import MECHANISMS
-from .profiling import TopicDistribution, UserProfile, argmax_topics
+from .profiling import RECORD_WIDTH, TopicDistribution, UserProfile, argmax_topics, packed_values
 from .taxonomy import N_TOPICS, TOPICS, topic_index
+
+RocSeries = tuple[tuple[float, float, float], ...]  # (threshold, fpr, tpr) points
 
 
 @dataclass
@@ -39,7 +46,7 @@ class EvalReport:
     undefined_recall: tuple[str, ...]
     confusion: tuple[tuple[int, ...], ...]  # rows: self-assessed, cols: predicted
     cmc: tuple[tuple[int, float], ...]      # (rank, fraction matched at or below)
-    roc_points: dict[str, tuple[tuple[float, float, float], ...]]  # (threshold, fpr, tpr)
+    roc_points: Mapping[str, RocSeries]
 
 
 def _predicted_or_none(v: TopicDistribution) -> str | None:
@@ -49,8 +56,9 @@ def _predicted_or_none(v: TopicDistribution) -> str | None:
 
 def label_rank(v: TopicDistribution, topic: str) -> int:
     """1-based rank of a topic by descending score; tied topics share the best rank."""
-    own = v.scores[topic_index(topic)]
-    return 1 + sum(1 for s in v.scores if s > own)
+    scores = v.scores
+    own = scores[topic_index(topic)]
+    return 1 + sum(1 for s in scores if s > own)
 
 
 def cmc_curve(
@@ -72,9 +80,7 @@ def cmc_curve(
     )
 
 
-def roc_series(
-    scores: Sequence[float], positives: Sequence[bool]
-) -> tuple[tuple[float, float, float], ...]:
+def roc_series(scores: Sequence[float], positives: Sequence[bool]) -> RocSeries:
     """One-vs-rest ROC points from a descending threshold sweep over the scores.
 
     Each point is (threshold, fpr, tpr) for the rule ``score >= threshold``.
@@ -96,6 +102,33 @@ def roc_series(
             (th, fp / n_neg if n_neg else 0.0, tp / n_pos if n_pos else 0.0)
         )
     return tuple(points)
+
+
+class RocPoints(Mapping[str, RocSeries]):
+    """topic -> its ROC series over a population, in canonical topic order.
+
+    Each lookup computes the series (``roc_series``) from the topic's column
+    of the population's packed vectors against the users whose label it is.
+    """
+
+    def __init__(self, vectors: Sequence[TopicDistribution], truth: Sequence[str]):
+        self._values = packed_values(vectors)
+        self._truth = truth
+
+    def __getitem__(self, topic: str) -> RocSeries:
+        if topic not in TOPICS:
+            raise KeyError(topic)
+        column = self._values[topic_index(topic)::RECORD_WIDTH]
+        return roc_series(column, [t == topic for t in self._truth])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(TOPICS)
+
+    def __len__(self) -> int:
+        return N_TOPICS
+
+    def __contains__(self, topic: object) -> bool:
+        return topic in TOPICS
 
 
 def evaluate(
@@ -170,12 +203,8 @@ def evaluate(
 
     population = [p for p, _ in predicted] or [p for p, _ in rows]
     cmc = cmc_curve(population, labels, mechanism)
-    scores = [p.vector(mechanism).scores for p in population]
-    truth = [labels[p.user_id] for p in population]
-    roc = {
-        topic: roc_series([s[i] for s in scores], [t == topic for t in truth])
-        for i, topic in enumerate(TOPICS)
-    }
+    roc = RocPoints([p.vector(mechanism) for p in population],
+                    [labels[p.user_id] for p in population])
 
     return EvalReport(
         mechanism=mechanism,

@@ -16,15 +16,22 @@ The pass keeps each column's nonzero probabilities and the integer vote
 totals so far, and reads off a prefix size when it reaches it: ``fsum`` per
 column (the nonzeros sum exactly to the dense column's fsum, zero sums
 included, which fsum returns as +0.0) and the vote totals over ``scale * n``.
-A topic with no mass reads the one shared ``0.0`` instead of a new float from
-dividing: it would be +0.0 either way, and most of a profile's topics are
-zero.
+
+Profiles outlive the pass, so a vector holds no float objects: its 24 scores
+and its unmapped mass are one packed record of 25 doubles (``struct``
+``"=25d"``, 200 bytes, native byte order). ``struct`` and ``array`` keep every
+bit of a double, so a value read back is the value computed. ``values``
+reads all 25 at once, and ``packed_values`` joins many vectors' records into
+one ``array("d")``, from which a topic's column across users is a stride
+slice (correlation, the ROC series).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from struct import Struct
 from typing import Collection, Iterable, Sequence
 
 from .config import MECHANISMS
@@ -33,26 +40,59 @@ from .scoring import Cells, ScoreBlock
 from .taxonomy import N_TOPICS, TOPICS
 
 
-@dataclass(frozen=True, slots=True)
+# A vector's record: the 24 topic scores in canonical order, then the unmapped mass.
+RECORD_WIDTH = N_TOPICS + 1
+_RECORD = Struct(f"={RECORD_WIDTH}d")
+_SCORES = Struct(f"={N_TOPICS}d")
+
+
 class TopicDistribution:
-    """Nonnegative scores indexed by the canonical topic order."""
+    """Nonnegative scores indexed by the canonical topic order, and the unmapped
+    mass, held as one packed record (``record``, read-only)."""
 
-    scores: tuple[float, ...]
-    unmapped_mass: float = 0.0
+    __slots__ = ("record",)
 
-    def __post_init__(self):
-        if len(self.scores) != N_TOPICS:
-            raise ValueError(f"expected {N_TOPICS} topic scores, got {len(self.scores)}")
-        if any(s < 0 for s in self.scores) or self.unmapped_mass < 0:
+    def __init__(self, scores: Sequence[float], unmapped_mass: float = 0.0):
+        if len(scores) != N_TOPICS:
+            raise ValueError(f"expected {N_TOPICS} topic scores, got {len(scores)}")
+        if any(s < 0 for s in scores) or unmapped_mass < 0:
             raise ValueError("topic scores and unmapped mass must be nonnegative")
+        self.record = _RECORD.pack(*scores, unmapped_mass)
+
+    @property
+    def scores(self) -> tuple[float, ...]:
+        return _SCORES.unpack_from(self.record)
+
+    @property
+    def unmapped_mass(self) -> float:
+        return self.values()[N_TOPICS]
+
+    def values(self) -> tuple[float, ...]:
+        """The 24 scores, then the unmapped mass."""
+        return _RECORD.unpack(self.record)
 
     def as_dict(self) -> dict[str, float]:
-        d = {name: self.scores[i] for i, name in enumerate(TOPICS)}
-        d["unmapped"] = self.unmapped_mass
-        return d
+        return dict(zip((*TOPICS, "unmapped"), self.values()))
 
     def nonzero(self) -> dict[str, float]:
         return {name: s for name, s in zip(TOPICS, self.scores) if s > 0}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.values() == other.values()
+
+    def __hash__(self):
+        return hash(self.values())
+
+    def __repr__(self):
+        return f"TopicDistribution(scores={self.scores!r}, unmapped_mass={self.unmapped_mass!r})"
+
+
+def packed_values(vectors: Iterable[TopicDistribution]) -> array:
+    """The vectors' records joined into one array of doubles: value j of the
+    r-th vector is at ``RECORD_WIDTH * r + j``."""
+    return array("d", b"".join([v.record for v in vectors]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,24 +163,25 @@ def _prob_vector(columns: Sequence[Sequence[float]]) -> TopicDistribution:
     if grand == 0.0:
         return TopicDistribution(scores=(0.0,) * N_TOPICS, unmapped_mass=1.0)
     return TopicDistribution(
-        scores=tuple([c / grand if c else 0.0 for c in sums[:N_TOPICS]]),
+        scores=[c / grand for c in sums[:N_TOPICS]],
         unmapped_mass=sums[N_TOPICS] / grand,
     )
 
 
 def _occ_vector(votes: Sequence[int], denom: int) -> TopicDistribution:
     return TopicDistribution(
-        scores=tuple([v / denom if v else 0.0 for v in votes[:N_TOPICS]]),
+        scores=[v / denom for v in votes[:N_TOPICS]],
         unmapped_mass=votes[N_TOPICS] / denom,
     )
 
 
 def argmax_topics(v: TopicDistribution) -> tuple[str, ...]:
     """Topics attaining the maximum score, in canonical order; empty if all zero."""
-    peak = max(v.scores)
+    scores = v.scores
+    peak = max(scores)
     if peak <= 0.0:
         return ()
-    return tuple(TOPICS[i] for i, s in enumerate(v.scores) if s == peak)
+    return tuple(TOPICS[i] for i, s in enumerate(scores) if s == peak)
 
 
 def profile_prefixes(

@@ -24,9 +24,15 @@ command, never per record: each call leaves a reference cycle, and commands
 run with the cyclic collector off (see ``cli.main``). ``write_profiles``
 renders each distinct profile object once and keeps a listed profile's sweep
 text by identity, because the sweep repeats the full profile at every point
-at or past a user's image count. It streams ``profiles.json`` and
-``profiles_sweep.json``, so neither document is ever one string.
-``report.json`` and ``roc_points.csv`` are streamed one ROC series at a time.
+at or past a user's image count; it reads each packed vector's 25 values in
+one unpack. It streams ``profiles.json`` and ``profiles_sweep.json``, so
+neither document is ever one string. ``write_evaluation`` reads each ROC
+series from the report's mapping once, which computes it, and writes it to
+``report.json`` (in the mapping's order) and ``roc_points.csv`` (in TOPICS
+order) in the same pass, so one series is held at a time.
+
+Every artifact is opened through ``_open_output``: a directory in the place
+of an artifact is a ConfigError that names the artifact.
 
 Every other CSV artifact (the accuracy sweep, confusion, CMC, precision and
 recall and the three correlation matrices) is text from one helper, ``_csv``.
@@ -50,6 +56,7 @@ from math import copysign, isnan
 from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
 
+from .errors import ConfigError, escape_control
 from .svgchart import heatmap, line_chart
 from .taxonomy import TOPICS
 
@@ -117,8 +124,18 @@ def _template(payload) -> str:
     return json.dumps(payload, indent=2).replace("%", "%%").replace("null", "%s")
 
 
+def _open_output(path: Path, newline: str | None = None) -> TextIO:
+    """Open an artifact for writing; a directory in its place is a ConfigError
+    that names it."""
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except IsADirectoryError:
+        raise ConfigError(f"output file {escape_control(str(path))} is a directory") from None
+
+
 def write_text(path: Path, content: str) -> None:
-    path.write_text(content, encoding="utf-8")
+    with _open_output(path) as fh:
+        fh.write(content)
 
 
 def profile_payload(p: UserProfile) -> dict:
@@ -146,8 +163,8 @@ def _profile_json(p: UserProfile) -> str:
     ties = "[\n    " + ",\n    ".join(map(_quote, p.ties)) + "\n  ]" if p.ties else "[]"
     return _PROFILE % (
         _quote(p.user_id), int.__repr__(p.n_images), _quote(p.mechanism),
-        *_floats_json((*p.v_prob.scores, p.v_prob.unmapped_mass)),
-        *_floats_json((*p.v_occ.scores, p.v_occ.unmapped_mass)),
+        *_floats_json(p.v_prob.values()),
+        *_floats_json(p.v_occ.values()),
         "null" if p.predicted_topic is None else _quote(p.predicted_topic), ties,
     )
 
@@ -185,10 +202,10 @@ def write_profiles(outdir: Path, profiles: Sequence[UserProfile],
         # A prefix profile is placed once, so only listed ones are kept.
         return swept.get(id(p)) or _profile_json(p).replace("\n", "\n    ")
 
-    with open(outdir / "profiles.json", "w", encoding="utf-8") as fh:
+    with _open_output(outdir / "profiles.json") as fh:
         _write_array(fh, map(listed_text, profiles), "")
         fh.write("\n")
-    with open(outdir / "profiles_sweep.json", "w", encoding="utf-8") as fh:
+    with _open_output(outdir / "profiles_sweep.json") as fh:
         sep = "{\n  "
         for n, ps in sweep_map.items():
             fh.write(sep + _quote(str(n)) + ": ")
@@ -256,8 +273,8 @@ class ScoreTables:
 def open_score_tables(outdir: Path, k: int) -> Iterator[ScoreTables]:
     """Open both image score tables and write their header rows."""
     header = ",".join(("user_id", "image_id", *TOPICS, "unmapped")) + "\n"
-    with open(outdir / "image_scores_prob.csv", "w", encoding="utf-8", newline="") as prob_fh, \
-            open(outdir / "image_scores_occ.csv", "w", encoding="utf-8", newline="") as occ_fh:
+    with _open_output(outdir / "image_scores_prob.csv", newline="") as prob_fh, \
+            _open_output(outdir / "image_scores_occ.csv", newline="") as occ_fh:
         prob_fh.write(header)
         occ_fh.write(header)
         yield ScoreTables(prob_fh, occ_fh, _OccCells(k))
@@ -323,29 +340,42 @@ def write_correlation(outdir: Path, corr: CorrelationMatrix,
 _ROC_POINT = _template([None] * 3).replace("\n", "\n      ")
 
 
-def _write_roc(fh: TextIO, roc_points: Mapping[str, Sequence[tuple[float, float, float]]]
-               ) -> None:
-    """Write the ROC series as ``to_json`` lays them out at their depth in
-    report.json, one topic at a time; every point holds three floats."""
+def _write_roc(json_fh: TextIO, csv_fh: TextIO,
+               roc_points: Mapping[str, Sequence[tuple[float, float, float]]]) -> None:
+    """Write each ROC series once read: to report.json as ``to_json`` lays it
+    out at its depth there, in the mapping's order, and to roc_points.csv as
+    ``_csv`` rows, in TOPICS order. A topic's rows wait only for the topics
+    before it in TOPICS; every point holds three floats."""
+    csv_rows: dict[str, str] = {}
+    csv_order = iter(TOPICS)
+    csv_next = next(csv_order, None)
     sep = "{\n    "
     for topic, points in roc_points.items():
-        fh.write(sep + _quote(str(topic)) + ": ")
-        fh.write("[\n      " + ",\n      ".join([
+        json_fh.write(sep + _quote(str(topic)) + ": ")
+        json_fh.write("[\n      " + ",\n      ".join([
             _ROC_POINT % tuple(_floats_json(point)) for point in points
         ]) + "\n    ]" if points else "[]")
         sep = ",\n    "
-    fh.write("{}" if sep[0] == "{" else "\n  }")
+        # "%.9g" is fmt_float.
+        row = topic + ",%.9g,%.9g,%.9g\n"
+        csv_rows[topic] = "".join([row % point for point in points])
+        while csv_next in csv_rows:
+            csv_fh.write(csv_rows.pop(csv_next))
+            csv_next = next(csv_order, None)
+    json_fh.write("{}" if sep[0] == "{" else "\n  }")
 
 
 def write_evaluation(outdir: Path, report: EvalReport) -> None:
     # report.json holds EvalReport's fields in their order, the ROC series
-    # last under "roc".
+    # last under "roc"; roc_points.csv holds the same series.
     head = to_json({key: value for key, value in vars(report).items() if key != "roc_points"})
-    with open(outdir / "report.json", "w", encoding="utf-8") as fh:
+    with _open_output(outdir / "report.json") as json_fh, \
+            _open_output(outdir / "roc_points.csv") as csv_fh:
         # The "roc" series close the document, in place of the last "\n}".
-        fh.write(head[:-2] + ',\n  "roc": ')
-        _write_roc(fh, report.roc_points)
-        fh.write("\n}\n")
+        json_fh.write(head[:-2] + ',\n  "roc": ')
+        csv_fh.write("topic,threshold,fpr,tpr\n")
+        _write_roc(json_fh, csv_fh, report.roc_points)
+        json_fh.write("\n}\n")
 
     ks = report.sweep
     write_text(outdir / "accuracy_by_topic.csv", _csv([
@@ -359,13 +389,6 @@ def write_evaluation(outdir: Path, report: EvalReport) -> None:
         ("topic", "precision", "recall"),
         *[(topic, report.precision[topic], report.recall[topic]) for topic in TOPICS],
     ]))
-    with open(outdir / "roc_points.csv", "w", encoding="utf-8") as fh:
-        # _csv's rows, one topic at a time: "%.9g" is fmt_float.
-        fh.write("topic,threshold,fpr,tpr\n")
-        for topic in TOPICS:
-            row = topic + ",%.9g,%.9g,%.9g\n"
-            fh.write("".join([row % point for point in report.roc_points[topic]]))
-
     write_text(
         outdir / "cmc.svg",
         line_chart(

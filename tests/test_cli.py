@@ -187,6 +187,21 @@ def test_refuses_nonempty_outdir_without_force(tmp_path):
     assert run(*args, "--force") == 0
 
 
+@pytest.mark.parametrize("artifact", ["profiles.json", "report.json"])
+def test_a_directory_in_the_way_of_an_artifact_exits_2_naming_it(tmp_path, capsys, artifact):
+    fix = tmp_path / "fix"
+    assert run("fixture", "--taxonomy", STARTER_PATH, "--users-per-topic", 1, "--images", 3,
+               "--out", fix) == 0
+    out = tmp_path / "out\x1b"
+    (out / artifact).mkdir(parents=True)
+    capsys.readouterr()
+    assert run("pipeline", "--taxonomy", STARTER_PATH, "--predictions", fix / "predictions.jsonl",
+               "--labels", fix / "labels.csv", "--out", out, "--force") == 2
+    assert capsys.readouterr() == (
+        "", f"error: output file {tmp_path}/out\\x1b/{artifact} is a directory\n"
+    )
+
+
 def test_fixture_and_full_pipeline(tmp_path):
     fix = tmp_path / "fix"
     assert run("fixture", "--taxonomy", STARTER_PATH, "--out", fix,

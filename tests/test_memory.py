@@ -6,15 +6,17 @@ files, so Python's traced peak stays within a small multiple of the input.
 Holding every record, or building ``profiles_sweep.json`` as one string,
 puts the peak near 3x the file on the tall fixture and near 9x on the wide one.
 A loaded image's cells are one packed bytes record, a block's rows are tuples
-of (position, prob, count) cells and a profile's zero topics share one float.
+of (position, prob, count) cells, each profile vector is one packed record of
+25 doubles, and the ROC series are computed one at a time as they are written.
 Measured after a first run, so that no module is imported while the peak is
 traced, and after a full collection, which empties the interpreter's free
 lists (the first run leaves thousands of tuples there, which the traced run
-would take back unseen), that puts the peak near 0.62x the file on the tall
-fixture and 1.37x on the wide one. Holding every image's cells as tuples with
-a float object per cell put it near 0.93x and 1.69x.
+would take back unseen), that puts the peak near 0.63x the file on the tall
+fixture and 1.11x on the wide one. Holding every image's cells as tuples with
+a float object per cell put it near 0.93x and 1.69x; holding each vector as a
+tuple of float objects and all 24 ROC series at once, near 0.63x and 1.36x.
 The cold cases run in a fresh interpreter, whose first pipeline run imports
-the modules of the later steps while the peak is traced.
+the modules of the later steps while the peak is traced: about 0.66x and 1.12x.
 """
 
 import contextlib
@@ -65,6 +67,7 @@ def traced_peak_ratio(tmp_path, users_per_topic, images, warm):
     (20, 10, 3.5),  # 480 users x 10 images, 1.6 MB: the profile files at about 1.38x
     (2, 100, 1.0),  # a packed record per image, with the headroom the warm cases keep
     (20, 10, 1.7),
+    (20, 10, 1.25),  # packed vectors, one ROC series at a time; float objects, 1.37x
 ])
 def test_pipeline_traced_peak_stays_near_the_input_size(tmp_path, users_per_topic, images,
                                                         bound):
@@ -84,6 +87,7 @@ def test_pipeline_traced_peak_stays_near_the_input_size(tmp_path, users_per_topi
     (2, 100, 0.85),  # about 0.62x
     (20, 10, 1.6),  # about 1.37x; every image's cells as tuples with their floats, 1.69x
     (2, 100, 0.72),  # a packed record per image; cells as tuples with their floats, 0.93x
+    (20, 10, 1.25),  # about 1.11x; vectors as float tuples and every ROC series kept, 1.36x
 ])
 def test_warm_pipeline_traced_peak_is_the_data_s_own(tmp_path, users_per_topic, images, bound):
     assert traced_peak_ratio(tmp_path, users_per_topic, images, warm=True) < bound

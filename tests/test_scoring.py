@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 from collections import Counter
 
 import pytest
@@ -93,6 +94,26 @@ def test_distribution_validates_shape_and_sign():
         TopicDistribution(scores=(-0.1,) + (0.0,) * 23)
     with pytest.raises(ValueError):
         TopicDistribution(scores=(0.0,) * 24, unmapped_mass=-1.0)
+
+
+@pytest.mark.parametrize("value", [-0.0, 5e-324, 1.0, 0.1 + 0.2, 1e-300])
+def test_distribution_keeps_every_bit(value):
+    """Each value comes back from the packed record bit for bit, as a score at
+    every position and as the unmapped mass; ``==`` does not tell -0.0 from
+    0.0, ``struct.pack`` does. Equality is by value, so -0.0 equals 0.0."""
+    def bits(*values):
+        return struct.pack(f"<{len(values)}d", *values)
+
+    scores = tuple(value if i % 2 else 0.25 for i in range(N_TOPICS))
+    v = TopicDistribution(scores=scores, unmapped_mass=value)
+    assert bits(*v.scores) == bits(*scores)
+    assert bits(v.unmapped_mass) == bits(value)
+    assert bits(*v.values()) == bits(*scores, value)
+    assert bits(*v.as_dict().values()) == bits(*scores, value)
+    assert v == v
+    assert v == TopicDistribution(scores=list(scores), unmapped_mass=value)
+    assert v == TopicDistribution(scores=[s + 0.0 for s in scores], unmapped_mass=value + 0.0)
+    assert v != TopicDistribution(scores=scores, unmapped_mass=value + 1.0)
 
 
 @given(prediction_pairs(), st.randoms(use_true_random=False))
