@@ -10,8 +10,9 @@ PredictionRecords are what the fixture generator builds and
 a classifier's output, goes through ``load_score_cells``, which builds no
 record: one per-line validator checks every line, and one loop groups the
 valid lines per user and image in file order, rejecting duplicates and (with
-``--skip-bad``) skipping bad lines with a warning, and hands each image's
-pairs to ``scoring.pack_cells``.
+``--skip-bad``) skipping bad lines with a warning, and hands each kept image's
+pairs to ``scoring.pack_cells``, whose record it appends to the user's one
+buffer of packed cells.
 
 Each line is read once. The default JSON decoder's scanner decodes it, and
 only a line the scanner does not read whole goes through ``json.loads``
@@ -57,7 +58,7 @@ from .errors import (
     input_lines,
     open_input,
 )
-from .scoring import ScoredDataset, pack_cells
+from .scoring import CELL_SIZE, ScoredDataset, pack_cells
 from .taxonomy import TOPICS, Taxonomy, resolve_compound
 
 
@@ -356,7 +357,8 @@ def load_score_cells(
     if not 1 <= k_max <= MAX_TOPK:
         raise ValueError(f"k_max must be in 1 to {MAX_TOPK}, got {k_max}")
     key = tax.label_index.position
-    groups: dict[str, dict[str, bytes]] = {}
+    groups: dict[str, dict[str, int]] = {}
+    packed: dict[str, bytearray] = {}
     keys: dict[str, int] = {}
     warnings: list[str] = []
     for no, raw in enumerate(input_lines(source), start=1):
@@ -386,7 +388,10 @@ def load_score_cells(
             continue
         if images is None:
             images = groups[user_id] = {}
-        images[image_id] = pack_cells(pairs, k_max)
+            packed[user_id] = bytearray()
+        record = pack_cells(pairs, k_max)
+        packed[user_id] += record
+        images[image_id] = len(record) // CELL_SIZE
     for (user_id, image_id), (_, no) in (manifest.rows if manifest else {}).items():
         if image_id in groups.get(user_id, ()):
             continue
@@ -398,7 +403,7 @@ def load_score_cells(
         if not skip_bad:
             raise missing
         warnings.append(str(missing))
-    return ScoredDataset(k=k_max, cells=groups, warnings=warnings)
+    return ScoredDataset(k=k_max, cells=groups, packed=packed, warnings=warnings)
 
 
 @contextmanager

@@ -22,11 +22,13 @@ from the stdlib's layout of a placeholder payload and filled with the same
 float rule (``_float_json``). ``json.dumps`` runs a fixed number of times per
 command, never per record: each call leaves a reference cycle, and commands
 run with the cyclic collector off (see ``cli.main``). ``write_profiles``
-renders each distinct profile object once and keeps a listed profile's sweep
-text by identity, because the sweep repeats the full profile at every point
-at or past a user's image count; it reads each packed vector's 25 values in
-one unpack. It streams ``profiles.json`` and ``profiles_sweep.json``, so
-neither document is ever one string. ``write_evaluation`` reads each ROC
+renders each distinct profile object once; it reads each packed vector's 25
+values in one unpack. It streams ``profiles.json`` and ``profiles_sweep.json``,
+so neither document is ever one string. The sweep repeats a user's full
+profile at every point at or past the user's image count, and each repeat is
+read back from ``profiles.json`` by its byte span: every text here is ASCII
+(``_quote`` escapes the rest, and the templates come from ``json.dumps``), so
+its bytes are its characters. ``write_evaluation`` reads each ROC
 series from the report's mapping once, which computes it, and writes it to
 ``report.json`` (in the mapping's order) and ``roc_points.csv`` (in TOPICS
 order) in the same pass, so one series is held at a time.
@@ -54,7 +56,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import copysign, isnan
 from pathlib import Path
-from typing import TYPE_CHECKING, TextIO
+from typing import IO, TYPE_CHECKING, TextIO
 
 from .errors import ConfigError, escape_control
 from .svgchart import heatmap, line_chart
@@ -124,11 +126,13 @@ def _template(payload) -> str:
     return json.dumps(payload, indent=2).replace("%", "%%").replace("null", "%s")
 
 
-def _open_output(path: Path, newline: str | None = None) -> TextIO:
-    """Open an artifact for writing; a directory in its place is a ConfigError
-    that names it."""
+def _open_output(path: Path, mode: str = "w", newline: str | None = None) -> IO:
+    """Open an artifact for writing, as text unless ``mode`` is binary; a
+    directory in its place is a ConfigError that names it."""
     try:
-        return open(path, "w", encoding="utf-8", newline=newline)
+        if "b" in mode:
+            return open(path, mode)
+        return open(path, mode, encoding="utf-8", newline=newline)
     except IsADirectoryError:
         raise ConfigError(f"output file {escape_control(str(path))} is a directory") from None
 
@@ -187,31 +191,36 @@ def write_profiles(outdir: Path, profiles: Sequence[UserProfile],
 
     The sweep places a user's full profile, the object listed in
     profiles.json, at every point at or past the user's image count, and each
-    shorter prefix's profile at one point. So each object is rendered once, a
-    listed profile is indented once for each file, and its sweep text is kept
-    for the points that repeat it.
+    shorter prefix's profile at one point. So each object is rendered once:
+    where the sweep repeats a listed profile, its text is read back from
+    profiles.json, whose byte span is kept by identity. Every text is ASCII,
+    so profiles.json is written as bytes and a span's bytes are its text.
     """
-    swept: dict[int, str] = {}  # id -> a listed profile's text, indented for the sweep
+    spans: dict[int, tuple[int, int]] = {}  # id -> a listed profile's (offset, length)
+    with _open_output(outdir / "profiles.json", "w+b") as listed:
+        sep = b"[\n  "
+        for p in profiles:
+            text = _profile_json(p).replace("\n", "\n  ").encode()
+            listed.write(sep)
+            spans[id(p)] = (listed.tell(), len(text))
+            listed.write(text)
+            sep = b",\n  "
+        listed.write(b"[]\n" if sep == b"[\n  " else b"\n]\n")
 
-    def listed_text(p: UserProfile) -> str:
-        t = _profile_json(p).replace("\n", "\n  ")
-        swept[id(p)] = t.replace("\n", "\n  ")
-        return t
+        def sweep_text(p: UserProfile) -> str:
+            span = spans.get(id(p))
+            if span is None:  # a prefix profile, placed once
+                return _profile_json(p).replace("\n", "\n    ")
+            listed.seek(span[0])
+            return listed.read(span[1]).decode().replace("\n", "\n  ")
 
-    def sweep_text(p: UserProfile) -> str:
-        # A prefix profile is placed once, so only listed ones are kept.
-        return swept.get(id(p)) or _profile_json(p).replace("\n", "\n    ")
-
-    with _open_output(outdir / "profiles.json") as fh:
-        _write_array(fh, map(listed_text, profiles), "")
-        fh.write("\n")
-    with _open_output(outdir / "profiles_sweep.json") as fh:
-        sep = "{\n  "
-        for n, ps in sweep_map.items():
-            fh.write(sep + _quote(str(n)) + ": ")
-            _write_array(fh, map(sweep_text, ps), "  ")
-            sep = ",\n  "
-        fh.write("{}\n" if sep[0] == "{" else "\n}\n")
+        with _open_output(outdir / "profiles_sweep.json") as fh:
+            sep = "{\n  "
+            for n, ps in sweep_map.items():
+                fh.write(sep + _quote(str(n)) + ": ")
+                _write_array(fh, map(sweep_text, ps), "  ")
+                sep = ",\n  "
+            fh.write("{}\n" if sep[0] == "{" else "\n}\n")
 
 
 def write_metrics(outdir: Path, size: SizeMetrics, structural: StructuralMetrics,

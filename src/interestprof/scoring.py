@@ -23,17 +23,20 @@ prediction lines and hands each image's (position, prob) pairs to
 ``pack_cells``, which scores them into cells and packs them into one ``bytes``
 record of 13 bytes a cell (``struct`` ``"<BdI"``: the position as one byte,
 the probability as an IEEE double, the count as an unsigned 32-bit int, so k
-is at most ``config.MAX_TOPK``): one object per image and no float object at
-all, about 72 bytes for an image of three cells. ``ScoredDataset.pop_block``
-unpacks a user's records into cell tuples once, and ``"d"`` keeps every bit of
-a double, -0.0 and subnormals included. Cells use ``fsum`` and counts, so they
-do not depend on the order of an image's predictions.
+is at most ``config.MAX_TOPK``). The load appends each record to one
+``bytearray`` per user and keeps the image's cell count under its id: one
+buffer per user and no float object at all, 39 bytes for an image of three
+cells. ``ScoredDataset.pop_block`` unpacks a user's buffer with one
+``iter_unpack`` and cuts it into rows by the counts, and ``"d"`` keeps every
+bit of a double, -0.0 and subnormals included. Cells use ``fsum`` and counts,
+so they do not depend on the order of an image's predictions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import itemgetter
 from struct import Struct
 
@@ -98,6 +101,7 @@ def pack_cells(pairs: list[tuple[int, float]], k: int) -> bytes:
 # One image's cells packed as "<BdI" per cell, by cell count; an image touches
 # at most N_TOPICS + 1 positions.
 _PACKED = tuple(Struct("<" + "BdI" * n) for n in range(N_TOPICS + 2))
+CELL_SIZE = _PACKED[1].size
 _unpack_cells = _PACKED[1].iter_unpack
 
 
@@ -105,15 +109,17 @@ _unpack_cells = _PACKED[1].iter_unpack
 class ScoredDataset:
     """Each image's cells grouped per user (file order), and the load's warnings.
 
-    ``cells[user]`` maps each image id to its cells packed into one bytes
-    record (see the module docstring), in file order. ``pop_block`` takes a
-    user's cells out as a ScoreBlock of cell tuples, unpacking each record
-    once, so a pass over the users frees each user's cells once it is done
-    with them.
+    ``packed[user]`` holds the user's images' packed cells (see the module
+    docstring) back to back in file order, and ``cells[user]`` maps each of
+    those image ids to its number of cells, in the same order. ``pop_block``
+    takes a user's cells out as a ScoreBlock of cell tuples, unpacking the
+    buffer once, so a pass over the users frees each user's cells once it is
+    done with them.
     """
 
     k: int
-    cells: dict[str, dict[str, bytes]] = field(default_factory=dict)
+    cells: dict[str, dict[str, int]] = field(default_factory=dict)
+    packed: dict[str, bytearray] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
     def users(self) -> list[str]:
@@ -123,9 +129,12 @@ class ScoredDataset:
         return sum(map(len, self.cells.values()))
 
     def pop_block(self, user_id: str) -> ScoreBlock:
-        images = self.cells.pop(user_id)
+        counts = self.cells.pop(user_id)
+        # Each row is a slice of the user's cells, so it is made at its size;
+        # tuple() of an iterator without a length is made larger, then cut.
+        cells = tuple(_unpack_cells(self.packed.pop(user_id)))
+        ends = accumulate(counts.values())
         return ScoreBlock(
-            user_id=user_id, image_ids=tuple(images), k=self.k,
-            rows=tuple([tuple(_unpack_cells(b)) for b in images.values()]),
+            user_id=user_id, image_ids=tuple(counts), k=self.k,
+            rows=tuple([cells[end - n:end] for n, end in zip(counts.values(), ends)]),
         )
-

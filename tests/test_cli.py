@@ -187,7 +187,7 @@ def test_refuses_nonempty_outdir_without_force(tmp_path):
     assert run(*args, "--force") == 0
 
 
-@pytest.mark.parametrize("artifact", ["profiles.json", "report.json"])
+@pytest.mark.parametrize("artifact", ["profiles.json", "profiles_sweep.json", "report.json"])
 def test_a_directory_in_the_way_of_an_artifact_exits_2_naming_it(tmp_path, capsys, artifact):
     fix = tmp_path / "fix"
     assert run("fixture", "--taxonomy", STARTER_PATH, "--users-per-topic", 1, "--images", 3,

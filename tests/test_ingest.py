@@ -30,7 +30,7 @@ from interestprof.ingest import (
     serialize_labels,
     serialize_predictions,
 )
-from interestprof.scoring import ScoredDataset
+from interestprof.scoring import ScoredDataset, pack_cells
 from interestprof.taxonomy import N_TOPICS, TOPICS, load_taxonomy, parse_taxonomy
 
 TAX = starter_taxonomy()
@@ -80,11 +80,15 @@ def test_malformed_json_aborts_with_line_number():
 
 
 def _outcome(source):
-    """The cells load_score_cells reads from ``source``, or its error message."""
+    """Each user's image ids and cell rows as load_score_cells reads them from
+    ``source``, or its error message. A row is compared by its repr, which
+    tells -0.0 from 0.0 as the packed bytes do."""
     try:
-        return load_score_cells(source, TAX).cells
+        ds = load_score_cells(source, TAX)
     except DataFormatError as exc:
         return str(exc)
+    blocks = map(ds.pop_block, ds.users())
+    return {b.user_id: dict(zip(b.image_ids, map(repr, b.rows))) for b in blocks}
 
 
 def _cup(prob):
@@ -165,6 +169,29 @@ def test_skip_bad_collects_warnings():
     assert ds.users() == ["u1"]
     assert len(ds.warnings) == 1
     assert "line 1" in ds.warnings[0]
+
+
+def test_each_kept_image_is_packed_once(monkeypatch):
+    packed = []
+
+    def counting_pack(pairs, k):
+        packed.append(pairs)
+        return pack_cells(pairs, k)
+
+    monkeypatch.setattr(ingest, "pack_cells", counting_pack)
+    u2 = json.dumps({"user_id": "u2", "image_id": "a",
+                     "predictions": [{"label": "alp", "prob": 0.5}]})
+    # A malformed line, a second record of one image and a prob out of range
+    # are skipped before their cells are packed.
+    text = "\n".join(["{broken", WORKED_LINE, WORKED_LINE, u2, _cup(1.5), _cup(0.5)])
+    ds = load_score_cells(text, TAX, skip_bad=True)
+    assert len(ds.warnings) == 3
+    assert len(packed) == ds.n_images() == 3
+    # So is a line the manifest does not list.
+    packed.clear()
+    manifest = Manifest({("u1", "img1"): ("/a.jpg", 2), ("u", "i"): ("/b.jpg", 3)})
+    ds = load_score_cells(text, TAX, skip_bad=True, manifest=manifest)
+    assert len(packed) == ds.n_images() == 2
 
 
 def test_duplicate_user_image_rejected():

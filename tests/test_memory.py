@@ -5,18 +5,21 @@ user's cells once the user is written and profiled, and streams the profile
 files, so Python's traced peak stays within a small multiple of the input.
 Holding every record, or building ``profiles_sweep.json`` as one string,
 puts the peak near 3x the file on the tall fixture and near 9x on the wide one.
-A loaded image's cells are one packed bytes record, a block's rows are tuples
-of (position, prob, count) cells, each profile vector is one packed record of
-25 doubles, and the ROC series are computed one at a time as they are written.
-Measured after a first run, so that no module is imported while the peak is
-traced, and after a full collection, which empties the interpreter's free
-lists (the first run leaves thousands of tuples there, which the traced run
-would take back unseen), that puts the peak near 0.63x the file on the tall
-fixture and 1.11x on the wide one. Holding every image's cells as tuples with
+A loaded user's cells are one buffer of packed records, a block's rows are
+tuples of (position, prob, count) cells, each profile vector is one packed
+record of 25 doubles, the ROC series are computed one at a time as they are
+written, and the sweep file reads each repeated full profile back from
+profiles.json. Measured after a first run, so that no module is imported while
+the peak is traced, and after a full collection, which empties the
+interpreter's free lists (the first run leaves thousands of tuples there,
+which the traced run would take back unseen), that puts the peak near 0.54x
+the file on the tall fixture and 0.93x on the wide one. Holding every image's cells as tuples with
 a float object per cell put it near 0.93x and 1.69x; holding each vector as a
-tuple of float objects and all 24 ROC series at once, near 0.63x and 1.36x.
-The cold cases run in a fresh interpreter, whose first pipeline run imports
-the modules of the later steps while the peak is traced: about 0.66x and 1.12x.
+tuple of float objects and all 24 ROC series at once, near 0.63x and 1.36x; a
+bytes record per image and a kept sweep text per listed profile, near 0.63x
+and 1.11x. The cold cases run in a fresh interpreter, whose first pipeline run
+imports the modules of the later steps while the peak is traced: about 0.65x
+and 1.02x.
 """
 
 import contextlib
@@ -88,6 +91,8 @@ def test_pipeline_traced_peak_stays_near_the_input_size(tmp_path, users_per_topi
     (20, 10, 1.6),  # about 1.37x; every image's cells as tuples with their floats, 1.69x
     (2, 100, 0.72),  # a packed record per image; cells as tuples with their floats, 0.93x
     (20, 10, 1.25),  # about 1.11x; vectors as float tuples and every ROC series kept, 1.36x
+    (2, 100, 0.6),  # about 0.54x; a bytes record per image, 0.63x
+    (20, 10, 1.0),  # about 0.93x; each listed profile's sweep text kept, 1.11x
 ])
 def test_warm_pipeline_traced_peak_is_the_data_s_own(tmp_path, users_per_topic, images, bound):
     assert traced_peak_ratio(tmp_path, users_per_topic, images, warm=True) < bound

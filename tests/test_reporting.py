@@ -108,6 +108,51 @@ def test_write_profiles_empty_inputs(tmp_path):
     assert _reference_files([], {}) == ("[]\n", "{}\n")
 
 
+def test_write_profiles_matches_the_payload_layout_around_each_sweep_point(tmp_path):
+    # Users of 1 to 5 images fall below, on and above each sweep point, and
+    # their ids need escapes. A tie image scores Drink and Fashion alike, so
+    # a user of tie images only has a tied argmax.
+    tax = starter_taxonomy()
+    sweep = (2, 4)
+    tie, sandal = [("espresso", 0.5), ("sandal", 0.5)], [("sandal", 0.9)]
+    users = {'q"1': 1, "back\\slash": 2, "\u00e93\n": 3, "\U0001f6004": 4, "u5": 5}
+    profiles, sweep_map = [], {n: [] for n in sweep}
+    for user, n_images in users.items():
+        records = [make_record(user, f"img{j}", sandal if j % 3 == 2 else tie)
+                   for j in range(n_images)]
+        full, *swept = profile_prefixes(block_of(records, tax, 5), (n_images, *sweep), "occ")
+        profiles.append(full)
+        for n, p in zip(sweep, swept):
+            sweep_map[n].append(p)
+    assert [bool(p.ties) for p in profiles] == [True, True, False, False, False]
+    assert sweep_map[4][0] is profiles[0] and sweep_map[4][3] is profiles[3]
+    for listed, swept in ((profiles, sweep_map), (profiles, {}), ([], {}), ([], {2: []})):
+        write_profiles(tmp_path, listed, swept)
+        expected = (
+            to_json([profile_payload(p) for p in listed]) + "\n",
+            to_json({n: [profile_payload(p) for p in ps] for n, ps in swept.items()}) + "\n",
+        )
+        assert (tmp_path / "profiles.json").read_bytes() == expected[0].encode()
+        assert (tmp_path / "profiles_sweep.json").read_bytes() == expected[1].encode()
+
+
+def test_write_profiles_renders_each_profile_object_once(tmp_path, monkeypatch):
+    rendered = []
+    profile_json = reporting._profile_json
+
+    def counting_profile_json(p):
+        rendered.append(id(p))
+        return profile_json(p)
+
+    monkeypatch.setattr(reporting, "_profile_json", counting_profile_json)
+    profiles, sweep_map = _profiles(["u1", "u2"], (1, 2, 3, 50))
+    write_profiles(tmp_path, profiles, sweep_map)
+    placed = [*profiles, *[p for ps in sweep_map.values() for p in ps]]
+    assert len(placed) == 10
+    assert sorted(rendered) == sorted({id(p) for p in placed})
+    assert len(rendered) == 6  # each user's full profile and its prefixes of 1 and 2
+
+
 ids = st.text(st.sampled_from('ab,"\' é\n'), min_size=1, max_size=6)
 probs = st.one_of(st.sampled_from([0.0, 0.0, 0.1, 0.25, 1.0]),
                   st.floats(min_value=0.0, max_value=1.0))
