@@ -181,9 +181,7 @@ _CHAINS = {
 
 
 def _run_chain(cfg: RunConfig, command: str) -> int:
-    # Every step writes through reporting. It is imported before the dataset
-    # is loaded: imported after the load, it raised the in-process peak RSS of
-    # a paper-480x100 (seed 1) pipeline from 26.0-26.2 to 26.2-26.3 MiB (4 runs each).
+    # Every step writes through reporting, so it is imported once, as the chain starts.
     from .reporting import (
         open_score_tables,
         write_correlation,
@@ -318,13 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated image-count sweep (default 5,10,50,75,100)")
     data.add_argument("--tau", help="co-interest threshold in (0,1] (default 0.1)")
 
+    attest = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    attest.add_argument("--attest-accuracy", dest="attest_accuracy", action="store_true",
+                        help="attest that the modeled content is truthful")
+
     sub.add_parser("validate-ontology", parents=[common],
                    help="parse and validate a taxonomy file")
-    mp = sub.add_parser("metrics", parents=[common],
-                        help="emit ontology size/structural/semiotic metrics")
-    mp.add_argument("--attest-accuracy", dest="attest_accuracy", action="store_true",
-                    default=argparse.SUPPRESS,
-                    help="attest that the modeled content is truthful")
+    sub.add_parser("metrics", parents=[common, attest],
+                   help="emit ontology size/structural/semiotic metrics")
     sub.add_parser("score", parents=[common, data],
                    help="write per-image topic score matrices as CSV")
     sub.add_parser("profile", parents=[common, data],
@@ -333,19 +332,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write Pearson and co-interest matrices")
     sub.add_parser("evaluate", parents=[common, data],
                    help="write the evaluation report against self-assessed labels")
-    fx = sub.add_parser("fixture", parents=[common],
+    fx = sub.add_parser("fixture", parents=[common], argument_default=argparse.SUPPRESS,
                         help="generate a seeded synthetic dataset")
     fx.add_argument("--users-per-topic", dest="users_per_topic",
-                    default=argparse.SUPPRESS, help="users per topic (default 10)")
-    fx.add_argument("--images", default=argparse.SUPPRESS,
-                    help="images per user (default 100)")
-    fx.add_argument("--purity", default=argparse.SUPPRESS,
+                    help="users per topic (default 10)")
+    fx.add_argument("--images", help="images per user (default 100)")
+    fx.add_argument("--purity",
                     help="probability a label comes from the user's topic (default 1.0)")
-    pp = sub.add_parser("pipeline", parents=[common, data],
-                        help="run the full chain: metrics, score, profile, correlate, evaluate")
-    pp.add_argument("--attest-accuracy", dest="attest_accuracy", action="store_true",
-                    default=argparse.SUPPRESS,
-                    help="attest that the modeled content is truthful")
+    sub.add_parser("pipeline", parents=[common, data, attest],
+                   help="run the full chain: metrics, score, profile, correlate, evaluate")
     return parser
 
 

@@ -3,9 +3,9 @@
 Both matrices are 24x24 over a few hundred to a few thousand user vectors, so
 they are computed in plain Python: Pearson from exactly summed (``fsum``)
 cross products of centred columns, co-interest from one integer bitmask of
-interested users per topic. A topic's column is a stride slice of one
-``array("d")`` over the users' packed vectors (``profiling.packed_values``),
-and a centred column is an array too, so no column holds float objects.
+interested users per topic. A topic's column is an ``array("d")`` cut from
+the users' packed vectors by ``profiling.topic_columns``, which owns their
+layout, and a centred column is an array too, so no column holds float objects.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import EmptyInputError
-from .profiling import RECORD_WIDTH, UserProfile, packed_values
-from .taxonomy import N_TOPICS
+from .profiling import UserProfile, topic_columns
 
 BAND_HIGH_POSITIVE = "high-positive"
 BAND_POSITIVE = "positive"
@@ -54,8 +53,7 @@ class CorrelationMatrix:
 
 def _columns(profiles: Sequence[UserProfile], mechanism: str) -> list[array]:
     """Topic score columns of the selected mechanism's vectors, one value per user."""
-    values = packed_values([p.vector(mechanism) for p in profiles])
-    return [values[j::RECORD_WIDTH] for j in range(N_TOPICS)]
+    return topic_columns([p.vector(mechanism) for p in profiles])
 
 
 def _ratio(cross: float, denom: float) -> float:

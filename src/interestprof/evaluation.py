@@ -9,9 +9,10 @@ a prediction there. CMC and ROC run over the same users, or over every labeled
 user at that point when none has a prediction.
 
 The ROC series are not kept: ``EvalReport.roc_points`` is a read-only mapping
-(``RocPoints``) that holds the population's vectors as one packed array and
-their labels, and computes a topic's series from its column on each lookup,
-so a writer holds one series at a time.
+(``RocPoints``) that holds the population's topic columns
+(``profiling.topic_columns``) and their labels, and computes a topic's series
+from its column on each lookup, so a writer holds one series at a time. It
+iterates in TOPICS order, the order both ROC artifacts are written in.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from operator import itemgetter
 
 from .errors import EmptyInputError
 from .config import MECHANISMS
-from .profiling import RECORD_WIDTH, TopicDistribution, UserProfile, argmax_topics, packed_values
+from .profiling import TopicDistribution, UserProfile, argmax_topics, topic_columns
 from .taxonomy import N_TOPICS, TOPICS, topic_index
 
 RocSeries = tuple[tuple[float, float, float], ...]  # (threshold, fpr, tpr) points
@@ -32,7 +33,10 @@ RocSeries = tuple[tuple[float, float, float], ...]  # (threshold, fpr, tpr) poin
 
 @dataclass
 class EvalReport:
-    """report.json's values, as its keys in its order; ``roc_points`` closes it as "roc"."""
+    """report.json's values, as its keys in its order; ``roc_points`` closes it as "roc".
+
+    ``roc_points`` iterates in TOPICS order; the writer relies on it.
+    """
 
     mechanism: str
     sweep: tuple[int, ...]
@@ -108,27 +112,24 @@ class RocPoints(Mapping[str, RocSeries]):
     """topic -> its ROC series over a population, in canonical topic order.
 
     Each lookup computes the series (``roc_series``) from the topic's column
-    of the population's packed vectors against the users whose label it is.
+    of the population's vectors against the users whose label it is.
     """
 
     def __init__(self, vectors: Sequence[TopicDistribution], truth: Sequence[str]):
-        self._values = packed_values(vectors)
+        self._columns = dict(zip(TOPICS, topic_columns(vectors)))
         self._truth = truth
 
     def __getitem__(self, topic: str) -> RocSeries:
-        if topic not in TOPICS:
-            raise KeyError(topic)
-        column = self._values[topic_index(topic)::RECORD_WIDTH]
-        return roc_series(column, [t == topic for t in self._truth])
+        return roc_series(self._columns[topic], [t == topic for t in self._truth])
 
     def __iter__(self) -> Iterator[str]:
-        return iter(TOPICS)
+        return iter(self._columns)
 
     def __len__(self) -> int:
-        return N_TOPICS
+        return len(self._columns)
 
     def __contains__(self, topic: object) -> bool:
-        return topic in TOPICS
+        return topic in self._columns
 
 
 def evaluate(

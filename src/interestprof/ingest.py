@@ -11,8 +11,8 @@ a classifier's output, goes through ``load_score_cells``, which builds no
 record: one per-line validator checks every line, and one loop groups the
 valid lines per user and image in file order, rejecting duplicates and (with
 ``--skip-bad``) skipping bad lines with a warning, and hands each kept image's
-pairs to ``scoring.pack_cells``, whose record it appends to the user's one
-buffer of packed cells.
+pairs to ``ScoredDataset.add``, which owns the packed cell layout (see
+``scoring``).
 
 Each line is read once. The default JSON decoder's scanner decodes it, and
 only a line the scanner does not read whole goes through ``json.loads``
@@ -58,7 +58,7 @@ from .errors import (
     input_lines,
     open_input,
 )
-from .scoring import CELL_SIZE, ScoredDataset, pack_cells
+from .scoring import ScoredDataset
 from .taxonomy import TOPICS, Taxonomy, resolve_compound
 
 
@@ -357,18 +357,15 @@ def load_score_cells(
     if not 1 <= k_max <= MAX_TOPK:
         raise ValueError(f"k_max must be in 1 to {MAX_TOPK}, got {k_max}")
     key = tax.label_index.position
-    groups: dict[str, dict[str, int]] = {}
-    packed: dict[str, bytearray] = {}
+    dataset = ScoredDataset(k=k_max)
     keys: dict[str, int] = {}
-    warnings: list[str] = []
     for no, raw in enumerate(input_lines(source), start=1):
         line = raw.strip()
         if not line:
             continue
         try:
             user_id, image_id, pairs = _parse_prediction_line(line, no, k_max, keys, key)
-            images = groups.get(user_id)
-            if images is not None and image_id in images:
+            if image_id in dataset.cells.get(user_id, ()):
                 raise DataFormatError(
                     f"duplicate record for user '{escape_control(user_id)}' "
                     f"image '{escape_control(image_id)}'",
@@ -384,16 +381,11 @@ def load_score_cells(
             exc = DataFormatError(exc.detail, no, "classifier output" if manifest else path)
             if not skip_bad:
                 raise exc from None
-            warnings.append(f"skipped {exc}")
+            dataset.warnings.append(f"skipped {exc}")
             continue
-        if images is None:
-            images = groups[user_id] = {}
-            packed[user_id] = bytearray()
-        record = pack_cells(pairs, k_max)
-        packed[user_id] += record
-        images[image_id] = len(record) // CELL_SIZE
+        dataset.add(user_id, image_id, pairs)
     for (user_id, image_id), (_, no) in (manifest.rows if manifest else {}).items():
-        if image_id in groups.get(user_id, ()):
+        if image_id in dataset.cells.get(user_id, ()):
             continue
         missing = DataFormatError(
             f"no classifier output for user '{escape_control(user_id)}' "
@@ -402,8 +394,8 @@ def load_score_cells(
         )
         if not skip_bad:
             raise missing
-        warnings.append(str(missing))
-    return ScoredDataset(k=k_max, cells=groups, packed=packed, warnings=warnings)
+        dataset.warnings.append(str(missing))
+    return dataset
 
 
 @contextmanager

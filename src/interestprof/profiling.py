@@ -20,10 +20,10 @@ included, which fsum returns as +0.0) and the vote totals over ``scale * n``.
 Profiles outlive the pass, so a vector holds no float objects: its 24 scores
 and its unmapped mass are one packed record of 25 doubles (``struct``
 ``"=25d"``, 200 bytes, native byte order). ``struct`` and ``array`` keep every
-bit of a double, so a value read back is the value computed. ``values``
-reads all 25 at once, and ``packed_values`` joins many vectors' records into
-one ``array("d")``, from which a topic's column across users is a stride
-slice (correlation, the ROC series).
+bit of a double, so a value read back is the value computed. This module
+owns the record layout: ``values`` reads all 25 at once, and
+``topic_columns`` cuts many vectors' records into one ``array("d")`` per
+topic, a topic's values across users (correlation, the ROC series).
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from .taxonomy import N_TOPICS, TOPICS
 
 
 # A vector's record: the 24 topic scores in canonical order, then the unmapped mass.
-RECORD_WIDTH = N_TOPICS + 1
-_RECORD = Struct(f"={RECORD_WIDTH}d")
+_RECORD_WIDTH = N_TOPICS + 1
+_RECORD = Struct(f"={_RECORD_WIDTH}d")
 _SCORES = Struct(f"={N_TOPICS}d")
 
 
@@ -89,10 +89,11 @@ class TopicDistribution:
         return f"TopicDistribution(scores={self.scores!r}, unmapped_mass={self.unmapped_mass!r})"
 
 
-def packed_values(vectors: Iterable[TopicDistribution]) -> array:
-    """The vectors' records joined into one array of doubles: value j of the
-    r-th vector is at ``RECORD_WIDTH * r + j``."""
-    return array("d", b"".join([v.record for v in vectors]))
+def topic_columns(vectors: Iterable[TopicDistribution]) -> list[array]:
+    """Each topic's scores across the vectors, in vector order: 24 arrays of
+    doubles, in TOPICS order."""
+    values = array("d", b"".join([v.record for v in vectors]))
+    return [values[j::_RECORD_WIDTH] for j in range(N_TOPICS)]
 
 
 @dataclass(frozen=True, slots=True)

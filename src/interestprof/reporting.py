@@ -30,8 +30,8 @@ read back from ``profiles.json`` by its byte span: every text here is ASCII
 (``_quote`` escapes the rest, and the templates come from ``json.dumps``), so
 its bytes are its characters. ``write_evaluation`` reads each ROC
 series from the report's mapping once, which computes it, and writes it to
-``report.json`` (in the mapping's order) and ``roc_points.csv`` (in TOPICS
-order) in the same pass, so one series is held at a time.
+``report.json`` and ``roc_points.csv`` as it reads it, so one series is held
+at a time; the mapping (``evaluation.RocPoints``) owns their order.
 
 Every artifact is opened through ``_open_output``: a directory in the place
 of an artifact is a ConfigError that names the artifact.
@@ -351,13 +351,9 @@ _ROC_POINT = _template([None] * 3).replace("\n", "\n      ")
 
 def _write_roc(json_fh: TextIO, csv_fh: TextIO,
                roc_points: Mapping[str, Sequence[tuple[float, float, float]]]) -> None:
-    """Write each ROC series once read: to report.json as ``to_json`` lays it
-    out at its depth there, in the mapping's order, and to roc_points.csv as
-    ``_csv`` rows, in TOPICS order. A topic's rows wait only for the topics
-    before it in TOPICS; every point holds three floats."""
-    csv_rows: dict[str, str] = {}
-    csv_order = iter(TOPICS)
-    csv_next = next(csv_order, None)
+    """Write each ROC series as it is read, in the mapping's order: to
+    report.json as ``to_json`` lays it out at its depth there, and to
+    roc_points.csv as ``_csv`` rows. Every point holds three floats."""
     sep = "{\n    "
     for topic, points in roc_points.items():
         json_fh.write(sep + _quote(str(topic)) + ": ")
@@ -367,10 +363,7 @@ def _write_roc(json_fh: TextIO, csv_fh: TextIO,
         sep = ",\n    "
         # "%.9g" is fmt_float.
         row = topic + ",%.9g,%.9g,%.9g\n"
-        csv_rows[topic] = "".join([row % point for point in points])
-        while csv_next in csv_rows:
-            csv_fh.write(csv_rows.pop(csv_next))
-            csv_next = next(csv_order, None)
+        csv_fh.write("".join([row % point for point in points]))
     json_fh.write("{}" if sep[0] == "{" else "\n  }")
 
 

@@ -17,19 +17,20 @@ point) is derived from it. An image's cells come from its (position, prob)
 pairs as run-length sums: the pairs are sorted by position and each run of
 one position becomes one cell.
 
-This module holds the cell format only; the user vectors built from cells
-are ``profiling.TopicDistribution``. ``ingest.load_score_cells`` reads
-prediction lines and hands each image's (position, prob) pairs to
-``pack_cells``, which scores them into cells and packs them into one ``bytes``
-record of 13 bytes a cell (``struct`` ``"<BdI"``: the position as one byte,
-the probability as an IEEE double, the count as an unsigned 32-bit int, so k
-is at most ``config.MAX_TOPK``). The load appends each record to one
-``bytearray`` per user and keeps the image's cell count under its id: one
-buffer per user and no float object at all, 39 bytes for an image of three
-cells. ``ScoredDataset.pop_block`` unpacks a user's buffer with one
-``iter_unpack`` and cuts it into rows by the counts, and ``"d"`` keeps every
-bit of a double, -0.0 and subnormals included. Cells use ``fsum`` and counts,
-so they do not depend on the order of an image's predictions.
+This module owns the cell format and its packed layout; the user vectors built
+from cells are ``profiling.TopicDistribution``. ``ingest.load_score_cells``
+reads prediction lines and hands each kept image's (position, prob) pairs to
+``ScoredDataset.add``, which scores them into cells with ``pack_cells`` and
+packs them into one record of 13 bytes a cell (``struct`` ``"<BdI"``: the
+position as one byte, the probability as an IEEE double, the count as an
+unsigned 32-bit int, so k is at most ``config.MAX_TOPK``). ``add`` appends the
+record to one ``bytearray`` per user, in place, and keeps the image's cell
+count under its id: one buffer per user and no float object at all, 39 bytes
+for an image of three cells. ``ScoredDataset.pop_block`` unpacks a user's
+buffer with one ``iter_unpack`` and cuts it into rows by the counts, and
+``"d"`` keeps every bit of a double, -0.0 and subnormals included. Cells use
+``fsum`` and counts, so they do not depend on the order of an image's
+predictions.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def pack_cells(pairs: list[tuple[int, float]], k: int) -> bytes:
 # One image's cells packed as "<BdI" per cell, by cell count; an image touches
 # at most N_TOPICS + 1 positions.
 _PACKED = tuple(Struct("<" + "BdI" * n) for n in range(N_TOPICS + 2))
-CELL_SIZE = _PACKED[1].size
+_CELL_SIZE = _PACKED[1].size
 _unpack_cells = _PACKED[1].iter_unpack
 
 
@@ -109,18 +110,30 @@ _unpack_cells = _PACKED[1].iter_unpack
 class ScoredDataset:
     """Each image's cells grouped per user (file order), and the load's warnings.
 
-    ``packed[user]`` holds the user's images' packed cells (see the module
-    docstring) back to back in file order, and ``cells[user]`` maps each of
-    those image ids to its number of cells, in the same order. ``pop_block``
-    takes a user's cells out as a ScoreBlock of cell tuples, unpacking the
-    buffer once, so a pass over the users frees each user's cells once it is
-    done with them.
+    ``add`` packs an image's cells (see the module docstring) onto
+    ``packed[user]``, so it holds the user's images' cells back to back in
+    file order, and ``cells[user]`` maps each of those image ids to its number
+    of cells, in the same order. ``pop_block`` takes a user's cells out as a
+    ScoreBlock of cell tuples, unpacking the buffer once, so a pass over the
+    users frees each user's cells once it is done with them.
     """
 
     k: int
     cells: dict[str, dict[str, int]] = field(default_factory=dict)
     packed: dict[str, bytearray] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
+
+    def add(self, user_id: str, image_id: str, pairs: list[tuple[int, float]]) -> None:
+        """Score one image from its (position, prob) pairs (see ``pack_cells``)
+        and append its cells to its user's."""
+        record = pack_cells(pairs, self.k)
+        images = self.cells.get(user_id)
+        if images is None:
+            images = self.cells[user_id] = {}
+            self.packed[user_id] = bytearray()
+        # += extends the buffer in place; bytes + bytes would copy it per image.
+        self.packed[user_id] += record
+        images[image_id] = len(record) // _CELL_SIZE
 
     def users(self) -> list[str]:
         return list(self.cells)

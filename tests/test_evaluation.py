@@ -157,6 +157,16 @@ def test_roc_in_report_covers_every_topic():
         assert len(pts) >= 1
 
 
+def test_roc_points_iterate_in_topic_order_and_know_no_other_key():
+    # write_evaluation writes each series as it reads it, in this order.
+    roc_points = small_eval(purity=1.0, seed=3)[0].roc_points
+    assert list(roc_points) == list(TOPICS)
+    assert len(roc_points) == N_TOPICS
+    assert "NotATopic" not in roc_points
+    with pytest.raises(KeyError):
+        roc_points["NotATopic"]
+
+
 # Scores sit on a few topics and a coarse grid, so argmax ties, shared ROC
 # thresholds and correct guesses are common. One labeled topic is never scored.
 SCORED = (0, 1, 2, N_TOPICS - 1)

@@ -105,6 +105,19 @@ def test_every_name_imported_from_the_package_exists():
     assert missing == []
 
 
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # A packed layout (score cells, profile vectors) stays private to the module that owns it.
+    sibling_imports = [
+        (path.name, module, name, line)
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for module, name, line in names_imported_from_the_package(path)
+        if module != "interestprof"
+    ]
+    assert ("ingest.py", "interestprof.scoring", "ScoredDataset") in {
+        found[:3] for found in sibling_imports}
+    assert [found for found in sibling_imports if found[2].startswith("_")] == []
+
+
 def package_import_graph(package_dir: Path) -> dict[str, set[str]]:
     """Module -> the package modules it imports relatively, at any depth: top-level,
     in a function or under ``TYPE_CHECKING``. ``from . import x`` names module x when

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from conftest import make_record, starter_taxonomy
-from interestprof import ingest
+from interestprof import ingest, scoring
 from interestprof.config import parse_config_file
 from interestprof.errors import (
     ConfigError,
@@ -178,7 +178,7 @@ def test_each_kept_image_is_packed_once(monkeypatch):
         packed.append(pairs)
         return pack_cells(pairs, k)
 
-    monkeypatch.setattr(ingest, "pack_cells", counting_pack)
+    monkeypatch.setattr(scoring, "pack_cells", counting_pack)
     u2 = json.dumps({"user_id": "u2", "image_id": "a",
                      "predictions": [{"label": "alp", "prob": 0.5}]})
     # A malformed line, a second record of one image and a prob out of range

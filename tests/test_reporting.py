@@ -358,8 +358,9 @@ def _report(roc_points) -> EvalReport:
     )
 
 
-@given(st.permutations(TOPICS).flatmap(
-    lambda order: st.fixed_dictionaries({t: roc_series for t in order})))
+# An EvalReport's roc_points iterate in TOPICS order; fixed_dictionaries may draw another.
+@given(st.fixed_dictionaries({t: roc_series for t in TOPICS})
+       .map(lambda s: {t: s[t] for t in TOPICS}))
 @example({t: () for t in TOPICS})
 @example({t: ((1.0, 0.0, 0.0), (0.5, 1e-5, 5e-324), (0.0, 1.0, 1.0)) if t == "Drink" else
           ((1e16, 1.7976931348623157e308, 1e9),) for t in TOPICS})
