@@ -181,7 +181,9 @@ _CHAINS = {
 
 
 def _run_chain(cfg: RunConfig, command: str) -> int:
-    # Every step writes through reporting, so it is imported once, as the chain starts.
+    # Every step writes through reporting, so it is imported once, as the chain
+    # starts. Where no bytecode is cached, importing compiles it; after the
+    # load, that compile's memory adds to the peak RSS.
     from .reporting import (
         open_score_tables,
         write_correlation,

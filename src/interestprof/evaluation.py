@@ -2,11 +2,14 @@
 
 All measures compare the predicted topic (argmax of a user vector) against the
 user's self-assessed topic. The accuracy sweep runs over prefix sizes of each
-user's image list, one tally per sweep point giving overall and per-topic
-accuracy; confusion, precision/recall, CMC and ROC are computed at the largest
-sweep point. Confusion and precision/recall count only the labeled users with
-a prediction there. CMC and ROC run over the same users, or over every labeled
-user at that point when none has a prediction.
+user's image list. ``evaluate`` makes one pass per sweep point, tallying each
+labeled profile under its label, and a hit for each mechanism whose argmax
+(``profiling.argmax_topics``) is that label; overall and per-topic accuracy
+are read from the tallies. One more pass over the largest sweep point's
+labeled profiles fills the confusion matrix with those that have a prediction,
+and precision and recall (and the topics where either is undefined) are read
+from its column and row sums. CMC and ROC run over the same users, or over
+every labeled user at that point when none has a prediction.
 
 The ROC series are not kept: ``EvalReport.roc_points`` is a read-only mapping
 (``RocPoints``) that holds the population's topic columns
@@ -53,9 +56,13 @@ class EvalReport:
     roc_points: Mapping[str, RocSeries]
 
 
-def _predicted_or_none(v: TopicDistribution) -> str | None:
-    best = argmax_topics(v)
-    return best[0] if best else None
+def _rates(
+    confusion: Sequence[Sequence[int]], totals: Sequence[int]
+) -> tuple[dict[str, float], tuple[str, ...]]:
+    """topic -> its diagonal count over its total (0.0 for a zero total), and
+    the topics whose total is zero."""
+    rates = {t: confusion[i][i] / n if n else 0.0 for i, (t, n) in enumerate(zip(TOPICS, totals))}
+    return rates, tuple(t for t, n in zip(TOPICS, totals) if not n)
 
 
 def label_rank(v: TopicDistribution, topic: str) -> int:
@@ -151,58 +158,43 @@ def evaluate(
         raise EmptyInputError("no sweep profiles to evaluate")
     ks = sorted(profiles_by_k)
 
-    # A profile past its user's image count is one object at every later
-    # sweep point, so each vector's guess is computed once, keyed by the
-    # vector's id: profiles_by_k keeps every vector alive for this call.
-    guess_of: dict[int, str | None] = {}
-
-    def guess(v: TopicDistribution) -> str | None:
-        key = id(v)
-        if key not in guess_of:
-            guess_of[key] = _predicted_or_none(v)
-        return guess_of[key]
-
+    # One tally per sweep point: its labeled profiles per label, and per
+    # mechanism the ones whose argmax is their label.
     per_topic: dict[str, dict[int, float | None]] = {t: {} for t in TOPICS}
     overall_by_mech: dict[str, dict[int, float]] = {m: {} for m in MECHANISMS}
     for k in ks:
-        rows = [(p, labels[p.user_id]) for p in profiles_by_k[k] if p.user_id in labels]
-        guesses = {m: [guess(p.vector(m)) for p, _ in rows] for m in MECHANISMS}
-        for mech, guessed in guesses.items():
-            hits = sum(g == label for g, (_, label) in zip(guessed, rows))
-            overall_by_mech[mech][k] = hits / len(rows) if rows else 0.0
-        labeled = Counter(label for _, label in rows)
-        correct = Counter(label for g, (_, label) in zip(guesses[mechanism], rows) if g == label)
+        labeled: Counter[str] = Counter()
+        hits: dict[str, Counter[str]] = {m: Counter() for m in MECHANISMS}
+        for p in profiles_by_k[k]:
+            label = labels.get(p.user_id)
+            if label is not None:
+                labeled[label] += 1
+                for mech, tally in hits.items():
+                    if argmax_topics(p.vector(mech))[:1] == (label,):
+                        tally[label] += 1
+        n = labeled.total()
+        for mech, tally in hits.items():
+            overall_by_mech[mech][k] = tally.total() / n if n else 0.0
         for topic in TOPICS:
-            per_topic[topic][k] = correct[topic] / labeled[topic] if labeled[topic] else None
-    # The loop ends on the largest sweep point; everything below uses its rows.
-    if not rows:
-        raise EmptyInputError("no labeled users present in the profiles")
+            n_topic = labeled[topic]
+            per_topic[topic][k] = hits[mechanism][topic] / n_topic if n_topic else None
 
+    # The largest sweep point's labeled profiles with a prediction fill the
+    # confusion matrix and make the population of CMC and ROC.
+    top = profiles_by_k[ks[-1]]
     confusion = [[0] * N_TOPICS for _ in range(N_TOPICS)]
-    predicted = [(p, g) for (p, _), g in zip(rows, guesses[mechanism]) if g is not None]
-    for p, g in predicted:
-        confusion[topic_index(labels[p.user_id])][topic_index(g)] += 1
-
-    precision: dict[str, float] = {}
-    recall: dict[str, float] = {}
-    undefined_p: list[str] = []
-    undefined_r: list[str] = []
-    for i, topic in enumerate(TOPICS):
-        tp = confusion[i][i]
-        col = sum(confusion[r][i] for r in range(N_TOPICS))
-        row = sum(confusion[i])
-        if col == 0:
-            precision[topic] = 0.0
-            undefined_p.append(topic)
-        else:
-            precision[topic] = tp / col
-        if row == 0:
-            recall[topic] = 0.0
-            undefined_r.append(topic)
-        else:
-            recall[topic] = tp / row
-
-    population = [p for p, _ in predicted] or [p for p, _ in rows]
+    predicted = []
+    for p in top:
+        if p.user_id in labels:
+            best = argmax_topics(p.vector(mechanism))
+            if best:
+                confusion[topic_index(labels[p.user_id])][topic_index(best[0])] += 1
+                predicted.append(p)
+    population = predicted or [p for p in top if p.user_id in labels]
+    if not population:
+        raise EmptyInputError("no labeled users present in the profiles")
+    precision, undefined_p = _rates(confusion, [sum(col) for col in zip(*confusion)])
+    recall, undefined_r = _rates(confusion, [sum(row) for row in confusion])
     cmc = cmc_curve(population, labels, mechanism)
     roc = RocPoints([p.vector(mechanism) for p in population],
                     [labels[p.user_id] for p in population])
@@ -216,8 +208,8 @@ def evaluate(
         per_topic_accuracy=per_topic,
         precision=precision,
         recall=recall,
-        undefined_precision=tuple(undefined_p),
-        undefined_recall=tuple(undefined_r),
+        undefined_precision=undefined_p,
+        undefined_recall=undefined_r,
         confusion=tuple(tuple(row) for row in confusion),
         cmc=cmc,
         roc_points=roc,

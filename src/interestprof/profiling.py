@@ -182,6 +182,8 @@ def argmax_topics(v: TopicDistribution) -> tuple[str, ...]:
     peak = max(scores)
     if peak <= 0.0:
         return ()
+    if scores.count(peak) == 1:
+        return (TOPICS[scores.index(peak)],)
     return tuple(TOPICS[i] for i, s in enumerate(scores) if s == peak)
 
 

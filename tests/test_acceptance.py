@@ -283,14 +283,21 @@ def test_c9_pipeline_determinism(tmp_path):
 
         # A fresh interpreter gets its own hash seed, so equality here also
         # shows the output is independent of set/dict hash ordering.
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        import interestprof
+
+        # The child runs the package under test, however this process found it.
+        env = dict(os.environ, PYTHONPATH=str(Path(interestprof.__file__).resolve().parents[1]))
         out2 = tmp_path / "run2"
         proc = subprocess.run(
             [sys.executable, "-m", "interestprof.cli"] + pipeline_args(out2),
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         second = {p.name: p.read_bytes() for p in sorted(out2.iterdir())}

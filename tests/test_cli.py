@@ -589,12 +589,20 @@ def test_config_path_is_escaped_in_every_message(tmp_path, capsys, text, shown):
     ("root R\nroot S\n", ":2:6: duplicate root statement (root is 'R')"),
     ("root R\nconcept A parent A\n", ": is-a cycle: A -> A"),
     ("concept A parent R\n", ": missing root statement"),
-], ids=["unknown-parent", "syntax", "cycle", "no-root"])
+    ("root R\nroot A B\n", ":2:1: root statement takes exactly one name"),
+    ("root R\ninstance x concept\n", ":2:1: expected: instance <term> concept <name>"),
+    ("root R\nconcept A parent R\ninstance ___ concept A\n",
+     ":3:10: instance term '___' is empty after normalization"),
+    ("root R\nrelation r A\n", ":2:1: expected: relation <name> <conceptA> <conceptB>"),
+    ("root R\nattribute A x\n", ":2:1: expected: attribute <concept> <attr-name> <value-type>"),
+], ids=["unknown-parent", "syntax", "cycle", "no-root", "root-arity", "instance-arity",
+        "empty-term", "relation-arity", "attribute-arity"])
 def test_taxonomy_errors_name_the_escaped_file(tmp_path, capsys, taxonomy_text, shown):
     taxonomy = tmp_path / f"t{RED}.taxonomy"
     taxonomy.write_text(taxonomy_text)
-    assert run("validate-ontology", "--taxonomy", taxonomy) == 1
+    assert run("validate-ontology", "--taxonomy", taxonomy, "--out", tmp_path / "out") == 1
     assert capsys.readouterr() == ("", f"error: {tmp_path}/t\\x1b[31m.taxonomy{shown}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_predictions_errors_name_the_escaped_file(tmp_path, capsys):
@@ -713,6 +721,8 @@ SLEEPER = f'{sys.executable} -c "import time; time.sleep(5)" {{input}} {{output}
      "classifier command '/nonexistent/classifier' could not be started: "
      "No such file or directory"),
     ('classify "{input} {output}', "classifier command template: No closing quotation"),
+    (f'{sys.executable} -c "pass" {{input}} {{output}}',
+     "classifier command wrote no output file"),
 ])
 def test_classifier_that_cannot_finish_exits_2_in_one_line(tmp_path, capsys, command, shown):
     manifest = tmp_path / "manifest.csv"
@@ -990,6 +1000,29 @@ def _pipeline_rejects(tmp_path, capsys, predictions: bytes, labels: bytes | None
     err = capsys.readouterr().err
     assert "Traceback" not in err
     return err
+
+
+@pytest.mark.parametrize("bad_file, bad, shown", [
+    ("predictions", [1], "prediction entries must be objects"),
+    ("predictions", [{"prob": 0.5}], "prediction missing a 'label' string"),
+    ("predictions", [{"label": 7, "prob": 0.5}], "prediction missing a 'label' string"),
+    ("predictions", [{"label": "cup", "prob": "0.5"}], "prob for 'cup' is not a number"),
+    ("predictions", [{"label": "cup", "prob": True}], "prob for 'cup' is not a number"),
+    ("labels", "u,Drink,x", "expected 2 columns, got 3"),
+    ("labels", " ,Drink", "empty user_id"),
+], ids=["entry-not-an-object", "no-label", "label-not-a-string", "prob-string", "prob-bool",
+        "three-columns", "empty-user-id"])
+def test_bad_entry_exits_1_naming_its_line(tmp_path, capsys, bad_file, bad, shown):
+    predictions = f"{GOOD_LINE}\n"
+    labels = "user_id,topic\nu1,Drink\n"
+    if bad_file == "predictions":
+        predictions += json.dumps({"user_id": "u1", "image_id": "i2", "predictions": bad}) + "\n"
+    else:
+        labels += bad + "\n"
+    err = _pipeline_rejects(tmp_path, capsys, predictions.encode(), labels.encode())
+    where = {"predictions": f"{tmp_path / 'predictions.jsonl'}:2",
+             "labels": f"{tmp_path / 'labels.csv'}:3"}[bad_file]
+    assert err == f"error: {where}: {shown}\n"
 
 
 def test_prob_integer_beyond_digit_limit_exits_1(tmp_path, capsys):

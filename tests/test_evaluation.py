@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 
 from conftest import profile_from_scores, starter_taxonomy, sweep_of, vector
-from interestprof import evaluation
 from interestprof.config import MECHANISMS
 from interestprof.errors import EmptyInputError
 from interestprof.evaluation import cmc_curve, evaluate, label_rank, roc_series
@@ -87,24 +86,6 @@ def test_overall_accuracy_reported_for_both_mechanisms():
     assert set(report.overall_accuracy_by_mechanism) == {"prob", "occ"}
     for accs in report.overall_accuracy_by_mechanism.values():
         assert set(accs) == set(report.sweep)
-
-
-def test_evaluate_takes_each_vector_argmax_once(monkeypatch):
-    # Sweep points past a user's 6 images share that user's full profile.
-    tax = starter_taxonomy()
-    ds = generate_fixture({"Drink": 2, "Sport": 2}, 6, 0.6, 3, tax)
-    profs = sweep_of(ds, tax, k=5, sweep=(2, 6, 10, 50), mechanism="occ")
-    want = evaluate(profs, ds.labels, "occ")
-    calls = []
-
-    def counting(v, argmax=evaluation.argmax_topics):
-        calls.append(v)
-        return argmax(v)
-
-    monkeypatch.setattr(evaluation, "argmax_topics", counting)
-    assert evaluate(profs, ds.labels, "occ") == want
-    vectors = {id(p.vector(m)) for ps in profs.values() for p in ps for m in MECHANISMS}
-    assert len(calls) == len(vectors) == 4 * 2 * 2
 
 
 def test_label_rank_tie_shares_best_rank():

@@ -1,5 +1,15 @@
 """Peak memory of a pipeline run, relative to the size of its predictions file.
 
+Two fixtures, each a 1.6 MB predictions file: the tall one has 2 users per
+topic with 100 images each (48 users), the wide one 20 users per topic with 10
+images each (480 users). Each is run cold, in a fresh interpreter whose run
+imports the modules of the later steps while the peak is traced, and warm,
+after a first run and after a full collection, which empties the interpreter's
+free lists (the first run leaves thousands of tuples there, which the traced
+run would take back unseen), so that the peak is the data's own. Each of the
+four is tested once, at its tightest bound: cold 1.0x and 1.25x, warm 0.6x
+and 1.0x of the file.
+
 The run holds each image's score cells, not its parsed record, frees each
 user's cells once the user is written and profiled, and streams the profile
 files, so Python's traced peak stays within a small multiple of the input.
@@ -8,18 +18,19 @@ puts the peak near 3x the file on the tall fixture and near 9x on the wide one.
 A loaded user's cells are one buffer of packed records, a block's rows are
 tuples of (position, prob, count) cells, each profile vector is one packed
 record of 25 doubles, the ROC series are computed one at a time as they are
-written, and the sweep file reads each repeated full profile back from
-profiles.json. Measured after a first run, so that no module is imported while
-the peak is traced, and after a full collection, which empties the
-interpreter's free lists (the first run leaves thousands of tuples there,
-which the traced run would take back unseen), that puts the peak near 0.54x
-the file on the tall fixture and 0.93x on the wide one. Holding every image's cells as tuples with
-a float object per cell put it near 0.93x and 1.69x; holding each vector as a
-tuple of float objects and all 24 ROC series at once, near 0.63x and 1.36x; a
-bytes record per image and a kept sweep text per listed profile, near 0.63x
-and 1.11x. The cold cases run in a fresh interpreter, whose first pipeline run
-imports the modules of the later steps while the peak is traced: about 0.65x
-and 1.02x.
+written, the sweep file reads each repeated full profile back from
+profiles.json, and evaluation tallies each sweep point without a list of its
+rows. Warm, that puts the peak near 0.54x the file on the tall fixture and
+0.76x on the wide one; cold, near 0.63x and 0.98x.
+
+Earlier designs, warm: with a memo of each vector's argmax and each sweep
+point's rows kept, near 0.54x and 0.93x; with a bytes record per image and a
+kept sweep text per listed profile, near 0.63x and 1.11x; with each vector a
+tuple of float objects and all 24 ROC series held at once, near 0.63x and
+1.36x; with every image's cells as tuples with a float object per cell, near
+0.93x and 1.69x. Cold, the first bounds were 2.0x and 3.5x, with cells and
+imports near 0.75x on the tall fixture and the profile files near 1.38x on the
+wide one; float-object vectors put the wide one near 1.37x.
 """
 
 import contextlib
@@ -65,13 +76,7 @@ def traced_peak_ratio(tmp_path, users_per_topic, images, warm):
     return peak / predictions.stat().st_size
 
 
-@pytest.mark.parametrize("users_per_topic, images, bound", [
-    (2, 100, 2.0),  # 48 users x 100 images, 1.6 MB: cells and imports at about 0.75x
-    (20, 10, 3.5),  # 480 users x 10 images, 1.6 MB: the profile files at about 1.38x
-    (2, 100, 1.0),  # a packed record per image, with the headroom the warm cases keep
-    (20, 10, 1.7),
-    (20, 10, 1.25),  # packed vectors, one ROC series at a time; float objects, 1.37x
-])
+@pytest.mark.parametrize("users_per_topic, images, bound", [(2, 100, 1.0), (20, 10, 1.25)])
 def test_pipeline_traced_peak_stays_near_the_input_size(tmp_path, users_per_topic, images,
                                                         bound):
     code = ("import sys\nfrom pathlib import Path\nfrom test_memory import traced_peak_ratio\n"
@@ -86,13 +91,6 @@ def test_pipeline_traced_peak_stays_near_the_input_size(tmp_path, users_per_topi
 
 
 # After a first run has imported every module, the peak is the data's own.
-@pytest.mark.parametrize("users_per_topic, images, bound", [
-    (2, 100, 0.85),  # about 0.62x
-    (20, 10, 1.6),  # about 1.37x; every image's cells as tuples with their floats, 1.69x
-    (2, 100, 0.72),  # a packed record per image; cells as tuples with their floats, 0.93x
-    (20, 10, 1.25),  # about 1.11x; vectors as float tuples and every ROC series kept, 1.36x
-    (2, 100, 0.6),  # about 0.54x; a bytes record per image, 0.63x
-    (20, 10, 1.0),  # about 0.93x; each listed profile's sweep text kept, 1.11x
-])
+@pytest.mark.parametrize("users_per_topic, images, bound", [(2, 100, 0.6), (20, 10, 1.0)])
 def test_warm_pipeline_traced_peak_is_the_data_s_own(tmp_path, users_per_topic, images, bound):
     assert traced_peak_ratio(tmp_path, users_per_topic, images, warm=True) < bound

@@ -124,6 +124,17 @@ def test_predict_topic_scale_invariant(c, raw):
     assert argmax_topics(v) == argmax_topics(scaled)
 
 
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+                min_size=N_TOPICS, max_size=N_TOPICS),
+       st.sets(st.integers(0, N_TOPICS - 1)))
+def test_argmax_topics_is_the_brute_force_tie_set(raw, tied):
+    # Every position in ``tied`` is forced up to the largest score.
+    peak = max(raw)
+    scores = [peak if i in tied else s for i, s in enumerate(raw)]
+    want = tuple(t for t, s in zip(TOPICS, scores) if s == peak) if peak > 0.0 else ()
+    assert argmax_topics(TopicDistribution(scores=scores)) == want
+
+
 def test_profile_user_worked_example(worked_example_record):
     prof = profile_of([worked_example_record], starter_taxonomy(), k=5, mechanism="occ")
     assert prof.predicted_topic == "Drink"
