@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import (
     ConfigError, DataFormatError, check_utf8, escape_control, input_lines, open_input,
@@ -27,8 +26,7 @@ MAX_TOPK = 2**32 - 1  # a loaded image's label counts are packed as unsigned 32-
 MECHANISMS = ("prob", "occ")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     taxonomy: str | None = None
     predictions: str | None = None
     labels: str | None = None
@@ -98,7 +96,15 @@ def parse_sweep(raw: str, source: str = "sweep") -> tuple[int, ...]:
 _EXPECTED = {"bool": "a boolean", "int": "an integer", "float": "a number"}
 
 
-_KINDS = {f.name: f.type for f in fields(RunConfig)}
+# Each key's kind: how a text value of it is read. A NamedTuple keeps no usable
+# annotation text under postponed evaluation, so the kinds are listed here.
+_KINDS = {
+    "taxonomy": "str", "predictions": "str", "labels": "str", "classifier_cmd": "str",
+    "classifier_timeout": "float", "manifest": "str", "out": "str", "topk": "int",
+    "mechanism": "str", "sweep": "sweep", "tau": "float", "seed": "int", "skip_bad": "bool",
+    "force": "bool", "attest_accuracy": "bool", "users_per_topic": "int", "images": "int",
+    "purity": "float",
+}
 _KEYS = set(_KINDS)
 Layer = dict[str, tuple[object, str]]  # key -> (value, source)
 
@@ -107,7 +113,7 @@ def _coerce(key: str, raw: str, source: str):
     """Typed value of a setting; a bad value is reported under its source."""
     kind = _KINDS[key]
     raw = raw.strip()
-    if key == "sweep":
+    if kind == "sweep":
         return parse_sweep(raw, source)
     try:
         if kind == "bool":
@@ -165,7 +171,7 @@ def flag_overrides(flags: Mapping[str, object]) -> Layer:
     for key, value in flags.items():
         if key in _KEYS and value is not None:
             source = "--" + key.replace("_", "-")
-            if isinstance(value, str) and not _KINDS[key].startswith("str"):
+            if isinstance(value, str) and _KINDS[key] != "str":
                 value = _coerce(key, value, source)
             values[key] = (value, source)
     return values

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import EmptyInputError
 from .profiling import UserProfile, topic_columns
@@ -39,8 +38,7 @@ def band_of(rho: float) -> str:
     return BAND_HIGH_NEGATIVE
 
 
-@dataclass
-class CorrelationMatrix:
+class CorrelationMatrix(NamedTuple):
     """24x24 Pearson coefficients (NaN where undefined) and their bands."""
 
     rho: tuple[tuple[float, ...], ...]

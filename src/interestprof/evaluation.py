@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import EmptyInputError
 from .config import MECHANISMS
@@ -34,8 +34,7 @@ from .taxonomy import N_TOPICS, TOPICS, topic_index
 RocSeries = tuple[tuple[float, float, float], ...]  # (threshold, fpr, tpr) points
 
 
-@dataclass
-class EvalReport:
+class EvalReport(NamedTuple):
     """report.json's values, as its keys in its order; ``roc_points`` closes it as "roc".
 
     ``roc_points`` iterates in TOPICS order; the writer relies on it.

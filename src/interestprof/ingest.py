@@ -44,9 +44,8 @@ import json
 import os
 import re
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .config import DEFAULT_TOP_K, MAX_TOPK
 from .errors import (
@@ -62,8 +61,7 @@ from .scoring import ScoredDataset
 from .taxonomy import TOPICS, Taxonomy, resolve_compound
 
 
-@dataclass(frozen=True, slots=True)
-class PredictionRecord:
+class PredictionRecord(NamedTuple):
     """Top-k classifier output for one image, as the fixture generator builds it."""
 
     user_id: str
@@ -71,13 +69,23 @@ class PredictionRecord:
     predictions: tuple[tuple[str, float], ...]
 
 
-@dataclass(eq=True)
 class ProfileDataset:
-    """Prediction records grouped per user (file order), plus optional labels."""
+    """Prediction records grouped per user (file order), plus optional labels.
 
-    records: dict[str, list[PredictionRecord]] = field(default_factory=dict)
-    labels: dict[str, str] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list, compare=False)
+    Two datasets are equal when their records and labels are; ``warnings``
+    does not count.
+    """
+
+    def __init__(self, records: dict[str, list[PredictionRecord]] | None = None,
+                 labels: dict[str, str] | None = None, warnings: list[str] | None = None):
+        self.records = {} if records is None else records
+        self.labels = {} if labels is None else labels
+        self.warnings = [] if warnings is None else warnings
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.records, self.labels) == (other.records, other.labels)
 
     def users(self) -> list[str]:
         return list(self.records)
@@ -287,8 +295,7 @@ def serialize_labels(labels: dict[str, str]) -> str:
 MANIFEST_HEADER = ("user_id", "image_id", "image_path")
 
 
-@dataclass(frozen=True)
-class Manifest:
+class Manifest(NamedTuple):
     """A ``user_id,image_id,image_path`` CSV as (user_id, image_id) -> (image_path,
     line), in file order, and its path."""
 

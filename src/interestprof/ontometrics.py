@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .taxonomy import Taxonomy
 
 
-@dataclass(frozen=True)
-class SizeMetrics:
+class SizeMetrics(NamedTuple):
     size_c: int  # concepts (root included)
     size_i: int  # instance statements
     size_a: int  # (attribute-name, value-type) pairs
@@ -17,8 +16,7 @@ class SizeMetrics:
     size_total: int
 
 
-@dataclass(frozen=True)
-class StructuralMetrics:
+class StructuralMetrics(NamedTuple):
     n_rn: int          # root nodes (no parent)
     n_ln: int          # leaf nodes (no concept children)
     max_spl: int       # longest root-to-leaf simple path, in edges
@@ -27,8 +25,7 @@ class StructuralMetrics:
     anrnr: Fraction    # tnrnr / n_rn, kept exact
 
 
-@dataclass(frozen=True)
-class SemioticReport:
+class SemioticReport(NamedTuple):
     # A parsed taxonomy always passes lawfulness, interpretability and consistency.
     lawfulness: bool        # file parsed
     richness: int           # distinct statement kinds used (1..5)

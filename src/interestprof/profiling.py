@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from struct import Struct
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .config import MECHANISMS
 from .errors import EmptyInputError
@@ -55,8 +54,9 @@ class TopicDistribution:
     def __init__(self, scores: Sequence[float], unmapped_mass: float = 0.0):
         if len(scores) != N_TOPICS:
             raise ValueError(f"expected {N_TOPICS} topic scores, got {len(scores)}")
-        if any(s < 0 for s in scores) or unmapped_mass < 0:
-            raise ValueError("topic scores and unmapped mass must be nonnegative")
+        # "not >= 0" holds for NaN too, which "< 0" lets through.
+        if any(not s >= 0 for s in scores) or not unmapped_mass >= 0:
+            raise ValueError("topic scores and unmapped mass must be nonnegative, not NaN")
         self.record = _RECORD.pack(*scores, unmapped_mass)
 
     @property
@@ -96,8 +96,7 @@ def topic_columns(vectors: Iterable[TopicDistribution]) -> list[array]:
     return [values[j::_RECORD_WIDTH] for j in range(N_TOPICS)]
 
 
-@dataclass(frozen=True, slots=True)
-class UserProfile:
+class UserProfile(NamedTuple):
     user_id: str
     n_images: int
     v_prob: TopicDistribution

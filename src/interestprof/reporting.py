@@ -34,7 +34,9 @@ series from the report's mapping once, which computes it, and writes it to
 at a time; the mapping (``evaluation.RocPoints``) owns their order.
 
 Every artifact is opened through ``_open_output``: a directory in the place
-of an artifact is a ConfigError that names the artifact.
+of an artifact is a ConfigError that names the artifact, and a symlink in its
+place is removed first, so the artifact replaces the link and never writes
+through it.
 
 Every other CSV artifact (the accuracy sweep, confusion, CMC, precision and
 recall and the three correlation matrices) is text from one helper, ``_csv``.
@@ -51,12 +53,11 @@ import json
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import copysign, isnan
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, TextIO
+from typing import IO, TYPE_CHECKING, NamedTuple, TextIO
 
 from .errors import ConfigError, escape_control
 from .svgchart import heatmap, line_chart
@@ -128,7 +129,10 @@ def _template(payload) -> str:
 
 def _open_output(path: Path, mode: str = "w", newline: str | None = None) -> IO:
     """Open an artifact for writing, as text unless ``mode`` is binary; a
-    directory in its place is a ConfigError that names it."""
+    directory in its place is a ConfigError that names it. A symlink in its
+    place is replaced by the artifact, so no write lands outside ``--out``."""
+    if path.is_symlink():
+        path.unlink()
     try:
         if "b" in mode:
             return open(path, mode)
@@ -225,7 +229,8 @@ def write_profiles(outdir: Path, profiles: Sequence[UserProfile],
 
 def write_metrics(outdir: Path, size: SizeMetrics, structural: StructuralMetrics,
                   semiotic: SemioticReport) -> None:
-    payload = {"size": vars(size), "structural": vars(structural), "semiotic": vars(semiotic)}
+    payload = {"size": size._asdict(), "structural": structural._asdict(),
+               "semiotic": semiotic._asdict()}
     write_text(outdir / "ontology_metrics.json", to_json(payload) + "\n")
     write_text(outdir / "ontology_metrics.txt", metrics_table(payload))
 
@@ -269,8 +274,7 @@ class _OccCells(dict):
         return text
 
 
-@dataclass(frozen=True)
-class ScoreTables:
+class ScoreTables(NamedTuple):
     """The open image_scores_prob.csv and image_scores_occ.csv."""
 
     prob: TextIO
@@ -370,7 +374,7 @@ def _write_roc(json_fh: TextIO, csv_fh: TextIO,
 def write_evaluation(outdir: Path, report: EvalReport) -> None:
     # report.json holds EvalReport's fields in their order, the ROC series
     # last under "roc"; roc_points.csv holds the same series.
-    head = to_json({key: value for key, value in vars(report).items() if key != "roc_points"})
+    head = to_json({key: value for key, value in report._asdict().items() if key != "roc_points"})
     with _open_output(outdir / "report.json") as json_fh, \
             _open_output(outdir / "roc_points.csv") as csv_fh:
         # The "roc" series close the document, in place of the last "\n}".

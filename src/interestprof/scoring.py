@@ -36,10 +36,10 @@ predictions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import itemgetter
 from struct import Struct
+from typing import NamedTuple
 
 from .taxonomy import N_TOPICS
 
@@ -48,8 +48,7 @@ from .taxonomy import N_TOPICS
 Cells = tuple[tuple[int, float, int], ...]
 
 
-@dataclass(frozen=True)
-class ScoreBlock:
+class ScoreBlock(NamedTuple):
     """Exact image-level scores of one user's images, in file order.
 
     ``rows[j]`` describes image j over N_TOPICS + 1 positions, the last one
@@ -106,7 +105,6 @@ _CELL_SIZE = _PACKED[1].size
 _unpack_cells = _PACKED[1].iter_unpack
 
 
-@dataclass
 class ScoredDataset:
     """Each image's cells grouped per user (file order), and the load's warnings.
 
@@ -118,10 +116,17 @@ class ScoredDataset:
     users frees each user's cells once it is done with them.
     """
 
-    k: int
-    cells: dict[str, dict[str, int]] = field(default_factory=dict)
-    packed: dict[str, bytearray] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
+    def __init__(self, k: int):
+        self.k = k
+        self.cells: dict[str, dict[str, int]] = {}
+        self.packed: dict[str, bytearray] = {}
+        self.warnings: list[str] = []
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.k, self.cells, self.packed, self.warnings) == \
+            (other.k, other.cells, other.packed, other.warnings)
 
     def add(self, user_id: str, image_id: str, pairs: list[tuple[int, float]]) -> None:
         """Score one image from its (position, prob) pairs (see ``pack_cells``)

@@ -22,7 +22,6 @@ is-a cycle. Topic queries and structural metrics read those records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable
@@ -119,26 +118,48 @@ def normalize_term(term: str) -> str:
     return " ".join(term.replace("_", " ").casefold().split())
 
 
-@dataclass(frozen=True, eq=True)
 class Taxonomy:
-    """Validated, immutable concept hierarchy.
+    """Validated concept hierarchy; nothing changes it after the parse.
 
     ``parent`` maps every concept to its is-a parent; the root maps to None.
     Insertion order is declaration order (root first). Every concept's parent
     chain ends at the root, so the is-a graph is one tree, walked once by the
-    parse for ``depth`` and ``nearest_topic``. ``label_index`` is built on first
+    parse for ``depth`` and ``nearest_topic``. Two taxonomies are equal when
+    their six declared parts are; ``depth``, ``nearest_topic`` and ``warnings``
+    follow from those and do not count. ``label_index`` is built on first
     use; the prediction loader, not the index, memoizes label lookups.
     """
 
-    root: str
-    parent: dict[str, str | None]
-    topics: frozenset[str]
-    instances: dict[str, str]  # normalized term -> owning concept
-    attributes: dict[str, tuple[tuple[str, str], ...]]
-    relations: tuple[tuple[str, str, str], ...]
-    depth: dict[str, int] = field(compare=False)  # edges from the root
-    nearest_topic: dict[str, str | None] = field(compare=False)  # at or above; None if none
-    warnings: tuple[str, ...] = field(default=(), compare=False)
+    def __init__(
+        self,
+        root: str,
+        parent: dict[str, str | None],
+        topics: frozenset[str],
+        instances: dict[str, str],  # normalized term -> owning concept
+        attributes: dict[str, tuple[tuple[str, str], ...]],
+        relations: tuple[tuple[str, str, str], ...],
+        depth: dict[str, int],  # edges from the root
+        nearest_topic: dict[str, str | None],  # at or above; None if none
+        warnings: tuple[str, ...] = (),
+    ):
+        self.root = root
+        self.parent = parent
+        self.topics = topics
+        self.instances = instances
+        self.attributes = attributes
+        self.relations = relations
+        self.depth = depth
+        self.nearest_topic = nearest_topic
+        self.warnings = warnings
+
+    def _declared(self) -> tuple:
+        return (self.root, self.parent, self.topics, self.instances, self.attributes,
+                self.relations)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._declared() == other._declared()
 
     @cached_property
     def label_index(self) -> LabelIndex:

@@ -15,7 +15,8 @@ import interestprof
 from conftest import STARTER_PATH, WORKED_EXAMPLE_PATH, make_record
 from interestprof import cli, errors, fixtures, ingest
 from interestprof.cli import main
-from interestprof.config import ENV_PREFIX
+from interestprof import config
+from interestprof.config import ENV_PREFIX, RunConfig
 from interestprof.ingest import ProfileDataset, load_labels
 from test_ingest import STUB_OK, _gone_or_zombie, _stub, _writing_stub
 
@@ -202,6 +203,24 @@ def test_a_directory_in_the_way_of_an_artifact_exits_2_naming_it(tmp_path, capsy
     )
 
 
+@pytest.mark.parametrize("artifact", ["profiles.json", "image_scores_occ.csv"])
+def test_force_replaces_a_symlink_in_out_and_leaves_its_target(tmp_path, artifact):
+    args = ("pipeline", "--taxonomy", STARTER_PATH, "--predictions", WORKED_EXAMPLE_PATH)
+    assert run(*args, "--out", tmp_path / "fresh") == 0
+    victim = tmp_path / "victim"
+    victim.write_text("keep")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / artifact).symlink_to(Path("..") / "victim")
+    (out / "ontology_metrics.json").symlink_to(tmp_path / "absent")  # dangling
+    assert run(*args, "--out", out, "--force") == 0
+    assert victim.read_text() == "keep"
+    assert not (tmp_path / "absent").exists()
+    for name in (artifact, "ontology_metrics.json"):
+        assert not (out / name).is_symlink()
+        assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
 def test_fixture_and_full_pipeline(tmp_path):
     fix = tmp_path / "fix"
     assert run("fixture", "--taxonomy", STARTER_PATH, "--out", fix,
@@ -291,6 +310,18 @@ def test_config_file_env_and_flag_precedence(tmp_path, monkeypatch):
     out3 = tmp_path / "o3"
     assert run("fixture", "--config", config, "--out", out3, "--images", 4) == 0
     assert len((out3 / "predictions.jsonl").read_text().splitlines()) == 24 * 4
+
+
+def test_every_setting_has_a_kind_that_reads_its_default():
+    # config._KINDS is written out by hand; it must cover RunConfig and read each default back.
+    assert list(config._KINDS) == list(RunConfig._fields)
+    for key, kind in config._KINDS.items():
+        default = RunConfig._field_defaults[key]
+        if default is None:
+            assert kind == "str", key
+            continue
+        text = ",".join(map(str, default)) if kind == "sweep" else str(default)
+        assert config._coerce(key, text, key) == default, key
 
 
 def test_bad_config_values_exit_2(tmp_path, capsys, monkeypatch):
@@ -882,13 +913,13 @@ def test_sigint_during_a_classifier_run_exits_130_and_kills_the_command(tmp_path
 
 def test_pipeline_builds_no_prediction_record(tmp_path, monkeypatch, capsys):
     built = []
-    init = ingest.PredictionRecord.__init__
+    new = ingest.PredictionRecord.__new__  # a NamedTuple is built in __new__
 
-    def counting(self, *args, **kwargs):
+    def counting(cls, *args, **kwargs):
         built.append(args)
-        init(self, *args, **kwargs)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(ingest.PredictionRecord, "__init__", counting)
+    monkeypatch.setattr(ingest.PredictionRecord, "__new__", counting)
     assert run("pipeline", "--taxonomy", STARTER_PATH, "--predictions", WORKED_EXAMPLE_PATH,
                "--out", tmp_path / "out") == 0
     assert built == []

@@ -230,7 +230,7 @@ def test_evaluate_matches_brute_force(tmp_path_factory, data):
             evaluate(profiles_by_k, labels, mechanism)
         return
     report = evaluate(profiles_by_k, labels, mechanism)
-    assert vars(report) == expected
+    assert report._asdict() == expected
     out = tmp_path_factory.mktemp("evaluation")
     write_evaluation(out, report)
     assert (out / "report.json").read_text(encoding="utf-8") == \

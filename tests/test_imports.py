@@ -1,13 +1,19 @@
 """The library imports only the standard library and itself (pyproject lists no dependencies),
-its source compiles on every supported Python (3.10 or later), and every name imported from
-it anywhere in the repository exists."""
+and neither ``dataclasses`` nor ``inspect``; its source compiles on every supported Python
+(3.10 or later), and every name imported from it anywhere in the repository exists."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import interestprof
+from interestprof.cli import main
+
+from conftest import STARTER_PATH, WORKED_EXAMPLE_PATH
 
 PACKAGE_DIR = Path(interestprof.__file__).resolve().parent
 REPO_DIR = Path(__file__).resolve().parent.parent
@@ -33,6 +39,47 @@ def test_library_imports_only_the_standard_library():
         for path in sources
     }
     assert {name: mods for name, mods in third_party.items() if mods} == {}
+
+
+# Start-up modules no command needs: importing dataclasses loads inspect, ast, dis,
+# tokenize, linecache and copy, about 1 MiB and 10 ms before a run reads any data.
+UNUSED_AT_RUN_TIME = {"dataclasses", "inspect"}
+
+
+def test_no_package_module_imports_dataclasses_or_inspect():
+    found = {path.name: sorted(imported_top_levels(path) & UNUSED_AT_RUN_TIME)
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert {name: mods for name, mods in found.items() if mods} == {}
+
+
+def test_no_command_loads_dataclasses_or_inspect(tmp_path):
+    fix = tmp_path / "fix"
+    assert main(["fixture", "--taxonomy", str(STARTER_PATH), "--out", str(fix),
+                 "--users-per-topic", "1", "--images", "3"]) == 0
+    commands = [
+        ["validate-ontology", "--taxonomy", str(STARTER_PATH)],
+        ["pipeline", "--taxonomy", str(STARTER_PATH), "--predictions", str(WORKED_EXAMPLE_PATH),
+         "--out", str(tmp_path / "worked")],
+        # Correlation and evaluation run only with two or more (labeled) users.
+        ["pipeline", "--taxonomy", str(STARTER_PATH), "--predictions",
+         str(fix / "predictions.jsonl"), "--labels", str(fix / "labels.csv"),
+         "--out", str(tmp_path / "fixture")],
+    ]
+    code = (
+        "import json, sys\n"
+        "from interestprof.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    rc = main(argv)\n"
+        f"    print('loaded:', rc, *sorted({UNUSED_AT_RUN_TIME!r} & sys.modules.keys()))\n"
+    )
+    # -S: a site hook of the environment could import anything; this pins the program's imports.
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", code, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert [line for line in proc.stdout.splitlines() if line.startswith("loaded:")] == \
+        ["loaded: 0"] * len(commands)
+    assert {"pearson.csv", "report.json"} <= {p.name for p in (tmp_path / "fixture").iterdir()}
 
 
 def test_import_scan_sees_every_import_form(tmp_path):

@@ -2,7 +2,6 @@
 against it, and the sparse score tables against the dense reference writer."""
 
 import csv
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -296,10 +295,10 @@ def test_writers_make_no_call_per_record(tmp_path, monkeypatch):
     assert len(dumped) == 2
 
 
-# Profile values are nonnegative: the edge floats without -0.0 and -inf.
+# Profile values are nonnegative and not NaN: the edge floats without -0.0, -inf and NaN.
 vector_floats = st.one_of(
-    st.floats(min_value=0.0), st.just(math.nan),
-    st.sampled_from([x for x in EDGE_FLOATS if not math.copysign(1.0, x) < 0]),
+    st.floats(min_value=0.0),
+    st.sampled_from([x for x in EDGE_FLOATS if x >= 0 and math.copysign(1.0, x) > 0]),
 )
 vectors = st.builds(
     TopicDistribution,
@@ -368,7 +367,7 @@ def test_roc_templates_match_the_general_writers(tmp_path_factory, roc_points):
     out = tmp_path_factory.mktemp("report")
     report = _report(roc_points)
     write_evaluation(out, report)
-    payload = {field.name: getattr(report, field.name) for field in dataclasses.fields(report)}
+    payload = report._asdict()
     payload["roc"] = payload.pop("roc_points")
     assert (out / "report.json").read_text(encoding="utf-8") == to_json(payload) + "\n"
     assert to_json(payload) == reference(payload)

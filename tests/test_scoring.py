@@ -96,6 +96,19 @@ def test_distribution_validates_shape_and_sign():
         TopicDistribution(scores=(0.0,) * 24, unmapped_mass=-1.0)
 
 
+@pytest.mark.parametrize("at", [0, 1, N_TOPICS - 1, "unmapped"])
+def test_distribution_rejects_nan(at):
+    # A NaN score would make argmax_topics answer by where the NaN sits.
+    scores = [0.5] * N_TOPICS
+    unmapped = 0.0
+    if at == "unmapped":
+        unmapped = math.nan
+    else:
+        scores[at] = math.nan
+    with pytest.raises(ValueError, match="NaN"):
+        TopicDistribution(scores=scores, unmapped_mass=unmapped)
+
+
 @pytest.mark.parametrize("value", [-0.0, 5e-324, 1.0, 0.1 + 0.2, 1e-300])
 def test_distribution_keeps_every_bit(value):
     """Each value comes back from the packed record bit for bit, as a score at

@@ -12,6 +12,7 @@ from interestprof.errors import CycleError, TaxonomyError, UnknownTopicError
 from interestprof.ontometrics import structural_metrics
 from interestprof.taxonomy import (
     TOPICS,
+    Taxonomy,
     normalize_term,
     parse_taxonomy,
     resolve_compound,
@@ -32,6 +33,17 @@ def test_minimal_file():
     assert tax.root == "Interest"
     assert tax.topics == frozenset({"Drink"})
     assert tax.instances == {"espresso": "Drink"}
+
+
+def test_equality_is_over_the_declared_parts_and_label_index_is_built_once():
+    tax = parse_taxonomy(MINIMAL)
+    assert tax == parse_taxonomy(MINIMAL)
+    parts = dict(vars(tax))
+    derived = dict(parts, depth={}, nearest_topic={}, warnings=("w",))
+    assert Taxonomy(**derived) == tax
+    assert Taxonomy(**dict(parts, relations=(("r", "Interest", "Drink"),))) != tax
+    assert "label_index" not in vars(tax)
+    assert tax.label_index is tax.label_index
 
 
 def test_comments_and_blank_lines_ignored():
