@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .taxonomy import Taxonomy
@@ -22,7 +21,7 @@ class StructuralMetrics(NamedTuple):
     max_spl: int       # longest root-to-leaf simple path, in edges
     n_ic: int          # isolated concepts: no parent, children or instances, root excluded
     tnrnr: int         # concepts reachable from the roots (roots included)
-    anrnr: Fraction    # tnrnr / n_rn, kept exact
+    anrnr: str         # tnrnr / n_rn, the exact ratio as text: n_rn is 1, so str(tnrnr)
 
 
 class SemioticReport(NamedTuple):
@@ -59,7 +58,7 @@ def structural_metrics(tax: Taxonomy) -> StructuralMetrics:
     n_ln = sum(1 for c in tax.parent if c not in parents)
     n = len(tax.parent)
     return StructuralMetrics(n_rn=1, n_ln=n_ln, max_spl=max(tax.depth.values()), n_ic=0,
-                             tnrnr=n, anrnr=Fraction(n))
+                             tnrnr=n, anrnr=str(n))
 
 
 def semiotic_report(tax: Taxonomy, accuracy_attested: bool = False) -> SemioticReport:

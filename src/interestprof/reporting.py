@@ -3,11 +3,12 @@
 Floats are emitted with at most 9 significant digits (shortest representation
 that round-trips the rounded value), which keeps repeated runs byte-identical.
 
-The image score tables are plain text. Score blocks are sparse, so each row
-is a copy of an all-"0" template with only the cells the image touches, the
-row's ``(position, prob, count)`` cells, formatted into it, joined with
-commas. An occurrence cell's text, count / k, is formatted the first time its
-count is seen, so the memory it takes follows the counts in the data, not k.
+The image score tables are plain text. Score blocks are sparse, so a row is
+written as the cells the image touches, the row's ``(position, prob, count)``
+cells, formatted, with the runs of "0" cells between them taken from a table
+of runs (``_ZEROS``). An occurrence cell's text, count / k, is formatted the
+first time its count is seen, so the memory it takes follows the counts in
+the data, not k.
 Each user's rows go to a table as one string. A user id is quoted once per
 user and an image id once per row, by ``_csv_field``: an id holding a comma,
 a quote or a line break is quoted by the csv module itself, so it reads back
@@ -31,7 +32,8 @@ read back from ``profiles.json`` by its byte span: every text here is ASCII
 its bytes are its characters. ``write_evaluation`` reads each ROC
 series from the report's mapping once, which computes it, and writes it to
 ``report.json`` and ``roc_points.csv`` as it reads it, so one series is held
-at a time; the mapping (``evaluation.RocPoints``) owns their order.
+at a time; the mapping (``evaluation.RocPoints``) owns their order. Each ROC
+point is formatted once: its CSV text gives its JSON numbers (``_json_of_9g``).
 
 Every artifact is opened through ``_open_output``: a directory in the place
 of an artifact is a ConfigError that names the artifact, and a symlink in its
@@ -42,7 +44,7 @@ Every other CSV artifact (the accuracy sweep, confusion, CMC, precision and
 recall and the three correlation matrices) is text from one helper, ``_csv``.
 Its cells are fixed names, topics and numbers, none of which needs quoting;
 None is an empty cell. ``roc_points.csv`` holds the same text as ``_csv``
-would give, one row template per topic.
+would give.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ import json
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import copysign, isnan
 from pathlib import Path
@@ -80,11 +81,15 @@ _FLOAT_SPECIALS = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _float_json(x: float) -> str:
     """JSON text of a float rounded to 9 significant digits; NaN is null."""
+    return _json_of_9g(f"{x:.9g}")
+
+
+def _json_of_9g(text: str) -> str:
+    """``_float_json`` of the float whose ``%.9g`` text is ``text``."""
     # repr of the float the 9-digit text reads back as. In fixed notation the
     # text already has repr's digits (nine digits round-trip a double) and
     # lacks only the ".0" of whole numbers. Exponent notation starts at 1e9
     # here but at 1e16 in repr, and subnormals lose digits: ask repr.
-    text = f"{x:.9g}"
     if "e" in text:
         return repr(float(text))
     if "." in text:
@@ -102,11 +107,9 @@ def _floats_json(xs: Iterable[float]) -> list[str]:
 
 def _plain(obj):
     """``obj`` for ``json.dumps``: a float rounded to 9 significant digits (NaN
-    to None), a Fraction as its string and a mapping key as its str()."""
+    to None) and a mapping key as its str()."""
     if isinstance(obj, float):
         return None if isnan(obj) else float(f"{obj:.9g}")
-    if isinstance(obj, Fraction):
-        return str(obj)
     if isinstance(obj, Mapping):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -117,7 +120,7 @@ def _plain(obj):
 def to_json(obj) -> str:
     """``json.dumps(obj, indent=2)`` with floats rounded to 9 significant digits.
 
-    NaN becomes null, a Fraction its string and a mapping key its str().
+    NaN becomes null and a mapping key its str().
     """
     return json.dumps(_plain(obj), indent=2)
 
@@ -263,14 +266,14 @@ def _csv_field(text: str) -> str:
 
 
 class _OccCells(dict):
-    """count -> the formatted count / k, filled in on a count's first lookup."""
+    """count -> "," and the formatted count / k, filled in on a count's first lookup."""
 
     def __init__(self, k: int):
         super().__init__()
         self.k = k
 
     def __missing__(self, count: int) -> str:
-        text = self[count] = fmt_float(count / self.k)
+        text = self[count] = "," + fmt_float(count / self.k)
         return text
 
 
@@ -279,7 +282,7 @@ class ScoreTables(NamedTuple):
 
     prob: TextIO
     occ: TextIO
-    occ_cells: Mapping[int, str]  # count -> formatted count / k, see _OccCells
+    occ_cells: Mapping[int, str]  # count -> its cell after its comma, see _OccCells
 
 
 @contextmanager
@@ -293,32 +296,45 @@ def open_score_tables(outdir: Path, k: int) -> Iterator[ScoreTables]:
         yield ScoreTables(prob_fh, occ_fh, _OccCells(k))
 
 
+_ROW_CELLS = len(TOPICS) + 1  # score cells per row: the topics, then unmapped
+# _ZEROS[n]: n "0" cells, each after its comma.
+_ZEROS = tuple(",0" * n for n in range(_ROW_CELLS + 1))
+
+
 def write_score_rows(tables: ScoreTables, block: ScoreBlock) -> None:
     """Append one user's image rows to both score tables.
 
-    Each row starts as a copy of an all-"0" template; only the cells the
-    image touches are filled in. Each table gets the user's rows as one write.
+    A row is its ids, then each cell the image touches after the run of "0"
+    cells before it, then the run of "0" cells after the last one. Each
+    table gets the user's rows as one write.
     """
     if not block.image_ids:
         return
     occ_cells = tables.occ_cells
-    template = [_csv_field(block.user_id), "", *["0"] * (len(TOPICS) + 1)]
+    zeros = _ZEROS
+    user = _csv_field(block.user_id) + ","
     image_ids = block.image_ids
     if _CSV_SPECIAL.search("".join(image_ids)) is not None:
         image_ids = map(_csv_field, image_ids)
-    prob_lines, occ_lines = [], []
+    prob_parts, occ_parts = [], []
+    prob_add, occ_add = prob_parts.append, occ_parts.append
     for image_id, cells in zip(image_ids, block.rows):
-        prob_row = template.copy()
-        prob_row[1] = image_id
-        occ_row = prob_row.copy()
+        ids = user + image_id
+        prob_add(ids)
+        occ_add(ids)
+        end = 0  # the position after the last cell written
         for pos, prob, count in cells:
-            if prob:
-                prob_row[pos + 2] = fmt_float(prob)
-            occ_row[pos + 2] = occ_cells[count]
-        prob_lines.append(",".join(prob_row))
-        occ_lines.append(",".join(occ_row))
-    tables.prob.write("\n".join(prob_lines) + "\n")
-    tables.occ.write("\n".join(occ_lines) + "\n")
+            run = zeros[pos - end]
+            prob_add(run)
+            prob_add(f",{prob:.9g}" if prob else ",0")  # "%.9g" is fmt_float
+            occ_add(run)
+            occ_add(occ_cells[count])
+            end = pos + 1
+        run = zeros[_ROW_CELLS - end] + "\n"
+        prob_add(run)
+        occ_add(run)
+    tables.prob.write("".join(prob_parts))
+    tables.occ.write("".join(occ_parts))
 
 
 def _csv(rows: Iterable[Sequence]) -> str:
@@ -357,17 +373,23 @@ def _write_roc(json_fh: TextIO, csv_fh: TextIO,
                roc_points: Mapping[str, Sequence[tuple[float, float, float]]]) -> None:
     """Write each ROC series as it is read, in the mapping's order: to
     report.json as ``to_json`` lays it out at its depth there, and to
-    roc_points.csv as ``_csv`` rows. Every point holds three floats."""
+    roc_points.csv as ``_csv`` rows. Every point holds three floats, and is
+    formatted once: its "%.9g" (fmt_float) texts are the CSV cells, and each
+    JSON number is derived from its cell's text."""
     sep = "{\n    "
     for topic, points in roc_points.items():
         json_fh.write(sep + _quote(str(topic)) + ": ")
-        json_fh.write("[\n      " + ",\n      ".join([
-            _ROC_POINT % tuple(_floats_json(point)) for point in points
-        ]) + "\n    ]" if points else "[]")
         sep = ",\n    "
-        # "%.9g" is fmt_float.
-        row = topic + ",%.9g,%.9g,%.9g\n"
-        csv_fh.write("".join([row % point for point in points]))
+        if not points:
+            json_fh.write("[]")
+            continue
+        texts = ["%.9g,%.9g,%.9g" % point for point in points]
+        json_fh.write("[\n      " + ",\n      ".join([
+            _ROC_POINT % tuple(map(_json_of_9g, text.split(","))) for text in texts
+        ]) + "\n    ]")
+        row = "\n" + topic + ","
+        csv_fh.write(row[1:] + row.join(texts) + "\n")
+        del texts  # before the next series' texts are made
     json_fh.write("{}" if sep[0] == "{" else "\n  }")
 
 
