@@ -8,14 +8,14 @@ artifacts.
 
 The data subcommands run one chain, ``_run_chain``: load the taxonomy, check
 ``--out``, read the ``--labels``, load the dataset, make one pass over the
-users, then write; the directory is made just before its first file, and a bad
-``--out`` or labels file fails before the dataset is loaded or the classifier
-is run. Only ``evaluate`` and ``pipeline`` read ``--labels``, into a table of
-the chain's own. An error in the taxonomy, predictions, labels or manifest
-names ``file:line``. Each subcommand is a row of
-``_CHAINS``, the steps it runs in chain order (metrics, scores, profiles,
-correlation, evaluation) and its summary line, so ``score`` writes the same
-bytes as the score tables of ``pipeline``. Prediction records are only what
+users, then write; ``reporting`` makes the directory as it opens the first
+file, and a bad ``--out`` or labels file fails before the dataset is loaded or
+the classifier is run. Only ``evaluate`` and ``pipeline`` read ``--labels``,
+into a table of the chain's own. An error in the taxonomy, predictions, labels
+or manifest names ``file:line``. Each subcommand is a row of ``_CHAINS``, the
+steps it runs in chain order (metrics, scores, profiles, correlation,
+evaluation) and its summary line, so ``score`` writes the same bytes as the
+score tables of ``pipeline``. Prediction records are only what
 ``fixture`` writes; every load is one ``ingest.load_score_cells`` call, which
 scores each prediction line as it is read, from the ``--predictions`` file or
 from the output file ``--classifier-cmd`` wrote for ``--manifest``, and
@@ -109,8 +109,8 @@ def _prepare_outdir(cfg: RunConfig) -> Path:
     """The --out path, refused when it holds files and --force is not given,
     or when its nearest existing ancestor is not a directory.
 
-    The directory is not made here: ``_made`` makes it just before the first
-    file is written, so a step that fails first leaves no --out behind.
+    The directory is not made here: ``reporting`` makes it as it opens the
+    first file, so a step that fails first leaves no --out behind.
     """
     out = Path(_require(cfg.out, "--out"))
     shown = escape_control(str(out))
@@ -124,15 +124,6 @@ def _prepare_outdir(cfg: RunConfig) -> Path:
         if not ancestor.is_dir():
             raise ConfigError(f"output directory {shown} cannot be created: "
                               f"{escape_control(str(ancestor))} is not a directory")
-    return out
-
-
-def _made(out: Path) -> Path:
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"output directory {escape_control(str(out))} cannot be created: "
-                          f"{exc.strerror or exc}") from exc
     return out
 
 
@@ -155,9 +146,9 @@ def cmd_fixture(cfg: RunConfig) -> int:
     dataset = generate_fixture(
         cfg.users_per_topic, cfg.images, cfg.purity, cfg.seed, tax, cfg.topk
     )
-    write_text(_made(out) / "predictions.jsonl", serialize_predictions(dataset))
+    write_text(out / "predictions.jsonl", serialize_predictions(dataset))
     write_text(out / "labels.csv", serialize_labels(dataset.labels))
-    print(f"wrote fixture ({len(dataset.users())} users) into {out}")
+    print(f"wrote fixture ({len(dataset.users())} users) into {escape_control(str(out))}")
     return 0
 
 
@@ -222,7 +213,7 @@ def _run_chain(cfg: RunConfig, command: str) -> int:
         from .ontometrics import semiotic_report, size_metrics, structural_metrics
 
         write_metrics(
-            _made(out),
+            out,
             size_metrics(tax),
             structural_metrics(tax),
             semiotic_report(tax, accuracy_attested=cfg.attest_accuracy),
@@ -232,7 +223,7 @@ def _run_chain(cfg: RunConfig, command: str) -> int:
     # is profiled only for a later step, so score alone warns about no user.
     # Users with no mappable mass are skipped with a warning and left out of
     # the sweep as well. metrics alone has no dataset and makes no pass.
-    facts = {"out": out}
+    facts = {"out": escape_control(str(out))}
     profiles = []
     sweep_map = {n: [] for n in cfg.sweep}
     if data:
@@ -241,7 +232,7 @@ def _run_chain(cfg: RunConfig, command: str) -> int:
         profiling = not {"profiles", "correlation", "evaluation"}.isdisjoint(steps)
         if profiling:
             from .profiling import profile_prefixes
-        tables = open_score_tables(_made(out), cfg.topk) if "scores" in steps else nullcontext()
+        tables = open_score_tables(out, cfg.topk) if "scores" in steps else nullcontext()
         with tables as score_tables:
             for user in users:
                 block = dataset.pop_block(user)
@@ -263,14 +254,14 @@ def _run_chain(cfg: RunConfig, command: str) -> int:
     facts["profiled"] = len(profiles)
 
     if "profiles" in steps:
-        write_profiles(_made(out), profiles, sweep_map if profiles else {})
+        write_profiles(out, profiles, sweep_map if profiles else {})
     if "correlation" in steps:
         if single or len(profiles) >= 2:
             from .correlation import co_interest_matrix, pearson_matrix
 
             corr = pearson_matrix(profiles, cfg.mechanism)
             co = co_interest_matrix(profiles, cfg.tau, cfg.mechanism)
-            write_correlation(_made(out), corr, co)
+            write_correlation(out, corr, co)
         else:
             _note("note: fewer than 2 profiles, correlation step skipped")
     if evaluating:
@@ -278,7 +269,7 @@ def _run_chain(cfg: RunConfig, command: str) -> int:
             from .evaluation import evaluate
 
             report = evaluate(sweep_map, labels, cfg.mechanism)
-            write_evaluation(_made(out), report)
+            write_evaluation(out, report)
             facts["labeled"] = report.n_labeled
         else:
             _note("note: no labeled users, evaluation step skipped")

@@ -83,27 +83,15 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
 
 
-def parse_sweep(raw: str, source: str = "sweep") -> tuple[int, ...]:
-    """Comma-separated integers; a bad list is reported under ``source``."""
-    try:
-        return tuple(int(part) for part in raw.split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(
-            f"{source}: expected comma-separated integers, got '{escape_control(raw)}'"
-        ) from None
+_EXPECTED = {"bool": "a boolean", "int": "an integer", "float": "a number",
+             "sweep": "comma-separated integers"}
 
-
-_EXPECTED = {"bool": "a boolean", "int": "an integer", "float": "a number"}
-
-
-# Each key's kind: how a text value of it is read. A NamedTuple keeps no usable
-# annotation text under postponed evaluation, so the kinds are listed here.
+# Each key's kind, how a text value of it is read, from its default: None is
+# "str", a tuple is "sweep", any other default gives its type's name.
 _KINDS = {
-    "taxonomy": "str", "predictions": "str", "labels": "str", "classifier_cmd": "str",
-    "classifier_timeout": "float", "manifest": "str", "out": "str", "topk": "int",
-    "mechanism": "str", "sweep": "sweep", "tau": "float", "seed": "int", "skip_bad": "bool",
-    "force": "bool", "attest_accuracy": "bool", "users_per_topic": "int", "images": "int",
-    "purity": "float",
+    key: "str" if default is None else "sweep" if isinstance(default, tuple)
+    else type(default).__name__
+    for key, default in RunConfig._field_defaults.items()
 }
 _KEYS = set(_KINDS)
 Layer = dict[str, tuple[object, str]]  # key -> (value, source)
@@ -113,9 +101,9 @@ def _coerce(key: str, raw: str, source: str):
     """Typed value of a setting; a bad value is reported under its source."""
     kind = _KINDS[key]
     raw = raw.strip()
-    if kind == "sweep":
-        return parse_sweep(raw, source)
     try:
+        if kind == "sweep":
+            return tuple(int(part) for part in raw.split(",") if part.strip())
         if kind == "bool":
             return _BOOL_WORDS[raw.casefold()]
         if kind == "int":

@@ -14,14 +14,14 @@ from typing import Mapping
 from .errors import ValidationFailure
 from .config import DEFAULT_TOP_K
 from .ingest import PredictionRecord, ProfileDataset
-from .taxonomy import TOPICS, Taxonomy, topic_of_instance
+from .taxonomy import TOPICS, Taxonomy
 
 
 def topic_instance_table(tax: Taxonomy) -> dict[str, list[str]]:
     """Instance terms per topic, in taxonomy file order."""
     table: dict[str, list[str]] = {t: [] for t in TOPICS}
-    for term in tax.instances:
-        topic = topic_of_instance(tax, term)
+    for term, concept in tax.instances.items():
+        topic = tax.nearest_topic[concept]
         if topic in table:
             table[topic].append(term)
     return table

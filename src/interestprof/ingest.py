@@ -70,22 +70,13 @@ class PredictionRecord(NamedTuple):
 
 
 class ProfileDataset:
-    """Prediction records grouped per user (file order), plus optional labels.
-
-    Two datasets are equal when their records and labels are; ``warnings``
-    does not count.
-    """
+    """Prediction records grouped per user (file order), plus optional labels."""
 
     def __init__(self, records: dict[str, list[PredictionRecord]] | None = None,
                  labels: dict[str, str] | None = None, warnings: list[str] | None = None):
         self.records = {} if records is None else records
         self.labels = {} if labels is None else labels
         self.warnings = [] if warnings is None else warnings
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.records, self.labels) == (other.records, other.labels)
 
     def users(self) -> list[str]:
         return list(self.records)

@@ -35,10 +35,12 @@ series from the report's mapping once, which computes it, and writes it to
 at a time; the mapping (``evaluation.RocPoints``) owns their order. Each ROC
 point is formatted once: its CSV text gives its JSON numbers (``_json_of_9g``).
 
-Every artifact is opened through ``_open_output``: a directory in the place
-of an artifact is a ConfigError that names the artifact, and a symlink in its
-place is removed first, so the artifact replaces the link and never writes
-through it.
+Every artifact is opened through ``_open_output``, which makes the output
+directory (``--out``) if it is missing, so it exists once its first file is
+opened: a directory that cannot be made is a ConfigError that names it. A
+directory in the place of an artifact is a ConfigError that names the
+artifact, and a symlink in its place is removed first, so the artifact
+replaces the link and never writes through it.
 
 Every other CSV artifact (the accuracy sweep, confusion, CMC, precision and
 recall and the three correlation matrices) is text from one helper, ``_csv``.
@@ -131,9 +133,15 @@ def _template(payload) -> str:
 
 
 def _open_output(path: Path, mode: str = "w", newline: str | None = None) -> IO:
-    """Open an artifact for writing, as text unless ``mode`` is binary; a
-    directory in its place is a ConfigError that names it. A symlink in its
-    place is replaced by the artifact, so no write lands outside ``--out``."""
+    """Open an artifact for writing, as text unless ``mode`` is binary, making
+    its directory first; a directory that cannot be made, or a directory in the
+    artifact's place, is a ConfigError that names it. A symlink in its place is
+    replaced by the artifact, so no write lands outside ``--out``."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {escape_control(str(path.parent))} cannot be "
+                          f"created: {exc.strerror or exc}") from exc
     if path.is_symlink():
         path.unlink()
     try:

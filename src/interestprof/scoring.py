@@ -122,12 +122,6 @@ class ScoredDataset:
         self.packed: dict[str, bytearray] = {}
         self.warnings: list[str] = []
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.k, self.cells, self.packed, self.warnings) == \
-            (other.k, other.cells, other.packed, other.warnings)
-
     def add(self, user_id: str, image_id: str, pairs: list[tuple[int, float]]) -> None:
         """Score one image from its (position, prob) pairs (see ``pack_cells``)
         and append its cells to its user's."""

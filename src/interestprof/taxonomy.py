@@ -124,10 +124,8 @@ class Taxonomy:
     ``parent`` maps every concept to its is-a parent; the root maps to None.
     Insertion order is declaration order (root first). Every concept's parent
     chain ends at the root, so the is-a graph is one tree, walked once by the
-    parse for ``depth`` and ``nearest_topic``. Two taxonomies are equal when
-    their six declared parts are; ``depth``, ``nearest_topic`` and ``warnings``
-    follow from those and do not count. ``label_index`` is built on first
-    use; the prediction loader, not the index, memoizes label lookups.
+    parse for ``depth`` and ``nearest_topic``. ``label_index`` is built on
+    first use; the prediction loader, not the index, memoizes label lookups.
     """
 
     def __init__(
@@ -152,15 +150,6 @@ class Taxonomy:
         self.nearest_topic = nearest_topic
         self.warnings = warnings
 
-    def _declared(self) -> tuple:
-        return (self.root, self.parent, self.topics, self.instances, self.attributes,
-                self.relations)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._declared() == other._declared()
-
     @cached_property
     def label_index(self) -> LabelIndex:
         """Compiled label lookup for scoring, built on first use.
@@ -174,17 +163,18 @@ class Taxonomy:
 class LabelIndex:
     """Classifier label -> canonical topic position, compiled from a taxonomy.
 
-    Every instance term is resolved to the position of its nearest topic once,
-    when the index is built; ``position`` normalizes a raw label and looks it
-    up. Labels with no topic map to N_TOPICS, the unmapped position. The index
-    keeps no memo of its own: the prediction loader keeps a per-load memo in
-    front of ``position``, so a load calls it once per distinct label.
+    Every instance term is resolved once, when the index is built, to the
+    position of the nearest topic the parse recorded for its concept;
+    ``position`` normalizes a raw label and looks it up. Labels with no topic
+    map to N_TOPICS, the unmapped position. The index keeps no memo of its
+    own: the prediction loader keeps a per-load memo in front of ``position``,
+    so a load calls it once per distinct label.
     """
 
     def __init__(self, tax: Taxonomy):
         by_term: dict[str, int] = {}
-        for term in tax.instances:
-            topic = topic_of_instance(tax, term)
+        for term, concept in tax.instances.items():
+            topic = tax.nearest_topic[concept]
             if topic is None:
                 continue
             if topic not in _TOPIC_POS:

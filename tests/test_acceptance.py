@@ -8,8 +8,6 @@ import math
 import random
 from contextlib import contextmanager
 
-import pytest
-
 import oracles
 from conftest import (
     COUNTS_PATH,

@@ -143,6 +143,17 @@ def test_out_that_mkdir_refuses_exits_2_naming_it(tmp_path, capsys, monkeypatch)
     assert list(tmp_path.iterdir()) == []
 
 
+def test_summary_line_escapes_control_characters_in_out(tmp_path, capsys):
+    fix = tmp_path / "f\n\x1b"
+    assert run("fixture", "--taxonomy", STARTER_PATH, "--users-per-topic", "1",
+               "--images", "2", "--out", fix) == 0
+    assert capsys.readouterr() == (f"wrote fixture (24 users) into {tmp_path}/f\\n\\x1b\n", "")
+    assert run("pipeline", "--taxonomy", STARTER_PATH, "--predictions", WORKED_EXAMPLE_PATH,
+               "--out", tmp_path / "p\n\x1b") == 0
+    assert capsys.readouterr().out == \
+        f"pipeline complete: 1 users profiled into {tmp_path}/p\\n\\x1b\n"
+
+
 def test_predictions_flag_required(tmp_path):
     assert run("score", "--taxonomy", STARTER_PATH, "--out", tmp_path / "out") == 2
 
@@ -313,7 +324,8 @@ def test_config_file_env_and_flag_precedence(tmp_path, monkeypatch):
 
 
 def test_every_setting_has_a_kind_that_reads_its_default():
-    # config._KINDS is written out by hand; it must cover RunConfig and read each default back.
+    # config._KINDS is derived from RunConfig's defaults; it must cover RunConfig and read
+    # each default back.
     assert list(config._KINDS) == list(RunConfig._fields)
     for key, kind in config._KINDS.items():
         default = RunConfig._field_defaults[key]

@@ -1,7 +1,8 @@
 """The library imports only the standard library and itself (pyproject lists no dependencies),
 and none of the start-up modules no command needs (``dataclasses``, ``inspect``, ``fractions``,
-``decimal``, ``numbers``); its source compiles on every supported Python (3.10 or later), and
-every name imported from it anywhere in the repository exists."""
+``decimal``, ``numbers``); its source compiles on every supported Python (3.10 or later),
+every name imported from it anywhere in the repository exists, and no module of it or of the
+tests imports a name it never uses."""
 
 import ast
 import importlib
@@ -120,6 +121,38 @@ def test_every_module_parses_as_python_3_10():
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
+def unused_imports(source: str) -> list[tuple[str, int]]:
+    """(name, line) of every name a module imports and never reads. A name read
+    only in a quoted annotation counts as read; ``__future__`` imports do not count."""
+    tree = ast.parse(source)
+    imported, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or \
+                isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            for quoted in ast.walk(annotation) if annotation else ():
+                if isinstance(quoted, ast.Constant) and isinstance(quoted.value, str):
+                    read.update(n.id for n in ast.walk(ast.parse(quoted.value, mode="eval"))
+                                if isinstance(n, ast.Name))
+    return sorted((name, line) for name, line in imported.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert unused_imports("import os, sys\nfrom a import b as c, d\nx: 'd'\nsys.exit()\n") \
+        == [("c", 2), ("os", 1)]
+    unused = [
+        f"{path.relative_to(REPO_DIR)}:{line}: {name}"
+        for folder in (PACKAGE_DIR, REPO_DIR / "tests")
+        for path in sorted(folder.glob("*.py"))
+        for name, line in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert unused == []
+
+
 def names_imported_from_the_package(path: Path) -> list[tuple[str, str, int]]:
     """(module, name, line) of every ``from interestprof... import name`` in a file, at any
     depth; a relative import counts as one from the package."""
@@ -214,7 +247,7 @@ def import_cycle(graph: dict[str, set[str]]) -> list[str]:
 
 def test_package_modules_import_each_other_without_a_cycle():
     graph = package_import_graph(PACKAGE_DIR)
-    assert "scoring" in graph["ingest"] and "taxonomy" in graph["__init__"]
+    assert "scoring" in graph["ingest"] and "__init__" in graph["cli"]
     assert import_cycle(graph) == []
 
 

@@ -232,7 +232,7 @@ def test_round_trip_serialize_load():
     })
     ds = load_score_cells("\n".join(lines), TAX)
     again = load_score_cells(serialize_predictions(records), TAX)
-    assert again == ds
+    assert vars(again) == vars(ds)
     assert [list(images) for images in again.cells.values()] == [["img1", "img2"], ["a"]]
     assert again.n_images() == 3  # grouping preserves multiplicity
 
@@ -471,25 +471,10 @@ def test_external_classifier_output_errors_name_the_output(tmp_path):
     assert str(err.value) == "classifier output:2: missing or empty 'image_id'"
 
 
-def test_dataset_equality():
-    # A ProfileDataset's warnings do not count; a ScoredDataset's do.
-    records = {"u1": [make_record("u1", "i1", [("cup", 0.5)])]}
-    assert ProfileDataset(records, {"u1": "Drink"}, ["w"]) == \
-        ProfileDataset(records=records, labels={"u1": "Drink"})
-    assert ProfileDataset(records) != ProfileDataset(records, {"u1": "Drink"})
-    scored, warned = ScoredDataset(k=5), ScoredDataset(k=5)
-    warned.warnings.append("w")
-    assert scored != warned and scored != ScoredDataset(k=4)
-    scored.add("u1", "i1", [(0, 0.5)])
-    warned.add("u1", "i1", [(0, 0.5)])
-    warned.warnings.clear()
-    assert scored == warned
-
-
 def test_external_classifier_empty_manifest_not_invoked():
     # The binary does not exist; if the adapter invoked it this would blow up.
     ds = classify([], "/nonexistent/classifier {input} {output}")
-    assert ds == ScoredDataset(k=5)
+    assert vars(ds) == vars(ScoredDataset(k=5))
     with pytest.raises(ConfigError, match="placeholder"):
         classify([], "/nonexistent/classifier")
 

@@ -17,7 +17,7 @@ from interestprof.ontometrics import semiotic_report, size_metrics, structural_m
 from interestprof.profiling import TopicDistribution, UserProfile, profile_prefixes
 from interestprof.reporting import (
     open_score_tables, profile_payload, to_json, write_evaluation, write_metrics,
-    write_profiles, write_score_rows,
+    write_profiles, write_score_rows, write_text,
 )
 from interestprof.taxonomy import N_TOPICS, TOPICS
 from oracles import dense_score_tables, json_ready
@@ -101,6 +101,15 @@ def test_write_profiles_empty_inputs(tmp_path):
     assert (tmp_path / "profiles.json").read_bytes() == b"[]\n"
     assert (tmp_path / "profiles_sweep.json").read_bytes() == b"{}\n"
     assert _reference_files([], {}) == ("[]\n", "{}\n")
+
+
+def test_writers_make_the_missing_output_directory(tmp_path):
+    write_text(tmp_path / "a" / "b" / "x.txt", "x\n")
+    assert (tmp_path / "a" / "b" / "x.txt").read_text() == "x\n"
+    with open_score_tables(tmp_path / "c" / "d", 5):
+        pass
+    assert sorted(p.name for p in (tmp_path / "c" / "d").iterdir()) == [
+        "image_scores_occ.csv", "image_scores_prob.csv"]
 
 
 def test_write_profiles_matches_the_payload_layout_around_each_sweep_point(tmp_path):

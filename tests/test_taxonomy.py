@@ -12,7 +12,6 @@ from interestprof.errors import CycleError, TaxonomyError, UnknownTopicError
 from interestprof.ontometrics import structural_metrics
 from interestprof.taxonomy import (
     TOPICS,
-    Taxonomy,
     normalize_term,
     parse_taxonomy,
     resolve_compound,
@@ -35,13 +34,8 @@ def test_minimal_file():
     assert tax.instances == {"espresso": "Drink"}
 
 
-def test_equality_is_over_the_declared_parts_and_label_index_is_built_once():
+def test_label_index_is_built_once_on_first_use():
     tax = parse_taxonomy(MINIMAL)
-    assert tax == parse_taxonomy(MINIMAL)
-    parts = dict(vars(tax))
-    derived = dict(parts, depth={}, nearest_topic={}, warnings=("w",))
-    assert Taxonomy(**derived) == tax
-    assert Taxonomy(**dict(parts, relations=(("r", "Interest", "Drink"),))) != tax
     assert "label_index" not in vars(tax)
     assert tax.label_index is tax.label_index
 
