@@ -15,7 +15,7 @@ from interestprof.evaluation import evaluate
 from interestprof.fixtures import generate_fixture
 from interestprof.ingest import load_score_cells, serialize_predictions
 from interestprof.profiling import profile_prefixes
-from interestprof.taxonomy import load_taxonomy
+from interestprof.taxonomy import LabelIndex, load_taxonomy
 
 ROOT = Path(__file__).resolve().parent.parent
 PURITIES = (1.0, 0.8, 0.6, 0.4, 0.3)
@@ -30,13 +30,14 @@ def main() -> None:
     args = ap.parse_args()
 
     tax = load_taxonomy(ROOT / "data" / "uio-starter.taxonomy")
+    index = LabelIndex(tax)
     header = "purity  mech  " + "  ".join(f"k={k:<4d}" for k in SWEEP)
     print(header)
     print("-" * len(header))
     for purity in PURITIES:
         dataset = generate_fixture(args.users_per_topic, args.images, purity,
                                    args.seed, tax)
-        scored = load_score_cells(serialize_predictions(dataset), tax)
+        scored = load_score_cells(serialize_predictions(dataset), index)
         per_user = [profile_prefixes(scored.pop_block(u), SWEEP, "occ") for u in scored.users()]
         profiles = {n: [row[j] for row in per_user] for j, n in enumerate(SWEEP)}
         report = evaluate(profiles, dataset.labels, "occ")

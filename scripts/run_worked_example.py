@@ -9,7 +9,7 @@ from pathlib import Path
 
 from interestprof.ingest import load_score_cells
 from interestprof.profiling import profile_prefixes
-from interestprof.taxonomy import N_TOPICS, TOPICS, load_taxonomy, topic_of_instance
+from interestprof.taxonomy import N_TOPICS, TOPICS, LabelIndex, load_taxonomy, topic_of_instance
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,7 +24,7 @@ def main() -> None:
         label = pred["label"]
         print(f"  {label:<10} p={pred['prob']:.2f}  ->  {topic_of_instance(tax, label)}")
 
-    block = load_score_cells(line, tax, 5).pop_block(record["user_id"])
+    block = load_score_cells(line, LabelIndex(tax), 5).pop_block(record["user_id"])
     topic_cells = [(TOPICS[pos], p, c) for pos, p, c in block.rows[0] if pos < N_TOPICS]
     print("\nimage-level probability scores:", {t: p for t, p, _ in topic_cells if p > 0})
     print("image-level occurrence scores: ", {t: c / block.k for t, _, c in topic_cells if c})

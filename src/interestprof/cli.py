@@ -6,23 +6,25 @@ fixture, pipeline. Exit status is 0 on success, 1 on validation failure,
 identical inputs, seed and flags, every subcommand writes byte-identical
 artifacts.
 
-The data subcommands run one chain, ``_run_chain``: load the taxonomy, check
-``--out``, read the ``--labels``, load the dataset, make one pass over the
-users, then write; ``reporting`` makes the directory as it opens the first
-file, and a bad ``--out`` or labels file fails before the dataset is loaded or
-the classifier is run. Only ``evaluate`` and ``pipeline`` read ``--labels``,
-into a table of the chain's own. An error in the taxonomy, predictions, labels
-or manifest names ``file:line``. Each subcommand is a row of ``_CHAINS``, the
-steps it runs in chain order (metrics, scores, profiles, correlation,
-evaluation) and its summary line, so ``score`` writes the same bytes as the
-score tables of ``pipeline``. Prediction records are only what
-``fixture`` writes; every load is one ``ingest.load_score_cells`` call, which
-scores each prediction line as it is read, from the ``--predictions`` file or
-from the output file ``--classifier-cmd`` wrote for ``--manifest``, and
-``--skip-bad`` applies to both. ``--classifier-cmd`` is killed after
-``classifier_timeout`` seconds (default 600). The pass takes each user's cells
-out of the dataset as a ScoreBlock, writes its score rows (text from a row
-template, one write per table per user) and derives the full profile and every
+The data subcommands run one chain, ``_run_chain``: load the taxonomy, build
+its one ``LabelIndex`` (all but ``metrics`` alone, which reads no data), check
+``--out``, read the ``--labels``, load the dataset through that index, make
+one pass over the users, then write; ``reporting`` makes the directory as it
+opens the first file, and a topic that is not canonical, a bad ``--out`` or a
+bad labels file fails before the dataset is loaded or the classifier is run.
+Only ``evaluate`` and ``pipeline`` read ``--labels``, into a table of the
+chain's own. An error in the taxonomy, predictions, labels or manifest names
+``file:line``. Each subcommand is a row of ``_CHAINS``, the steps it runs in
+chain order (metrics, scores, profiles, correlation, evaluation) and its
+summary line, so ``score`` writes the same bytes as the score tables of
+``pipeline``. Prediction records are only what ``fixture`` writes; every load
+is one ``ingest.load_score_cells`` call, which scores each prediction line as
+it is read, from the ``--predictions`` file or from the output file
+``--classifier-cmd`` wrote for ``--manifest``, and ``--skip-bad`` applies to
+both. ``--classifier-cmd`` is killed after ``classifier_timeout`` seconds
+(default 600). The pass takes each user's cells out of the dataset as a
+ScoreBlock, writes its score rows (its touched cells between runs of ``"0"``
+cells, one write per table per user) and derives the full profile and every
 sweep point from it, so the cells are freed user by user before the profile
 files are streamed. A subcommand named for one step fails (exit 1) when that
 step has no input, such as fewer than 2 profiles to correlate or no labeled
@@ -50,9 +52,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .config import (
-    MECHANISMS, RunConfig, build_config, env_overrides, flag_overrides, parse_config_file,
-)
+from .config import RunConfig, build_config, env_overrides, flag_overrides, parse_config_file
 from .errors import (
     ConfigError,
     ExternalClassifierError,
@@ -60,7 +60,7 @@ from .errors import (
     escape_control,
     open_input,
 )
-from .taxonomy import load_taxonomy
+from .taxonomy import LabelIndex, load_taxonomy
 
 if TYPE_CHECKING:
     from .scoring import ScoredDataset
@@ -84,7 +84,7 @@ def _load_tax(cfg: RunConfig) -> Taxonomy:
     return tax
 
 
-def _load_dataset(cfg: RunConfig, tax: Taxonomy) -> ScoredDataset:
+def _load_dataset(cfg: RunConfig, index: LabelIndex) -> ScoredDataset:
     """Score cells of the predictions (or classifier output)."""
     from .ingest import load_score_cells, read_manifest, run_external_classifier
 
@@ -99,7 +99,7 @@ def _load_dataset(cfg: RunConfig, tax: Taxonomy) -> ScoredDataset:
     else:
         raise ConfigError("missing required setting: --predictions (or --classifier-cmd)")
     with source as lines:
-        dataset = load_score_cells(lines, tax, cfg.topk, cfg.skip_bad, manifest, cfg.predictions)
+        dataset = load_score_cells(lines, index, cfg.topk, cfg.skip_bad, manifest, cfg.predictions)
     for w in dataset.warnings:
         _note(f"warning: {w}")
     return dataset
@@ -187,10 +187,10 @@ def _run_chain(cfg: RunConfig, command: str) -> int:
     steps, summary = _CHAINS[command]
     single = len(steps) == 1  # a single step fails where pipeline would skip it
     tax = _load_tax(cfg)
-    # metrics alone reads no data, so it accepts topics that are not canonical.
+    # metrics alone reads no data, so it accepts topics that are not canonical;
+    # a data run builds its one index here, so a bad topic fails before any output.
     data = steps != ("metrics",)
-    if data:
-        tax.label_index  # compiled on first access, so a bad topic fails before any output
+    index = LabelIndex(tax) if data else None
     evaluating = "evaluation" in steps
     if single and evaluating:
         _require(cfg.labels, "--labels")
@@ -203,7 +203,7 @@ def _run_chain(cfg: RunConfig, command: str) -> int:
 
         with open_input(cfg.labels, "labels", newline="") as fh:
             labels = load_labels(fh, cfg.labels)
-    dataset = _load_dataset(cfg, tax) if data else None
+    dataset = _load_dataset(cfg, index) if data else None
     for user_id in labels:
         if user_id not in dataset.cells:
             _note(f"warning: label for user '{escape_control(user_id)}' "
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output directory")
     common.add_argument("--force", action="store_true", help="allow writing into a non-empty output directory")
     common.add_argument("--topk", help="top-k predictions per image (default 5)")
-    common.add_argument("--mechanism", choices=MECHANISMS, help="scoring mechanism (default occ)")
+    common.add_argument("--mechanism", help="scoring mechanism, prob or occ (default occ)")
     common.add_argument("--seed", help="seed for fixture generation")
 
     data = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)

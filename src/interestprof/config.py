@@ -93,7 +93,6 @@ _KINDS = {
     else type(default).__name__
     for key, default in RunConfig._field_defaults.items()
 }
-_KEYS = set(_KINDS)
 Layer = dict[str, tuple[object, str]]  # key -> (value, source)
 
 
@@ -135,7 +134,7 @@ def parse_config_file(path: str | Path) -> Layer:
             raise ConfigError(f"{shown}:{no}: expected key = value")
         key, _, raw_value = line.partition("=")
         key = key.strip()
-        if key not in _KEYS:
+        if key not in _KINDS:
             raise ConfigError(f"{shown}:{no}: unknown config key '{escape_control(key)}'")
         source = f"{shown}:{no}: {key}"
         values[key] = (_coerce(key, raw_value, source), source)
@@ -145,7 +144,7 @@ def parse_config_file(path: str | Path) -> Layer:
 def env_overrides(environ: Mapping[str, str] | None = None) -> Layer:
     environ = os.environ if environ is None else environ
     values = {}
-    for key in sorted(_KEYS):
+    for key in sorted(_KINDS):
         name = ENV_PREFIX + key.upper()
         if name in environ:
             values[key] = (_coerce(key, environ[name], name), name)
@@ -157,7 +156,7 @@ def flag_overrides(flags: Mapping[str, object]) -> Layer:
     here, so a bad one is reported under its flag, such as ``--topk``."""
     values = {}
     for key, value in flags.items():
-        if key in _KEYS and value is not None:
+        if key in _KINDS and value is not None:
             source = "--" + key.replace("_", "-")
             if isinstance(value, str) and _KINDS[key] != "str":
                 value = _coerce(key, value, source)
@@ -166,9 +165,17 @@ def flag_overrides(flags: Mapping[str, object]) -> Layer:
 
 
 def build_config(*layers: Layer) -> RunConfig:
-    """Merge defaults < config file < environment < CLI flags, then validate."""
+    """Merge defaults < config file < environment < CLI flags, then validate. A
+    layer that sets the data source, ``predictions`` or ``classifier_cmd``, replaces
+    both, and one layer may not set both."""
     merged, sources = {}, {}
     for layer in layers:
+        if "predictions" in layer and "classifier_cmd" in layer:
+            raise ConfigError(f"{layer['classifier_cmd'][1]}: classifier_cmd cannot be "
+                              f"combined with predictions ({layer['predictions'][1]})")
+        if "predictions" in layer or "classifier_cmd" in layer:
+            merged.pop("predictions", None)
+            merged.pop("classifier_cmd", None)
         for key, (value, source) in layer.items():
             merged[key] = value
             sources[key] = source

@@ -49,11 +49,6 @@ class CorrelationMatrix(NamedTuple):
         return None if math.isnan(v) else v
 
 
-def _columns(profiles: Sequence[UserProfile], mechanism: str) -> list[array]:
-    """Topic score columns of the selected mechanism's vectors, one value per user."""
-    return topic_columns([p.vector(mechanism) for p in profiles])
-
-
 def _ratio(cross: float, denom: float) -> float:
     """cross / denom clipped to [-1, 1]; a zero denominator (underflow) as IEEE division."""
     if denom:
@@ -72,7 +67,7 @@ def pearson_matrix(profiles: Sequence[UserProfile], mechanism: str) -> Correlati
     n = len(profiles)
     if n < 2:
         raise EmptyInputError(f"correlation needs at least 2 profiled users, got {n}")
-    columns = _columns(profiles, mechanism)
+    columns = topic_columns([p.vector(mechanism) for p in profiles])
     m = len(columns)
     varying = [j for j, col in enumerate(columns) if col.count(col[0]) != n]
     centred, spread = {}, {}
@@ -109,7 +104,7 @@ def co_interest_matrix(
     if not profiles:
         raise EmptyInputError("co-interest needs at least 1 profiled user, got 0")
     masks = []
-    for col in _columns(profiles, mechanism):
+    for col in topic_columns([p.vector(mechanism) for p in profiles]):
         mask = 0
         for r, v in enumerate(col):
             if v >= tau:

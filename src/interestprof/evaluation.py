@@ -134,9 +134,6 @@ class RocPoints(Mapping[str, RocSeries]):
     def __len__(self) -> int:
         return len(self._columns)
 
-    def __contains__(self, topic: object) -> bool:
-        return topic in self._columns
-
 
 def evaluate(
     profiles_by_k: Mapping[int, Sequence[UserProfile]],

@@ -15,12 +15,12 @@ pairs to ``ScoredDataset.add``, which owns the packed cell layout (see
 ``scoring``).
 
 Each line is read once. The default JSON decoder's scanner decodes it, and
-only a line the scanner does not read whole goes through ``json.loads``
-again, so every value and message is that of ``json.loads``. A per-load memo
-maps each label to its key, the label's topic position: a label is checked
-and resolved on its first sight, and each later occurrence is one dict probe.
-A line nested ``MAX_NESTING`` levels deep is rejected before it is decoded,
-wherever the load is called from.
+only a line the scanner does not read whole goes through ``json.loads`` again,
+so every value and message is that of ``json.loads``. A per-load memo maps
+each label to its key, the label's topic position in the caller's
+``LabelIndex``: a label is checked and resolved on its first sight, and each
+later occurrence is one dict probe. A line nested ``MAX_NESTING`` levels deep
+is rejected before it is decoded, wherever the load is called from.
 
 Labels are CSV with header ``user_id,topic``, read by ``load_labels`` into a
 table of their own; no load carries them. The external-classifier adapter
@@ -58,7 +58,7 @@ from .errors import (
     open_input,
 )
 from .scoring import ScoredDataset
-from .taxonomy import TOPICS, Taxonomy, resolve_compound
+from .taxonomy import TOPICS, LabelIndex, resolve_compound
 
 
 class PredictionRecord(NamedTuple):
@@ -332,7 +332,7 @@ def read_manifest(source: str | Iterable[str], path: str | None = None) -> Manif
 
 def load_score_cells(
     source: str | Iterable[str],
-    tax: Taxonomy,
+    index: LabelIndex,
     k_max: int = DEFAULT_TOP_K,
     skip_bad: bool = False,
     manifest: Manifest | None = None,
@@ -341,7 +341,7 @@ def load_score_cells(
     """Valid prediction lines as packed score cells with k = ``k_max``, grouped per
     user and image in file order, and the warnings for skipped lines.
 
-    ``tax.label_index.position`` runs once per distinct label of a load, on its
+    ``index.position`` runs once per distinct label of a load, on its
     first valid sight. Any malformed or invalid line, or a second record of one
     image, aborts the load unless ``skip_bad`` is set, in which case it is
     skipped with a warning. Errors name ``<path>:<line>`` (``line <line>`` with
@@ -354,7 +354,7 @@ def load_score_cells(
     """
     if not 1 <= k_max <= MAX_TOPK:
         raise ValueError(f"k_max must be in 1 to {MAX_TOPK}, got {k_max}")
-    key = tax.label_index.position
+    key = index.position
     dataset = ScoredDataset(k=k_max)
     keys: dict[str, int] = {}
     for no, raw in enumerate(input_lines(source), start=1):

@@ -22,9 +22,8 @@ is-a cycle. Topic queries and structural metrics read those records.
 
 from __future__ import annotations
 
-from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     CycleError,
@@ -118,57 +117,36 @@ def normalize_term(term: str) -> str:
     return " ".join(term.replace("_", " ").casefold().split())
 
 
-class Taxonomy:
+class Taxonomy(NamedTuple):
     """Validated concept hierarchy; nothing changes it after the parse.
 
     ``parent`` maps every concept to its is-a parent; the root maps to None.
     Insertion order is declaration order (root first). Every concept's parent
     chain ends at the root, so the is-a graph is one tree, walked once by the
-    parse for ``depth`` and ``nearest_topic``. ``label_index`` is built on
-    first use; the prediction loader, not the index, memoizes label lookups.
+    parse for ``depth`` and ``nearest_topic``. A data run builds one
+    ``LabelIndex`` from it and hands that to the load.
     """
 
-    def __init__(
-        self,
-        root: str,
-        parent: dict[str, str | None],
-        topics: frozenset[str],
-        instances: dict[str, str],  # normalized term -> owning concept
-        attributes: dict[str, tuple[tuple[str, str], ...]],
-        relations: tuple[tuple[str, str, str], ...],
-        depth: dict[str, int],  # edges from the root
-        nearest_topic: dict[str, str | None],  # at or above; None if none
-        warnings: tuple[str, ...] = (),
-    ):
-        self.root = root
-        self.parent = parent
-        self.topics = topics
-        self.instances = instances
-        self.attributes = attributes
-        self.relations = relations
-        self.depth = depth
-        self.nearest_topic = nearest_topic
-        self.warnings = warnings
-
-    @cached_property
-    def label_index(self) -> LabelIndex:
-        """Compiled label lookup for scoring, built on first use.
-
-        Raises UnknownTopicError when an instance's nearest topic is not one
-        of the canonical topics.
-        """
-        return LabelIndex(self)
+    root: str
+    parent: dict[str, str | None]
+    topics: frozenset[str]
+    instances: dict[str, str]  # normalized term -> owning concept
+    attributes: dict[str, tuple[tuple[str, str], ...]]
+    relations: tuple[tuple[str, str, str], ...]
+    depth: dict[str, int]  # edges from the root
+    nearest_topic: dict[str, str | None]  # at or above; None if none
+    warnings: tuple[str, ...] = ()
 
 
 class LabelIndex:
     """Classifier label -> canonical topic position, compiled from a taxonomy.
 
-    Every instance term is resolved once, when the index is built, to the
-    position of the nearest topic the parse recorded for its concept;
-    ``position`` normalizes a raw label and looks it up. Labels with no topic
-    map to N_TOPICS, the unmapped position. The index keeps no memo of its
-    own: the prediction loader keeps a per-load memo in front of ``position``,
-    so a load calls it once per distinct label.
+    Building it resolves every instance term to the position of the nearest
+    topic the parse recorded for its concept, and raises UnknownTopicError
+    when that topic is not canonical. ``position`` normalizes a raw label and
+    looks it up; a label with no topic maps to N_TOPICS, the unmapped
+    position. The prediction loader keeps a per-load memo in front of
+    ``position``, so a load calls it once per distinct label.
     """
 
     def __init__(self, tax: Taxonomy):

@@ -14,7 +14,7 @@ from interestprof.ingest import (
 )
 from interestprof.profiling import TopicDistribution, UserProfile, profile_prefixes
 from interestprof.scoring import ScoreBlock
-from interestprof.taxonomy import N_TOPICS, TOPICS, Taxonomy, load_taxonomy
+from interestprof.taxonomy import N_TOPICS, TOPICS, LabelIndex, Taxonomy, load_taxonomy
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 STARTER_PATH = DATA_DIR / "uio-starter.taxonomy"
@@ -108,7 +108,7 @@ def block_of(records, tax: Taxonomy, k: int = 5) -> ScoreBlock:
         return ScoreBlock(user_id="", image_ids=(), k=k, rows=())
     (user_id,) = {rec.user_id for rec in records}
     lines = serialize_predictions(ProfileDataset(records={user_id: list(records)}))
-    return load_score_cells(lines, tax, k).pop_block(user_id)
+    return load_score_cells(lines, LabelIndex(tax), k).pop_block(user_id)
 
 
 def image_rows(record: PredictionRecord, tax: Taxonomy, k: int = 5):

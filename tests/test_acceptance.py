@@ -27,7 +27,7 @@ from interestprof.fixtures import generate_fixture
 from interestprof.ingest import ProfileDataset, load_score_cells
 from interestprof.ontometrics import size_metrics, structural_metrics
 from interestprof.profiling import profile_prefixes
-from interestprof.taxonomy import N_TOPICS, TOPICS, parse_taxonomy
+from interestprof.taxonomy import N_TOPICS, TOPICS, LabelIndex, parse_taxonomy
 
 # Committed reference for criterion 6, measured once at first build from the
 # frozen fixture below (24 topics x 10 users x 50 images, purity 0.8).
@@ -54,7 +54,7 @@ def test_c1_worked_example_image_scores():
     with criterion("1 (worked-example image scores)"):
         tax = starter_taxonomy()
         with open(WORKED_EXAMPLE_PATH, encoding="utf-8") as fh:
-            ds = load_score_cells(fh, tax, 5)
+            ds = load_score_cells(fh, LabelIndex(tax), 5)
         ((prob, occ),) = dense_rows(ds.pop_block("u1"))
         for topic, expected in (("Drink", 0.20), ("Food", 0.06), ("Fashion", 0.04)):
             assert abs(prob.as_dict()[topic] - expected) <= 1e-12

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, config precedence, artifacts."""
 
+import argparse
 import csv
 import json
 import os
@@ -18,6 +19,7 @@ from interestprof.cli import main
 from interestprof import config
 from interestprof.config import ENV_PREFIX, RunConfig
 from interestprof.ingest import ProfileDataset, load_labels
+from interestprof.taxonomy import LabelIndex
 from test_ingest import STUB_OK, _gone_or_zombie, _stub, _writing_stub
 
 BOM = "\ufeff"
@@ -323,6 +325,40 @@ def test_config_file_env_and_flag_precedence(tmp_path, monkeypatch):
     assert len((out3 / "predictions.jsonl").read_text().splitlines()) == 24 * 4
 
 
+def test_a_later_layer_data_source_replaces_an_earlier_one(tmp_path, capsys, monkeypatch):
+    """predictions and classifier_cmd are one setting: a later layer's replaces an
+    earlier layer's, and one layer may not set both."""
+    manifest = tmp_path / "man.csv"
+    manifest.write_text(MANIFEST)
+    stub = _stub(tmp_path, STUB_OK)
+    config = tmp_path / "run.conf"
+    config.write_text(f"predictions = {WORKED_EXAMPLE_PATH}\n")
+
+    def profiled(out, *args):
+        assert run("profile", "--taxonomy", STARTER_PATH, *args, "--out", out) == 0
+        return [p["user_id"] for p in json.loads((out / "profiles.json").read_text())]
+
+    assert profiled(tmp_path / "oc", "--config", config,
+                    "--classifier-cmd", stub, "--manifest", manifest) == ["u1", "u2"]
+    monkeypatch.setenv(ENV_PREFIX + "CLASSIFIER_CMD", stub)
+    assert profiled(tmp_path / "op", "--predictions", WORKED_EXAMPLE_PATH) == ["u1"]
+    monkeypatch.delenv(ENV_PREFIX + "CLASSIFIER_CMD")
+    capsys.readouterr()
+
+    out = tmp_path / "both"
+    assert run("profile", "--taxonomy", STARTER_PATH, "--predictions", WORKED_EXAMPLE_PATH,
+               "--classifier-cmd", stub, "--manifest", manifest, "--out", out) == 2
+    assert capsys.readouterr() == ("", "error: --classifier-cmd: classifier_cmd cannot be "
+                                   "combined with predictions (--predictions)\n")
+    config.write_text(f"predictions = {WORKED_EXAMPLE_PATH}\nclassifier_cmd = {stub}\n")
+    assert run("profile", "--config", config, "--taxonomy", STARTER_PATH,
+               "--manifest", manifest, "--out", out) == 2
+    assert capsys.readouterr() == ("", f"error: {config}:2: classifier_cmd: classifier_cmd "
+                                   f"cannot be combined with predictions ({config}:1: "
+                                   "predictions)\n")
+    assert not out.exists()
+
+
 def test_every_setting_has_a_kind_that_reads_its_default():
     # config._KINDS is derived from RunConfig's defaults; it must cover RunConfig and read
     # each default back.
@@ -334,6 +370,19 @@ def test_every_setting_has_a_kind_that_reads_its_default():
             continue
         text = ",".join(map(str, default)) if kind == "sweep" else str(default)
         assert config._coerce(key, text, key) == default, key
+
+
+def test_every_flag_is_named_for_its_setting():
+    # flag_overrides names a bad value's source "--" + key with "_" as "-", so each flag
+    # but --config must be that name of its RunConfig key, and each key must have one.
+    subcommands = next(action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    flags = {}
+    for parser in subcommands.choices.values():
+        for action in parser._actions:
+            if not isinstance(action, argparse._HelpAction) and action.dest != "config":
+                flags.update((flag, action.dest) for flag in action.option_strings)
+    assert flags == {"--" + key.replace("_", "-"): key for key in RunConfig._fields}
 
 
 def test_bad_config_values_exit_2(tmp_path, capsys, monkeypatch):
@@ -387,6 +436,8 @@ def test_bad_config_values_exit_2(tmp_path, capsys, monkeypatch):
          "--sweep: sweep values must be positive and strictly increasing: [5, 5]"),
         (data_args + ["--tau", "5"], "--tau: tau must be in (0, 1], got 5.0"),
         (data_args + ["--topk", "0"], "--topk: topk must be >= 1, got 0"),
+        (data_args + ["--mechanism", "bogus"],
+         "--mechanism: mechanism must be 'prob' or 'occ', got 'bogus'"),
         # Counts are packed as unsigned 32-bit ints.
         (data_args + ["--topk", "4294967296"],
          "--topk: topk must be <= 4294967295, got 4294967296"),
@@ -494,6 +545,22 @@ def test_non_canonical_topic_exits_1_naming_the_concept(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Gadgets" in err and "canonical" in err
     assert not out.exists()
+
+
+def test_a_data_run_builds_one_label_index_and_metrics_none(tmp_path, monkeypatch):
+    built = []
+    init = LabelIndex.__init__
+
+    def counting(self, tax):
+        built.append(tax)
+        init(self, tax)
+
+    monkeypatch.setattr(LabelIndex, "__init__", counting)
+    assert run("pipeline", "--taxonomy", STARTER_PATH, "--predictions", WORKED_EXAMPLE_PATH,
+               "--out", tmp_path / "p") == 0
+    assert len(built) == 1
+    assert run("metrics", "--taxonomy", STARTER_PATH, "--out", tmp_path / "m") == 0
+    assert len(built) == 1
 
 
 def test_score_tables_quote_ids_with_commas_and_quotes(tmp_path):

@@ -31,9 +31,9 @@ from interestprof.ingest import (
     serialize_predictions,
 )
 from interestprof.scoring import ScoredDataset, pack_cells
-from interestprof.taxonomy import N_TOPICS, TOPICS, load_taxonomy, parse_taxonomy
+from interestprof.taxonomy import N_TOPICS, TOPICS, LabelIndex, load_taxonomy, parse_taxonomy
 
-TAX = starter_taxonomy()
+INDEX = LabelIndex(starter_taxonomy())
 WORKED_LINE = json.dumps(
     {
         "user_id": "u1",
@@ -50,7 +50,7 @@ WORKED_LINE = json.dumps(
 
 
 def test_load_single_record():
-    ds = load_score_cells(WORKED_LINE, TAX)
+    ds = load_score_cells(WORKED_LINE, INDEX)
     assert ds.users() == ["u1"]
     block = ds.pop_block("u1")
     assert block.image_ids == ("img1",)
@@ -60,7 +60,7 @@ def test_load_single_record():
 
 
 def test_empty_stream_gives_empty_dataset():
-    ds = load_score_cells("", TAX)
+    ds = load_score_cells("", INDEX)
     assert ds.users() == []
     assert ds.n_images() == 0
 
@@ -70,13 +70,13 @@ def test_prob_out_of_range_names_line():
         {"user_id": "u2", "image_id": "i", "predictions": [{"label": "x", "prob": 1.3}]}
     )
     with pytest.raises(DataFormatError, match="line 2") as err:
-        load_score_cells(bad, TAX)
+        load_score_cells(bad, INDEX)
     assert "1.3" in str(err.value)
 
 
 def test_malformed_json_aborts_with_line_number():
     with pytest.raises(DataFormatError, match="line 1"):
-        load_score_cells("{not json", TAX)
+        load_score_cells("{not json", INDEX)
 
 
 def _outcome(source):
@@ -84,7 +84,7 @@ def _outcome(source):
     ``source``, or its error message. A row is compared by its repr, which
     tells -0.0 from 0.0 as the packed bytes do."""
     try:
-        ds = load_score_cells(source, TAX)
+        ds = load_score_cells(source, INDEX)
     except DataFormatError as exc:
         return str(exc)
     blocks = map(ds.pop_block, ds.users())
@@ -165,7 +165,7 @@ def test_duplicate_keys_keep_the_last_and_nan_is_out_of_range():
 
 def test_skip_bad_collects_warnings():
     text = "{broken\n" + WORKED_LINE + "\n"
-    ds = load_score_cells(text, TAX, skip_bad=True)
+    ds = load_score_cells(text, INDEX, skip_bad=True)
     assert ds.users() == ["u1"]
     assert len(ds.warnings) == 1
     assert "line 1" in ds.warnings[0]
@@ -184,25 +184,25 @@ def test_each_kept_image_is_packed_once(monkeypatch):
     # A malformed line, a second record of one image and a prob out of range
     # are skipped before their cells are packed.
     text = "\n".join(["{broken", WORKED_LINE, WORKED_LINE, u2, _cup(1.5), _cup(0.5)])
-    ds = load_score_cells(text, TAX, skip_bad=True)
+    ds = load_score_cells(text, INDEX, skip_bad=True)
     assert len(ds.warnings) == 3
     assert len(packed) == ds.n_images() == 3
     # So is a line the manifest does not list.
     packed.clear()
     manifest = Manifest({("u1", "img1"): ("/a.jpg", 2), ("u", "i"): ("/b.jpg", 3)})
-    ds = load_score_cells(text, TAX, skip_bad=True, manifest=manifest)
+    ds = load_score_cells(text, INDEX, skip_bad=True, manifest=manifest)
     assert len(packed) == ds.n_images() == 2
 
 
 def test_duplicate_user_image_rejected():
     with pytest.raises(DataFormatError, match="duplicate record"):
-        load_score_cells(WORKED_LINE + "\n" + WORKED_LINE, TAX)
+        load_score_cells(WORKED_LINE + "\n" + WORKED_LINE, INDEX)
 
 
 def test_record_length_bounds():
     empty = json.dumps({"user_id": "u", "image_id": "i", "predictions": []})
     with pytest.raises(DataFormatError, match="nonempty"):
-        load_score_cells(empty, TAX)
+        load_score_cells(empty, INDEX)
     six = json.dumps(
         {
             "user_id": "u",
@@ -211,8 +211,8 @@ def test_record_length_bounds():
         }
     )
     with pytest.raises(DataFormatError, match="top-k"):
-        load_score_cells(six, TAX)
-    assert load_score_cells(six, TAX, k_max=6).n_images() == 1
+        load_score_cells(six, INDEX)
+    assert load_score_cells(six, INDEX, k_max=6).n_images() == 1
 
 
 def test_round_trip_serialize_load():
@@ -230,8 +230,8 @@ def test_round_trip_serialize_load():
         "u1": [make_record("u1", "img1", worked), make_record("u1", "img2", [("cup", 0.25)])],
         "u2": [make_record("u2", "a", [("alp", 0.5)])],
     })
-    ds = load_score_cells("\n".join(lines), TAX)
-    again = load_score_cells(serialize_predictions(records), TAX)
+    ds = load_score_cells("\n".join(lines), INDEX)
+    again = load_score_cells(serialize_predictions(records), INDEX)
     assert vars(again) == vars(ds)
     assert [list(images) for images in again.cells.values()] == [["img1", "img2"], ["a"]]
     assert again.n_images() == 3  # grouping preserves multiplicity
@@ -335,7 +335,7 @@ def classify(manifest, template, timeout=None, skip_bad=False):
     if not isinstance(manifest, Manifest):
         manifest = Manifest({(u, i): (p, no) for no, (u, i, p) in enumerate(manifest, 1)})
     with run_external_classifier(manifest, template, timeout) as lines:
-        return load_score_cells(lines, TAX, 5, skip_bad, manifest)
+        return load_score_cells(lines, INDEX, 5, skip_bad, manifest)
 
 
 # Characters str.splitlines breaks at and a file read keeps inside the line.
@@ -387,15 +387,15 @@ def test_messages_quote_ids_as_before_and_escape_controls():
     line = json.dumps({"user_id": "u1", "image_id": "img1",
                        "predictions": [{"label": "cup", "prob": 0.5}]})
     with pytest.raises(DataFormatError) as plain:
-        load_score_cells(line + "\n" + line, TAX)
+        load_score_cells(line + "\n" + line, INDEX)
     assert str(plain.value) == "line 2: duplicate record for user 'u1' image 'img1'"
     bad = json.dumps({"user_id": "u\x1b[2J", "image_id": "i\r1",
                       "predictions": [{"label": "c\x9bup", "prob": 1.5}]})
     with pytest.raises(DataFormatError) as escaped:
-        load_score_cells(bad, TAX)
+        load_score_cells(bad, INDEX)
     assert str(escaped.value) == "line 1: prob 1.5 for 'c\\x9bup' out of range [0, 1]"
     with pytest.raises(DataFormatError) as dup:
-        load_score_cells(bad.replace("1.5", "0.5") + "\n" + bad.replace("1.5", "0.5"), TAX)
+        load_score_cells(bad.replace("1.5", "0.5") + "\n" + bad.replace("1.5", "0.5"), INDEX)
     assert str(dup.value) == "line 2: duplicate record for user 'u\\x1b[2J' image 'i\\r1'"
 
 
@@ -446,7 +446,7 @@ def test_unlisted_record_skipped_under_skip_bad_leaves_no_empty_user():
                          "predictions": [{"label": "cup", "prob": 0.5}]})
              for u, i in (("u1", "i1"), ("ghost", "zzz"))]
     manifest = Manifest({("u1", "i1"): ("/a.jpg", 2), ("u1", "i2"): ("/b.jpg", 3)}, "m.csv")
-    ds = load_score_cells(lines, TAX, skip_bad=True, manifest=manifest)
+    ds = load_score_cells(lines, INDEX, skip_bad=True, manifest=manifest)
     assert ds.users() == ["u1"]
     assert ds.warnings == [
         "skipped classifier output:2: user 'ghost' image 'zzz' is not listed in the manifest",

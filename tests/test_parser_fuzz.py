@@ -30,7 +30,7 @@ from conftest import (
 from interestprof.cli import main
 from interestprof.errors import DataFormatError
 from interestprof.ingest import load_labels, load_score_cells
-from interestprof.taxonomy import N_TOPICS, TOPICS
+from interestprof.taxonomy import N_TOPICS, TOPICS, LabelIndex
 
 chars = st.one_of(st.characters(), st.characters(categories=["Cs"]))
 texts = st.text(chars, max_size=12)
@@ -89,12 +89,12 @@ def assert_utf8(*strings):
 @given(st.lists(st.one_of(prediction_lines, valid_lines), max_size=6),
        st.integers(min_value=1, max_value=7))
 def test_load_score_cells_raises_only_data_format_errors(lines, k_max):
-    tax = starter_taxonomy()
+    index = LabelIndex(starter_taxonomy())
     for source in (lines, "\n".join(lines)):
         try:
-            dataset = load_score_cells(source, tax, k_max)
+            dataset = load_score_cells(source, index, k_max)
         except DataFormatError:
-            dataset = load_score_cells(source, tax, k_max, skip_bad=True)
+            dataset = load_score_cells(source, index, k_max, skip_bad=True)
         n_images = dataset.n_images()
         blocks = [dataset.pop_block(user) for user in dataset.users()]
         assert dataset.cells == {}
@@ -112,6 +112,7 @@ def test_load_score_cells_raises_only_data_format_errors(lines, k_max):
 @given(st.lists(valid_lines, max_size=6), st.integers(min_value=1, max_value=7), st.booleans())
 def test_load_score_cells_matches_the_oracle(lines, k_max, skip_bad):
     tax = starter_taxonomy()
+    index = LabelIndex(tax)
     images, bad = {}, []
     for no, line in enumerate(lines, start=1):
         obj = json.loads(line)
@@ -123,10 +124,10 @@ def test_load_score_cells_matches_the_oracle(lines, k_max, skip_bad):
     for source in (lines, "\n".join(lines)):
         if bad and not skip_bad:
             with pytest.raises(DataFormatError) as err:
-                load_score_cells(source, tax, k_max)
+                load_score_cells(source, index, k_max)
             assert err.value.line == bad[0]
             continue
-        dataset = load_score_cells(source, tax, k_max, skip_bad)
+        dataset = load_score_cells(source, index, k_max, skip_bad)
         assert [int(w.split()[2].rstrip(":")) for w in dataset.warnings] == bad
         assert dataset.users() == list(dict.fromkeys(user for user, _ in images))
         for user in dataset.users():
@@ -177,7 +178,7 @@ def test_cli_exits_1_on_rejected_input_without_traceback(content, which):
         bad = Path(tmp) / "input"
         bad.write_bytes(content)
         if which == "predictions":
-            assume(_rejected(bad, lambda fh: load_score_cells(fh, starter_taxonomy())))
+            assume(_rejected(bad, lambda fh: load_score_cells(fh, LabelIndex(starter_taxonomy()))))
             inputs = ["--predictions", bad]
         else:
             assume(_rejected(bad, load_labels, newline=""))

@@ -26,7 +26,7 @@ from conftest import (
     sweep_of,
 )
 from interestprof.ingest import ProfileDataset, load_score_cells
-from interestprof.taxonomy import TOPICS
+from interestprof.taxonomy import TOPICS, LabelIndex
 
 VARIANTS = (
     lambda t: t,
@@ -132,7 +132,7 @@ def prediction_lines(draw):
 def test_load_score_cells_matches_oracle_rows(data):
     k, lines, images = data
     tax = starter_taxonomy()
-    dataset = load_score_cells(lines, tax, k)
+    dataset = load_score_cells(lines, LabelIndex(tax), k)
     users = dataset.users()
     assert users == list(dict.fromkeys(user for user, _ in images))
     got = []

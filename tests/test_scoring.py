@@ -17,7 +17,7 @@ from interestprof.config import MAX_TOPK
 from interestprof.fixtures import generate_fixture
 from interestprof.ingest import load_score_cells, serialize_predictions
 from interestprof.profiling import TopicDistribution
-from interestprof.taxonomy import N_TOPICS, TOPICS, topic_of_instance
+from interestprof.taxonomy import N_TOPICS, TOPICS, LabelIndex, topic_of_instance
 
 
 def prob_row(record, tax):
@@ -206,13 +206,13 @@ def test_load_rejects_a_k_its_counts_cannot_pack(k_max):
         yield
 
     with pytest.raises(ValueError, match=f"^k_max must be in 1 to {MAX_TOPK}, got {k_max}$"):
-        load_score_cells(lines(), starter_taxonomy(), k_max)
+        load_score_cells(lines(), LabelIndex(starter_taxonomy()), k_max)
 
 
 def test_load_resolves_each_distinct_label_once(monkeypatch):
     tax = starter_taxonomy()
     dataset = generate_fixture(2, 30, 0.6, 7, tax)
-    index = tax.label_index
+    index = LabelIndex(tax)
     calls = Counter()
 
     def counting(label, position=index.position):
@@ -220,7 +220,7 @@ def test_load_resolves_each_distinct_label_once(monkeypatch):
         return position(label)
 
     monkeypatch.setattr(index, "position", counting)
-    scored = load_score_cells(serialize_predictions(dataset), tax)
+    scored = load_score_cells(serialize_predictions(dataset), index)
     labels = [label for rec in dataset.iter_records() for label, _ in rec.predictions]
     assert scored.n_images() == len(list(dataset.iter_records())) == 1440
     assert len(labels) > 2 * len(set(labels))
@@ -255,7 +255,7 @@ def test_loaded_cells_unpack_bit_for_bit():
     assert '"prob": -0.0' in lines[0] and '"prob": 5e-324' in lines[0]
     assert '"prob": 0}' in lines[1] and '"prob": 1}' in lines[1]
     for k in (N_TOPICS + 1, MAX_TOPK):
-        dataset = load_score_cells(lines, tax, k)
+        dataset = load_score_cells(lines, LabelIndex(tax), k)
         blocks = {user: dataset.pop_block(user) for user in ("u1", "u2", "u3")}
         for user, block in blocks.items():
             assert block.image_ids == tuple(f"i{n}" for n, (u, _) in enumerate(images) if u == user)

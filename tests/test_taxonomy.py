@@ -34,12 +34,6 @@ def test_minimal_file():
     assert tax.instances == {"espresso": "Drink"}
 
 
-def test_label_index_is_built_once_on_first_use():
-    tax = parse_taxonomy(MINIMAL)
-    assert "label_index" not in vars(tax)
-    assert tax.label_index is tax.label_index
-
-
 def test_comments_and_blank_lines_ignored():
     tax = parse_taxonomy("# header\n\nroot R  # trailing\n\nconcept A parent R topic\n")
     assert tuple(tax.parent) == ("R", "A")
