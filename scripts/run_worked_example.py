@@ -8,10 +8,15 @@ import json
 from pathlib import Path
 
 from interestprof.ingest import load_score_cells
-from interestprof.profiling import profile_prefixes
+from interestprof.profiling import TopicDistribution, profile_prefixes
 from interestprof.taxonomy import N_TOPICS, TOPICS, LabelIndex, load_taxonomy, topic_of_instance
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def nonzero(v: TopicDistribution) -> dict[str, float]:
+    """The topics with a positive score in ``v``, in canonical order."""
+    return {name: s for name, s in zip(TOPICS, v.scores) if s > 0}
 
 
 def main() -> None:
@@ -30,8 +35,8 @@ def main() -> None:
     print("image-level occurrence scores: ", {t: c / block.k for t, _, c in topic_cells if c})
 
     (profile,) = profile_prefixes(block, (1,), mechanism="occ")
-    print("\nuser vector (prob):", {t: round(s, 4) for t, s in profile.v_prob.nonzero().items()})
-    print("user vector (occ): ", profile.v_occ.nonzero())
+    print("\nuser vector (prob):", {t: round(s, 4) for t, s in nonzero(profile.v_prob).items()})
+    print("user vector (occ): ", nonzero(profile.v_occ))
     print("predicted topic:   ", profile.predicted_topic)
 
 

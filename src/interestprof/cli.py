@@ -21,12 +21,13 @@ summary line, so ``score`` writes the same bytes as the score tables of
 is one ``ingest.load_score_cells`` call, which scores each prediction line as
 it is read, from the ``--predictions`` file or from the output file
 ``--classifier-cmd`` wrote for ``--manifest``, and ``--skip-bad`` applies to
-both. ``--classifier-cmd`` is killed after ``classifier_timeout`` seconds
-(default 600). The pass takes each user's cells out of the dataset as a
-ScoreBlock, writes its score rows (its touched cells between runs of ``"0"``
-cells, one write per table per user) and derives the full profile and every
-sweep point from it, so the cells are freed user by user before the profile
-files are streamed. A subcommand named for one step fails (exit 1) when that
+both: the load passes each bad line's message to ``_warn`` as it meets it,
+which prints it, so none is kept. ``--classifier-cmd`` is killed after
+``classifier_timeout`` seconds (default 600). The pass takes each user's cells
+out of the dataset as a ScoreBlock, writes its score rows (its touched cells
+between runs of ``"0"`` cells, one write per table per user) and derives the
+full profile and every sweep point from it, so the cells are freed user by
+user before the profile files are streamed. A subcommand named for one step fails (exit 1) when that
 step has no input, such as fewer than 2 profiles to correlate or no labeled
 profile to evaluate; ``pipeline`` skips the step with a note instead.
 
@@ -71,6 +72,10 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _warn(msg: str) -> None:
+    _note(f"warning: {msg}")
+
+
 def _require(value, flag: str):
     if value is None:
         raise ConfigError(f"missing required setting: {flag}")
@@ -80,7 +85,7 @@ def _require(value, flag: str):
 def _load_tax(cfg: RunConfig) -> Taxonomy:
     tax = load_taxonomy(_require(cfg.taxonomy, "--taxonomy"))
     for w in tax.warnings:
-        _note(f"warning: {w}")
+        _warn(w)
     return tax
 
 
@@ -98,11 +103,9 @@ def _load_dataset(cfg: RunConfig, index: LabelIndex) -> ScoredDataset:
         source = run_external_classifier(manifest, cfg.classifier_cmd, cfg.classifier_timeout)
     else:
         raise ConfigError("missing required setting: --predictions (or --classifier-cmd)")
+    skip = _warn if cfg.skip_bad else None
     with source as lines:
-        dataset = load_score_cells(lines, index, cfg.topk, cfg.skip_bad, manifest, cfg.predictions)
-    for w in dataset.warnings:
-        _note(f"warning: {w}")
-    return dataset
+        return load_score_cells(lines, index, cfg.topk, skip, manifest, cfg.predictions)
 
 
 def _prepare_outdir(cfg: RunConfig) -> Path:
@@ -206,8 +209,7 @@ def _run_chain(cfg: RunConfig, command: str) -> int:
     dataset = _load_dataset(cfg, index) if data else None
     for user_id in labels:
         if user_id not in dataset.cells:
-            _note(f"warning: label for user '{escape_control(user_id)}' "
-                  "matches no prediction records")
+            _warn(f"label for user '{escape_control(user_id)}' matches no prediction records")
 
     if "metrics" in steps:
         from .ontometrics import semiotic_report, size_metrics, structural_metrics
@@ -244,7 +246,7 @@ def _run_chain(cfg: RunConfig, command: str) -> int:
                     block, (block.n_images(), *cfg.sweep), cfg.mechanism
                 )
                 if full.predicted_topic is None:
-                    _note(f"warning: skipping user '{escape_control(user)}': "
+                    _warn(f"skipping user '{escape_control(user)}': "
                           "no prediction label maps to any topic")
                     continue
                 profiles.append(full)

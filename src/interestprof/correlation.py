@@ -97,10 +97,9 @@ def co_interest_matrix(
     A user counts as interested in a topic when their score is >= tau.
     Entries with no interested user on either side are 0. Each topic's
     interested users are one integer bitmask (bit r for user r), so a pair's
-    shared count is the popcount of an AND.
+    shared count is the popcount of an AND. ``tau`` is taken as
+    ``RunConfig.validate`` left it, in (0, 1].
     """
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"tau must be in (0, 1], got {tau}")
     if not profiles:
         raise EmptyInputError("co-interest needs at least 1 profiled user, got 0")
     masks = []

@@ -146,10 +146,10 @@ def evaluate(
     the selected mechanism (overall accuracy under the other mechanism is
     reported alongside). Everything rank- or confusion-based uses the largest
     sweep point. Topics with no labeled users get None accuracy; precision or
-    recall denominators of zero yield 0 and the topic is flagged.
+    recall denominators of zero yield 0 and the topic is flagged. A mechanism
+    other than ``prob`` or ``occ`` is a KeyError or an AttributeError
+    (``UserProfile.vector``); ``RunConfig.validate`` rejects one first.
     """
-    if mechanism not in MECHANISMS:
-        raise ValueError(f"unknown mechanism '{mechanism}'")
     if not profiles_by_k:
         raise EmptyInputError("no sweep profiles to evaluate")
     ks = sorted(profiles_by_k)

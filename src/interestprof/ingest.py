@@ -9,10 +9,10 @@ PredictionRecords are what the fixture generator builds and
 ``serialize_predictions`` writes. Every load, from a predictions file or from
 a classifier's output, goes through ``load_score_cells``, which builds no
 record: one per-line validator checks every line, and one loop groups the
-valid lines per user and image in file order, rejecting duplicates and (with
-``--skip-bad``) skipping bad lines with a warning, and hands each kept image's
-pairs to ``ScoredDataset.add``, which owns the packed cell layout (see
-``scoring``).
+valid lines per user and image in file order, rejecting duplicates, and hands
+each kept image's pairs to ``ScoredDataset.add``, which owns the packed cell
+layout (see ``scoring``). A bad line aborts the load, or, given a ``skip``
+callback (``--skip-bad``), is passed to it as it is met: no message is kept.
 
 Each line is read once. The default JSON decoder's scanner decodes it, and
 only a line the scanner does not read whole goes through ``json.loads`` again,
@@ -334,23 +334,24 @@ def load_score_cells(
     source: str | Iterable[str],
     index: LabelIndex,
     k_max: int = DEFAULT_TOP_K,
-    skip_bad: bool = False,
+    skip: Callable[[str], None] | None = None,
     manifest: Manifest | None = None,
     path: str | None = None,
 ) -> ScoredDataset:
     """Valid prediction lines as packed score cells with k = ``k_max``, grouped per
-    user and image in file order, and the warnings for skipped lines.
+    user and image in file order.
 
     ``index.position`` runs once per distinct label of a load, on its
     first valid sight. Any malformed or invalid line, or a second record of one
-    image, aborts the load unless ``skip_bad`` is set, in which case it is
-    skipped with a warning. Errors name ``<path>:<line>`` (``line <line>`` with
+    image, aborts the load when ``skip`` is None. Otherwise the line is skipped
+    and ``skip`` is called, as the line is met, with ``skipped <error>``; the
+    load keeps no message. Errors name ``<path>:<line>`` (``line <line>`` with
     no ``path``). With a ``manifest`` the lines are a classifier's
     output for its rows: errors name ``classifier output:<line>``, a record of
     a (user_id, image_id) pair the manifest does not list is one of them, and a
-    row left with no record is an error naming the manifest line (a warning
-    under ``skip_bad``). A ``k_max`` outside 1 to ``MAX_TOPK`` is a ValueError
-    before any line is read.
+    row left with no record is an error naming the manifest line (passed to
+    ``skip`` as it is, after the last line). A ``k_max`` outside 1 to
+    ``MAX_TOPK`` is a ValueError before any line is read.
     """
     if not 1 <= k_max <= MAX_TOPK:
         raise ValueError(f"k_max must be in 1 to {MAX_TOPK}, got {k_max}")
@@ -377,9 +378,9 @@ def load_score_cells(
                 )
         except DataFormatError as exc:
             exc = DataFormatError(exc.detail, no, "classifier output" if manifest else path)
-            if not skip_bad:
+            if skip is None:
                 raise exc from None
-            dataset.warnings.append(f"skipped {exc}")
+            skip(f"skipped {exc}")
             continue
         dataset.add(user_id, image_id, pairs)
     for (user_id, image_id), (_, no) in (manifest.rows if manifest else {}).items():
@@ -390,9 +391,9 @@ def load_score_cells(
             f"image '{escape_control(image_id)}'",
             line=no, path=manifest.path,
         )
-        if not skip_bad:
+        if skip is None:
             raise missing
-        dataset.warnings.append(str(missing))
+        skip(str(missing))
     return dataset
 
 

@@ -33,7 +33,6 @@ from array import array
 from struct import Struct
 from typing import Collection, Iterable, NamedTuple, Sequence
 
-from .config import MECHANISMS
 from .errors import EmptyInputError
 from .scoring import Cells, ScoreBlock
 from .taxonomy import N_TOPICS, TOPICS
@@ -74,9 +73,6 @@ class TopicDistribution:
     def as_dict(self) -> dict[str, float]:
         return dict(zip((*TOPICS, "unmapped"), self.values()))
 
-    def nonzero(self) -> dict[str, float]:
-        return {name: s for name, s in zip(TOPICS, self.scores) if s > 0}
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -84,9 +80,6 @@ class TopicDistribution:
 
     def __hash__(self):
         return hash(self.values())
-
-    def __repr__(self):
-        return f"TopicDistribution(scores={self.scores!r}, unmapped_mass={self.unmapped_mass!r})"
 
 
 def topic_columns(vectors: Iterable[TopicDistribution]) -> list[array]:
@@ -106,9 +99,8 @@ class UserProfile(NamedTuple):
     ties: tuple[str, ...] = ()  # tied argmax topics, empty when the argmax is unique
 
     def vector(self, mechanism: str) -> TopicDistribution:
-        if mechanism not in MECHANISMS:
-            raise ValueError(f"unknown mechanism '{mechanism}'")
-        return self.v_prob if mechanism == "prob" else self.v_occ
+        """``v_prob`` or ``v_occ``; any other mechanism is an AttributeError."""
+        return getattr(self, "v_" + mechanism)
 
 
 def _vote_scale(max_ties: int) -> int:
@@ -192,19 +184,17 @@ def profile_prefixes(
     """Profiles of one user over the first n images of a score block, per n in sizes.
 
     An n beyond the block's length means all its images. A prefix with no
-    positive score under the mechanism gets ``predicted_topic`` None.
+    positive score under the mechanism gets ``predicted_topic`` None. The
+    mechanism and the sizes are taken as ``RunConfig.validate`` left them: a
+    mechanism other than ``prob`` or ``occ``, or a size below 1, is a KeyError.
     """
-    if mechanism not in MECHANISMS:
-        raise ValueError(f"unknown mechanism '{mechanism}'")
     total = block.n_images()
     if not total:
         raise EmptyInputError("cannot profile a user with zero records")
-    if any(n < 1 for n in sizes):
-        raise ValueError(f"prefix sizes must be positive: {sizes}")
     vectors = _prefix_vectors(block.rows, {min(n, total) for n in sizes}, _vote_scale(block.k))
     by_size: dict[int, UserProfile] = {}
     for n, (v_prob, v_occ) in vectors.items():
-        best = argmax_topics(v_prob if mechanism == "prob" else v_occ)
+        best = argmax_topics({"prob": v_prob, "occ": v_occ}[mechanism])
         by_size[n] = UserProfile(
             user_id=block.user_id,
             n_images=n,

@@ -316,8 +316,6 @@ def write_score_rows(tables: ScoreTables, block: ScoreBlock) -> None:
     cells before it, then the run of "0" cells after the last one. Each
     table gets the user's rows as one write.
     """
-    if not block.image_ids:
-        return
     occ_cells = tables.occ_cells
     zeros = _ZEROS
     user = _csv_field(block.user_id) + ","

@@ -106,7 +106,7 @@ _unpack_cells = _PACKED[1].iter_unpack
 
 
 class ScoredDataset:
-    """Each image's cells grouped per user (file order), and the load's warnings.
+    """Each image's cells grouped per user (file order).
 
     ``add`` packs an image's cells (see the module docstring) onto
     ``packed[user]``, so it holds the user's images' cells back to back in
@@ -120,7 +120,6 @@ class ScoredDataset:
         self.k = k
         self.cells: dict[str, dict[str, int]] = {}
         self.packed: dict[str, bytearray] = {}
-        self.warnings: list[str] = []
 
     def add(self, user_id: str, image_id: str, pairs: list[tuple[int, float]]) -> None:
         """Score one image from its (position, prob) pairs (see ``pack_cells``)

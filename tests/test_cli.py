@@ -485,6 +485,16 @@ def test_label_warnings_follow_the_load_warnings(tmp_path, capsys):
     assert json.loads((tmp_path / "out" / "report.json").read_text())["n_labeled"] == 1
 
 
+def test_taxonomy_warning_reaches_stderr_and_the_run_succeeds(tmp_path, capsys):
+    taxonomy = tmp_path / "t.taxonomy"
+    taxonomy.write_text(STARTER_PATH.read_text() + "concept Lonely parent Interest topic\n")
+    assert run("profile", "--taxonomy", taxonomy, "--predictions", WORKED_EXAMPLE_PATH,
+               "--out", tmp_path / "out") == 0
+    assert capsys.readouterr().err == (
+        "warning: topic 'Lonely' is not on the ancestry path of any instance\n"
+    )
+
+
 def test_unmappable_user_skipped_with_warning(tmp_path, capsys):
     predictions = tmp_path / "p.jsonl"
     predictions.write_text(

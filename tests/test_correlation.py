@@ -190,13 +190,6 @@ def test_co_interest_symmetric_with_unit_diagonal():
             assert 0.0 <= m[i][j] <= 1.0
 
 
-def test_co_interest_tau_validation():
-    profiles = profiles_from_columns({DRINK: [0.5]})
-    for bad in (0.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            co_interest_matrix(profiles, bad, "occ")
-
-
 def test_threshold_is_inclusive():
     profiles = profiles_from_columns({DRINK: [0.1, 0.0], FOOD: [0.1, 0.1]})
     m = co_interest_matrix(profiles, 0.1, "occ")

@@ -165,10 +165,12 @@ def test_duplicate_keys_keep_the_last_and_nan_is_out_of_range():
 
 def test_skip_bad_collects_warnings():
     text = "{broken\n" + WORKED_LINE + "\n"
-    ds = load_score_cells(text, INDEX, skip_bad=True)
+    warnings = []
+    ds = load_score_cells(text, INDEX, skip=warnings.append)
     assert ds.users() == ["u1"]
-    assert len(ds.warnings) == 1
-    assert "line 1" in ds.warnings[0]
+    assert len(warnings) == 1
+    assert "line 1" in warnings[0]
+    assert not hasattr(ds, "warnings")
 
 
 def test_each_kept_image_is_packed_once(monkeypatch):
@@ -184,13 +186,14 @@ def test_each_kept_image_is_packed_once(monkeypatch):
     # A malformed line, a second record of one image and a prob out of range
     # are skipped before their cells are packed.
     text = "\n".join(["{broken", WORKED_LINE, WORKED_LINE, u2, _cup(1.5), _cup(0.5)])
-    ds = load_score_cells(text, INDEX, skip_bad=True)
-    assert len(ds.warnings) == 3
+    warnings = []
+    ds = load_score_cells(text, INDEX, skip=warnings.append)
+    assert len(warnings) == 3
     assert len(packed) == ds.n_images() == 3
     # So is a line the manifest does not list.
     packed.clear()
     manifest = Manifest({("u1", "img1"): ("/a.jpg", 2), ("u", "i"): ("/b.jpg", 3)})
-    ds = load_score_cells(text, INDEX, skip_bad=True, manifest=manifest)
+    ds = load_score_cells(text, INDEX, skip=warnings.append, manifest=manifest)
     assert len(packed) == ds.n_images() == 2
 
 
@@ -329,13 +332,13 @@ def _stub(tmp_path, body, name="stub.py"):
     return f"{sys.executable} {path} {{input}} {{output}}"
 
 
-def classify(manifest, template, timeout=None, skip_bad=False):
+def classify(manifest, template, timeout=None):
     """What the command writes for ``manifest`` (a Manifest, or rows numbered from 1),
     loaded as the CLI loads it."""
     if not isinstance(manifest, Manifest):
         manifest = Manifest({(u, i): (p, no) for no, (u, i, p) in enumerate(manifest, 1)})
     with run_external_classifier(manifest, template, timeout) as lines:
-        return load_score_cells(lines, INDEX, 5, skip_bad, manifest)
+        return load_score_cells(lines, INDEX, 5, manifest=manifest)
 
 
 # Characters str.splitlines breaks at and a file read keeps inside the line.
@@ -446,9 +449,10 @@ def test_unlisted_record_skipped_under_skip_bad_leaves_no_empty_user():
                          "predictions": [{"label": "cup", "prob": 0.5}]})
              for u, i in (("u1", "i1"), ("ghost", "zzz"))]
     manifest = Manifest({("u1", "i1"): ("/a.jpg", 2), ("u1", "i2"): ("/b.jpg", 3)}, "m.csv")
-    ds = load_score_cells(lines, INDEX, skip_bad=True, manifest=manifest)
+    warnings = []
+    ds = load_score_cells(lines, INDEX, skip=warnings.append, manifest=manifest)
     assert ds.users() == ["u1"]
-    assert ds.warnings == [
+    assert warnings == [
         "skipped classifier output:2: user 'ghost' image 'zzz' is not listed in the manifest",
         "m.csv:3: no classifier output for user 'u1' image 'i2'",
     ]

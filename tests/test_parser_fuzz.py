@@ -16,6 +16,7 @@ import contextlib
 import io
 import json
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -27,6 +28,7 @@ import oracles
 from conftest import (
     KNOWN_TERMS, STARTER_PATH, UNKNOWN_TERMS, WORKED_EXAMPLE_PATH, dense_rows, starter_taxonomy,
 )
+from test_ingest import STUB_OK
 from interestprof.cli import main
 from interestprof.errors import DataFormatError
 from interestprof.ingest import load_labels, load_score_cells
@@ -94,7 +96,7 @@ def test_load_score_cells_raises_only_data_format_errors(lines, k_max):
         try:
             dataset = load_score_cells(source, index, k_max)
         except DataFormatError:
-            dataset = load_score_cells(source, index, k_max, skip_bad=True)
+            dataset = load_score_cells(source, index, k_max, skip=lambda msg: None)
         n_images = dataset.n_images()
         blocks = [dataset.pop_block(user) for user in dataset.users()]
         assert dataset.cells == {}
@@ -127,8 +129,9 @@ def test_load_score_cells_matches_the_oracle(lines, k_max, skip_bad):
                 load_score_cells(source, index, k_max)
             assert err.value.line == bad[0]
             continue
-        dataset = load_score_cells(source, index, k_max, skip_bad)
-        assert [int(w.split()[2].rstrip(":")) for w in dataset.warnings] == bad
+        warnings = []
+        dataset = load_score_cells(source, index, k_max, warnings.append if skip_bad else None)
+        assert [int(w.split()[2].rstrip(":")) for w in warnings] == bad
         assert dataset.users() == list(dict.fromkeys(user for user, _ in images))
         for user in dataset.users():
             block = dataset.pop_block(user)
@@ -190,4 +193,58 @@ def test_cli_exits_1_on_rejected_input_without_traceback(content, which):
         assert rc == 1
         assert "Traceback" not in err.getvalue()
         assert re.search(rf"error: {re.escape(str(bad))}:\d+: ", err.getvalue())
+        assert not (Path(tmp) / "out").exists()
+
+
+def mutations(base: bytes):
+    """``base`` after one to four random edits, each deleting, inserting or
+    overwriting up to 3 bytes."""
+    edits = st.lists(st.tuples(st.integers(0, len(base)), st.sampled_from("dio"),
+                               st.binary(min_size=1, max_size=3)), min_size=1, max_size=4)
+
+    def apply(edits):
+        data = bytearray(base)
+        for at, op, chunk in edits:
+            end = at + (0 if op == "i" else len(chunk))
+            data[at:end] = b"" if op == "d" else chunk
+        return bytes(data)
+
+    return edits.map(apply)
+
+
+# Small valid files, so that most edits make them invalid.
+SETUP_FILES = {
+    "taxonomy": b"root Interest\nconcept Drink parent Interest topic\n"
+                b"concept Food parent Drink topic\ninstance espresso concept Drink\n"
+                b"instance dough concept Food\n",
+    "config": b"topk = 5\nmechanism = occ\nsweep = 1,2\ntau = 0.5\n# done\n",
+    "manifest": b"user_id,image_id,image_path\nu1,i1,/img/a.jpg\nu1,i2,/img/b.jpg\n",
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SETUP_FILES)).flatmap(
+    lambda which: st.tuples(st.just(which), mutations(SETUP_FILES[which]))))
+def test_cli_exits_1_or_2_on_rejected_setup_file_without_traceback(case):
+    which, content = case
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp) / "input"
+        bad.write_bytes(content)
+        inputs = ["--taxonomy", STARTER_PATH, "--predictions", WORKED_EXAMPLE_PATH]
+        if which == "taxonomy":
+            inputs[1] = bad
+        elif which == "config":
+            inputs += ["--config", bad]
+        else:
+            stub = Path(tmp) / "stub.py"
+            stub.write_text(STUB_OK)
+            inputs[2:] = ["--classifier-cmd", f"{sys.executable} {stub} {{input}} {{output}}",
+                          "--manifest", bad]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["pipeline", *map(str, inputs), "--out", str(Path(tmp) / "out")])
+        assume(rc != 0)  # an edit that leaves the file valid
+        assert rc in (1, 2)
+        assert "Traceback" not in err.getvalue()
+        assert err.getvalue().splitlines()[-1].startswith("error: ")
         assert not (Path(tmp) / "out").exists()

@@ -17,6 +17,7 @@ from conftest import (
     vector,
 )
 from interestprof.errors import EmptyInputError
+from interestprof.evaluation import evaluate
 from interestprof.ingest import ProfileDataset
 from interestprof.profiling import TopicDistribution, argmax_topics, profile_prefixes
 from interestprof.taxonomy import N_TOPICS, TOPICS
@@ -160,6 +161,19 @@ def test_profile_user_records_ties():
 def test_profile_user_zero_records():
     with pytest.raises(EmptyInputError):
         profile_of([], starter_taxonomy())
+
+
+def test_a_bad_mechanism_raises():
+    # RunConfig.validate is the one check of a mechanism; past it, an unknown
+    # one still fails loudly instead of scoring as occ.
+    block = block_from_rows([(vector(Drink=1.0), 0.0)])
+    with pytest.raises(KeyError):
+        profile_prefixes(block, (1,), "bogus")
+    (profile,) = profile_prefixes(block, (1,), "occ")
+    with pytest.raises(AttributeError):
+        profile.vector("bogus")
+    with pytest.raises((KeyError, AttributeError)):
+        evaluate({1: [profile]}, {"u": "Drink"}, "bogus")
 
 
 def test_profile_user_unmappable_has_no_prediction():

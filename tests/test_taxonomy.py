@@ -11,7 +11,9 @@ from conftest import (
 from interestprof.errors import CycleError, TaxonomyError, UnknownTopicError
 from interestprof.ontometrics import structural_metrics
 from interestprof.taxonomy import (
+    N_TOPICS,
     TOPICS,
+    LabelIndex,
     normalize_term,
     parse_taxonomy,
     resolve_compound,
@@ -164,6 +166,16 @@ instance water concept Drink
 def test_instance_with_no_topic_ancestor():
     tax = parse_taxonomy("root R\nconcept Plain parent R\ninstance thing concept Plain\n")
     assert topic_of_instance(tax, "thing") is None
+
+
+def test_label_index_maps_an_instance_with_no_topic_to_unmapped():
+    index = LabelIndex(parse_taxonomy(
+        "root R\nconcept Plain parent R\nconcept Drink parent R topic\n"
+        "instance thing concept Plain\ninstance espresso concept Drink\n"
+    ))
+    assert index.position("thing") == N_TOPICS
+    assert index.position("Espresso") == TOPICS.index("Drink")
+    assert index.position("unlisted") == N_TOPICS
 
 
 def test_uncovered_topic_warns():
